@@ -62,9 +62,10 @@ fn queries() -> Vec<(Constr, Constr)> {
 /// An enlarged grid (31³ = 29 791 points): the regime the unverified-suite
 /// checks live in, where per-check fixed costs (the symbolic attempt, lemma
 /// saturation — identical on both paths) are noise and the per-point
-/// evaluator dominates.  The FM layer is pinned *off* here — this series
-/// measures the numeric evaluators against each other, and FM would decide
-/// the disjunction query without evaluating a single point.
+/// evaluator dominates.  The FM layer is pinned *off* here, which leaves a
+/// pure grid — this series measures the numeric evaluators against each
+/// other, and FM would decide the disjunction query without evaluating a
+/// single point.
 fn grid_config() -> SolveConfig {
     SolveConfig {
         nat_grid_max: 30,
@@ -136,9 +137,11 @@ fn solver_grid(c: &mut Criterion) {
 
     // ----------------------------------------------------------------
     // fm_vs_grid: the verified-suite obligation corpus through the full
-    // engine, with the Fourier–Motzkin layer on (default) vs off.  The
-    // FM side must decide every obligation symbolically — zero grid or
-    // random points — which is the layer's acceptance gate.
+    // engine, with the Fourier–Motzkin layer on (default) vs off.  FM is
+    // the only symbolic prover, so the FM-off control arm is a pure grid:
+    // every atomic obligation it meets is swept.  The FM side must decide
+    // every obligation symbolically — zero grid or random points — which
+    // is the layer's acceptance gate.
     //
     // The headline `speedup` compares the **decision layers** on the
     // identical obligation stream: the wall clock spent inside

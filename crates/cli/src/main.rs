@@ -71,7 +71,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use birelcost::Engine;
+use birelcost::{Engine, PhaseTimings};
 use rel_constraint::SearchExhaustedReason;
 use rel_service::{
     serve_reactor, serve_with, BatchJob, BatchStats, CodecKind, CodecLimits, PeriodicSave,
@@ -334,11 +334,11 @@ fn check_files(files: &[String], flags: &Flags) -> ExitCode {
                 for def in &report.defs {
                     let status = if def.ok { "ok" } else { "FAIL" };
                     // Verdict provenance: `proved` means every obligation was
-                    // discharged symbolically (greedy linear search or
-                    // Fourier–Motzkin) — sound over the unbounded domain;
-                    // `grid` means the verdict leaned on the bounded numeric
-                    // sweep.  Replayed verdicts show the provenance they were
-                    // recorded with.
+                    // discharged by Fourier–Motzkin (or a structural
+                    // combination of such proofs) — sound over the unbounded
+                    // domain; `grid` means the verdict leaned on the bounded
+                    // numeric sweep.  Replayed verdicts show the provenance
+                    // they were recorded with.
                     let via = if !def.ok {
                         "-"
                     } else if def.proved {
@@ -543,7 +543,6 @@ fn serve_stdio(flags: &Flags) -> ExitCode {
     } else {
         let options = ServeOptions {
             request_timeout: flags.request_timeout_ms.map(Duration::from_millis),
-            io_timeout: None,
         };
         let stdin = io::stdin();
         let stdout = io::stdout();
@@ -828,10 +827,20 @@ fn table1() -> ExitCode {
             }
         };
         let report = engine.check_program(&program);
-        let timings = report
-            .def(b.main_def)
-            .map(|d| d.timings)
-            .unwrap_or_default();
+        // Every phase column sums over the defs, like `total(s)`.
+        let mut timings = PhaseTimings::default();
+        for def in &report.defs {
+            timings.typecheck += def.timings.typecheck;
+            timings.existential_elim += def.timings.existential_elim;
+            timings.solving += def.timings.solving;
+        }
+        let result = if !report.all_ok() {
+            "not verified"
+        } else if report.proved_defs() == report.defs.len() {
+            "checked (proved)"
+        } else {
+            "checked (grid)"
+        };
         println!(
             "{:<10} {:>10.3} {:>12.3} {:>14.3} {:>12.3} {:>9} {:>9}  {}",
             b.name,
@@ -841,11 +850,7 @@ fn table1() -> ExitCode {
             timings.solving.as_secs_f64(),
             report.points_evaluated(),
             report.programs_compiled(),
-            if report.all_ok() {
-                "checked"
-            } else {
-                "not verified"
-            }
+            result
         );
     }
     ExitCode::SUCCESS

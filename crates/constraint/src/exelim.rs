@@ -56,8 +56,8 @@ pub struct ExElimStats {
 #[derive(Debug, Clone)]
 pub struct ExElimOutcome {
     /// `Some(Valid)` when a candidate assignment made the goal provable,
-    /// `Some(Invalid)`/`Some(Unknown)` never (failed candidates simply move
-    /// on), `None` when no assignment worked.
+    /// `Some(Invalid)` never (failed candidates simply move on), `None` when
+    /// no assignment worked.
     pub validity: Option<Validity>,
     /// The substitution that worked, if any.
     pub witness: Option<BTreeMap<IdxVar, Idx>>,

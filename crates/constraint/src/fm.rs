@@ -1,17 +1,13 @@
 //! A complete decision procedure for linear rational arithmetic over atoms:
-//! Fourier–Motzkin variable elimination with integer tightening.
+//! Fourier–Motzkin variable elimination with integer tightening — the
+//! solver's one symbolic prover, run before the numeric grid.
 //!
-//! The symbolic layer's greedy positive-combination search
-//! (`Solver::prove_nonneg`) is fast but incomplete even on the pure linear
-//! fragment: it cancels one negative coefficient at a time and gives up
-//! after a fixed number of rounds, so many obligations that *are* linear
-//! consequences of the hypotheses fall through to the bounded grid sweep.
-//! This module closes that gap.  An entailment `facts ⟹ goal` is decided by
-//! refutation: the negation of the goal is put in disjunctive normal form
-//! over atomic comparisons, each branch is conjoined with the linear facts
-//! (plus non-negativity of every atom — sizes, difference counts and costs
-//! are all non-negative in RelCost), and Fourier–Motzkin elimination drives
-//! the system to a ground contradiction or a witness:
+//! An entailment `facts ⟹ goal` is decided by refutation: the negation of
+//! the goal is put in disjunctive normal form over atomic comparisons, each
+//! branch is conjoined with the linear facts (plus non-negativity of every
+//! atom — sizes, difference counts and costs are all non-negative in
+//! RelCost), and Fourier–Motzkin elimination drives the system to a ground
+//! contradiction or a witness:
 //!
 //! * **every branch infeasible** → the entailment holds over the reals, and
 //!   therefore over the naturals — the verdict is a *proof*, no grid point
@@ -23,6 +19,11 @@
 //!   the query falls through to the numeric layer unchanged;
 //! * **limits exceeded** (atom count, row count, branch fan-out, coefficient
 //!   growth) → the procedure abstains, again falling through.
+//!
+//! **Ground rows.**  `∞` never enters a system, but two shapes that mention
+//! it are decided outright: a comparison whose larger side is `∞` at every
+//! point, against an `∞`-free side, is the trivial row `0 ≥ 0` (its negation
+//! the infeasible row `0 > 0`), and an `ff` fact is the infeasible row.
 //!
 //! **Integer tightening.**  ℕ-sorted variables and `⌈·⌉`/`⌊·⌋` atoms take
 //! integer values.  A row whose atoms are all integer-valued is scaled to
@@ -359,8 +360,16 @@ impl FmMemo {
     }
 
     /// The row for `pos − neg {≥,>} 0`; `None` when either side leaves the
-    /// finite-linear fragment.
+    /// finite-linear fragment.  A side that is `∞` at every point, against
+    /// an `∞`-free side, settles the comparison: true when it is `pos`,
+    /// false when it is `neg`.
     fn row_of(&mut self, pos: &Idx, neg: &Idx, strict: bool) -> Option<Row> {
+        if always_infinite(pos) && !mentions_infty(neg) {
+            return Some(ground_row(false));
+        }
+        if always_infinite(neg) && !mentions_infty(pos) {
+            return Some(ground_row(true));
+        }
         let lp = LinExpr::of_idx(pos);
         lp.constant.finite()?;
         let ln = LinExpr::of_idx(neg);
@@ -369,10 +378,10 @@ impl FmMemo {
     }
 
     /// Converts one hypothesis fact into its rows (memoized): `Eq`
-    /// contributes both directions, `Leq`/`Lt` one row each; anything else
-    /// (including facts mentioning `∞`, which carry no finite-linear
-    /// information) contributes nothing — proving from fewer hypotheses is
-    /// always sound.
+    /// contributes both directions, `Leq`/`Lt` one row each, `ff` the
+    /// infeasible row; anything else (including facts that mention `∞`
+    /// outside the ground shapes of [`FmMemo::row_of`]) contributes nothing
+    /// — proving from fewer hypotheses is always sound.
     fn fact_rows_cached(&mut self, fact: &Constr, hash: u64, verify: u64) -> Vec<Row> {
         if let Some(bucket) = self.fact_rows.get(&hash) {
             if let Some((_, rows)) = bucket.iter().find(|(v, _)| *v == verify) {
@@ -397,6 +406,7 @@ impl FmMemo {
                     rows.push(r2);
                 }
             }
+            Constr::Bot => rows.push(ground_row(true)),
             _ => {}
         }
         if self.fact_rows_len >= FACT_ROWS_MAX_ENTRIES {
@@ -694,6 +704,29 @@ fn mentions_infty(idx: &Idx) -> bool {
         Idx::Sum { lo, hi, body, .. } => {
             mentions_infty(lo) || mentions_infty(hi) || mentions_infty(body)
         }
+    }
+}
+
+/// Is the index term `∞` at every point?  Conservative: `∞` itself, a sum
+/// or maximum with such an operand, a minimum of two, or such a term minus
+/// an `∞`-free one.
+fn always_infinite(idx: &Idx) -> bool {
+    match idx {
+        Idx::Infty => true,
+        Idx::Add(a, b) | Idx::Max(a, b) => always_infinite(a) || always_infinite(b),
+        Idx::Min(a, b) => always_infinite(a) && always_infinite(b),
+        Idx::Sub(a, b) => always_infinite(a) && !mentions_infty(b),
+        _ => false,
+    }
+}
+
+/// The row without atoms `0 ≥ 0` (trivially satisfied) or, when `strict`,
+/// `0 > 0` (infeasible).
+fn ground_row(strict: bool) -> Row {
+    Row {
+        coeffs: Vec::new(),
+        constant: Rational::ZERO,
+        strict,
     }
 }
 
@@ -1283,9 +1316,7 @@ fn extract_witness(
 // ---------------------------------------------------------------------------
 
 /// The `atom ≥ 0` side row: RelCost index terms (sizes, difference counts,
-/// costs and every operation over them) denote non-negative quantities —
-/// the same invariant `is_syntactically_nonneg` and the greedy layer
-/// already rely on.
+/// costs and every operation over them) denote non-negative quantities.
 fn nonneg_row(id: AtomId) -> Row {
     Row {
         coeffs: vec![(id, Rational::ONE)],
@@ -1746,9 +1777,8 @@ mod tests {
 
     #[test]
     fn upper_bounds_on_goal_atoms_are_used() {
-        // The greedy layer cannot do this one: proving a + b ≤ 20 from
-        // a ≤ 10 ∧ b ≤ 10 needs *upper* bounds on the goal's positive
-        // atoms, not cancellations of negative ones.
+        // Proving a + b ≤ 20 from a ≤ 10 ∧ b ≤ 10 needs *upper* bounds on
+        // the goal's positive atoms.
         let u = nats(&["a", "b"]);
         let f1 = Constr::leq(Idx::var("a"), Idx::nat(10));
         let f2 = Constr::leq(Idx::var("b"), Idx::nat(10));
@@ -1792,6 +1822,13 @@ mod tests {
         let u = nats(&["n"]);
         let hyp = Constr::leq(Idx::var("n") + Idx::one(), Idx::var("n"));
         assert_eq!(prove_default(&u, &[&hyp], &Constr::Bot), FmVerdict::Proved);
+        // An `ff` fact is the infeasible row: it proves `ff` and anything else.
+        assert_eq!(
+            prove_default(&u, &[&Constr::Bot], &Constr::Bot),
+            FmVerdict::Proved
+        );
+        let goal = Constr::leq(Idx::var("n"), Idx::nat(3));
+        assert_eq!(prove_default(&u, &[&Constr::Bot], &goal), FmVerdict::Proved);
         // And consistent facts cannot prove Bot.
         let hyp = Constr::leq(Idx::var("n"), Idx::var("n") + Idx::one());
         assert_eq!(
@@ -1811,12 +1848,18 @@ mod tests {
     }
 
     #[test]
-    fn infinity_makes_the_run_abstain_or_skip_facts() {
+    fn infinity_is_decided_when_ground_and_abstains_otherwise() {
         let u = nats(&["n"]);
-        // ∞ in the goal: outside the fragment.
+        // ∞ on the larger side of the goal: trivially true.
+        let goal = Constr::lt(Idx::var("n"), Idx::var("n") + Idx::infty());
+        assert_eq!(prove_default(&u, &[], &goal), FmVerdict::Proved);
+        // ∞ on the smaller side: false at every point.
         let goal = Constr::leq(Idx::infty(), Idx::var("n"));
+        assert_eq!(prove_default(&u, &[], &goal), FmVerdict::CandidateRefuted);
+        // n · ∞ is 0 at n = 0: outside the fragment.
+        let goal = Constr::leq(Idx::var("n") * Idx::infty(), Idx::var("n"));
         assert_eq!(prove_default(&u, &[], &goal), FmVerdict::Abstained);
-        // ∞ in a fact: the fact is skipped, the rest still proves.
+        // A trivially true fact contributes nothing; the rest still proves.
         let f1 = Constr::leq(Idx::var("n"), Idx::infty());
         let f2 = Constr::leq(Idx::var("n"), Idx::nat(3));
         let goal = Constr::leq(Idx::var("n"), Idx::nat(4));

@@ -2,28 +2,28 @@
 //!
 //! The checker decides (best-effort) entailments of the form
 //! `∀ ∆, ψₐ.  Φₐ ⟹ Φ`, the judgement the paper delegates to Why3 + Alt-Ergo.
-//! It is layered:
+//! It has two layers:
 //!
-//! 1. **Symbolic layer** — linear arithmetic over exact rationals: hypothesis
-//!    equalities are used as rewrites, the lemma table of [`crate::lemmas`]
-//!    saturates facts about non-linear atoms, and a greedy positive-combination
-//!    search discharges the goal when it is a consequence of the linear facts.
+//! 1. **Fourier–Motzkin** ([`crate::fm`]) — the one symbolic prover:
+//!    hypothesis equalities are used as rewrites, the lemma table of
+//!    [`crate::lemmas`] saturates facts about non-linear atoms, and a
+//!    complete decision procedure for linear arithmetic over atoms either
+//!    proves the goal, refutes it with a witness (re-verified by direct
+//!    evaluation), or abstains.
 //! 2. **Numeric layer** — a bounded-exhaustive + randomized evaluation of the
 //!    implication over a grid of values of the universally quantified index
-//!    variables.  This layer both *refutes* invalid constraints (producing a
-//!    counterexample) and, when configured as decisive (the default, matching
-//!    DESIGN.md §4), *accepts* constraints that hold on the whole grid.
+//!    variables, on the calling thread.  It *refutes* invalid constraints
+//!    (producing a counterexample) and *accepts* constraints that hold on the
+//!    whole grid (DESIGN.md §4).
+//!
+//! Verdicts carry **provenance**: [`Validity::Valid`] records whether the
+//! obligation was *proved* (sound over the unbounded domain) or merely
+//! *grid-checked* (accepted because no counterexample appeared on the
+//! bounded sweep).  The distinction is threaded through `DefReport`, the
+//! service protocol, the CLI and the persisted snapshots.
 //!
 //! The statistics collected ([`SolveStats`]) feed the Table-1 style timing
 //! breakdown reported by the engine.
-//!
-//! Since the Fourier–Motzkin layer ([`crate::fm`]) landed between the greedy
-//! search and the grid, verdicts carry **provenance**: [`Validity::Valid`]
-//! records whether the obligation was *proved* (symbolic or FM — sound over
-//! the unbounded domain) or merely *grid-checked* (accepted because no
-//! counterexample appeared on the bounded sweep).  The distinction is
-//! threaded through `DefReport`, the service protocol, the CLI and the
-//! persisted snapshots.
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
@@ -35,14 +35,14 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rel_index::{Atom, Extended, Idx, IdxEnv, IdxVar, LinExpr, Rational, Sort};
+use rel_index::{Atom, Extended, Idx, IdxEnv, IdxVar, Rational, Sort};
 
 use crate::cache::{Fnv1a, QueryKey, QueryRef, ValidityCache};
 use crate::compile::{compile_query, CompiledQuery, Val};
 use crate::constr::Constr;
 use crate::cpool;
 use crate::exelim;
-use crate::fm::{self, FmLimits, FmMemo, FmVerdict};
+use crate::fm::{self, FmLimits, FmMemo, FmOutcome, FmVerdict};
 use crate::lemmas;
 
 /// Configuration of the solver.
@@ -57,37 +57,22 @@ pub struct SolveConfig {
     /// Domain bound used for quantifiers that remain *inside* the formula
     /// (e.g. axioms supplied as closed ∀-facts).
     pub inner_quantifier_bound: u64,
-    /// Whether passing the numeric layer counts as validity.  When `false`,
-    /// constraints the symbolic layer cannot prove come back as
-    /// [`Validity::Unknown`].
-    pub numeric_is_decisive: bool,
     /// Seed for the randomized sample points (fixed for reproducibility).
     pub rng_seed: u64,
     /// Cap on candidate-substitution combinations during existential
     /// elimination.
     pub max_exelim_attempts: usize,
-    /// Whether the Fourier–Motzkin layer ([`crate::fm`]) runs between the
-    /// greedy symbolic search and the numeric grid.  Unlike the
-    /// verdict-neutral evaluation knobs below, this one **changes
-    /// verdicts** (obligations the greedy search misses flip from
-    /// grid-checked — or `Unknown` under a non-decisive numeric layer — to
-    /// proved), so it is part of [`SolveConfig::fingerprint`].
+    /// Whether the Fourier–Motzkin layer ([`crate::fm`]) runs before the
+    /// numeric grid.  `false` leaves a pure grid (the `solver_grid`
+    /// benchmark's control arm).  Unlike the verdict-neutral evaluator knob
+    /// below, this one **changes verdicts** (grid-checked obligations flip
+    /// to proved), so it is part of [`SolveConfig::fingerprint`].
     pub use_fm: bool,
     /// Evaluate numeric queries through the compiled bytecode of
     /// [`crate::compile`] (the default).  `false` selects the tree-walking
     /// evaluator — kept as the reference implementation and for the
     /// `solver_grid` benchmark's before/after comparison.
     pub use_compiled_eval: bool,
-    /// Minimum number of grid points before the sweep is chunked across
-    /// worker threads.  The default (`usize::MAX`) keeps the sweep on the
-    /// calling thread: with the default 4 000-point cap a compiled sweep is
-    /// far cheaper than thread startup, and batch services parallelize
-    /// across queries already.  Services checking with enlarged grids lower
-    /// this to spread one huge query across cores.
-    pub parallel_grid_min_points: usize,
-    /// Worker threads for a chunked grid sweep (`0` = the machine's
-    /// available parallelism).
-    pub parallel_grid_threads: usize,
 }
 
 impl Default for SolveConfig {
@@ -97,13 +82,10 @@ impl Default for SolveConfig {
             max_grid_points: 4_000,
             random_points: 64,
             inner_quantifier_bound: 8,
-            numeric_is_decisive: true,
             rng_seed: 0xB1DE_C057,
             max_exelim_attempts: 128,
             use_fm: true,
             use_compiled_eval: true,
-            parallel_grid_min_points: usize::MAX,
-            parallel_grid_threads: 0,
         }
     }
 }
@@ -119,20 +101,21 @@ impl SolveConfig {
         h.write_u64(self.max_grid_points as u64);
         h.write_u64(self.random_points as u64);
         h.write_u64(self.inner_quantifier_bound);
-        h.write_u8(self.numeric_is_decisive as u8);
+        // The slot of a retired knob (a decisive numeric layer, always on),
+        // kept so fingerprints — and the cache files keyed on them — stay
+        // stable.
+        h.write_u8(1);
         h.write_u64(self.rng_seed);
         h.write_u64(self.max_exelim_attempts as u64);
-        // `use_fm` turns `Unknown`/grid-checked verdicts into proved ones —
-        // a verdict *and* provenance change — so a snapshot recorded with
-        // the FM layer on must never be replayed into a solver running with
-        // it off (and vice versa).
+        // `use_fm` turns grid-checked verdicts into proved ones — a
+        // provenance change — so a snapshot recorded with the FM layer on
+        // must never be replayed into a solver running with it off (and vice
+        // versa).
         h.write_u8(self.use_fm as u8);
-        // `use_compiled_eval` and the parallel-sweep knobs are deliberately
-        // *not* mixed in: they select an evaluation strategy, not a verdict.
-        // The compiled evaluator is verdict-identical to the tree evaluator
-        // (differential-tested), and a chunked sweep reports the same
-        // lowest-index counterexample as a sequential one, so solvers that
-        // differ only in these fields may share cached verdicts.
+        // `use_compiled_eval` is deliberately *not* mixed in: it selects an
+        // evaluator, not a verdict.  The compiled evaluator is
+        // verdict-identical to the tree evaluator (differential-tested), so
+        // solvers that differ only in it may share cached verdicts.
         h.finish()
     }
 }
@@ -142,8 +125,6 @@ impl SolveConfig {
 pub struct SolveStats {
     /// Number of top-level entailment queries.
     pub queries: usize,
-    /// Atomic goals discharged purely symbolically.
-    pub symbolic_hits: usize,
     /// Goals discharged by the Fourier–Motzkin layer (proved, zero grid
     /// points).
     pub fm_proved: usize,
@@ -211,7 +192,6 @@ impl SolveStats {
     pub fn merge(&mut self, other: &SolveStats) {
         let SolveStats {
             queries,
-            symbolic_hits,
             fm_proved,
             fm_refuted,
             fm_projections,
@@ -233,7 +213,6 @@ impl SolveStats {
             search_exhausted,
         } = *other;
         self.queries += queries;
-        self.symbolic_hits += symbolic_hits;
         self.fm_proved += fm_proved;
         self.fm_refuted += fm_refuted;
         self.fm_projections += fm_projections;
@@ -263,7 +242,6 @@ impl SolveStats {
     pub fn publish(&self) {
         let SolveStats {
             queries,
-            symbolic_hits,
             fm_proved,
             fm_refuted,
             fm_projections,
@@ -285,7 +263,6 @@ impl SolveStats {
             search_exhausted,
         } = *self;
         rel_obs::counter!("solver.queries").add(queries as u64);
-        rel_obs::counter!("solver.symbolic_hits").add(symbolic_hits as u64);
         rel_obs::counter!("solver.fm_proved").add(fm_proved as u64);
         rel_obs::counter!("solver.fm_refuted").add(fm_refuted as u64);
         rel_obs::counter!("solver.fm_projections").add(fm_projections as u64);
@@ -410,12 +387,11 @@ impl SearchExhaustedReason {
 /// reports, the service protocol and persisted snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Provenance {
-    /// Decided symbolically (greedy linear search, Fourier–Motzkin, or a
-    /// structural combination of proved sub-goals): sound over the whole
-    /// unbounded domain.
+    /// Decided symbolically (Fourier–Motzkin, or a structural combination
+    /// of proved sub-goals): sound over the whole unbounded domain.
     Proved,
-    /// Accepted because the decisive numeric layer found no counterexample
-    /// on the bounded grid + random sweep.
+    /// Accepted because the numeric layer found no counterexample on the
+    /// bounded grid + random sweep.
     GridChecked,
 }
 
@@ -439,9 +415,6 @@ pub enum Validity {
     /// The entailment fails; a falsifying assignment is provided when the
     /// numeric layer found one.
     Invalid(Option<IdxEnv>),
-    /// The symbolic layer could not decide and the numeric layer was not
-    /// allowed to be decisive.
-    Unknown,
 }
 
 impl Validity {
@@ -1067,8 +1040,7 @@ impl Solver {
                 // through the full pipeline per disjunct.
                 for c in cs {
                     if c.existential_vars().is_empty() {
-                        if self.symbolic_entails(universals, hyp, c).unwrap_or(false) {
-                            self.stats.symbolic_hits += 1;
+                        if self.fm_proves(universals, hyp, c) {
                             return Validity::proved();
                         }
                     } else if let v @ Validity::Valid(_) =
@@ -1109,129 +1081,63 @@ impl Solver {
     }
 
     // ----------------------------------------------------------------------
-    // Symbolic layer
-    // ----------------------------------------------------------------------
-
-    /// Attempts to prove `hyp ⟹ goal` by greedy linear reasoning; returns
-    /// `None` when the goal shape is outside the fragment.
-    fn symbolic_entails(
-        &mut self,
-        _universals: &[(IdxVar, Sort)],
-        hyp: &Constr,
-        goal: &Constr,
-    ) -> Option<bool> {
-        with_prepared_facts(hyp, goal, |_, rewritten_goal, ineq_facts| {
-            self.greedy_entails(rewritten_goal, ineq_facts)
-        })
-    }
-
-    /// The greedy layer proper, on already-prepared (rewritten, saturated)
-    /// facts — shared between [`Solver::symbolic_entails`] and the combined
-    /// pipeline of [`Solver::symbolic_decide`], which prepares the facts
-    /// once for both the greedy search and Fourier–Motzkin.
-    fn greedy_entails(&self, goal: &Constr, ineq_facts: &[Cow<'_, Constr>]) -> Option<bool> {
-        match goal {
-            Constr::Eq(a, b) => {
-                let d = LinExpr::of_idx(a).sub(&LinExpr::of_idx(b));
-                Some(d == LinExpr::zero())
-            }
-            Constr::Leq(a, b) => {
-                Some(self.prove_nonneg(LinExpr::of_idx(b).sub(&LinExpr::of_idx(a)), ineq_facts))
-            }
-            Constr::Lt(a, b) => {
-                // For the integer-valued index terms of RelCost, a < b is
-                // a + 1 ≤ b; for costs we require strict slack in the constant.
-                let d = LinExpr::of_idx(b).sub(&LinExpr::of_idx(a));
-                let strict = LinExpr::of_idx(&(b.clone() - a.clone() - Idx::one()));
-                Some(
-                    self.prove_nonneg(strict, ineq_facts)
-                        || (d.coeffs.is_empty() && matches!(d.constant, Extended::Infinity))
-                        || matches!(d.as_finite_constant(), Some(q) if q > Rational::ZERO),
-                )
-            }
-            Constr::Bot => {
-                // hyp ⟹ ff holds only if hyp is contradictory; detect the
-                // simple case of a hypothesis that is syntactically Bot.
-                Some(ineq_facts.iter().any(|c| c.is_bot()))
-            }
-            _ => None,
-        }
-    }
-
-    /// Greedy positive-combination search: is `target ≥ 0` derivable from the
-    /// facts (each read as `rhs − lhs ≥ 0`) plus non-negativity of atoms?
-    fn prove_nonneg(&self, mut target: LinExpr, facts: &[Cow<'_, Constr>]) -> bool {
-        if target.is_syntactically_nonneg() {
-            return true;
-        }
-        // Pre-compute fact expressions (each ≥ 0 under the hypotheses).
-        // Equalities contribute both directions.
-        let mut fact_exprs: Vec<LinExpr> = Vec::new();
-        for c in facts {
-            match c.as_ref() {
-                Constr::Leq(a, b) | Constr::Lt(a, b) => {
-                    fact_exprs.push(LinExpr::of_idx(b).sub(&LinExpr::of_idx(a)));
-                }
-                Constr::Eq(a, b) => {
-                    fact_exprs.push(LinExpr::of_idx(b).sub(&LinExpr::of_idx(a)));
-                    fact_exprs.push(LinExpr::of_idx(a).sub(&LinExpr::of_idx(b)));
-                }
-                _ => {}
-            }
-        }
-
-        // To show `target ≥ 0` it suffices to find non-negative multipliers λᵢ
-        // such that `target − Σ λᵢ·factᵢ` has only non-negative coefficients
-        // and a non-negative constant (every atom denotes a non-negative
-        // quantity).  The greedy loop cancels one negative coefficient at a
-        // time using a fact that carries the same atom negatively.
-        for _round in 0..12 {
-            if target.is_syntactically_nonneg() {
-                return true;
-            }
-            // Find an atom with a negative coefficient.
-            let offending = target
-                .coeffs
-                .iter()
-                .find(|(_, q)| q.is_negative())
-                .map(|(a, q)| (a.clone(), *q));
-            let (atom, neg_coeff) = match offending {
-                Some(x) => x,
-                None => {
-                    return match target.constant {
-                        Extended::Finite(q) => !q.is_negative(),
-                        Extended::Infinity => true,
-                    }
-                }
-            };
-            // Use a fact whose expression also carries the atom negatively:
-            // λ = d_A / f_A > 0 and subtracting λ·fact zeroes the coefficient.
-            let mut progressed = false;
-            for fe in &fact_exprs {
-                if let Some(fc) = fe.coeffs.get(&atom) {
-                    if fc.is_negative() {
-                        let lambda = neg_coeff / *fc;
-                        target = target.sub(&fe.scale(lambda));
-                        progressed = true;
-                        break;
-                    }
-                }
-            }
-            if !progressed {
-                return false;
-            }
-        }
-        target.is_syntactically_nonneg()
-    }
-
-    // ----------------------------------------------------------------------
     // Fourier–Motzkin layer
     // ----------------------------------------------------------------------
 
-    /// The combined symbolic pipeline on an existential-free goal: prepares
-    /// the facts **once** (hypothesis conjuncts, lemma saturation,
-    /// hypothesis-equality rewrites) and runs the greedy search and then the
-    /// complete Fourier–Motzkin procedure over them.  Returns
+    /// Runs Fourier–Motzkin on already-prepared (rewritten, saturated) facts
+    /// and records its cost and memo counters.  Counts a proof, but records
+    /// no refutation: what a feasible branch means is up to the caller.
+    fn run_fm(
+        &mut self,
+        universals: &[(IdxVar, Sort)],
+        facts: &[Cow<'_, Constr>],
+        goal: &Constr,
+    ) -> FmOutcome {
+        let fact_refs: Vec<&Constr> = facts.iter().map(|c| c.as_ref()).collect();
+        let tf = Instant::now();
+        let outcome = {
+            let _fm_span = rel_obs::span_with("fm.prove", fact_refs.len() as u64);
+            fm::prove(
+                universals,
+                &fact_refs,
+                goal,
+                &self.fm_limits,
+                &mut self.fm_memo,
+            )
+        };
+        self.stats.fm_time += tf.elapsed();
+        self.stats.fm_memo_hits += outcome.memo_hits;
+        self.stats.fm_memo_misses += outcome.memo_misses;
+        if outcome.memo_hits > 0 {
+            rel_obs::event_with("fm.memo_hit", outcome.memo_hits as u64);
+        }
+        if debug_layers() {
+            eprintln!(
+                "fm[{:?} w={} elim={}]: GOAL {goal}",
+                outcome.verdict,
+                outcome.witness.is_some(),
+                outcome.eliminated.len()
+            );
+        }
+        if outcome.verdict == FmVerdict::Proved {
+            self.stats.fm_proved += 1;
+        }
+        outcome
+    }
+
+    /// Whether Fourier–Motzkin proves `hyp ⟹ goal` — the test applied to
+    /// each existential-free disjunct of an `Or` goal.  Only a proof counts:
+    /// refuting one disjunct does not refute the disjunction.
+    fn fm_proves(&mut self, universals: &[(IdxVar, Sort)], hyp: &Constr, goal: &Constr) -> bool {
+        self.config.use_fm
+            && with_prepared_facts(hyp, goal, |_, rewritten_goal, facts| {
+                self.run_fm(universals, facts, rewritten_goal).verdict == FmVerdict::Proved
+            })
+    }
+
+    /// The symbolic layer on an existential-free goal: prepares the facts
+    /// (hypothesis conjuncts, lemma saturation, hypothesis-equality
+    /// rewrites) and runs Fourier–Motzkin over them.  Returns
     /// `Some(Valid(Proved))` on a proof, `Some(Invalid)` on a verified FM
     /// witness, and `None` when the query must fall through to the numeric
     /// layer.
@@ -1246,52 +1152,13 @@ impl Solver {
         // *previous* goal's FM run left pending — a later refutation must
         // never be annotated with another goal's atoms.
         self.pending_fm_order.clear();
-        // Cloned out of `self` so the closure below can borrow the FM memo
-        // mutably alongside (the limits are three words).
-        let fm_limits = self.fm_limits.clone();
-        with_prepared_facts(hyp, goal, |rewrites, rewritten_goal, ineq_facts| {
-            if self
-                .greedy_entails(rewritten_goal, ineq_facts)
-                .unwrap_or(false)
-            {
-                self.stats.symbolic_hits += 1;
-                return Some(Validity::proved());
-            }
-            if !self.config.use_fm {
-                return None;
-            }
-            let fact_refs: Vec<&Constr> = ineq_facts.iter().map(|c| c.as_ref()).collect();
-
-            let tf = Instant::now();
-            let outcome = {
-                let _fm_span = rel_obs::span_with("fm.prove", fact_refs.len() as u64);
-                fm::prove(
-                    universals,
-                    &fact_refs,
-                    rewritten_goal,
-                    &fm_limits,
-                    &mut self.fm_memo,
-                )
-            };
-            self.stats.fm_time += tf.elapsed();
-            self.stats.fm_memo_hits += outcome.memo_hits;
-            self.stats.fm_memo_misses += outcome.memo_misses;
-            if outcome.memo_hits > 0 {
-                rel_obs::event_with("fm.memo_hit", outcome.memo_hits as u64);
-            }
-            if debug_layers() {
-                eprintln!(
-                    "fm[{:?} w={} elim={}]: GOAL {goal}",
-                    outcome.verdict,
-                    outcome.witness.is_some(),
-                    outcome.eliminated.len()
-                );
-            }
+        if !self.config.use_fm {
+            return None;
+        }
+        with_prepared_facts(hyp, goal, |rewrites, rewritten_goal, facts| {
+            let outcome = self.run_fm(universals, facts, rewritten_goal);
             match outcome.verdict {
-                FmVerdict::Proved => {
-                    self.stats.fm_proved += 1;
-                    Some(Validity::proved())
-                }
+                FmVerdict::Proved => Some(Validity::proved()),
                 FmVerdict::CandidateRefuted | FmVerdict::Abstained => {
                     // Remember the elimination order: if *this* goal goes on
                     // to be refuted, the diagnostic can say which atoms FM
@@ -1389,15 +1256,10 @@ impl Solver {
     }
 
     /// The verdict of a numeric sweep that found no counterexample: a
-    /// grid-checked accept when the numeric layer is decisive, `Unknown`
-    /// otherwise.
+    /// grid-checked accept.
     fn numeric_accept(&mut self) -> Validity {
-        if self.config.numeric_is_decisive {
-            self.stats.grid_accepted += 1;
-            Validity::grid_checked()
-        } else {
-            Validity::Unknown
-        }
+        self.stats.grid_accepted += 1;
+        Validity::grid_checked()
     }
 
     /// Records a counterexample for the failure diagnostics, claiming the
@@ -1508,19 +1370,9 @@ impl Solver {
         }
 
         let per_var = self.per_var_grid(universals.len());
-        let total = (per_var as u128).pow(universals.len() as u32);
-        let parallel = total >= self.config.parallel_grid_min_points as u128
-            && u64::try_from(total).is_ok()
-            && self.grid_threads() > 1;
-
         let mut frame = program.new_frame();
-        let failing = if parallel {
-            self.grid_sweep_parallel(&program, universals.len(), per_var, total as u64, bound)
-        } else {
-            self.grid_sweep_sequential(&program, &mut frame, universals.len(), per_var, bound)
-        };
-        if let Some(idx) = failing {
-            let coords = decode_grid_point(idx, per_var, universals.len());
+        let failing = self.grid_sweep(&program, &mut frame, universals.len(), per_var, bound);
+        if let Some(coords) = failing {
             let env = IdxEnv::from_pairs(
                 universals
                     .iter()
@@ -1559,18 +1411,17 @@ impl Solver {
         self.numeric_accept()
     }
 
-    /// Sweeps the whole grid on the calling thread with one reused frame;
-    /// returns the index of the first failing point.
-    fn grid_sweep_sequential(
+    /// Sweeps the whole grid with one reused frame; returns the coordinates
+    /// of the first failing point.
+    fn grid_sweep(
         &mut self,
         program: &CompiledQuery,
         frame: &mut crate::compile::EvalFrame,
         vars: usize,
         per_var: u64,
         bound: u64,
-    ) -> Option<u64> {
+    ) -> Option<Vec<u64>> {
         let mut coords = vec![0u64; vars];
-        let mut index = 0u64;
         let mut evaluated = 0usize;
         // Seed every universal slot once; the odometer then rewrites only
         // the slots whose coordinate actually changed (~1 per point).
@@ -1584,14 +1435,13 @@ impl Solver {
         let failing = 'grid: loop {
             evaluated += 1;
             if !program.eval(frame, bound) {
-                break Some(index);
+                break true;
             }
-            index += 1;
             // Advance the odometer (coordinate 0 fastest).
             let mut i = 0;
             loop {
                 if i == coords.len() {
-                    break 'grid None;
+                    break 'grid false;
                 }
                 coords[i] += 1;
                 if coords[i] < per_var {
@@ -1608,77 +1458,7 @@ impl Solver {
             }
         };
         self.stats.points_evaluated += evaluated;
-        failing
-    }
-
-    fn grid_threads(&self) -> usize {
-        if self.config.parallel_grid_threads > 0 {
-            self.config.parallel_grid_threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-
-    /// Chunks the grid across scoped worker threads (one compiled program,
-    /// one frame per worker).  Deterministic: the *lowest-index* failing
-    /// point wins, which is exactly the point the sequential sweep reports.
-    fn grid_sweep_parallel(
-        &mut self,
-        program: &CompiledQuery,
-        vars: usize,
-        per_var: u64,
-        total: u64,
-        bound: u64,
-    ) -> Option<u64> {
-        let threads = self.grid_threads().min(total as usize).max(1);
-        let chunk = total.div_ceil(threads as u64);
-        let best = AtomicU64::new(u64::MAX);
-        let evaluated = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = t as u64 * chunk;
-                let hi = (lo + chunk).min(total);
-                let (best, evaluated) = (&best, &evaluated);
-                scope.spawn(move || {
-                    let mut frame = program.new_frame();
-                    let mut point = vec![Val::int(0); vars];
-                    let mut local = 0u64;
-                    for idx in lo..hi {
-                        // A failure in an earlier chunk makes this one moot.
-                        if local.is_multiple_of(256) && best.load(Ordering::Relaxed) < lo {
-                            break;
-                        }
-                        decode_grid_point_into(idx, per_var, &mut point);
-                        local += 1;
-                        if !program.eval_point(&mut frame, &point, bound) {
-                            best.fetch_min(idx, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    evaluated.fetch_add(local, Ordering::Relaxed);
-                });
-            }
-        });
-        match best.load(Ordering::Relaxed) {
-            u64::MAX => {
-                // Valid on the whole grid: every chunk swept fully.
-                self.stats.points_evaluated += evaluated.load(Ordering::Relaxed) as usize;
-                None
-            }
-            idx => {
-                // A counterexample: workers race, so the number of points
-                // *touched* is timing-dependent.  Report the
-                // sequential-equivalent count (everything up to and
-                // including the lowest failing index) so `SolveStats` stays
-                // deterministic — the property DESIGN.md promises of batch
-                // runs — and agrees with a sequential sweep of the same
-                // query.
-                self.stats.points_evaluated += (idx + 1) as usize;
-                Some(idx)
-            }
-        }
+        failing.then_some(coords)
     }
 
     /// The tree-walking reference path (`use_compiled_eval = false`): same
@@ -1810,35 +1590,14 @@ fn draw_random_point(
     on_grid
 }
 
-/// Decodes a grid-point index into odometer coordinates (coordinate 0 is
-/// the fastest-cycling digit, matching the sequential sweep's order).
-fn decode_grid_point(idx: u64, per_var: u64, vars: usize) -> Vec<u64> {
-    let mut coords = vec![0u64; vars];
-    let mut rest = idx;
-    for c in coords.iter_mut() {
-        *c = rest % per_var;
-        rest /= per_var;
-    }
-    coords
-}
-
-/// [`decode_grid_point`] straight into a frame point vector.
-fn decode_grid_point_into(idx: u64, per_var: u64, point: &mut [Val]) {
-    let mut rest = idx;
-    for p in point.iter_mut() {
-        *p = Val::int((rest % per_var) as i64);
-        rest /= per_var;
-    }
-}
-
-/// Prepares the symbolic fact pipeline **once** and hands the borrowed
-/// results to `f`: hypothesis conjuncts (borrowed — cloning here was one of
-/// the seed's hottest allocation sites), lemma saturation over the
-/// non-linear atoms in sight, and hypothesis equalities applied as variable
-/// rewrites (the closure receives them to reconstruct rewritten variables
-/// in FM witnesses).  Shared by the greedy path (`symbolic_entails`) and
-/// the combined greedy + Fourier–Motzkin pipeline (`symbolic_decide`), so
-/// the two layers can never diverge on which facts they see.
+/// Prepares the symbolic fact pipeline and hands the borrowed results to
+/// `f`: hypothesis conjuncts (borrowed — cloning here was one of the seed's
+/// hottest allocation sites), lemma saturation over the non-linear atoms in
+/// sight, and hypothesis equalities applied as variable rewrites (the
+/// closure receives them to reconstruct rewritten variables in FM
+/// witnesses).  Shared by both Fourier–Motzkin entry points
+/// (`symbolic_decide` and the disjunct test `fm_proves`), so they can never
+/// diverge on which facts they see.
 fn with_prepared_facts<R>(
     hyp: &Constr,
     goal: &Constr,
@@ -2054,8 +1813,51 @@ mod tests {
         // n ≤ n + a
         let g = Constr::leq(Idx::var("n"), Idx::var("n") + Idx::var("a"));
         assert!(s.entails(&u, &Constr::Top, &g).is_valid());
-        assert!(s.stats().symbolic_hits >= 1);
+        assert!(s.stats().fm_proved >= 1);
         assert_eq!(s.stats().numeric_checks, 0);
+    }
+
+    #[test]
+    fn infinite_upper_bounds_are_proved() {
+        // n ≤ a ⟹ n < a + ∞: the right-hand side is ∞ at every point and the
+        // left is finite, so the comparison holds without any grid point.
+        let mut s = Solver::new();
+        let u = nat_vars(&["n", "a"]);
+        let hyp = Constr::leq(Idx::var("n"), Idx::var("a"));
+        let goal = Constr::lt(Idx::var("n"), Idx::var("a") + Idx::infty());
+        assert_eq!(s.entails(&u, &hyp, &goal), Validity::proved());
+        assert_eq!(s.stats().points_evaluated, 0);
+    }
+
+    #[test]
+    fn false_hypotheses_prove_any_goal() {
+        let mut s = Solver::new();
+        let u = nat_vars(&["n"]);
+        assert_eq!(
+            s.entails(&u, &Constr::Bot, &Constr::Bot),
+            Validity::proved()
+        );
+        let goal = Constr::leq(Idx::var("n"), Idx::nat(3));
+        assert_eq!(s.entails(&u, &Constr::Bot, &goal), Validity::proved());
+        assert_eq!(s.stats().points_evaluated, 0);
+    }
+
+    #[test]
+    fn existential_free_disjuncts_are_proved_by_fm() {
+        // 3 ≤ n ⟹ (1 < n ∨ ∃i. n + i + 1 ≤ 0): the first disjunct needs
+        // FM's integer tightening, and proving it settles the disjunction
+        // before the existential one is ever searched.
+        let mut s = Solver::new();
+        let u = nat_vars(&["n"]);
+        let hyp = Constr::leq(Idx::nat(3), Idx::var("n"));
+        let goal = Constr::lt(Idx::one(), Idx::var("n")).or(Constr::exists(
+            "i",
+            Sort::Nat,
+            Constr::leq(Idx::var("n") + Idx::var("i") + Idx::one(), Idx::zero()),
+        ));
+        assert_eq!(s.entails(&u, &hyp, &goal), Validity::proved());
+        assert!(s.stats().fm_proved >= 1);
+        assert_eq!(s.stats().points_evaluated, 0);
     }
 
     #[test]
@@ -2297,40 +2099,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_grid_sweep_matches_sequential() {
-        let parallel_config = SolveConfig {
-            parallel_grid_min_points: 2,
-            parallel_grid_threads: 4,
-            ..SolveConfig::default()
-        };
-        let u = nat_vars(&["n", "a", "b"]);
-        let hyp = Constr::leq(Idx::var("b"), Idx::var("a"));
-        let goals = [
-            // Valid on the whole grid (full sweep in every chunk).
-            Constr::leq(Idx::var("b"), Idx::var("a") + Idx::var("n")),
-            // Fails deep into the grid: the lowest-index counterexample must
-            // match the sequential one exactly.
-            Constr::leq(Idx::var("n") + Idx::var("a"), Idx::nat(13)),
-            // Fails immediately.
-            Constr::lt(Idx::var("n"), Idx::zero()),
-        ];
-        for goal in &goals {
-            let mut seq = Solver::new();
-            let mut par = Solver::with_config(parallel_config.clone());
-            assert_eq!(
-                seq.entails(&u, &hyp, goal),
-                par.entails(&u, &hyp, goal),
-                "parallel sweep diverges on {goal}"
-            );
-        }
-        // Both configurations share one fingerprint: verdicts are exchangeable.
-        assert_eq!(
-            SolveConfig::default().fingerprint(),
-            parallel_config.fingerprint()
-        );
-    }
-
-    #[test]
     fn program_cache_reuses_compiled_queries() {
         let mut s = Solver::new();
         let u = nat_vars(&["n"]);
@@ -2403,10 +2171,9 @@ mod tests {
     }
 
     #[test]
-    fn fm_layer_proves_beyond_the_greedy_search() {
-        // 3 ≤ n ⟹ 1 < n: the greedy search has no negative coefficient to
-        // cancel (the residual is n − 2 with a negative constant), but FM's
-        // integer tightening refutes ¬goal (n ≤ 1) against n ≥ 3 directly.
+    fn fm_integer_tightening_proves_strict_bounds() {
+        // 3 ≤ n ⟹ 1 < n: FM's integer tightening refutes ¬goal (n ≤ 1)
+        // against n ≥ 3 directly.
         let mut s = Solver::new();
         let u = nat_vars(&["n"]);
         let hyp = Constr::leq(Idx::nat(3), Idx::var("n"));
@@ -2546,25 +2313,24 @@ mod tests {
         // literal (and `merge` itself) until both are taught about it.
         let unit = SolveStats {
             queries: 1,
-            symbolic_hits: 2,
-            fm_proved: 3,
-            fm_refuted: 4,
-            fm_projections: 5,
-            fm_memo_hits: 6,
-            fm_memo_misses: 7,
-            exelim_candidates_pruned: 8,
-            numeric_checks: 9,
-            grid_accepted: 10,
-            points_evaluated: 11,
-            exelim_attempts: 12,
-            cache_hits: 13,
-            cache_misses: 14,
-            programs_compiled: 15,
-            program_cache_hits: 16,
-            fm_time: Duration::from_nanos(17),
-            numeric_time: Duration::from_nanos(18),
-            exelim_time: Duration::from_nanos(19),
-            solving_time: Duration::from_nanos(20),
+            fm_proved: 2,
+            fm_refuted: 3,
+            fm_projections: 4,
+            fm_memo_hits: 5,
+            fm_memo_misses: 6,
+            exelim_candidates_pruned: 7,
+            numeric_checks: 8,
+            grid_accepted: 9,
+            points_evaluated: 10,
+            exelim_attempts: 11,
+            cache_hits: 12,
+            cache_misses: 13,
+            programs_compiled: 14,
+            program_cache_hits: 15,
+            fm_time: Duration::from_nanos(16),
+            numeric_time: Duration::from_nanos(17),
+            exelim_time: Duration::from_nanos(18),
+            solving_time: Duration::from_nanos(19),
             search_exhausted: Some(SearchExhaustedReason::RowCap),
         };
         let mut acc = SolveStats::default();
@@ -2572,7 +2338,6 @@ mod tests {
         acc.merge(&unit);
         let SolveStats {
             queries,
-            symbolic_hits,
             fm_proved,
             fm_refuted,
             fm_projections,
@@ -2594,25 +2359,24 @@ mod tests {
             search_exhausted,
         } = acc;
         assert_eq!(queries, 2);
-        assert_eq!(symbolic_hits, 4);
-        assert_eq!(fm_proved, 6);
-        assert_eq!(fm_refuted, 8);
-        assert_eq!(fm_projections, 10);
-        assert_eq!(fm_memo_hits, 12);
-        assert_eq!(fm_memo_misses, 14);
-        assert_eq!(exelim_candidates_pruned, 16);
-        assert_eq!(numeric_checks, 18);
-        assert_eq!(grid_accepted, 20);
-        assert_eq!(points_evaluated, 22);
-        assert_eq!(exelim_attempts, 24);
-        assert_eq!(cache_hits, 26);
-        assert_eq!(cache_misses, 28);
-        assert_eq!(programs_compiled, 30);
-        assert_eq!(program_cache_hits, 32);
-        assert_eq!(fm_time, Duration::from_nanos(34));
-        assert_eq!(numeric_time, Duration::from_nanos(36));
-        assert_eq!(exelim_time, Duration::from_nanos(38));
-        assert_eq!(solving_time, Duration::from_nanos(40));
+        assert_eq!(fm_proved, 4);
+        assert_eq!(fm_refuted, 6);
+        assert_eq!(fm_projections, 8);
+        assert_eq!(fm_memo_hits, 10);
+        assert_eq!(fm_memo_misses, 12);
+        assert_eq!(exelim_candidates_pruned, 14);
+        assert_eq!(numeric_checks, 16);
+        assert_eq!(grid_accepted, 18);
+        assert_eq!(points_evaluated, 20);
+        assert_eq!(exelim_attempts, 22);
+        assert_eq!(cache_hits, 24);
+        assert_eq!(cache_misses, 26);
+        assert_eq!(programs_compiled, 28);
+        assert_eq!(program_cache_hits, 30);
+        assert_eq!(fm_time, Duration::from_nanos(32));
+        assert_eq!(numeric_time, Duration::from_nanos(34));
+        assert_eq!(exelim_time, Duration::from_nanos(36));
+        assert_eq!(solving_time, Duration::from_nanos(38));
         // First-reason-wins accumulation, like the solver's own field.
         assert_eq!(search_exhausted, Some(SearchExhaustedReason::RowCap));
         let mut first = SolveStats {

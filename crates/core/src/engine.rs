@@ -661,12 +661,6 @@ fn describe_failure(
                 ));
             }
         }
-        Validity::Unknown => {
-            msg.push_str(
-                ": undecided — the symbolic and Fourier–Motzkin layers could \
-                 not prove it and the numeric layer is not decisive",
-            );
-        }
         Validity::Valid(_) => {}
     }
     if !refutation.fm_eliminated.is_empty() {

@@ -284,18 +284,6 @@ impl LinExpr {
         acc.unwrap_or_else(Idx::zero)
     }
 
-    /// Returns `true` if every coefficient is non-negative and the constant is
-    /// non-negative — a sufficient condition for the expression to be
-    /// non-negative whenever all atoms are (which holds for the `ℕ`-sorted and
-    /// cost-sorted atoms of RelCost).
-    pub fn is_syntactically_nonneg(&self) -> bool {
-        let const_ok = match self.constant {
-            Extended::Finite(q) => !q.is_negative(),
-            Extended::Infinity => true,
-        };
-        const_ok && self.coeffs.values().all(|q| !q.is_negative())
-    }
-
     /// Iterates over the atoms of the expression.
     pub fn atoms(&self) -> impl Iterator<Item = &Atom> {
         self.coeffs.keys()
@@ -352,14 +340,6 @@ mod tests {
             lin.coeffs.get(&Atom(Idx::var("n"))).copied(),
             Some(Rational::new(1, 2))
         );
-    }
-
-    #[test]
-    fn nonneg_detection() {
-        let yes = LinExpr::of_idx(&(Idx::var("n") + Idx::nat(1)));
-        assert!(yes.is_syntactically_nonneg());
-        let no = LinExpr::of_idx(&(Idx::zero() - Idx::var("n")));
-        assert!(!no.is_syntactically_nonneg());
     }
 
     #[test]

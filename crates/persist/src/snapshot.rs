@@ -605,7 +605,9 @@ pub(crate) fn write_validity(w: &mut Writer, v: &Validity) {
         // Tag 0 stays "proved Valid" (the format-1 meaning of Valid was
         // untagged; the version bump rules out cross-reading anyway) and
         // grid-checked Valid takes a fresh tag, so the verdict index
-        // round-trips provenance exactly.
+        // round-trips provenance exactly.  Tag 3 belonged to a retired
+        // "undecided" verdict that no configuration produced; it is never
+        // reused.
         Validity::Valid(Provenance::Proved) => w.u8(0),
         Validity::Invalid(None) => w.u8(1),
         Validity::Invalid(Some(env)) => {
@@ -616,7 +618,6 @@ pub(crate) fn write_validity(w: &mut Writer, v: &Validity) {
                 write_extended(w, *value);
             }
         }
-        Validity::Unknown => w.u8(3),
         Validity::Valid(Provenance::GridChecked) => w.u8(4),
     }
 }
@@ -634,7 +635,6 @@ pub(crate) fn read_validity(r: &mut Reader<'_>) -> Result<Validity, SnapshotErro
             }
             Validity::Invalid(Some(env))
         }
-        3 => Validity::Unknown,
         4 => Validity::grid_checked(),
         b => return Err(SnapshotError::Corrupt(format!("bad validity tag {b}"))),
     })

@@ -820,5 +820,4 @@ impl WalStore {
             poisoned: self.wal.tail_poisoned as u64,
         }
     }
-
 }

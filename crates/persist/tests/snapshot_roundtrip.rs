@@ -108,7 +108,6 @@ fn arb_validity() -> BoxedStrategy<Validity> {
             env.bind(v, Extended::from(n));
             Validity::Invalid(Some(env))
         }),
-        Just(Validity::Unknown),
     ]
 }
 
@@ -241,8 +240,8 @@ fn every_single_byte_flip_is_rejected() {
 
 #[test]
 fn fm_knob_is_fingerprinted_and_invalidates_snapshots() {
-    // `use_fm` changes verdicts (`Unknown`/grid-checked → proved), unlike
-    // the verdict-neutral compiled-eval knobs: a snapshot recorded with the
+    // `use_fm` changes verdicts (grid-checked → proved), unlike the
+    // verdict-neutral compiled-eval knob: a snapshot recorded with the
     // FM layer on must never warm-start a solver running with it off, and
     // vice versa.
     use birelcost::Engine;
@@ -258,8 +257,8 @@ fn fm_knob_is_fingerprinted_and_invalidates_snapshots() {
         fm_off.fingerprint(),
         "the FM knob must be part of the engine fingerprint"
     );
-    // Sanity: the evaluation-strategy knobs stay verdict-neutral and do
-    // *not* split fingerprints.
+    // Sanity: the evaluator knob stays verdict-neutral and does *not*
+    // split fingerprints.
     let compiled_off = Engine::new().with_solve_config(SolveConfig {
         use_compiled_eval: false,
         ..SolveConfig::default()

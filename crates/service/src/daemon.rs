@@ -26,20 +26,17 @@
 //! `{"error": ...}` response instead of killing the session: a serving
 //! process must survive bad input.
 //!
-//! Two robustness knobs (PR 7):
+//! [`ServeOptions::request_timeout`] puts a wall-clock budget on each
+//! request.  A request that blows the budget gets a structured
+//! `{"error": "deadline"}` response immediately; its worker keeps running
+//! and is *drained* (joined) before the loop returns, so cache stores it
+//! makes still land and still persist at the final flush.
 //!
-//! * [`ServeOptions::request_timeout`] puts a wall-clock budget on each
-//!   request.  A request that blows the budget gets a structured
-//!   `{"error": "deadline"}` response immediately; its worker keeps running
-//!   and is *drained* (joined) before the loop returns, so cache stores it
-//!   makes still land and still persist at the final flush.
-//! * [`serve_tcp`] listens on a socket with OS-level read/write timeouts
-//!   ([`ServeOptions::io_timeout`]) so one stalled client can neither wedge
-//!   the daemon nor hold a connection forever.  `{"shutdown": true}` stops
-//!   the listener cleanly.
+//! This loop serves one reader/writer pair (stdio).  Sockets — NDJSON and
+//! HTTP alike — are served by the poll(2) reactor of [`crate::reactor`],
+//! which answers through the same [`respond`].
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, Write};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -62,16 +59,12 @@ pub struct ServeSummary {
     pub shutdown: bool,
 }
 
-/// Knobs for [`serve_with`] / [`serve_tcp`].
+/// Knobs for [`serve_with`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeOptions {
     /// Wall-clock budget per request; `None` = unbounded (the default, and
     /// the behavior of plain [`serve`]).
     pub request_timeout: Option<Duration>,
-    /// OS-level socket read/write timeout for [`serve_tcp`] connections: a
-    /// client that stays silent (or stops reading) this long is
-    /// disconnected.  Ignored by the stdio loop.
-    pub io_timeout: Option<Duration>,
 }
 
 /// Runs the request/response loop until the reader is exhausted.
@@ -174,46 +167,6 @@ fn is_shutdown(line: &str) -> bool {
         && json::parse(line)
             .ok()
             .is_some_and(|v| matches!(v.get("shutdown"), Some(Value::Bool(true))))
-}
-
-/// Serves connections from a TCP listener, sequentially, until a client
-/// sends `{"shutdown": true}`.  Each connection runs the same NDJSON loop
-/// as stdio under [`ServeOptions::io_timeout`]-bounded socket reads/writes;
-/// a connection that times out or errors is dropped (and counted) without
-/// taking the daemon down.
-pub fn serve_tcp(
-    service: &Service,
-    listener: &TcpListener,
-    options: ServeOptions,
-) -> std::io::Result<ServeSummary> {
-    let mut total = ServeSummary::default();
-    for stream in listener.incoming() {
-        let stream = stream?;
-        stream.set_read_timeout(options.io_timeout)?;
-        stream.set_write_timeout(options.io_timeout)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        match serve_with(service, reader, &stream, options) {
-            Ok(summary) => {
-                total.requests += summary.requests;
-                total.errors += summary.errors;
-                total.deadlines += summary.deadlines;
-                if summary.shutdown {
-                    total.shutdown = true;
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                rel_obs::counter!("serve.idle_disconnects").incr();
-            }
-            Err(_) => {
-                rel_obs::counter!("serve.conn_errors").incr();
-            }
-        }
-    }
-    Ok(total)
 }
 
 /// Computes the response for one request line, recording the request's

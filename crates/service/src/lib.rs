@@ -56,7 +56,7 @@ pub use batch::{
     check_batch, check_batch_with, check_job, check_job_with, BatchJob, BatchResult, BatchStats,
 };
 pub use codec::{content_line, make_codec, Codec, CodecKind, CodecLimits, Decode};
-pub use daemon::{respond, serve, serve_tcp, serve_with, ServeOptions, ServeSummary};
+pub use daemon::{respond, serve, serve_with, ServeOptions, ServeSummary};
 pub use faultnet::{NetFault, NetScript, RealNet, SimConn, SimNet, Transport, Wire};
 pub use reactor::{serve_reactor, ReactorOptions, ReactorSummary};
 pub use replica::{ReplicaOptions, ReplicaStatus};

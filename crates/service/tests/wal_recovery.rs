@@ -1,16 +1,14 @@
 //! Service-level WAL recovery: verdicts survive a daemon that never flushed,
 //! compaction fires from the thresholds, the wire protocol exposes WAL
-//! counters, request deadlines degrade to structured errors, and the TCP
-//! listener round-trips a session.
+//! counters, and request deadlines degrade to structured errors.
 
-use std::io::{BufRead, BufReader, Cursor, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::Cursor;
 use std::sync::Arc;
 use std::time::Duration;
 
 use rel_persist::{FaultScript, FaultyFs, UnsyncedSurvival, WalLimits};
 use rel_service::json::{self, Value};
-use rel_service::{serve_tcp, serve_with, ServeOptions, Service, ServiceConfig};
+use rel_service::{serve_with, ServeOptions, Service, ServiceConfig};
 
 const CACHE: &str = "/d/cache";
 
@@ -198,7 +196,6 @@ fn a_zero_deadline_times_out_with_a_structured_error() {
         &mut output,
         ServeOptions {
             request_timeout: Some(Duration::ZERO),
-            io_timeout: None,
         },
     )
     .expect("in-memory I/O");
@@ -228,47 +225,10 @@ fn generous_deadlines_do_not_interfere_with_answers() {
         &mut output,
         ServeOptions {
             request_timeout: Some(Duration::from_secs(60)),
-            io_timeout: None,
         },
     )
     .expect("in-memory I/O");
     assert_eq!(summary.deadlines, 0);
     let response = json::parse(String::from_utf8(output).unwrap().lines().next().unwrap()).unwrap();
     assert_eq!(response.get("ok"), Some(&Value::Bool(true)));
-}
-
-#[test]
-fn tcp_listener_answers_and_honors_shutdown() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || {
-        let svc = service();
-        serve_tcp(
-            &svc,
-            &listener,
-            ServeOptions {
-                request_timeout: Some(Duration::from_secs(30)),
-                io_timeout: Some(Duration::from_secs(5)),
-            },
-        )
-    });
-
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    writeln!(stream, "{{\"check\": \"{}\"}}", src()).unwrap();
-    writeln!(stream, "{{\"shutdown\": true}}").unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let response = json::parse(line.trim()).expect("check response");
-    assert_eq!(response.get("ok"), Some(&Value::Bool(true)));
-
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    let bye = json::parse(line.trim()).expect("shutdown response");
-    assert_eq!(bye.get("bye"), Some(&Value::Bool(true)));
-
-    let summary = server.join().expect("server thread").expect("serve_tcp ok");
-    assert!(summary.shutdown);
-    assert_eq!(summary.requests, 2);
 }

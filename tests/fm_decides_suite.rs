@@ -66,57 +66,63 @@ fn flatten_is_promoted_and_proved() {
 /// searches; with the FM layer and the indexed component search they
 /// complete in milliseconds-to-seconds.  Their stated bounds are still not
 /// discharged by the native solver (that is what `Unverified` means), so
-/// the gate here is *termination within test time* plus the documented
-/// verdict — a regression in either direction (a silent flip to passing,
-/// or a return of the minutes-long searches via test timeout) fails.
+/// the gate here is the documented verdict plus a ceiling on the work each
+/// program does — a regression in either direction (a silent flip to
+/// passing, or a return of the minutes-long searches) fails, and fails the
+/// same way on every host.
 ///
-/// `merge` and `msort` joined the batch with this PR: their residual
-/// existential searches (the quadratic candidate scan over the
-/// divide-and-conquer cost variables) used to run 20+ minutes; the
-/// per-component indexed search with memoized rejection holds merge to
-/// ~0.6 s and msort to ~7 s end-to-end, with the documented
-/// `search-exhausted` refutations.
+/// `merge` and `msort`: their residual existential searches (the quadratic
+/// candidate scan over the divide-and-conquer cost variables) used to run
+/// 20+ minutes; the per-component indexed search with memoized rejection
+/// ends merge after one candidate attempt and msort's program after 182,
+/// with the documented `search-exhausted` refutations.
 #[test]
 fn unverified_batch_completes_quickly_with_documented_verdicts() {
-    // (name, expected all_ok)
+    // (name, expected all_ok, ceilings on exelim attempts, solver queries
+    // and grid points — the counts the checker reaches today)
     let batch = [
-        ("comp", false),
-        ("sam", false),
-        ("find", false),
-        ("2Dcount", false),
-        ("ssort", false),
-        ("bsplit", false),
-        ("bfold", false),
-        ("merge", false),
-        ("msort", false),
+        ("comp", false, 56, 1, 0),
+        ("sam", false, 40, 1, 0),
+        ("find", false, 40, 1, 0),
+        ("2Dcount", false, 168, 2, 0),
+        ("ssort", false, 168, 2, 0),
+        ("bsplit", false, 128, 1, 0),
+        ("bfold", false, 308, 72, 1),
+        ("merge", false, 1, 1, 0),
+        ("msort", false, 182, 73, 1),
     ];
     let engine = Engine::new();
-    for (name, expect_ok) in batch {
+    for (name, expect_ok, max_attempts, max_queries, max_points) in batch {
         let b = benchmark(name).unwrap();
         assert_eq!(b.status, VerificationStatus::Unverified, "{name}");
         let program = parse_program(b.source).unwrap();
-        let start = std::time::Instant::now();
         let report = engine.check_program(&program);
-        let elapsed = start.elapsed();
         assert_eq!(
             report.all_ok(),
             expect_ok,
             "{name}: verdict changed — update the batch table (and the \
              benchmark's status) if the solver genuinely improved: {report:?}"
         );
-        // Pre-FM these took minutes; anything near the old regime means the
-        // symbolic layers stopped carrying the probe obligations.
+        // Pre-FM these searched for minutes; more work than today's means
+        // the symbolic layers stopped carrying the probe obligations.
+        let stats = report.solve_stats();
         assert!(
-            elapsed < std::time::Duration::from_secs(30),
-            "{name}: took {elapsed:?} — the FM layer stopped short-circuiting \
-             its numeric work"
+            stats.exelim_attempts <= max_attempts
+                && stats.queries <= max_queries
+                && stats.points_evaluated <= max_points,
+            "{name}: {} exelim attempts, {} queries, {} points — over the \
+             ceilings {max_attempts}, {max_queries}, {max_points}",
+            stats.exelim_attempts,
+            stats.queries,
+            stats.points_evaluated
         );
         // Failure diagnostics must say *why*: a counterexample source or an
-        // exhausted search, not just "not valid".
+        // exhausted search (reported as "no numeric counterexample"), not
+        // just "not valid".
         for d in report.defs.iter().filter(|d| !d.ok) {
             let err = d.error.as_deref().unwrap_or("");
             assert!(
-                err.contains("counterexample") || err.contains("undecided"),
+                err.contains("counterexample"),
                 "{name}::{}: diagnostic lacks a refutation source: {err}",
                 d.name
             );
