@@ -136,7 +136,8 @@ fn solver_grid(c: &mut Criterion) {
     });
 
     // ----------------------------------------------------------------
-    // fm_vs_grid: the verified-suite obligation corpus through the full
+    // fm_vs_grid: the proved suite's obligation corpus (the verified
+    // benchmarks the checker proves, `Benchmark::proved`) through the full
     // engine, with the Fourier–Motzkin layer on (default) vs off.  FM is
     // the only symbolic prover, so the FM-off control arm is a pure grid:
     // every atomic obligation it meets is swept.  The FM side must decide
@@ -158,11 +159,11 @@ fn solver_grid(c: &mut Criterion) {
     let samples = 10;
     let mut fm = SuiteRun::default();
     let mut grid = SuiteRun::default();
-    run_verified_suite(true); // warm-up
-    run_verified_suite(false);
+    run_proved_suite(true); // warm-up
+    run_proved_suite(false);
     for _ in 0..samples {
-        fm.add(run_verified_suite(true));
-        grid.add(run_verified_suite(false));
+        fm.add(run_proved_suite(true));
+        grid.add(run_proved_suite(false));
     }
     let fm_speedup = grid.decision_ns / fm.decision_ns;
     let engine_speedup = grid.engine_ns / fm.engine_ns;
@@ -177,8 +178,8 @@ fn solver_grid(c: &mut Criterion) {
         fm.points,
         grid.points,
     );
-    c.bench_function("solver_grid/fm_verified_suite", |b| {
-        b.iter(|| run_verified_suite(true))
+    c.bench_function("solver_grid/fm_proved_suite", |b| {
+        b.iter(|| run_proved_suite(true))
     });
 
     // ----------------------------------------------------------------
@@ -215,7 +216,7 @@ fn solver_grid(c: &mut Criterion) {
         "{{\n  \"bench\": \"solver_grid\",\n  \"points_per_pass\": {points},\n  \
          \"samples\": {samples},\n  \"tree_ns_per_pass\": {tree_ns:.0},\n  \
          \"compiled_ns_per_pass\": {compiled_ns:.0},\n  \"speedup\": {speedup:.2},\n  \
-         \"fm_vs_grid\": {{\n    \"corpus\": \"verified suite\",\n    \
+         \"fm_vs_grid\": {{\n    \"corpus\": \"proved suite\",\n    \
          \"series\": \"decision layer: fm_time (proving) vs numeric_time (sweeping)\",\n    \
          \"fm_points\": {fm_points},\n    \"grid_points\": {grid_points},\n    \
          \"fm_ns\": {fm_decision_ns:.0},\n    \"grid_ns\": {grid_decision_ns:.0},\n    \
@@ -251,7 +252,7 @@ fn solver_grid(c: &mut Criterion) {
     );
     assert_eq!(
         fm.points, 0,
-        "the FM layer must decide the verified-suite obligation corpus with zero grid points"
+        "the FM layer must decide the proved suite's obligation corpus with zero grid points"
     );
     assert!(
         grid.points > 0,
@@ -268,7 +269,7 @@ fn solver_grid(c: &mut Criterion) {
     );
 }
 
-/// Accumulated measurements of repeated verified-suite passes.
+/// Accumulated measurements of repeated proved-suite passes.
 #[derive(Default)]
 struct SuiteRun {
     points: usize,
@@ -284,11 +285,11 @@ impl SuiteRun {
     }
 }
 
-/// Checks every verified benchmark through a fresh engine; returns the
+/// Checks every proved benchmark through a fresh engine; returns the
 /// total numeric points evaluated, the end-to-end wall time, and the
 /// decision-layer wall time (FM when `use_fm`, the numeric layer
 /// otherwise) in nanoseconds.
-fn run_verified_suite(use_fm: bool) -> (usize, f64, f64) {
+fn run_proved_suite(use_fm: bool) -> (usize, f64, f64) {
     let engine = Engine::new().with_solve_config(SolveConfig {
         use_fm,
         ..SolveConfig::default()
@@ -297,7 +298,7 @@ fn run_verified_suite(use_fm: bool) -> (usize, f64, f64) {
     let mut points = 0;
     let mut decision = std::time::Duration::ZERO;
     for b in all_benchmarks() {
-        if b.status != VerificationStatus::Verified {
+        if b.status != VerificationStatus::Verified || !b.proved {
             continue;
         }
         let program = parse_program(b.source).expect("suite sources parse");

@@ -676,7 +676,9 @@ fn explain(name: &str) -> ExitCode {
     }
 
     // Phase breakdown: every span name aggregated over the recorded tree,
-    // shown at the depth it first occurred, in first-occurrence order.
+    // shown at the depth it first occurred, in first-occurrence order.  A
+    // span nested in a span of the same name (a recursing elimination) is
+    // counted but adds no time: its parent's inclusive time holds it.
     let trees = rel_obs::build_trees(&events);
     let span_count: usize = events
         .iter()
@@ -689,17 +691,31 @@ fn explain(name: &str) -> ExitCode {
     let mut order: Vec<&'static str> = Vec::new();
     let mut rows: std::collections::HashMap<&'static str, (usize, u64, u64)> =
         std::collections::HashMap::new();
+    fn tally(
+        node: &rel_obs::SpanNode,
+        open: &mut Vec<&'static str>,
+        order: &mut Vec<&'static str>,
+        rows: &mut std::collections::HashMap<&'static str, (usize, u64, u64)>,
+    ) {
+        let depth = open.len();
+        let row = rows.entry(node.name).or_insert_with(|| {
+            order.push(node.name);
+            (depth, 0, 0)
+        });
+        row.0 = row.0.min(depth);
+        row.1 += 1;
+        if !open.contains(&node.name) {
+            row.2 += node.duration_ns();
+        }
+        open.push(node.name);
+        for child in &node.children {
+            tally(child, open, order, rows);
+        }
+        open.pop();
+    }
     for tree in &trees {
         for root in &tree.roots {
-            root.walk(&mut |node, depth| {
-                let row = rows.entry(node.name).or_insert_with(|| {
-                    order.push(node.name);
-                    (depth, 0, 0)
-                });
-                row.0 = row.0.min(depth);
-                row.1 += 1;
-                row.2 += node.duration_ns();
-            });
+            tally(root, &mut Vec::new(), &mut order, &mut rows);
         }
     }
     for span_name in &order {

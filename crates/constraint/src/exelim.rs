@@ -10,15 +10,26 @@
 //! one, substitute, ask the solver; on failure move on to the next — exactly
 //! as described in §6.
 //!
-//! **The indexed search.**  The seed implementation scanned the whole matrix
-//! once per variable to collect candidates, then enumerated the *cross
-//! product* of every variable's candidate list, re-checking the whole matrix
-//! per assignment.  For the divide-and-conquer benchmarks (`merge`, `msort`)
-//! that product is what dominated checking.  The search now works off a
-//! [`MatrixIndex`] built in one pass: the matrix's top-level conjuncts, each
-//! with its (sorted) existential-variable footprint, candidates collected per
-//! conjunct.  Because `∃x⃗.(A ∧ B) ⟺ (∃x⃗₁.A) ∧ (∃x⃗₂.B)` when `A` and `B`
-//! mention disjoint variable sets, the conjuncts partition into **connected
+//! **Scoped elimination.**  An `∃` is eliminated where it is bound.  One run
+//! strips only the goal's existential *prefix* — the `∃`s reachable through
+//! `∧` and the conclusions of `→` — and stops at `∀`: an `∃` under a
+//! universal binder often needs a witness that names the binder (comp's
+//! recursive call instantiates its size as the `∀`-bound tail size).  The
+//! instantiated goal goes back through the solver, which opens the `∀`s and
+//! antecedents and meets the inner `∃` with its binder in scope; that `∃`
+//! gets a run of its own.  Each run strips at least one `∃`, so the
+//! recursion terminates.  The **in-scope candidate rule** goes with it: a
+//! candidate is kept only when every variable it mentions is a universal or
+//! a prefix existential.  A candidate collected under an inner binder and
+//! naming it could never work — substitution is capture-avoiding, so the
+//! binder would be renamed away from it — and is dropped before it costs
+//! an attempt.
+//!
+//! **The indexed search.**  The search works off a [`MatrixIndex`] built in
+//! one pass: the matrix's top-level conjuncts, each with its (sorted)
+//! existential-variable footprint, candidates collected per conjunct.
+//! Because `∃x⃗.(A ∧ B) ⟺ (∃x⃗₁.A) ∧ (∃x⃗₂.B)` when `A` and `B` mention
+//! disjoint variable sets, the conjuncts partition into **connected
 //! components** solved independently — the cross product of candidate lists
 //! collapses into a sum of small per-component searches, each checking only
 //! its own conjuncts.  Within a component, **memoized rejection** skips any
@@ -26,8 +37,7 @@
 //! assignment (distinct candidate tuples frequently resolve to the same
 //! instantiation), counted as `exelim_candidates_pruned`.  All-ℝ components
 //! that candidate search cannot close fall back to the exact Fourier–Motzkin
-//! projection per component (previously only attempted for the whole
-//! matrix).
+//! projection per component.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
@@ -65,8 +75,11 @@ pub struct ExElimOutcome {
     pub stats: ExElimStats,
 }
 
-/// Strips existential quantifiers from a constraint, returning the matrix and
-/// the list of stripped variables (prefix order).
+/// Strips the existential *prefix* of a constraint — the `∃`s reachable
+/// through `∧` and the conclusions of `→` — returning the matrix and the
+/// stripped variables (prefix order).  Stripping stops at `∀`: an `∃` under
+/// a universal binder may depend on it, so it is eliminated only once the
+/// solver has decomposed that binder and its witness is in scope.
 fn strip_existentials(c: &Constr) -> (Constr, Vec<Quantified>) {
     match c {
         Constr::Exists(q, body) => {
@@ -90,10 +103,6 @@ fn strip_existentials(c: &Constr) -> (Constr, Vec<Quantified>) {
             // antecedent are left untouched (they are really universals).
             let (inner, vars) = strip_existentials(b);
             (Constr::Implies(a.clone(), Box::new(inner)), vars)
-        }
-        Constr::Forall(q, body) => {
-            let (inner, vars) = strip_existentials(body);
-            (Constr::Forall(q.clone(), Box::new(inner)), vars)
         }
         other => (other.clone(), Vec::new()),
     }
@@ -187,7 +196,18 @@ impl MatrixIndex {
     /// matrix once per variable — quadratic in practice, since every
     /// divide-and-conquer obligation has dozens of conjuncts and a dozen
     /// existentials).
-    fn build(matrix: &Constr, hyp: &Constr, ex_vars: &[Quantified]) -> MatrixIndex {
+    ///
+    /// A candidate is kept only when every variable it mentions is in scope
+    /// at the prefix — a universal or a prefix existential.  Comparisons
+    /// under an inner binder yield candidates naming the bound variable;
+    /// substituting one would capture (`Constr::subst` renames the binder),
+    /// so such a candidate could never match and is dropped.
+    fn build(
+        matrix: &Constr,
+        hyp: &Constr,
+        universals: &[(IdxVar, Sort)],
+        ex_vars: &[Quantified],
+    ) -> MatrixIndex {
         let mut conjuncts = Vec::new();
         flatten_conjuncts(matrix, &mut conjuncts);
         let positions: BTreeMap<&IdxVar, usize> = ex_vars
@@ -216,6 +236,11 @@ impl MatrixIndex {
                 candidates_for(&q.var, hyp, &mut candidates[vi]);
             }
             push_unique(&mut candidates[vi], Idx::zero());
+            candidates[vi].retain(|idx| {
+                idx.free_vars()
+                    .iter()
+                    .all(|w| universals.iter().any(|(u, _)| u == w) || positions.contains_key(w))
+            });
             // Prefer syntactically small candidates (ground constants
             // resolve most size variables immediately; the lazy search then
             // rarely needs to move past the first assignment).
@@ -334,7 +359,7 @@ pub fn eliminate_existentials(
         };
     }
 
-    let index = MatrixIndex::build(&matrix, hyp, &ex_vars);
+    let index = MatrixIndex::build(&matrix, hyp, universals, &ex_vars);
     let (components, residual) = index.components(&ex_vars);
 
     // The existential-free conjuncts must hold regardless of any witness;
@@ -448,6 +473,9 @@ fn search_component(
     let max_explored = max_attempts.saturating_mul(64);
     let mut explored = 0usize;
     let screen_bound = solver.config().inner_quantifier_bound;
+    // An `∃` left under a binder evaluates by bounded search, so a false
+    // reading proves nothing: goals that still hold one skip the screen.
+    let screenable = comp_goal.existential_vars().is_empty();
     let mut screen_env = rel_index::IdxEnv::new();
     loop {
         explored += 1;
@@ -486,13 +514,15 @@ fn search_component(
             } else {
                 stats.attempts += 1;
                 solver.note_exelim_attempt();
-                if screen_rejects(
-                    universals,
-                    hyp,
-                    &instantiated,
-                    screen_bound,
-                    &mut screen_env,
-                ) {
+                if screenable
+                    && screen_rejects(
+                        universals,
+                        hyp,
+                        &instantiated,
+                        screen_bound,
+                        &mut screen_env,
+                    )
+                {
                     // A concrete on-grid counterexample: the full pipeline
                     // could only have said `Invalid` here, at far greater
                     // cost.  Memoize the rejection like any other.
@@ -550,7 +580,9 @@ const SCREEN_DIAGONAL: [u64; 3] = [0, 1, 2];
 /// symbolic path is supposed to win (prepared facts, lemma saturation and a
 /// Fourier–Motzkin run spent on a goal a single evaluation kills).  The
 /// screen rejects those candidates at tree-evaluation cost; candidates that
-/// survive go through the full solver unchanged.
+/// survive go through the full solver unchanged.  Goals that still hold an
+/// `∃` under a binder are not screened: bounded search reads such an `∃` as
+/// false whenever its witness lies past the bound.
 fn screen_rejects(
     universals: &[(IdxVar, Sort)],
     hyp: &Constr,
@@ -680,6 +712,69 @@ mod tests {
         let (matrix, vars) = strip_existentials(&c);
         assert_eq!(vars.len(), 2);
         assert!(matrix.existential_vars().is_empty());
+    }
+
+    /// `∀c. n = c + 1 → ∃i. c = i ∧ i ≤ c` — the shape comp's spine
+    /// produces: the witness `i := c` names the universal binder.
+    fn comp_shaped_goal() -> Constr {
+        Constr::forall(
+            "c",
+            Sort::Nat,
+            Constr::eq(Idx::var("n"), Idx::var("c") + Idx::one()).implies(Constr::exists(
+                "i",
+                Sort::Nat,
+                Constr::eq(Idx::var("c"), Idx::var("i"))
+                    .and(Constr::leq(Idx::var("i"), Idx::var("c"))),
+            )),
+        )
+    }
+
+    #[test]
+    fn existentials_under_a_binder_are_eliminated_in_its_scope() {
+        let goal = comp_shaped_goal();
+        // The `∃` stays under its `∀`: hoisting it would put its witness
+        // out of scope.
+        let (_, vars) = strip_existentials(&goal);
+        assert!(vars.is_empty());
+        let mut s = Solver::new();
+        let u = nat_universals(&["n"]);
+        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        assert_eq!(out.validity, Some(Validity::proved()));
+        // Once the solver has opened `∀c` and `n = c + 1 →`, the witness
+        // is in scope and found.
+        let Constr::Forall(_, body) = &goal else {
+            unreachable!()
+        };
+        let Constr::Implies(hyp, inner) = body.as_ref() else {
+            unreachable!()
+        };
+        let out = eliminate_existentials(&mut s, &nat_universals(&["n", "c"]), hyp, inner);
+        assert_eq!(out.validity, Some(Validity::proved()));
+        assert_eq!(out.witness.unwrap()[&IdxVar::new("i")], Idx::var("c"));
+    }
+
+    #[test]
+    fn candidates_naming_an_inner_bound_variable_are_never_tried() {
+        // ∃i. 1 ≤ i ∧ ∀c. i = c: the comparison under `∀c` offers `c`,
+        // which is out of scope at the prefix.  Only `0` and `1` are tried.
+        let goal = Constr::exists(
+            "i",
+            Sort::Nat,
+            Constr::leq(Idx::one(), Idx::var("i")).and(Constr::forall(
+                "c",
+                Sort::Nat,
+                Constr::eq(Idx::var("i"), Idx::var("c")),
+            )),
+        );
+        let u = nat_universals(&["n"]);
+        let (matrix, vars) = strip_existentials(&goal);
+        let index = MatrixIndex::build(&matrix, &Constr::Top, &u, &vars);
+        assert!(!index.candidates[0].contains(&Idx::var("c")));
+        assert_eq!(index.candidates[0].len(), 2);
+        let mut s = Solver::new();
+        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        assert!(out.validity.is_none());
+        assert_eq!(out.stats.attempts, 2);
     }
 
     #[test]

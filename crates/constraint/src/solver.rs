@@ -171,9 +171,13 @@ pub struct SolveStats {
     /// Wall-clock time spent inside the numeric layer (compile + grid +
     /// random sweep) — the cost of *sweeping*.
     pub numeric_time: Duration,
-    /// Wall-clock time spent eliminating existentials.
+    /// Self time of existential elimination: wall clock inside the
+    /// candidate search, minus the nested solving and elimination runs it
+    /// started that bill their own time.
     pub exelim_time: Duration,
-    /// Wall-clock time spent in constraint solving (excluding ∃-elimination).
+    /// Self time of existential-free solving (FM and the numeric layer,
+    /// outside and inside elimination).  The two phase timers never
+    /// overlap, so their sum stays within the wall clock of the query.
     pub solving_time: Duration,
     /// Why the last exhausted existential search gave up, when a specific
     /// cap could be identified (`None` when no search was exhausted, or
@@ -754,6 +758,9 @@ pub struct Solver {
     /// every `symbolic_decide`, so a refutation is never annotated with an
     /// unrelated goal's atoms).
     pending_fm_order: Vec<String>,
+    /// Time billed by the timed regions nested in the one now running
+    /// (see [`Solver::self_timed`]).
+    nested_time: Duration,
 }
 
 impl Default for Solver {
@@ -784,6 +791,7 @@ impl Solver {
             local_verdict_count: 0,
             last_refutation: RefutationInfo::default(),
             pending_fm_order: Vec::new(),
+            nested_time: Duration::ZERO,
         }
     }
 
@@ -961,34 +969,54 @@ impl Solver {
             _ => {}
         }
 
-        let ex_vars = goal.existential_vars();
-        if ex_vars.is_empty() {
-            let start = Instant::now();
-            let v = self.entails_no_exists(universals, hyp, goal);
-            self.stats.solving_time += start.elapsed();
+        if goal.existential_vars().is_empty() {
+            let (v, t) = self.self_timed(|s| s.entails_no_exists(universals, hyp, goal));
+            self.stats.solving_time += t;
             v
         } else {
-            let start = Instant::now();
-            let outcome = exelim::eliminate_existentials(self, universals, hyp, goal);
-            self.stats.exelim_time += start.elapsed();
-            match outcome.validity {
-                Some(v) => v,
-                None => {
-                    // No candidate substitution worked.  A fully numeric check
-                    // with bounded existential search is only affordable for a
-                    // couple of leftover variables; otherwise report failure.
-                    if ex_vars.len() <= 2 {
-                        let start = Instant::now();
-                        let v = self.numeric_check(universals, hyp, goal);
-                        self.stats.solving_time += start.elapsed();
-                        v
-                    } else {
-                        self.note_search_exhausted(outcome.stats.exhausted);
-                        Validity::Invalid(None)
-                    }
-                }
-            }
+            self.eliminate(universals, hyp, goal)
         }
+    }
+
+    /// Eliminates the existential prefix of `goal` by candidate search
+    /// ([`exelim::eliminate_existentials`]).  When no candidate works, a
+    /// fully numeric check with bounded existential search is only
+    /// affordable for a couple of leftover variables; otherwise the goal
+    /// fails as an exhausted search.
+    fn eliminate(
+        &mut self,
+        universals: &[(IdxVar, Sort)],
+        hyp: &Constr,
+        goal: &Constr,
+    ) -> Validity {
+        let (outcome, t) =
+            self.self_timed(|s| exelim::eliminate_existentials(s, universals, hyp, goal));
+        self.stats.exelim_time += t;
+        if let Some(v) = outcome.validity {
+            return v;
+        }
+        if goal.existential_vars().len() <= 2 {
+            let (v, t) = self.self_timed(|s| s.numeric_check(universals, hyp, goal));
+            self.stats.solving_time += t;
+            v
+        } else {
+            self.note_search_exhausted(outcome.stats.exhausted);
+            Validity::Invalid(None)
+        }
+    }
+
+    /// Runs `f`, returning its result and its *self* time: the wall clock
+    /// it took minus what the timed regions nested inside it took.
+    /// Elimination recurses (exelim → `Or` arm → exelim, or an `∃` met
+    /// under a binder), so billing inclusive times would count the nested
+    /// run once more inside its parent's span.
+    fn self_timed<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> (R, Duration) {
+        let outer = std::mem::take(&mut self.nested_time);
+        let start = Instant::now();
+        let result = f(self);
+        let elapsed = start.elapsed();
+        let inner = std::mem::replace(&mut self.nested_time, outer + elapsed);
+        (result, elapsed.saturating_sub(inner))
     }
 
     /// Checks an entailment whose goal contains no existential quantifier.
@@ -1072,11 +1100,12 @@ impl Solver {
                 }
                 self.numeric_check(universals, hyp, goal)
             }
-            Constr::Exists(_, _) => {
-                // Residual existential (can only happen when called directly):
-                // defer to the numeric layer's bounded search.
-                self.numeric_check(universals, hyp, goal)
-            }
+            // An `∃` under a binder the decomposition above has now opened:
+            // its witness may name that binder, so it is eliminated here, in
+            // scope.  Each step strips at least one `∃`, and the instantiated
+            // goals go back through `entails_no_exists`, so the per-candidate
+            // sub-queries stay out of the verdict caches.
+            Constr::Exists(_, _) => self.eliminate(universals, hyp, goal),
         }
     }
 
@@ -1966,6 +1995,39 @@ mod tests {
         );
         assert!(s.entails(&u, &Constr::Top, &goal).is_valid());
         assert!(s.stats().exelim_attempts >= 1);
+    }
+
+    #[test]
+    fn existentials_under_disjunctions_under_binders_terminate() {
+        // ∃t. t = n ∧ ∀x. (x + 1 ≤ 0 ∨ ∃y. y = x + t ∧ x ≤ y): elimination
+        // of `t` reaches the `Or` under `∀x`, whose second disjunct runs a
+        // nested elimination (y := x + n).
+        let mut s = Solver::new();
+        let u = nat_vars(&["n"]);
+        let disjunction = Constr::leq(Idx::var("x") + Idx::one(), Idx::zero()).or(Constr::exists(
+            "y",
+            Sort::Nat,
+            Constr::eq(Idx::var("y"), Idx::var("x") + Idx::var("t"))
+                .and(Constr::leq(Idx::var("x"), Idx::var("y"))),
+        ));
+        let goal = Constr::exists(
+            "t",
+            Sort::Nat,
+            Constr::eq(Idx::var("t"), Idx::var("n")).and(Constr::forall(
+                "x",
+                Sort::Nat,
+                disjunction,
+            )),
+        );
+        let start = Instant::now();
+        assert_eq!(s.entails(&u, &Constr::Top, &goal), Validity::proved());
+        let wall = start.elapsed();
+        // The nested run bills its own time, not its parent's again.
+        let stats = s.stats();
+        assert!(
+            stats.exelim_time + stats.solving_time <= wall,
+            "{stats:?} over {wall:?}"
+        );
     }
 
     #[test]

@@ -877,8 +877,8 @@ impl RelChecker {
         // in order (heuristic 4: box-preserving first).
         let mut candidates: Vec<(RelType, Idx, RelType)> = Vec::new();
         match &exposed {
-            RelType::Boxed(inner) => {
-                if let RelType::Arrow(d, _, c) = inner.as_ref() {
+            RelType::Boxed(inner) => match inner.as_ref() {
+                RelType::Arrow(d, t, c) => {
                     if self.heuristics.lazy_box_elimination {
                         candidates.push((
                             RelType::boxed((**d).clone()),
@@ -886,27 +886,16 @@ impl RelChecker {
                             RelType::boxed((**c).clone()),
                         ));
                     }
-                    if let RelType::Arrow(d, t, c) = inner.as_ref() {
-                        candidates.push(((**d).clone(), t.clone(), (**c).clone()));
-                    }
+                    candidates.push(((**d).clone(), t.clone(), (**c).clone()));
                 }
-            }
+                // `□τ ⊑ τ`: drop the box, then convert the unary arrows.
+                RelType::U(ua, ub) => candidates.extend(u_arrow(ua, ub)),
+                _ => {}
+            },
             RelType::Arrow(d, t, c) => {
                 candidates.push(((**d).clone(), t.clone(), (**c).clone()));
             }
-            RelType::U(ua, ub) => {
-                // Convert a pair of unary arrows into a relational arrow whose
-                // latent relative cost is the exec-interval gap.
-                if let (UnaryType::Arrow(d1, c1, r1), UnaryType::Arrow(d2, c2, r2)) =
-                    (ua.as_ref(), ub.as_ref())
-                {
-                    candidates.push((
-                        RelType::u((**d1).clone(), (**d2).clone()),
-                        c1.hi.clone() - c2.lo.clone(),
-                        RelType::u((**r1).clone(), (**r2).clone()),
-                    ));
-                }
-            }
+            RelType::U(ua, ub) => candidates.extend(u_arrow(ua, ub)),
             _ => {}
         }
         if candidates.is_empty() {
@@ -964,6 +953,19 @@ impl RelChecker {
 // ----------------------------------------------------------------------
 // Helpers
 // ----------------------------------------------------------------------
+
+/// Converts a pair of unary arrows into a relational arrow whose latent
+/// relative cost is the exec-interval gap `c1.hi − c2.lo`.
+fn u_arrow(ua: &UnaryType, ub: &UnaryType) -> Option<(RelType, Idx, RelType)> {
+    match (ua, ub) {
+        (UnaryType::Arrow(d1, c1, r1), UnaryType::Arrow(d2, c2, r2)) => Some((
+            RelType::u((**d1).clone(), (**d2).clone()),
+            c1.hi.clone() - c2.lo.clone(),
+            RelType::u((**r1).clone(), (**r2).clone()),
+        )),
+        _ => None,
+    }
+}
 
 fn expect_arrow(ty: &RelType) -> Result<(RelType, Idx, RelType), TypeError> {
     match ty {
@@ -1145,6 +1147,18 @@ mod tests {
         let src = "lam f. lam x. f x";
         let ty = "forall t :: real. box(intr ->[t] intr) -> box intr -> box intr";
         assert!(check_program(src, ty));
+    }
+
+    #[test]
+    fn boxed_unary_arrows_apply_with_their_exec_interval_gap() {
+        // □U(int →[1,3] int, int →[1,3] int): the box is dropped (□τ ⊑ τ)
+        // and the U-arrow conversion charges the gap 3 − 1 = 2.  The result
+        // is diagonal, so the application must be inferred relationally
+        // (a `U` result would let the checker switch to unary mode).
+        let src = "lam f. lam x. let y = f x in 3";
+        let ty = |cost: u32| format!("box(UU (int ->[1, 3] int)) -> UU int ->[{cost}] intr");
+        assert!(check_program(src, &ty(2)));
+        assert!(!check_program(src, &ty(1)));
     }
 
     #[test]

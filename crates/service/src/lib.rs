@@ -51,6 +51,8 @@ pub mod reactor;
 pub mod replica;
 pub mod schema;
 pub mod service;
+#[cfg(feature = "test-hooks")]
+pub mod test_hooks;
 
 pub use batch::{
     check_batch, check_batch_with, check_job, check_job_with, BatchJob, BatchResult, BatchStats,

@@ -438,6 +438,8 @@ fn worker_loop(shared: &Shared) {
             shared.complete(job.token, Frame::Response(payload));
             continue;
         }
+        #[cfg(feature = "test-hooks")]
+        crate::test_hooks::park(&job.request);
         if job.streaming {
             stream_batch(shared, &job);
             continue;

@@ -18,7 +18,8 @@ use std::time::{Duration, Instant};
 
 use rel_service::json::{self, Value};
 use rel_service::{
-    serve_reactor, CodecKind, CodecLimits, ReactorOptions, ReactorSummary, Service, ServiceConfig,
+    serve_reactor, test_hooks, CodecKind, CodecLimits, ReactorOptions, ReactorSummary, Service,
+    ServiceConfig,
 };
 
 const READ_TIMEOUT: Duration = Duration::from_secs(20);
@@ -332,20 +333,16 @@ fn deadline_responses_are_byte_identical_across_planes() {
 
 #[test]
 fn backpressure_refusals_are_byte_identical_across_planes() {
-    // One worker, queue depth one: occupy the worker with a genuinely slow
-    // cold check, fill the queue, and every further request must be refused
-    // immediately with the structured backpressure error.
+    // One worker, queue depth one: park the worker on a held request, fill
+    // the queue, and every further request must be refused immediately
+    // with the structured backpressure error.
     let planes = Planes::start(1, |o| o.max_queue = 1);
-    let slow = wire(vec![
-        ("id", Value::Str("slow".to_string())),
-        ("check", Value::Str(bench_source("bsplit"))),
-    ]);
+    let hold = test_hooks::hold("held-backpressure");
     let mut busy = connect(planes.ndjson);
-    busy.write_all(slow.as_bytes()).unwrap();
-    busy.write_all(b"\n").unwrap();
-    // Give the reactor time to hand the slow job to the worker...
-    std::thread::sleep(Duration::from_millis(150));
-    // ...then fill the queue with one more.
+    busy.write_all(b"{\"id\": \"held-backpressure\", \"stats\": true}\n")
+        .unwrap();
+    hold.wait_parked();
+    // The worker is occupied; fill the queue with one more.
     let mut filler = connect(planes.ndjson);
     filler
         .write_all(b"{\"id\": \"queued\", \"stats\": true}\n")
@@ -367,10 +364,14 @@ fn backpressure_refusals_are_byte_identical_across_planes() {
 
     // The refusals cost the queued work nothing: both in-flight requests
     // still answer.
+    hold.release();
     let mut busy_reader = BufReader::new(busy);
     let mut response = String::new();
     busy_reader.read_line(&mut response).unwrap();
-    assert!(response.contains("\"id\":\"slow\""), "{response}");
+    assert!(
+        response.contains("\"id\":\"held-backpressure\""),
+        "{response}"
+    );
     let mut filler_reader = BufReader::new(filler);
     response.clear();
     filler_reader.read_line(&mut response).unwrap();
@@ -485,8 +486,10 @@ fn health_probe_is_byte_identical_and_degrades_to_503() {
 fn ndjson_pipelining_answers_in_finish_order_with_id_echo() {
     let planes = Planes::start(2, |_| {});
     let mut stream = connect(planes.ndjson);
+    // The first request stays on its worker until the second has answered.
+    let hold = test_hooks::hold("held-pipelining");
     let slow = wire(vec![
-        ("id", Value::Str("slow".to_string())),
+        ("id", Value::Str("held-pipelining".to_string())),
         ("check", Value::Str(bench_source("bsplit"))),
     ]);
     let fast = wire(vec![
@@ -501,12 +504,13 @@ fn ndjson_pipelining_answers_in_finish_order_with_id_echo() {
     let mut reader = BufReader::new(stream);
     let mut first = String::new();
     reader.read_line(&mut first).unwrap();
+    hold.release();
     let mut second = String::new();
     reader.read_line(&mut second).unwrap();
-    // The cheap request overtakes the expensive one on the same connection —
+    // The cheap request overtakes the busy one on the same connection —
     // that is the multiplexing win, and why responses carry the id echo.
     assert!(first.contains("\"id\":\"fast\""), "{first}");
-    assert!(second.contains("\"id\":\"slow\""), "{second}");
+    assert!(second.contains("\"id\":\"held-pipelining\""), "{second}");
     planes.stop();
 }
 
@@ -766,33 +770,43 @@ fn abort_connection(stream: TcpStream) {
 #[cfg(target_os = "linux")]
 #[test]
 fn disconnected_clients_queued_jobs_are_dropped_at_dequeue() {
-    // One worker: occupy it, queue a job behind it, then kill that job's
-    // connection abruptly.  Pre-reactor, the daemon would compute the
-    // answer and discover the disconnect only at the failed write; the
-    // dequeue-time gate must instead skip the work and count the drop.
+    // One worker: park it on a held request, queue a job behind it, then
+    // kill that job's connection abruptly.  Pre-reactor, the daemon would
+    // compute the answer and discover the disconnect only at the failed
+    // write; the dequeue-time gate must instead skip the work and count the
+    // drop.
     let planes = Planes::start(1, |_| {});
     let baseline = rel_obs::global().counter("serve.conn_errors").get();
 
+    let hold = test_hooks::hold("held-disconnect");
     let mut busy = connect(planes.ndjson);
-    let slow = wire(vec![
-        ("id", Value::Str("slow".to_string())),
-        ("check", Value::Str(bench_source("bsplit"))),
-    ]);
-    busy.write_all(slow.as_bytes()).unwrap();
-    busy.write_all(b"\n").unwrap();
-    std::thread::sleep(Duration::from_millis(150));
+    busy.write_all(b"{\"id\": \"held-disconnect\", \"stats\": true}\n")
+        .unwrap();
+    hold.wait_parked();
 
-    // Queue a cheap job behind the slow one, then die without warning.
+    // Queue a cheap job behind the held one, then die without warning.
     let mut doomed = connect(planes.ndjson);
     doomed.write_all(b"{\"stats\": true}\n").unwrap();
     std::thread::sleep(Duration::from_millis(100));
     abort_connection(doomed);
+    // Two malformed lines are answered inline by the reactor loop; once the
+    // second answer is back, the loop has run a full pass (read, flush,
+    // close) after the reset arrived, so the doomed job is marked closed
+    // before the worker is let go.
+    for _ in 0..2 {
+        let refusal = ndjson_request(planes.ndjson, "not json");
+        assert!(refusal.contains("\"error\""), "{refusal}");
+    }
 
-    // The busy request still answers (the worker was never disturbed)...
+    // The held request still answers (the worker was never disturbed)...
+    hold.release();
     let mut reader = BufReader::new(busy);
     let mut response = String::new();
     reader.read_line(&mut response).unwrap();
-    assert!(response.contains("\"id\":\"slow\""), "{response}");
+    assert!(
+        response.contains("\"id\":\"held-disconnect\""),
+        "{response}"
+    );
 
     // ...and the dead client's job was dropped at dequeue, under the
     // existing serve.conn_errors counter.  Eventual: the worker has to

@@ -31,6 +31,9 @@ pub struct Benchmark {
     pub description: &'static str,
     /// Whether the stated bound is machine-checked in this reproduction.
     pub status: VerificationStatus,
+    /// Whether the checker *proves* every definition (symbolically, with no
+    /// grid sweep); a `Verified` benchmark without it is grid-checked.
+    pub proved: bool,
     /// Name of the definition whose report should be read as "the benchmark".
     pub main_def: &'static str,
 }
@@ -397,6 +400,7 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
             source: FILTER,
             description: "keep the elements satisfying a predicate",
             status: Unverified,
+            proved: false,
             main_def: "filter",
         },
         Benchmark {
@@ -404,6 +408,7 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
             source: APPEND,
             description: "list concatenation (zero relative cost)",
             status: Verified,
+            proved: true,
             main_def: "append",
         },
         Benchmark {
@@ -411,6 +416,7 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
             source: REV,
             description: "append-based list reversal (zero relative cost)",
             status: Verified,
+            proved: true,
             main_def: "rev",
         },
         Benchmark {
@@ -418,48 +424,55 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
             source: MAP,
             description: "the §3 map example (relative cost t·α)",
             status: Verified,
+            proved: true,
             main_def: "map",
         },
         Benchmark {
             name: "comp",
             source: COMP,
             description: "constant-time password comparison",
-            status: Unverified,
+            status: Verified,
+            proved: true,
             main_def: "comp",
         },
         Benchmark {
             name: "sam",
             source: SAM,
             description: "constant-time square-and-multiply",
-            status: Unverified,
+            status: Verified,
+            proved: true,
             main_def: "sam",
         },
         Benchmark {
             name: "find",
             source: FIND,
             description: "head-to-tail vs tail-to-head scan (two programs)",
-            status: Unverified,
+            status: Verified,
+            proved: true,
             main_def: "find",
         },
         Benchmark {
             name: "2Dcount",
             source: TWO_D_COUNT,
             description: "count matrix rows containing a key",
-            status: Unverified,
+            status: Verified,
+            proved: false,
             main_def: "twoDcount",
         },
         Benchmark {
             name: "ssort",
             source: SSORT,
             description: "selection sort (unary quadratic bounds)",
-            status: Unverified,
+            status: Verified,
+            proved: false,
             main_def: "ssort",
         },
         Benchmark {
             name: "bsplit",
             source: BSPLIT,
             description: "split a list into two nearly equal halves",
-            status: Unverified,
+            status: Verified,
+            proved: false,
             main_def: "bsplit",
         },
         Benchmark {
@@ -471,6 +484,7 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
             // the flattened totals) are decided symbolically — zero grid
             // points — once products distribute over linear combinations.
             status: Verified,
+            proved: true,
             main_def: "flatten",
         },
         Benchmark {
@@ -478,6 +492,7 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
             source: APP_SUM,
             description: "sum of an appended list (zero relative cost)",
             status: Verified,
+            proved: true,
             main_def: "appSum",
         },
         Benchmark {
@@ -485,6 +500,7 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
             source: MERGE,
             description: "merge two sorted lists (unary interval bounds)",
             status: Unverified,
+            proved: false,
             main_def: "merge",
         },
         Benchmark {
@@ -492,6 +508,7 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
             source: ZIP,
             description: "position-wise pairing (zero relative cost)",
             status: Verified,
+            proved: true,
             main_def: "zip",
         },
         Benchmark {
@@ -499,13 +516,15 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
             source: MSORT,
             description: "merge sort and its divide-and-conquer recurrence",
             status: Unverified,
+            proved: false,
             main_def: "msort",
         },
         Benchmark {
             name: "bfold",
             source: BFOLD,
             description: "balanced fold over a list",
-            status: Unverified,
+            status: Verified,
+            proved: false,
             main_def: "bfold",
         },
     ]
