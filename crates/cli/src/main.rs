@@ -18,11 +18,13 @@
 //!
 //! FLAGS (shared by check and serve):
 //!   --jobs N, -j N       worker threads (check: default 1; serve: all cores)
-//!   --cache-file PATH    warm-start persistence: load the snapshot at PATH
-//!                        (if any) before checking, save it back afterwards
-//!                        (serve: periodically and on shutdown).  Unchanged
+//!   --cache-file PATH    warm-start persistence: replay the verdict log at
+//!                        PATH (if any) before checking, append every new
+//!                        verdict to it as it is memoized, and compact it
+//!                        afterwards when anything changed (serve: also
+//!                        periodically and on shutdown).  Unchanged
 //!                        definitions are skipped; everything else reuses the
-//!                        persisted validity cache and program memo.
+//!                        persisted validity cache.
 //!
 //! FLAGS (check only):
 //!   --metrics-out PATH   write the merged metrics snapshot (solver counters,
@@ -128,7 +130,7 @@ fn usage_error(message: &str) -> ExitCode {
 struct Flags {
     /// Worker threads (`None` — each subcommand picks its own default).
     jobs: Option<usize>,
-    /// Warm-start snapshot path.
+    /// Warm-start cache file.
     cache_file: Option<String>,
     /// Where to write the metrics snapshot after `check`.
     metrics_out: Option<String>,
@@ -234,9 +236,8 @@ impl Flags {
 }
 
 /// Builds the service for one invocation: worker pool plus, when requested,
-/// the warm-start snapshot and its write-ahead log (load errors are
-/// warnings — a bad cache file means recovering whatever validated, never a
-/// failed run).
+/// the warm-start cache file (load errors are warnings — a bad cache file
+/// means recovering whatever validated, never a failed run).
 fn service_with(workers: usize, cache_file: Option<&str>) -> Service {
     let service = Service::new(ServiceConfig {
         workers,
@@ -250,11 +251,10 @@ fn service_with(workers: usize, cache_file: Option<&str>) -> Service {
         // One machine-greppable line either way (the fault-injection CI
         // smoke asserts on the replay counters after a SIGKILL).
         eprintln!(
-            "birelcost: cache-file {path}: loaded {} verdict(s), {} def hash(es), \
-             {} program(s); replayed {} wal record(s), {} anomaly(ies); reaped {} tmp file(s)",
+            "birelcost: cache-file {path}: loaded {} verdict(s), {} def hash(es); \
+             replayed {} wal record(s), {} anomaly(ies); reaped {} tmp file(s)",
             outcome.verdicts,
             outcome.defs,
-            outcome.programs,
             outcome.wal_records,
             outcome.wal_anomalies,
             outcome.reaped_tmp
@@ -263,18 +263,20 @@ fn service_with(workers: usize, cache_file: Option<&str>) -> Service {
     service
 }
 
-/// Saves the warm state back to the attached cache file, reporting failures
-/// without failing the run.
+/// Compacts the warm state into the attached cache file if anything was
+/// memoized since it was loaded, reporting failures without failing the run.
 fn flush_cache(service: &Service) {
-    if service.cache_file().is_none() {
+    let Some(path) = service.cache_file() else {
         return;
-    }
-    match service.save_cache() {
-        Ok(verdicts) => eprintln!(
-            "birelcost: cache-file {}: saved {verdicts} verdict(s), {} def hash(es)",
-            service.cache_file().unwrap().display(),
+    };
+    match service.save_cache_if_dirty() {
+        Ok(true) => eprintln!(
+            "birelcost: cache-file {}: saved {} verdict(s), {} def hash(es)",
+            path.display(),
+            service.cache_stats().entries,
             service.def_index().len()
         ),
+        Ok(false) => eprintln!("birelcost: cache-file {}: unchanged", path.display()),
         Err(e) => eprintln!("birelcost: {e}"),
     }
 }

@@ -144,10 +144,10 @@ impl QueryKey {
         QueryRef::new(config_fingerprint, universals, hyp, goal).to_key()
     }
 
-    /// Reassembles a key from decoded parts (snapshot loading).  The
+    /// Reassembles a key from decoded parts (cache-file replay).  The
     /// universals are re-canonicalized, so a key decoded from a well-formed
-    /// snapshot is byte-for-byte the key that was serialized, and a key from
-    /// a hand-built snapshot still upholds the canonical-form invariant.
+    /// frame is byte-for-byte the key that was serialized, and a key from
+    /// a hand-built frame still upholds the canonical-form invariant.
     pub fn from_parts(
         config_fingerprint: u64,
         universals: Vec<(IdxVar, Sort)>,
@@ -208,7 +208,7 @@ impl fmt::Debug for QueryKey {
 
 /// FNV-1a: a stable hasher, unlike `DefaultHasher` whose keys are
 /// unspecified.  Shared by the cache, `SolveConfig::fingerprint`, the
-/// engine's per-definition input hashes and the snapshot checksum of
+/// engine's per-definition input hashes and the frame checksum of
 /// `rel-persist` — every hash that must be reproducible across processes.
 #[derive(Default)]
 pub struct Fnv1a {
@@ -360,7 +360,7 @@ impl ShardedValidityCache {
         }
     }
 
-    /// Clones out every memoized verdict (snapshot saving).  Entries are
+    /// Clones out every memoized verdict (compaction).  Entries are
     /// returned in a deterministic order — shards in index order, buckets by
     /// hash, entries in insertion order — so two exports of the same cache
     /// contents serialize identically.

@@ -37,6 +37,6 @@ pub use cpool::{CId, CNode, CPool};
 pub use exelim::{eliminate_existentials, ExElimOutcome, ExElimStats};
 pub use fm::{FmLimits, FmMemo, FmOutcome, FmVerdict};
 pub use solver::{
-    CexSource, ProgramCacheStats, ProgramKey, Provenance, RefutationInfo, SearchExhaustedReason,
+    CexSource, ProgramCacheStats, Provenance, RefutationInfo, SearchExhaustedReason,
     SharedProgramCache, SolveConfig, SolveStats, Solver, Validity,
 };

@@ -20,7 +20,7 @@
 //! obligation was *proved* (sound over the unbounded domain) or merely
 //! *grid-checked* (accepted because no counterexample appeared on the
 //! bounded sweep).  The distinction is threaded through `DefReport`, the
-//! service protocol, the CLI and the persisted snapshots.
+//! service protocol, the CLI and the persisted cache file.
 //!
 //! The statistics collected ([`SolveStats`]) feed the Table-1 style timing
 //! breakdown reported by the engine.
@@ -108,7 +108,7 @@ impl SolveConfig {
         h.write_u64(self.rng_seed);
         h.write_u64(self.max_exelim_attempts as u64);
         // `use_fm` turns grid-checked verdicts into proved ones — a
-        // provenance change — so a snapshot recorded with the FM layer on
+        // provenance change — so a cache file recorded with the FM layer on
         // must never be replayed into a solver running with it off (and vice
         // versa).
         h.write_u8(self.use_fm as u8);
@@ -388,7 +388,7 @@ impl SearchExhaustedReason {
 }
 
 /// How a `Valid` verdict was reached — the provenance threaded through
-/// reports, the service protocol and persisted snapshots.
+/// reports, the service protocol and the persisted cache file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Provenance {
     /// Decided symbolically (Fourier–Motzkin, or a structural combination
@@ -491,28 +491,6 @@ struct ProgramEntry {
     program: Arc<CompiledQuery>,
 }
 
-/// The full key of one compiled numeric query, as exported for snapshots.
-///
-/// Compilation is deterministic and cheap next to solving, so snapshots
-/// persist the *keys* of the program memo rather than the bytecode itself:
-/// loading recompiles each key once ([`SharedProgramCache::warm`]) and the
-/// first checks of the new process start with a hot program cache.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProgramKey {
-    /// The universally quantified context of the query.
-    pub universals: Vec<(IdxVar, Sort)>,
-    /// The hypothesis constraint.
-    pub hyp: Constr,
-    /// The goal constraint.
-    pub goal: Constr,
-}
-
-impl ProgramKey {
-    fn stable_hash(&self) -> u64 {
-        program_key_hash(&self.universals, &self.hyp, &self.goal)
-    }
-}
-
 fn program_key_hash(universals: &[(IdxVar, Sort)], hyp: &Constr, goal: &Constr) -> u64 {
     let mut h = Fnv1a::default();
     universals.hash(&mut h);
@@ -539,8 +517,9 @@ pub struct ProgramCacheStats {
 /// every daemon request) recompiles the numeric queries it has in common
 /// with its neighbours.  Attaching one `SharedProgramCache` to an engine
 /// (mirroring the validity cache) makes the bytecode survive across
-/// definitions, requests and — via [`SharedProgramCache::export_keys`] and
-/// [`SharedProgramCache::warm`] in `rel-persist` snapshots — processes.
+/// definitions and requests.  It is not persisted: every lookup follows a
+/// validity-cache miss, and the persisted validity cache answers the
+/// queries a warm process would otherwise compile.
 ///
 /// Sharding and the clear-when-full eviction mirror
 /// [`crate::cache::ShardedValidityCache`]; entries store their full key, so
@@ -630,55 +609,6 @@ impl SharedProgramCache {
         bucket.push(entry);
         shard.len += 1;
         self.entries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Compiles (if absent) the program for one query key — snapshot loading
-    /// replays exported keys through this to warm the cache.  The compile
-    /// happens outside the shard lock; a racing warm of the same key is
-    /// deduplicated by [`SharedProgramCache::insert`].
-    pub fn warm(&self, key: &ProgramKey) {
-        let hash = key.stable_hash();
-        {
-            let shard = self.shard(hash).lock().expect("program shard poisoned");
-            if let Some(bucket) = shard.buckets.get(&hash) {
-                if bucket.iter().any(|e| {
-                    e.universals == key.universals && e.hyp == key.hyp && e.goal == key.goal
-                }) {
-                    return;
-                }
-            }
-        }
-        let program = Arc::new(compile_query(&key.universals, &key.hyp, &key.goal));
-        self.insert(
-            hash,
-            ProgramEntry {
-                universals: key.universals.clone(),
-                hyp: key.hyp.clone(),
-                goal: key.goal.clone(),
-                program,
-            },
-        );
-    }
-
-    /// Clones out every program key, in a deterministic order (shards in
-    /// index order, buckets by hash) — snapshot saving.
-    pub fn export_keys(&self) -> Vec<ProgramKey> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("program shard poisoned");
-            let mut hashes: Vec<u64> = shard.buckets.keys().copied().collect();
-            hashes.sort_unstable();
-            for h in hashes {
-                for e in &shard.buckets[&h] {
-                    out.push(ProgramKey {
-                        universals: e.universals.clone(),
-                        hyp: e.hyp.clone(),
-                        goal: e.goal.clone(),
-                    });
-                }
-            }
-        }
-        out
     }
 
     /// Drops every stored program (counters are kept).
@@ -2178,7 +2108,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_program_cache_spans_solvers_and_warms_from_keys() {
+    fn shared_program_cache_spans_solvers() {
         let shared = Arc::new(SharedProgramCache::new());
         let u = nat_vars(&["n"]);
         let goal = pointwise_goal();
@@ -2193,20 +2123,6 @@ mod tests {
         assert!(second.entails(&u, &Constr::Top, &goal).is_valid());
         assert_eq!(second.stats().programs_compiled, 0);
         assert_eq!(second.stats().program_cache_hits, 1);
-
-        // Export/warm round-trip: a fresh cache warmed from the exported
-        // keys serves the query without any solver compiling it.
-        let keys = shared.export_keys();
-        assert_eq!(keys.len(), 1);
-        let warmed = Arc::new(SharedProgramCache::new());
-        for k in &keys {
-            warmed.warm(k);
-        }
-        assert_eq!(warmed.stats().entries, 1);
-        let mut third = Solver::new().with_program_cache(Arc::clone(&warmed));
-        assert!(third.entails(&u, &Constr::Top, &goal).is_valid());
-        assert_eq!(third.stats().programs_compiled, 0);
-        assert_eq!(third.stats().program_cache_hits, 1);
     }
 
     #[test]

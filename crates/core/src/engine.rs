@@ -192,7 +192,7 @@ pub struct StoredDef {
     pub ok: bool,
     /// Whether the recorded verdict was proved (vs grid-checked); replayed
     /// into [`DefReport::proved`] so provenance survives incremental skips
-    /// and snapshots.
+    /// and restarts.
     pub proved: bool,
     /// The recorded error message when it did not.
     pub error: Option<String>,
@@ -213,11 +213,11 @@ pub struct StoredDef {
 /// solver work.
 ///
 /// Thread-safe: one index is shared across the workers of a batch run, and
-/// `rel-persist` snapshots carry it across processes.  Bounded like the
+/// the `rel-persist` cache file carries it across processes.  Bounded like the
 /// other memo layers: when the entry cap is reached the index is
 /// wholesale-cleared before insert (epoch eviction), so a long-running
 /// daemon fed a stream of distinct programs cannot grow it — or the
-/// snapshots that serialize it — without bound.
+/// compactions that serialize it — without bound.
 pub struct DefIndex {
     entries: Mutex<HashMap<u64, (u64, StoredDef)>>,
     max_entries: usize,
@@ -324,7 +324,7 @@ impl DefIndex {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Clones out every entry, sorted by hash (deterministic snapshots).
+    /// Clones out every entry, sorted by hash (deterministic compactions).
     pub fn export(&self) -> Vec<(u64, u64, StoredDef)> {
         let mut out: Vec<(u64, u64, StoredDef)> = self
             .entries
@@ -440,7 +440,7 @@ impl Engine {
     /// A stable fingerprint of every engine knob that can influence a
     /// verdict: the solver configuration, the system level, and the
     /// checker's cost model and heuristics.  Keys [`DefIndex`] input hashes
-    /// and `rel-persist` snapshot headers: verdicts recorded under one
+    /// and `rel-persist` cache-file headers: verdicts recorded under one
     /// fingerprint are never replayed under another.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::default();
@@ -688,12 +688,12 @@ const VERIFY_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// (~2⁻⁶⁴ at birthday scale for any feasible index size).  FNV is not
 /// collision-*resistant* against an adversary crafting sources, so a
 /// deployment checking hostile input at scale should upgrade this to a
-/// keyed hash with a per-snapshot secret — the two-stream structure is the
+/// keyed hash with a per-cache-file secret — the two-stream structure is the
 /// seam for it.
 ///
 /// Definitions are serialized via their `Debug` rendering — deterministic
 /// and total; `Debug`-identical definitions check identically by
-/// construction.  Cross-*version* stability is governed by the snapshot
+/// construction.  Cross-*version* stability is governed by the cache-file
 /// format version, not by this hash (see DESIGN.md §6).
 #[derive(Debug, Clone, Copy)]
 struct HashChain {

@@ -1,6 +1,6 @@
-//! The low-level byte codec of snapshot files.
+//! The low-level byte codec of cache-file frames.
 //!
-//! The workspace is offline (no serde), so snapshots use a hand-rolled
+//! The workspace is offline (no serde), so frames use a hand-rolled
 //! binary format: LEB128 varints for lengths, counts and tags, zigzag
 //! varints for signed numbers, and length-prefixed UTF-8 for strings.  The
 //! reader is total — every malformed input becomes a [`DecodeError`], never
@@ -30,7 +30,8 @@ fn err<T>(message: impl Into<String>) -> Result<T, DecodeError> {
 /// An append-only byte sink.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: Vec<u8>,
+    /// The bytes written so far (the frame layer patches headers in place).
+    pub(crate) buf: Vec<u8>,
 }
 
 impl Writer {

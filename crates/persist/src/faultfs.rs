@@ -1,14 +1,14 @@
 //! `FaultFs` — the file-system seam of the persistence layer.
 //!
-//! Everything `rel-persist` does to disk (snapshot reads, atomic
-//! temp+rename replaces, WAL appends and fsyncs, stale-tmp sweeps) goes
+//! Everything `rel-persist` does to disk (cache-file reads, atomic
+//! temp+rename compactions, appends and fsyncs, stale-tmp sweeps) goes
 //! through this trait.  Production uses [`RealFs`], a thin passthrough to
 //! `std::fs`.  Tests use [`FaultyFs`], an in-memory file system that
 //! injects the failures a real disk produces at the worst moments: short
 //! writes, `ENOSPC`, failing fsyncs, and — the important one — a simulated
 //! process kill at *every single operation* of a schedule, after which the
 //! test reopens the surviving bytes and asserts recovery holds the
-//! invariant (DESIGN.md §9.4).
+//! invariant (DESIGN.md §9.2).
 //!
 //! The faulty implementation models durability honestly: appended bytes are
 //! *volatile* until the file is synced, and a crash drops an arbitrary
@@ -58,8 +58,8 @@ pub trait FaultFs: Send + Sync + fmt::Debug {
 // Production passthrough
 // --------------------------------------------------------------------------
 
-/// The production [`FaultFs`]: `std::fs`, with the same atomic temp+rename
-/// dance [`Snapshot::save`](crate::Snapshot::save) has always used.
+/// The production [`FaultFs`]: `std::fs`, with an atomic temp+rename
+/// replace for compactions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RealFs;
 

@@ -1,43 +1,36 @@
 //! `rel-persist` — warm-start persistence for the BiRelCost pipeline.
 //!
-//! The PR-1 validity cache and the PR-2 compiled-program memo make *warm*
-//! checks dramatically cheaper than cold ones, but both lived only in
-//! process memory: every `birelcost check` and every daemon restart started
-//! cold.  This crate makes the warm state survive the process, the way
-//! modular relational verifiers reuse previously discharged obligations
-//! across runs: a [`Snapshot`] captures the validity cache, the program
-//! memo's keys and the engine's per-definition input hashes, serializes
-//! them with an in-tree binary codec (the workspace is offline — no serde),
-//! and verifies magic / format version / engine fingerprint / checksum
-//! before trusting anything read back.
-//!
-//! Since PR 7 the snapshot is the *floor*, not the whole story: [`wal`]
-//! layers an append-only verdict log (`rel-wal`) under it, so every cache
-//! store is durable the moment it happens instead of at the next timer
-//! flush.  Recovery replays `snapshot + WAL suffix` with torn-tail
-//! truncation, and compaction folds the log back into the snapshot through
-//! the same atomic temp+rename save.  All disk traffic goes through the
-//! [`faultfs::FaultFs`] seam — `std::fs` in production, an in-memory
-//! fault-injecting implementation in the crash-safety tests.
+//! The validity cache and the definition index make *warm* checks
+//! dramatically cheaper than cold ones, but both live in process memory.
+//! This crate makes that state survive the process, the way modular
+//! relational verifiers reuse previously discharged obligations across
+//! runs.  The state lives in one file, a verdict log ([`wal`]): every cache
+//! store appends a checksummed, engine-fingerprinted frame the moment it is
+//! memoized, and a compaction rewrites the file atomically as a compacted
+//! image of the live state followed by a marker.  Recovery is one replay of
+//! that file with torn-tail truncation, and replication ships the same
+//! compacted image as its full-state transfer.  Frames use an in-tree
+//! binary codec ([`codec`]; the workspace is offline — no serde).  All disk
+//! traffic goes through the [`faultfs::FaultFs`] seam — `std::fs` in
+//! production, an in-memory fault-injecting implementation in the
+//! crash-safety tests.
 //!
 //! Soundness is inherited from the caches being persisted: verdicts are pure
 //! functions of the query and the solver configuration (the fingerprint in
-//! the header and in every [`rel_constraint::QueryKey`]), so replaying them
-//! into a same-configuration process is exactly as sound as the in-memory
-//! memoization.  A snapshot that fails *any* validation is rejected whole —
-//! the caller warns and starts cold; a stale or corrupt cache file can slow
-//! a run down but never change a verdict.
+//! the header, in every frame and in every [`rel_constraint::QueryKey`]), so
+//! replaying them into a same-configuration process is exactly as sound as
+//! the in-memory memoization.  A file whose header fails validation is
+//! rejected whole — the caller warns and starts cold; a stale or corrupt
+//! cache file can slow a run down but never change a verdict.
 
 pub mod codec;
 pub mod faultfs;
-pub mod snapshot;
 pub mod wal;
 
 pub use codec::{DecodeError, Reader, Writer};
 pub use faultfs::{AppendFile, Fault, FaultFs, FaultScript, FaultyFs, RealFs, UnsyncedSurvival};
-pub use snapshot::{Snapshot, SnapshotError, FORMAT_VERSION, MAGIC};
 pub use wal::{
-    encode_frame, replay, sweep_stale_tmp, validate_frame, wal_path, FrameError, Recovery,
-    ReplayStats, Wal, WalLimits, WalRecord, WalReplay, WalStats, WalStore, MAX_RECORD_LEN,
-    WAL_MAGIC, WAL_VERSION,
+    compacted_image, encode_frame, replay, sweep_stale_tmp, validate_frame, validate_header,
+    FrameError, HeaderError, Recovery, ReplayStats, WalLimits, WalRecord, WalStats, WalStore,
+    MAX_RECORD_LEN, WAL_MAGIC, WAL_VERSION,
 };

@@ -1,19 +1,19 @@
-//! `rel-wal` — an append-only verdict log layered under the v2 snapshot.
+//! `rel-wal` — the cache file: one append-only, self-validating verdict
+//! log whose head is a compacted image of the warm state.
 //!
-//! The snapshot alone is a write-the-world file flushed on a timer: a crash
-//! loses everything memoized since the last flush.  The WAL closes that
-//! window.  Every cache store appends one self-validating frame, so the
-//! durable state is always `snapshot + WAL suffix`; recovery replays the
-//! suffix on top of the snapshot, and a size/record-count threshold folds
-//! the log back into a fresh snapshot (compaction) through the same atomic
-//! temp+rename save the snapshot layer has always used.
+//! Every cache store appends one frame, so a verdict is durable the moment
+//! it is memoized.  A compaction rewrites the whole file atomically (one
+//! temp+rename) as a header, one frame per live verdict and def, and a
+//! compaction marker; later appends land after the marker.  Recovery is
+//! one [`replay`] of one file, and the image a compaction writes is also
+//! what replication ships as its full-state transfer.
 //!
 //! ## File format
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"BRCW"
-//! 4       4     WAL format version (u32 LE)
+//! 4       4     format version (u32 LE)
 //! 8       8     engine fingerprint (u64 LE)
 //! 16      …     frames
 //! ```
@@ -27,9 +27,11 @@
 //! ```
 //!
 //! The payload is a tagged [`WalRecord`]: a verdict insert, a def-index
-//! update, or a compaction marker.
+//! update, or a compaction marker.  Payloads use the varint codec of
+//! [`crate::codec`]; the domain encoders for index terms, constraints,
+//! query keys and verdicts sit at the end of this module.
 //!
-//! ## Recovery policy (DESIGN.md §9.2)
+//! ## Recovery policy (DESIGN.md §9.1)
 //!
 //! * A **torn tail** — fewer bytes than one frame header claims — is the
 //!   *expected* state after a crash mid-append, never an error: replay
@@ -39,6 +41,9 @@
 //!   one record, not the log.
 //! * A frame carrying a different **engine fingerprint** is counted and
 //!   skipped: verdicts from another configuration must never replay.
+//! * A file whose **header** fails (not a cache file, another format
+//!   version, another engine) is rejected whole and replaced by an empty
+//!   image: the caller starts cold.
 //! * Replay **never panics** and never applies a record it could not fully
 //!   validate.  The invariant: recovered state ⊆ pre-crash state, and ⊇
 //!   the state at the last completed compaction.
@@ -48,20 +53,26 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use birelcost::StoredDef;
-use rel_constraint::{QueryKey, Validity};
+use rel_constraint::{Constr, Provenance, Quantified, QueryKey, Validity};
+use rel_index::{Extended, Idx, IdxEnv, IdxVar, Rational, Sort};
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{DecodeError, Reader, Writer};
 use crate::faultfs::{AppendFile, FaultFs};
-use crate::snapshot::{
-    read_query_key, read_validity, write_query_key, write_validity, Snapshot, SnapshotError,
-};
 
-/// The four magic bytes opening every WAL file.
+/// The four magic bytes opening every cache file.
 pub const WAL_MAGIC: [u8; 4] = *b"BRCW";
 
-/// The current WAL format version.  Bump on any change to the frame or
-/// payload encoding.
-pub const WAL_VERSION: u32 = 1;
+/// The current format version.  Bump on any change to the frame or payload
+/// encoding *or* to checking semantics that the engine fingerprint does not
+/// capture (the fingerprint covers configuration, not code).
+///
+/// Version history:
+/// * 1 — a log beside a separate snapshot file.
+/// * 2 — the cache file itself: a compacted image followed by appends.
+///   Also retires every verdict recorded before existentials were
+///   eliminated in the scope of their binders (version-1 logs can replay
+///   stale failures for programs that now check).
+pub const WAL_VERSION: u32 = 2;
 
 /// Bytes of the file header (magic + version + fingerprint).
 const WAL_HEADER_LEN: usize = 16;
@@ -73,6 +84,11 @@ const FRAME_HEADER_LEN: usize = 4 + 8 + 8;
 /// records are a few hundred bytes), and bounding it keeps a corrupt length
 /// from directing replay to skip gigabytes.
 pub const MAX_RECORD_LEN: u32 = 1 << 26;
+
+/// Nesting cap while decoding recursive terms: deeper input is corrupt (or
+/// adversarial) — real constraints nest a few dozen levels at most, and the
+/// cap turns a stack overflow into a clean decode error.
+const MAX_DEPTH: u32 = 1_000;
 
 /// One durable event in the log.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,11 +105,9 @@ pub enum WalRecord {
         /// The recorded verdict.
         def: StoredDef,
     },
-    /// A compaction marker: everything before this frame has been folded
-    /// into the snapshot.  Written as the first frame of a fresh log so a
-    /// recovered process can count completed compactions.
+    /// A compaction marker: the end of a compacted image.
     Compaction {
-        /// Records folded into the snapshot by this compaction.
+        /// Frames in the image ahead of this marker.
         folded: u64,
     },
 }
@@ -121,44 +135,57 @@ impl ReplayStats {
     }
 }
 
-/// Encodes one record's payload (without the frame header).
-fn encode_payload(record: &WalRecord) -> Vec<u8> {
-    let mut w = Writer::new();
+// --------------------------------------------------------------------------
+// Frames and headers
+// --------------------------------------------------------------------------
+
+fn write_record(w: &mut Writer, record: &WalRecord) {
     match record {
-        WalRecord::Verdict(key, verdict) => {
-            w.u8(0);
-            write_query_key(&mut w, key);
-            write_validity(&mut w, verdict);
-        }
+        WalRecord::Verdict(key, verdict) => write_verdict(w, key, verdict),
         WalRecord::Def {
             input_hash,
             verify_hash,
             def,
-        } => {
-            w.u8(1);
-            w.varint(*input_hash);
-            w.varint(*verify_hash);
-            w.str(&def.name);
-            w.u8(def.ok as u8);
-            w.u8(def.proved as u8);
-            match &def.error {
-                Some(e) => {
-                    w.u8(1);
-                    w.str(e);
-                }
-                None => w.u8(0),
-            }
-        }
+        } => write_def(w, *input_hash, *verify_hash, def),
         WalRecord::Compaction { folded } => {
             w.u8(2);
             w.varint(*folded);
         }
     }
-    w.into_bytes()
+}
+
+fn write_verdict(w: &mut Writer, key: &QueryKey, verdict: &Validity) {
+    w.u8(0);
+    write_query_key(w, key);
+    write_validity(w, verdict);
+}
+
+fn write_def(w: &mut Writer, input_hash: u64, verify_hash: u64, def: &StoredDef) {
+    w.u8(1);
+    w.varint(input_hash);
+    w.varint(verify_hash);
+    w.str(&def.name);
+    w.u8(def.ok as u8);
+    w.u8(def.proved as u8);
+    match &def.error {
+        Some(e) => {
+            w.u8(1);
+            w.str(e);
+        }
+        None => w.u8(0),
+    }
+}
+
+fn read_bool(r: &mut Reader<'_>) -> Result<bool, DecodeError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        b => Err(DecodeError(format!("bad bool byte {b}"))),
+    }
 }
 
 /// Decodes one record payload; any malformation is an error, never a panic.
-fn decode_payload(payload: &[u8]) -> Result<WalRecord, SnapshotError> {
+fn decode_payload(payload: &[u8]) -> Result<WalRecord, DecodeError> {
     let mut r = Reader::new(payload);
     let record = match r.u8()? {
         0 => {
@@ -166,45 +193,27 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, SnapshotError> {
             let verdict = read_validity(&mut r)?;
             WalRecord::Verdict(key, verdict)
         }
-        1 => {
-            let input_hash = r.varint()?;
-            let verify_hash = r.varint()?;
-            let name = r.str()?;
-            let ok = match r.u8()? {
-                0 => false,
-                1 => true,
-                b => return Err(SnapshotError::Corrupt(format!("bad bool byte {b}"))),
-            };
-            let proved = match r.u8()? {
-                0 => false,
-                1 => true,
-                b => return Err(SnapshotError::Corrupt(format!("bad bool byte {b}"))),
-            };
-            let error = match r.u8()? {
-                0 => None,
-                1 => Some(r.str()?),
-                b => return Err(SnapshotError::Corrupt(format!("bad option byte {b}"))),
-            };
-            WalRecord::Def {
-                input_hash,
-                verify_hash,
-                def: StoredDef {
-                    name,
-                    ok,
-                    proved,
-                    error,
+        1 => WalRecord::Def {
+            input_hash: r.varint()?,
+            verify_hash: r.varint()?,
+            def: StoredDef {
+                name: r.str()?,
+                ok: read_bool(&mut r)?,
+                proved: read_bool(&mut r)?,
+                error: match r.u8()? {
+                    0 => None,
+                    1 => Some(r.str()?),
+                    b => return Err(DecodeError(format!("bad option byte {b}"))),
                 },
-            }
-        }
+            },
+        },
         2 => WalRecord::Compaction {
             folded: r.varint()?,
         },
-        b => return Err(SnapshotError::Corrupt(format!("bad wal record tag {b}"))),
+        b => return Err(DecodeError(format!("bad wal record tag {b}"))),
     };
     if !r.is_exhausted() {
-        return Err(SnapshotError::Corrupt(
-            "trailing bytes after wal record".to_string(),
-        ));
+        return Err(DecodeError("trailing bytes after wal record".to_string()));
     }
     Ok(record)
 }
@@ -260,10 +269,11 @@ impl std::fmt::Display for FrameError {
 
 /// Validates the frame at the head of `bytes` against `fingerprint`,
 /// returning the decoded record and the bytes consumed.  This is the single
-/// validation path for both recovery ([`replay`]) and replication inbound:
-/// a frame is applied only if its length is sane, its checksum matches, its
-/// engine fingerprint is ours, and its payload decodes — otherwise it is
-/// rejected with a reason, never partially trusted.
+/// validation path for recovery ([`replay`]) and for replication inbound,
+/// frames and full-state transfers alike: a frame is applied only if its
+/// length is sane, its checksum matches, its engine fingerprint is ours,
+/// and its payload decodes — otherwise it is rejected with a reason, never
+/// partially trusted.
 pub fn validate_frame(bytes: &[u8], fingerprint: u64) -> Result<(WalRecord, usize), FrameError> {
     if bytes.len() < FRAME_HEADER_LEN {
         return Err(FrameError::Torn);
@@ -298,15 +308,26 @@ pub fn validate_frame(bytes: &[u8], fingerprint: u64) -> Result<(WalRecord, usiz
     }
 }
 
+/// Appends one frame to `w`: a header placeholder, the payload `body`
+/// writes, then the header patched with the payload's length and checksum.
+fn write_frame(w: &mut Writer, fingerprint: u64, body: impl FnOnce(&mut Writer)) {
+    let start = w.buf.len();
+    w.buf.resize(start + FRAME_HEADER_LEN, 0);
+    body(w);
+    let payload = &w.buf[start + FRAME_HEADER_LEN..];
+    let len = payload.len() as u32;
+    let checksum = frame_checksum(fingerprint, payload);
+    let header = &mut w.buf[start..start + FRAME_HEADER_LEN];
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..12].copy_from_slice(&checksum.to_le_bytes());
+    header[12..].copy_from_slice(&fingerprint.to_le_bytes());
+}
+
 /// Encodes one full frame: header + payload.
 pub fn encode_frame(fingerprint: u64, record: &WalRecord) -> Vec<u8> {
-    let payload = encode_payload(record);
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_checksum(fingerprint, &payload).to_le_bytes());
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    let mut w = Writer::new();
+    write_frame(&mut w, fingerprint, |w| write_record(w, record));
+    w.into_bytes()
 }
 
 /// FNV-1a over the fingerprint bytes followed by the payload: flipping
@@ -319,89 +340,182 @@ fn frame_checksum(fingerprint: u64, payload: &[u8]) -> u64 {
     h.finish()
 }
 
-/// The WAL file header for `fingerprint`.
-fn encode_header(fingerprint: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(WAL_HEADER_LEN);
-    out.extend_from_slice(&WAL_MAGIC);
-    out.extend_from_slice(&WAL_VERSION.to_le_bytes());
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out
+fn write_header(w: &mut Writer, fingerprint: u64) {
+    w.buf.extend_from_slice(&WAL_MAGIC);
+    w.buf.extend_from_slice(&WAL_VERSION.to_le_bytes());
+    w.buf.extend_from_slice(&fingerprint.to_le_bytes());
 }
 
-/// The outcome of replaying one WAL file.
+/// Why a file header was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HeaderError {
+    /// Shorter than a header: a crash during the very first header write.
+    Torn,
+    /// The file does not start with [`WAL_MAGIC`].
+    BadMagic,
+    /// The format version is not [`WAL_VERSION`].
+    Version(u32),
+    /// The file was written under another engine fingerprint.
+    Foreign(u64),
+}
+
+impl std::fmt::Display for HeaderError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HeaderError::Torn => write!(f, "torn header"),
+            HeaderError::BadMagic => write!(f, "not a cache file (bad magic)"),
+            HeaderError::Version(v) => {
+                write!(f, "unsupported format version {v} (expected {WAL_VERSION})")
+            }
+            HeaderError::Foreign(fp) => {
+                write!(f, "written under another engine fingerprint {fp:016x}")
+            }
+        }
+    }
+}
+
+/// Validates the file header at the start of `bytes`, returning the offset
+/// of the first frame.
+pub fn validate_header(bytes: &[u8], fingerprint: u64) -> Result<usize, HeaderError> {
+    if bytes.len() < WAL_HEADER_LEN {
+        return Err(HeaderError::Torn);
+    }
+    if bytes[..4] != WAL_MAGIC {
+        return Err(HeaderError::BadMagic);
+    }
+    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    if version != WAL_VERSION {
+        return Err(HeaderError::Version(version));
+    }
+    let header_fp = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    if header_fp != fingerprint {
+        return Err(HeaderError::Foreign(header_fp));
+    }
+    Ok(WAL_HEADER_LEN)
+}
+
+/// The compacted image of a warm state: header, one frame per verdict and
+/// def, then a [`WalRecord::Compaction`] marker counting those frames.  A
+/// compaction writes exactly these bytes; replication ships them as its
+/// full-state transfer.
+pub fn compacted_image(
+    fingerprint: u64,
+    verdicts: &[(QueryKey, Validity)],
+    defs: &[(u64, u64, StoredDef)],
+) -> Vec<u8> {
+    let mut w = Writer::new();
+    write_header(&mut w, fingerprint);
+    for (key, verdict) in verdicts {
+        write_frame(&mut w, fingerprint, |w| write_verdict(w, key, verdict));
+    }
+    for (input_hash, verify_hash, def) in defs {
+        write_frame(&mut w, fingerprint, |w| {
+            write_def(w, *input_hash, *verify_hash, def)
+        });
+    }
+    let folded = (verdicts.len() + defs.len()) as u64;
+    write_frame(&mut w, fingerprint, |w| {
+        write_record(w, &WalRecord::Compaction { folded })
+    });
+    w.into_bytes()
+}
+
+// --------------------------------------------------------------------------
+// Replay
+// --------------------------------------------------------------------------
+
+/// What one replay of the cache file recovered.
 #[derive(Debug, Default)]
-pub struct WalReplay {
-    /// Fully validated records, in append order (markers included).
+pub struct Recovery {
+    /// Fully validated records, in file order (markers included).
     pub records: Vec<WalRecord>,
-    /// What replay saw along the way.
+    /// Index into `records` where the live suffix starts: everything before
+    /// it belongs to a compacted image (through its marker).
+    pub suffix_start: usize,
+    /// Replay counters.
     pub stats: ReplayStats,
-    /// Human-readable reasons the log (or parts of it) was rejected.
+    /// Why anything was rejected (the caller surfaces these and proceeds).
     pub warnings: Vec<String>,
-    /// Whether the whole log was rejected (bad header: not a WAL, wrong
-    /// version, or a different engine's fingerprint).  The caller starts
-    /// from the snapshot alone and resets the log.
+    /// Whether the whole file was rejected (bad header: not a cache file,
+    /// wrong version, or a different engine's fingerprint).  The caller
+    /// starts cold and the file is replaced.
     pub header_rejected: bool,
+    /// Stale temp files swept from the cache directory.
+    pub reaped_tmp: u64,
+    /// Bytes in the file.
+    file_len: u64,
+    /// Bytes the walk framed; less than `file_len` when it stopped at a
+    /// torn or unframeable tail.
+    framed_len: u64,
+    /// Bytes after the last compaction marker.
+    suffix_bytes: u64,
 }
 
-/// Replays the WAL at `path`, tolerating a torn tail and skipping — never
-/// replaying — frames that fail checksum, fingerprint or decode validation.
-/// A missing file is an empty log.
-pub fn replay(fs: &dyn FaultFs, path: &Path, fingerprint: u64) -> WalReplay {
+impl Recovery {
+    /// The records appended after the last compaction.
+    pub fn suffix(&self) -> &[WalRecord] {
+        &self.records[self.suffix_start..]
+    }
+
+    /// Whether the caller should compact right away: the file carries
+    /// appends after its image (folding them bounds the next replay) or had
+    /// anomalies (rewriting drops a torn or corrupt tail so later appends
+    /// are never shadowed by garbage).
+    pub fn should_compact(&self) -> bool {
+        !self.suffix().is_empty() || self.stats.anomalies() > 0
+    }
+}
+
+/// Replays the cache file at `path`, tolerating a torn tail and skipping —
+/// never replaying — frames that fail checksum, fingerprint or decode
+/// validation.  A missing file is an empty log.
+pub fn replay(fs: &dyn FaultFs, path: &Path, fingerprint: u64) -> Recovery {
     let _span = rel_obs::span("persist.wal.replay");
-    let mut out = WalReplay::default();
+    let mut out = Recovery::default();
     let bytes = match fs.read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return out,
         Err(e) => {
-            out.warnings.push(format!("cannot read wal: {e}"));
+            out.warnings
+                .push(format!("cannot read cache file {}: {e}", path.display()));
             out.header_rejected = true;
             return out;
         }
     };
+    out.file_len = bytes.len() as u64;
     if bytes.is_empty() {
         return out; // freshly created, header not yet written
     }
-    if bytes.len() < WAL_HEADER_LEN {
-        // A crash during the very first header write: treat as empty.
-        out.stats.truncated_tail = 1;
-        out.warnings
-            .push("torn wal header; starting fresh".to_string());
-        return out;
-    }
-    if bytes[..4] != WAL_MAGIC {
-        out.warnings.push("not a wal file (bad magic)".to_string());
-        out.header_rejected = true;
-        return out;
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != WAL_VERSION {
-        out.warnings
-            .push(format!("unsupported wal version {version}"));
-        out.header_rejected = true;
-        return out;
-    }
-    let header_fp = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    if header_fp != fingerprint {
-        out.warnings.push(format!(
-            "wal was written under engine fingerprint {header_fp:016x}, this engine is \
-             {fingerprint:016x}"
-        ));
-        out.header_rejected = true;
-        return out;
-    }
+    let mut pos = match validate_header(&bytes, fingerprint) {
+        Ok(first_frame) => first_frame,
+        Err(HeaderError::Torn) => {
+            out.stats.truncated_tail = 1;
+            out.warnings
+                .push("torn wal header; starting fresh".to_string());
+            return out;
+        }
+        Err(e) => {
+            out.warnings
+                .push(format!("ignoring cache file {}: {e}", path.display()));
+            out.header_rejected = true;
+            return out;
+        }
+    };
 
-    let mut pos = WAL_HEADER_LEN;
+    let mut suffix_from = pos;
     while pos < bytes.len() {
         match validate_frame(&bytes[pos..], fingerprint) {
-            Ok((WalRecord::Compaction { folded }, used)) => {
-                out.stats.compaction_markers += 1;
-                out.records.push(WalRecord::Compaction { folded });
-                pos += used;
-            }
             Ok((record, used)) => {
-                out.stats.replayed += 1;
-                out.records.push(record);
                 pos += used;
+                let marker = matches!(record, WalRecord::Compaction { .. });
+                out.records.push(record);
+                if marker {
+                    out.stats.compaction_markers += 1;
+                    out.suffix_start = out.records.len();
+                    suffix_from = pos;
+                } else {
+                    out.stats.replayed += 1;
+                }
             }
             Err(FrameError::Torn) => {
                 let remaining = bytes.len() - pos;
@@ -416,7 +530,7 @@ pub fn replay(fs: &dyn FaultFs, path: &Path, fingerprint: u64) -> WalReplay {
                 // after it can be framed, so the rest of the log is dropped.
                 out.stats.corrupt_skipped += 1;
                 out.warnings.push(format!(
-                    "absurd frame length {len} at offset {pos}; tail dropped"
+                    "absurd wal frame length {len} at offset {pos}; tail dropped"
                 ));
                 break;
             }
@@ -436,6 +550,8 @@ pub fn replay(fs: &dyn FaultFs, path: &Path, fingerprint: u64) -> WalReplay {
             }
         }
     }
+    out.framed_len = pos as u64;
+    out.suffix_bytes = (bytes.len() - suffix_from) as u64;
 
     rel_obs::counter!("wal.replayed").add(out.stats.replayed);
     rel_obs::counter!("wal.truncated_tails").add(out.stats.truncated_tail);
@@ -444,137 +560,17 @@ pub fn replay(fs: &dyn FaultFs, path: &Path, fingerprint: u64) -> WalReplay {
     out
 }
 
-/// An open, appendable WAL.
-pub struct Wal {
-    fs: Arc<dyn FaultFs>,
-    path: PathBuf,
-    fingerprint: u64,
-    /// Lazily opened append handle; dropped (and reopened) across resets,
-    /// because a reset replaces the file under any existing handle.
-    file: Option<Box<dyn AppendFile>>,
-    /// Current file size in bytes (header included once written).
-    bytes: u64,
-    /// Records currently in the log (replayed + appended this session).
-    records: u64,
-    /// Session append counter.
-    appends: u64,
-    /// Appends that failed (the verdict stayed in memory; durability for it
-    /// waits for the next compaction).
-    append_errors: u64,
-    /// Set when an append failed: the file may end in a torn frame, and a
-    /// frame appended after that garbage would be unreachable to replay
-    /// (framing stops at the tear).  Refuse appends until [`Wal::reset`]
-    /// rewrites the file whole.
-    tail_poisoned: bool,
-}
+// --------------------------------------------------------------------------
+// The store
+// --------------------------------------------------------------------------
 
-impl std::fmt::Debug for Wal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Wal")
-            .field("path", &self.path)
-            .field("bytes", &self.bytes)
-            .field("records", &self.records)
-            .field("appends", &self.appends)
-            .finish()
-    }
-}
-
-impl Wal {
-    /// Opens the log for appending after a [`replay`] pass.  `records` and
-    /// `bytes` describe what the replay found (so thresholds account for
-    /// the existing suffix).
-    fn resume(fs: Arc<dyn FaultFs>, path: PathBuf, fingerprint: u64, records: u64) -> Wal {
-        let bytes = fs.read(&path).map(|b| b.len() as u64).unwrap_or(0);
-        Wal {
-            fs,
-            path,
-            fingerprint,
-            file: None,
-            bytes,
-            records,
-            appends: 0,
-            append_errors: 0,
-            tail_poisoned: false,
-        }
-    }
-
-    fn ensure_open(&mut self) -> io::Result<&mut Box<dyn AppendFile>> {
-        if self.file.is_none() {
-            let mut file = self.fs.open_append(&self.path)?;
-            if self.bytes == 0 {
-                let header = encode_header(self.fingerprint);
-                file.append(&header)?;
-                file.sync()?;
-                self.bytes = header.len() as u64;
-            }
-            self.file = Some(file);
-        }
-        Ok(self.file.as_mut().expect("opened above"))
-    }
-
-    /// Appends one record durably (write + fsync).  On failure the frame
-    /// may sit torn at the tail; replay truncates it, and the log refuses
-    /// further appends (`tail_poisoned`) until the next compaction rewrites
-    /// the file — a frame written after torn garbage would be unreachable,
-    /// which reads as durable but is not.
-    pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        if self.tail_poisoned {
-            self.append_errors += 1;
-            rel_obs::counter!("wal.append_errors").incr();
-            return Err(io::Error::other(
-                "wal tail is torn by an earlier failed append; awaiting compaction",
-            ));
-        }
-        let frame = encode_frame(self.fingerprint, record);
-        let result = (|| {
-            let file = self.ensure_open()?;
-            file.append(&frame)?;
-            file.sync()
-        })();
-        match result {
-            Ok(()) => {
-                self.bytes += frame.len() as u64;
-                self.records += 1;
-                self.appends += 1;
-                rel_obs::counter!("wal.appends").incr();
-                Ok(())
-            }
-            Err(e) => {
-                self.append_errors += 1;
-                self.tail_poisoned = true;
-                self.file = None;
-                rel_obs::counter!("wal.append_errors").incr();
-                Err(e)
-            }
-        }
-    }
-
-    /// Truncates the log to a fresh header plus one compaction marker,
-    /// atomically (temp + rename).  Called after the state has been folded
-    /// into a snapshot; a crash before the rename leaves the full log —
-    /// replaying it on top of the new snapshot is idempotent.
-    pub fn reset(&mut self, folded: u64) -> io::Result<()> {
-        let mut content = encode_header(self.fingerprint);
-        content.extend_from_slice(&encode_frame(
-            self.fingerprint,
-            &WalRecord::Compaction { folded },
-        ));
-        self.fs.write_atomic(&self.path, &content)?;
-        self.file = None; // stale handle points at the replaced file
-        self.bytes = content.len() as u64;
-        self.records = 1; // the marker
-        self.tail_poisoned = false; // the file is whole again
-        Ok(())
-    }
-}
-
-/// Compaction thresholds: when the log outgrows either bound, the next
-/// check folds it into the snapshot.
+/// Compaction thresholds over the suffix appended since the last
+/// compaction: when it outgrows either bound, the next check compacts.
 #[derive(Debug, Clone, Copy)]
 pub struct WalLimits {
-    /// Compact when the log exceeds this many bytes.
+    /// Compact when the suffix exceeds this many bytes.
     pub max_bytes: u64,
-    /// Compact when the log holds this many records.
+    /// Compact when the suffix holds more than this many records.
     pub max_records: u64,
 }
 
@@ -595,9 +591,9 @@ pub struct WalStats {
     pub appends: u64,
     /// Appends that failed (state stays in memory until compaction).
     pub append_errors: u64,
-    /// Records currently in the log.
+    /// Records appended after the last compaction.
     pub records: u64,
-    /// Current log size in bytes.
+    /// Current file size in bytes, compacted image included.
     pub bytes: u64,
     /// Compactions completed this session.
     pub compactions: u64,
@@ -614,54 +610,6 @@ pub struct WalStats {
     /// 1 when the tail is poisoned by a failed append: the log refuses
     /// further appends until the next compaction rewrites it whole.
     pub poisoned: u64,
-}
-
-/// What [`WalStore::open`] recovered from disk.
-#[derive(Debug, Default)]
-pub struct Recovery {
-    /// The snapshot, when one loaded cleanly.
-    pub snapshot: Option<Snapshot>,
-    /// Validated WAL records to replay on top of it, in append order.
-    pub records: Vec<WalRecord>,
-    /// Replay counters.
-    pub stats: ReplayStats,
-    /// Why anything was rejected (the caller surfaces these and proceeds).
-    pub warnings: Vec<String>,
-    /// Stale temp files swept from the snapshot directory.
-    pub reaped_tmp: u64,
-}
-
-impl Recovery {
-    /// Whether the caller should fold the recovered state into a fresh
-    /// snapshot right away: there are live suffix records (bounding the
-    /// next replay) or the log had anomalies (rewriting drops a torn or
-    /// corrupt tail so later appends are never shadowed by garbage).
-    pub fn should_compact(&self) -> bool {
-        self.stats.replayed > 0 || self.stats.anomalies() > 0
-    }
-}
-
-/// The snapshot + WAL pair under one cache path: `<path>` is the snapshot,
-/// `<path>.wal` the log.
-#[derive(Debug)]
-pub struct WalStore {
-    fs: Arc<dyn FaultFs>,
-    snapshot_path: PathBuf,
-    wal: Wal,
-    limits: WalLimits,
-    compactions: u64,
-    replay: ReplayStats,
-    reaped_tmp: u64,
-}
-
-/// The log path for a snapshot path: `cache.birelcost` → `cache.birelcost.wal`.
-pub fn wal_path(snapshot_path: &Path) -> PathBuf {
-    let mut name = snapshot_path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(".wal");
-    snapshot_path.with_file_name(name)
 }
 
 /// Sweeps stale `<name>.tmp.<pid>.<seq>` siblings left by a crash mid-save.
@@ -688,77 +636,95 @@ pub fn sweep_stale_tmp(fs: &dyn FaultFs, target: &Path) -> u64 {
     reaped
 }
 
+/// The open cache file: appends frames, compacts, and counts.
+pub struct WalStore {
+    fs: Arc<dyn FaultFs>,
+    path: PathBuf,
+    fingerprint: u64,
+    limits: WalLimits,
+    /// Lazily opened append handle; dropped (and reopened) across
+    /// compactions, because a compaction replaces the file under it.
+    file: Option<Box<dyn AppendFile>>,
+    /// Current file size in bytes (0 until a header is written).
+    bytes: u64,
+    /// Records and bytes after the last compaction marker: what the
+    /// [`WalLimits`] bound.
+    suffix_records: u64,
+    suffix_bytes: u64,
+    /// Session append counter.
+    appends: u64,
+    /// Appends that failed (the verdict stayed in memory; durability for it
+    /// waits for the next compaction).
+    append_errors: u64,
+    /// Set when the file may end in a torn frame — an append failed, or
+    /// replay stopped before the end of the file.  A frame appended after
+    /// that garbage would be unreachable to replay (framing stops at the
+    /// tear), so appends are refused until a compaction rewrites the file.
+    tail_poisoned: bool,
+    compactions: u64,
+    replay: ReplayStats,
+    reaped_tmp: u64,
+}
+
+impl std::fmt::Debug for WalStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WalStore")
+            .field("path", &self.path)
+            .field("bytes", &self.bytes)
+            .field("suffix_records", &self.suffix_records)
+            .field("appends", &self.appends)
+            .finish()
+    }
+}
+
 impl WalStore {
-    /// Opens (or creates) the snapshot + WAL pair and recovers whatever
-    /// validates: stale temp files are swept, the snapshot is loaded if it
-    /// verifies, and the log suffix is replayed with torn-tail truncation.
-    /// Nothing here fails the caller — every rejection degrades to a
-    /// warning and less recovered state, because a bad cache can slow a
-    /// process down but must never stop it.
+    /// Opens (or creates) the cache file and recovers whatever validates:
+    /// stale temp files are swept and the file is replayed with torn-tail
+    /// truncation.  Nothing here fails the caller — every rejection
+    /// degrades to a warning and less recovered state, because a bad cache
+    /// can slow a process down but must never stop it.
     pub fn open(
         fs: Arc<dyn FaultFs>,
-        snapshot_path: impl Into<PathBuf>,
+        path: impl Into<PathBuf>,
         fingerprint: u64,
         limits: WalLimits,
     ) -> (WalStore, Recovery) {
-        let snapshot_path = snapshot_path.into();
-        let log_path = wal_path(&snapshot_path);
-        let mut recovery = Recovery {
-            reaped_tmp: sweep_stale_tmp(fs.as_ref(), &snapshot_path)
-                + sweep_stale_tmp(fs.as_ref(), &log_path),
-            ..Recovery::default()
-        };
-
-        match Snapshot::load_with(fs.as_ref(), &snapshot_path, fingerprint) {
-            Ok(snapshot) => recovery.snapshot = snapshot,
-            Err(e) => recovery.warnings.push(format!(
-                "ignoring cache file {}: {e}",
-                snapshot_path.display()
-            )),
-        }
-
-        let mut replayed = replay(fs.as_ref(), &log_path, fingerprint);
-        recovery.records = std::mem::take(&mut replayed.records);
-        recovery.stats = replayed.stats;
-        recovery
-            .warnings
-            .extend(replayed.warnings.iter().map(|w| format!("wal: {w}")));
-
-        let records = if replayed.header_rejected {
-            0
-        } else {
-            recovery.stats.replayed + recovery.stats.compaction_markers
-        };
-        let mut wal = Wal::resume(Arc::clone(&fs), log_path, fingerprint, records);
-        if replayed.header_rejected {
-            // A foreign or garbled log can never be appended to; replace it
-            // with a fresh header so this session's appends are replayable.
-            wal.bytes = 0;
-            if let Err(e) = wal.reset(0) {
-                recovery
-                    .warnings
-                    .push(format!("cannot reset rejected wal: {e}"));
-            } else {
-                wal.records = 1;
-            }
-        }
-
-        let store = WalStore {
+        let path = path.into();
+        let reaped_tmp = sweep_stale_tmp(fs.as_ref(), &path);
+        let mut recovery = replay(fs.as_ref(), &path, fingerprint);
+        recovery.reaped_tmp = reaped_tmp;
+        let mut store = WalStore {
             fs,
-            snapshot_path,
-            wal,
+            path,
+            fingerprint,
             limits,
+            file: None,
+            bytes: recovery.file_len,
+            suffix_records: recovery.suffix().len() as u64,
+            suffix_bytes: recovery.suffix_bytes,
+            appends: 0,
+            append_errors: 0,
+            tail_poisoned: recovery.framed_len < recovery.file_len,
             compactions: 0,
             replay: recovery.stats,
-            reaped_tmp: recovery.reaped_tmp,
+            reaped_tmp,
         };
+        if recovery.header_rejected {
+            // A foreign or garbled file can never be appended to; replace it
+            // with an empty image so this session's appends are replayable.
+            if let Err(e) = store.write_image(&compacted_image(fingerprint, &[], &[])) {
+                recovery
+                    .warnings
+                    .push(format!("cannot reset rejected cache file: {e}"));
+                store.tail_poisoned = true;
+            }
+        }
         (store, recovery)
     }
 
     /// Appends one verdict insert.
     pub fn append_verdict(&mut self, key: &QueryKey, verdict: &Validity) -> io::Result<()> {
-        self.wal
-            .append(&WalRecord::Verdict(key.clone(), verdict.clone()))
+        self.append(|w| write_verdict(w, key, verdict))
     }
 
     /// Appends one def-index update.
@@ -768,56 +734,399 @@ impl WalStore {
         verify_hash: u64,
         def: &StoredDef,
     ) -> io::Result<()> {
-        self.wal.append(&WalRecord::Def {
-            input_hash,
-            verify_hash,
-            def: def.clone(),
-        })
+        self.append(|w| write_def(w, input_hash, verify_hash, def))
     }
 
-    /// Whether the log has outgrown its compaction thresholds, or can no
-    /// longer accept appends (torn tail after a failed one) — either way
-    /// the caller should compact soon.
+    /// Appends one record durably (write + fsync), writing the header first
+    /// into a fresh file.  On failure the frame may sit torn at the tail;
+    /// replay truncates it, and the store refuses further appends until the
+    /// next compaction rewrites the file — a frame written after torn
+    /// garbage would be unreachable, which reads as durable but is not.
+    fn append(&mut self, payload: impl FnOnce(&mut Writer)) -> io::Result<()> {
+        if self.tail_poisoned {
+            self.append_errors += 1;
+            rel_obs::counter!("wal.append_errors").incr();
+            return Err(io::Error::other(
+                "wal tail is torn by an earlier failed append; awaiting compaction",
+            ));
+        }
+        let mut w = Writer::new();
+        if self.bytes == 0 {
+            write_header(&mut w, self.fingerprint);
+        }
+        let header_len = w.buf.len() as u64;
+        write_frame(&mut w, self.fingerprint, payload);
+        let bytes = w.into_bytes();
+        let result = (|| {
+            if self.file.is_none() {
+                self.file = Some(self.fs.open_append(&self.path)?);
+            }
+            let file = self.file.as_mut().expect("opened above");
+            file.append(&bytes)?;
+            file.sync()
+        })();
+        match result {
+            Ok(()) => {
+                self.bytes += bytes.len() as u64;
+                self.suffix_bytes += bytes.len() as u64 - header_len;
+                self.suffix_records += 1;
+                self.appends += 1;
+                rel_obs::counter!("wal.appends").incr();
+                Ok(())
+            }
+            Err(e) => {
+                self.append_errors += 1;
+                self.tail_poisoned = true;
+                self.file = None;
+                rel_obs::counter!("wal.append_errors").incr();
+                Err(e)
+            }
+        }
+    }
+
+    /// Whether the suffix has outgrown its compaction thresholds, or the
+    /// file can no longer accept appends (torn tail) — either way the
+    /// caller should compact soon.
     pub fn needs_compaction(&self) -> bool {
-        self.wal.bytes > self.limits.max_bytes
-            || self.wal.records > self.limits.max_records
-            || self.wal.tail_poisoned
+        self.suffix_bytes > self.limits.max_bytes
+            || self.suffix_records > self.limits.max_records
+            || self.tail_poisoned
     }
 
-    /// Folds the log into `snapshot`: saves it atomically, then truncates
-    /// the log to a fresh header + compaction marker.  Crash-ordering: the
-    /// snapshot lands *before* the truncation, so a crash between the two
-    /// replays the old suffix on top of the new snapshot — a no-op by
-    /// idempotence, never a loss.
-    pub fn compact(&mut self, snapshot: &Snapshot) -> io::Result<()> {
-        let _span = rel_obs::span_with("persist.wal.compact", self.wal.records);
-        let folded = self.wal.records;
-        snapshot.save_with(self.fs.as_ref(), &self.snapshot_path)?;
-        self.wal.reset(folded)?;
+    /// Rewrites the file as the compacted image of `verdicts` and `defs`, in
+    /// one atomic replace: a crash leaves either the old file (image +
+    /// suffix) or the new image, never a mixture, and both replay to a
+    /// superset of the state at the previous compaction.
+    pub fn compact(
+        &mut self,
+        verdicts: &[(QueryKey, Validity)],
+        defs: &[(u64, u64, StoredDef)],
+    ) -> io::Result<()> {
+        let _span = rel_obs::span_with("persist.wal.compact", self.suffix_records);
+        self.write_image(&compacted_image(self.fingerprint, verdicts, defs))?;
         self.compactions += 1;
         rel_obs::counter!("wal.compactions").incr();
         Ok(())
     }
 
-    /// The snapshot file this store compacts into.
-    pub fn snapshot_path(&self) -> &Path {
-        &self.snapshot_path
+    fn write_image(&mut self, image: &[u8]) -> io::Result<()> {
+        self.fs.write_atomic(&self.path, image)?;
+        self.file = None; // stale handle points at the replaced file
+        self.bytes = image.len() as u64;
+        self.suffix_records = 0;
+        self.suffix_bytes = 0;
+        self.tail_poisoned = false; // the file is whole again
+        Ok(())
+    }
+
+    /// The cache file.
+    pub fn path(&self) -> &Path {
+        &self.path
     }
 
     /// Current counters.
     pub fn stats(&self) -> WalStats {
         WalStats {
-            appends: self.wal.appends,
-            append_errors: self.wal.append_errors,
-            records: self.wal.records,
-            bytes: self.wal.bytes,
+            appends: self.appends,
+            append_errors: self.append_errors,
+            records: self.suffix_records,
+            bytes: self.bytes,
             compactions: self.compactions,
             replayed: self.replay.replayed,
             truncated_tails: self.replay.truncated_tail,
             corrupt_skipped: self.replay.corrupt_skipped,
             fingerprint_rejected: self.replay.fingerprint_rejected,
             tmp_reaped: self.reaped_tmp,
-            poisoned: self.wal.tail_poisoned as u64,
+            poisoned: self.tail_poisoned as u64,
         }
     }
+}
+
+// --------------------------------------------------------------------------
+// Domain-type encoders/decoders
+// --------------------------------------------------------------------------
+
+fn sort_tag(sort: Sort) -> u8 {
+    match sort {
+        Sort::Nat => 0,
+        Sort::Real => 1,
+    }
+}
+
+fn read_sort(r: &mut Reader<'_>) -> Result<Sort, DecodeError> {
+    match r.u8()? {
+        0 => Ok(Sort::Nat),
+        1 => Ok(Sort::Real),
+        b => Err(DecodeError(format!("bad sort tag {b}"))),
+    }
+}
+
+fn write_universals(w: &mut Writer, universals: &[(IdxVar, Sort)]) {
+    w.write_len(universals.len());
+    for (v, s) in universals {
+        w.str(v.name());
+        w.u8(sort_tag(*s));
+    }
+}
+
+fn read_universals(r: &mut Reader<'_>) -> Result<Vec<(IdxVar, Sort)>, DecodeError> {
+    let mut out = Vec::new();
+    for _ in 0..r.read_len()? {
+        let name = r.str()?;
+        let sort = read_sort(r)?;
+        out.push((IdxVar::new(name), sort));
+    }
+    Ok(out)
+}
+
+fn write_rational(w: &mut Writer, q: Rational) {
+    w.zigzag(q.numerator());
+    w.varint(q.denominator() as u64);
+}
+
+fn read_rational(r: &mut Reader<'_>) -> Result<Rational, DecodeError> {
+    let num = r.zigzag()?;
+    let den = r.varint()?;
+    let den = i64::try_from(den)
+        .ok()
+        .filter(|d| *d > 0)
+        .ok_or_else(|| DecodeError(format!("bad rational denominator {den}")))?;
+    Ok(Rational::new(num, den))
+}
+
+fn write_extended(w: &mut Writer, e: Extended) {
+    match e {
+        Extended::Finite(q) => {
+            w.u8(0);
+            write_rational(w, q);
+        }
+        Extended::Infinity => w.u8(1),
+    }
+}
+
+fn read_extended(r: &mut Reader<'_>) -> Result<Extended, DecodeError> {
+    match r.u8()? {
+        0 => Ok(Extended::Finite(read_rational(r)?)),
+        1 => Ok(Extended::Infinity),
+        b => Err(DecodeError(format!("bad extended tag {b}"))),
+    }
+}
+
+fn write_idx(w: &mut Writer, idx: &Idx) {
+    match idx {
+        Idx::Var(v) => {
+            w.u8(0);
+            w.str(v.name());
+        }
+        Idx::Const(q) => {
+            w.u8(1);
+            write_rational(w, *q);
+        }
+        Idx::Infty => w.u8(2),
+        Idx::Add(a, b) => write_idx2(w, 3, a, b),
+        Idx::Sub(a, b) => write_idx2(w, 4, a, b),
+        Idx::Mul(a, b) => write_idx2(w, 5, a, b),
+        Idx::Div(a, b) => write_idx2(w, 6, a, b),
+        Idx::Ceil(a) => write_idx1(w, 7, a),
+        Idx::Floor(a) => write_idx1(w, 8, a),
+        Idx::Min(a, b) => write_idx2(w, 9, a, b),
+        Idx::Max(a, b) => write_idx2(w, 10, a, b),
+        Idx::Log2(a) => write_idx1(w, 11, a),
+        Idx::Pow2(a) => write_idx1(w, 12, a),
+        Idx::Sum { var, lo, hi, body } => {
+            w.u8(13);
+            w.str(var.name());
+            write_idx(w, lo);
+            write_idx(w, hi);
+            write_idx(w, body);
+        }
+    }
+}
+
+fn write_idx1(w: &mut Writer, tag: u8, a: &Idx) {
+    w.u8(tag);
+    write_idx(w, a);
+}
+
+fn write_idx2(w: &mut Writer, tag: u8, a: &Idx, b: &Idx) {
+    w.u8(tag);
+    write_idx(w, a);
+    write_idx(w, b);
+}
+
+fn read_idx(r: &mut Reader<'_>, depth: u32) -> Result<Idx, DecodeError> {
+    if depth == 0 {
+        return Err(DecodeError("index term nests too deeply".to_string()));
+    }
+    let d = depth - 1;
+    Ok(match r.u8()? {
+        0 => Idx::Var(IdxVar::new(r.str()?)),
+        1 => Idx::Const(read_rational(r)?),
+        2 => Idx::Infty,
+        3 => Idx::Add(read_bidx(r, d)?, read_bidx(r, d)?),
+        4 => Idx::Sub(read_bidx(r, d)?, read_bidx(r, d)?),
+        5 => Idx::Mul(read_bidx(r, d)?, read_bidx(r, d)?),
+        6 => Idx::Div(read_bidx(r, d)?, read_bidx(r, d)?),
+        7 => Idx::Ceil(read_bidx(r, d)?),
+        8 => Idx::Floor(read_bidx(r, d)?),
+        9 => Idx::Min(read_bidx(r, d)?, read_bidx(r, d)?),
+        10 => Idx::Max(read_bidx(r, d)?, read_bidx(r, d)?),
+        11 => Idx::Log2(read_bidx(r, d)?),
+        12 => Idx::Pow2(read_bidx(r, d)?),
+        13 => {
+            let var = IdxVar::new(r.str()?);
+            let lo = read_bidx(r, d)?;
+            let hi = read_bidx(r, d)?;
+            let body = read_bidx(r, d)?;
+            Idx::Sum { var, lo, hi, body }
+        }
+        b => return Err(DecodeError(format!("bad index tag {b}"))),
+    })
+}
+
+fn read_bidx(r: &mut Reader<'_>, depth: u32) -> Result<Box<Idx>, DecodeError> {
+    read_idx(r, depth).map(Box::new)
+}
+
+fn write_constr(w: &mut Writer, c: &Constr) {
+    match c {
+        Constr::Top => w.u8(0),
+        Constr::Bot => w.u8(1),
+        Constr::Eq(a, b) => write_cmp(w, 2, a, b),
+        Constr::Leq(a, b) => write_cmp(w, 3, a, b),
+        Constr::Lt(a, b) => write_cmp(w, 4, a, b),
+        Constr::And(cs) => write_conn(w, 5, cs),
+        Constr::Or(cs) => write_conn(w, 6, cs),
+        Constr::Not(c) => {
+            w.u8(7);
+            write_constr(w, c);
+        }
+        Constr::Implies(a, b) => {
+            w.u8(8);
+            write_constr(w, a);
+            write_constr(w, b);
+        }
+        Constr::Forall(q, c) => write_quant(w, 9, q, c),
+        Constr::Exists(q, c) => write_quant(w, 10, q, c),
+    }
+}
+
+fn write_cmp(w: &mut Writer, tag: u8, a: &Idx, b: &Idx) {
+    w.u8(tag);
+    write_idx(w, a);
+    write_idx(w, b);
+}
+
+fn write_conn(w: &mut Writer, tag: u8, cs: &[Constr]) {
+    w.u8(tag);
+    w.write_len(cs.len());
+    for c in cs {
+        write_constr(w, c);
+    }
+}
+
+fn write_quant(w: &mut Writer, tag: u8, q: &Quantified, c: &Constr) {
+    w.u8(tag);
+    w.str(q.var.name());
+    w.u8(sort_tag(q.sort));
+    write_constr(w, c);
+}
+
+fn read_constr(r: &mut Reader<'_>, depth: u32) -> Result<Constr, DecodeError> {
+    if depth == 0 {
+        return Err(DecodeError("constraint nests too deeply".to_string()));
+    }
+    let d = depth - 1;
+    Ok(match r.u8()? {
+        0 => Constr::Top,
+        1 => Constr::Bot,
+        2 => Constr::Eq(read_idx(r, d)?, read_idx(r, d)?),
+        3 => Constr::Leq(read_idx(r, d)?, read_idx(r, d)?),
+        4 => Constr::Lt(read_idx(r, d)?, read_idx(r, d)?),
+        5 => Constr::And(read_constr_vec(r, d)?),
+        6 => Constr::Or(read_constr_vec(r, d)?),
+        7 => Constr::Not(Box::new(read_constr(r, d)?)),
+        8 => Constr::Implies(Box::new(read_constr(r, d)?), Box::new(read_constr(r, d)?)),
+        9 => {
+            let q = read_quantified(r)?;
+            Constr::Forall(q, Box::new(read_constr(r, d)?))
+        }
+        10 => {
+            let q = read_quantified(r)?;
+            Constr::Exists(q, Box::new(read_constr(r, d)?))
+        }
+        b => return Err(DecodeError(format!("bad constraint tag {b}"))),
+    })
+}
+
+fn read_constr_vec(r: &mut Reader<'_>, depth: u32) -> Result<Vec<Constr>, DecodeError> {
+    let mut out = Vec::new();
+    for _ in 0..r.read_len()? {
+        out.push(read_constr(r, depth)?);
+    }
+    Ok(out)
+}
+
+fn read_quantified(r: &mut Reader<'_>) -> Result<Quantified, DecodeError> {
+    let var = r.str()?;
+    let sort = read_sort(r)?;
+    Ok(Quantified::new(var, sort))
+}
+
+fn write_query_key(w: &mut Writer, key: &QueryKey) {
+    w.varint(key.config_fingerprint());
+    write_universals(w, key.universals());
+    write_constr(w, key.hyp());
+    write_constr(w, key.goal());
+}
+
+fn read_query_key(r: &mut Reader<'_>) -> Result<QueryKey, DecodeError> {
+    let config_fingerprint = r.varint()?;
+    let universals = read_universals(r)?;
+    let hyp = read_constr(r, MAX_DEPTH)?;
+    let goal = read_constr(r, MAX_DEPTH)?;
+    Ok(QueryKey::from_parts(
+        config_fingerprint,
+        universals,
+        hyp,
+        goal,
+    ))
+}
+
+fn write_validity(w: &mut Writer, v: &Validity) {
+    match v {
+        // Tag 0 is "proved Valid" and grid-checked Valid takes tag 4, so the
+        // verdict round-trips provenance exactly.  Tag 3 belonged to a
+        // retired "undecided" verdict that no configuration produced; it is
+        // never reused.
+        Validity::Valid(Provenance::Proved) => w.u8(0),
+        Validity::Invalid(None) => w.u8(1),
+        Validity::Invalid(Some(env)) => {
+            w.u8(2);
+            w.write_len(env.len());
+            for (var, value) in env.iter() {
+                w.str(var.name());
+                write_extended(w, *value);
+            }
+        }
+        Validity::Valid(Provenance::GridChecked) => w.u8(4),
+    }
+}
+
+fn read_validity(r: &mut Reader<'_>) -> Result<Validity, DecodeError> {
+    Ok(match r.u8()? {
+        0 => Validity::proved(),
+        1 => Validity::Invalid(None),
+        2 => {
+            let mut env = IdxEnv::new();
+            for _ in 0..r.read_len()? {
+                let var = r.str()?;
+                let value = read_extended(r)?;
+                env.bind(var, value);
+            }
+            Validity::Invalid(Some(env))
+        }
+        4 => Validity::grid_checked(),
+        b => return Err(DecodeError(format!("bad validity tag {b}"))),
+    })
 }

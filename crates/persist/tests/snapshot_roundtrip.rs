@@ -1,17 +1,20 @@
-//! Snapshot format tests: property-based round-trips over randomized cache
-//! contents, and corruption tests asserting that every malformed file is
-//! rejected cleanly (cold start, no panic).
+//! Compacted-image round trips: property-based encode/replay identity over
+//! randomized cache contents, and the fingerprint gate across the one
+//! verdict-changing solver knob.  Corruption of every kind (truncation,
+//! byte flips, bad headers, foreign frames) is covered by the matrices in
+//! `wal_crashsafety.rs`, which walk the same frames.
+
+use std::path::Path;
 
 use proptest::prelude::*;
 
 use birelcost::{DefIndex, StoredDef};
-use rel_constraint::{
-    Constr, ProgramKey, QueryKey, ShardedValidityCache, SharedProgramCache, Validity,
-};
+use rel_constraint::{Constr, QueryKey, ShardedValidityCache, Validity};
 use rel_index::{Extended, Idx, IdxEnv, IdxVar, Rational, Sort};
-use rel_persist::{Snapshot, SnapshotError, FORMAT_VERSION, MAGIC};
+use rel_persist::{compacted_image, replay, validate_header, FaultyFs, HeaderError, WalRecord};
 
 const FP: u64 = 0xF00D_CAFE;
+const CACHE: &str = "/d/cache";
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -111,16 +114,21 @@ fn arb_validity() -> BoxedStrategy<Validity> {
     ]
 }
 
-fn arb_snapshot() -> BoxedStrategy<Snapshot> {
+/// One warm state: a verdict list and a def list.
+type State = (Vec<(QueryKey, Validity)>, Vec<(u64, u64, StoredDef)>);
+
+fn arb_state() -> BoxedStrategy<State> {
     (
         (arb_universals(), arb_constr(), arb_constr(), arb_validity()),
-        (arb_universals(), arb_constr(), arb_constr()),
+        (arb_universals(), arb_constr(), arb_constr(), arb_validity()),
         (0u64..u64::MAX, arb_var()),
     )
-        .prop_map(|((u1, h1, g1, v1), (u2, h2, g2), (hash, var))| Snapshot {
-            fingerprint: FP,
-            verdicts: vec![(QueryKey::new(FP, &u1, &h1, &g1), v1)],
-            defs: vec![(
+        .prop_map(|((u1, h1, g1, v1), (u2, h2, g2, v2), (hash, var))| {
+            let verdicts = vec![
+                (QueryKey::new(FP, &u1, &h1, &g1), v1),
+                (QueryKey::new(FP, &u2, &h2, &g2), v2),
+            ];
+            let defs = vec![(
                 hash,
                 hash.rotate_left(17) ^ 0xD1F7,
                 StoredDef {
@@ -133,14 +141,33 @@ fn arb_snapshot() -> BoxedStrategy<Snapshot> {
                         Some("previous failure".to_string())
                     },
                 },
-            )],
-            programs: vec![ProgramKey {
-                universals: u2,
-                hyp: h2,
-                goal: g2,
-            }],
+            )];
+            (verdicts, defs)
         })
         .boxed()
+}
+
+/// Replays `image` as a cache file and splits the records back into a
+/// verdict list and a def list.
+fn replay_image(image: Vec<u8>, fingerprint: u64) -> (State, Vec<WalRecord>) {
+    let fs = FaultyFs::new();
+    fs.plant(Path::new(CACHE), image);
+    let recovery = replay(&fs, Path::new(CACHE), fingerprint);
+    assert!(recovery.warnings.is_empty(), "{:?}", recovery.warnings);
+    assert_eq!(recovery.stats.anomalies(), 0);
+    let (mut verdicts, mut defs) = (Vec::new(), Vec::new());
+    for record in &recovery.records {
+        match record.clone() {
+            WalRecord::Verdict(k, v) => verdicts.push((k, v)),
+            WalRecord::Def {
+                input_hash,
+                verify_hash,
+                def,
+            } => defs.push((input_hash, verify_hash, def)),
+            WalRecord::Compaction { .. } => {}
+        }
+    }
+    ((verdicts, defs), recovery.records)
 }
 
 // ---------------------------------------------------------------------------
@@ -149,99 +176,58 @@ fn arb_snapshot() -> BoxedStrategy<Snapshot> {
 
 proptest! {
     #[test]
-    fn serialize_deserialize_is_identity(snapshot in arb_snapshot()) {
-        let bytes = snapshot.to_bytes();
-        let back = Snapshot::from_bytes(&bytes, FP).expect("well-formed snapshot must load");
-        prop_assert_eq!(&back, &snapshot);
-        // And serialization is deterministic.
-        prop_assert_eq!(back.to_bytes(), bytes);
+    fn compacted_image_replays_to_the_identical_state(state in arb_state()) {
+        let (verdicts, defs) = &state;
+        let image = compacted_image(FP, verdicts, defs);
+        let (back, records) = replay_image(image.clone(), FP);
+        prop_assert_eq!(&back, &state);
+        // The image ends in its marker, which counts the frames before it.
+        prop_assert_eq!(
+            records.last(),
+            Some(&WalRecord::Compaction { folded: (verdicts.len() + defs.len()) as u64 })
+        );
+        // And encoding is deterministic.
+        prop_assert_eq!(compacted_image(FP, &back.0, &back.1), image);
     }
 
     #[test]
-    fn restored_caches_reproduce_contents_and_verdicts(snapshot in arb_snapshot()) {
-        let bytes = snapshot.to_bytes();
-        let back = Snapshot::from_bytes(&bytes, FP).unwrap();
-
+    fn restored_caches_reproduce_contents_and_verdicts(state in arb_state()) {
+        let ((verdicts, defs), _) = replay_image(compacted_image(FP, &state.0, &state.1), FP);
         let cache = ShardedValidityCache::new();
-        let programs = SharedProgramCache::new();
-        let defs = DefIndex::new();
-        back.restore(&cache, &programs, &defs);
+        let index = DefIndex::new();
+        for (key, verdict) in verdicts {
+            cache.store_key(key, verdict);
+        }
+        for (hash, verify, def) in defs {
+            index.insert(hash, verify, def);
+        }
 
-        // Re-capturing yields the same logical contents: identical verdict
-        // set, identical def entries, identical program keys.
-        let recaptured = Snapshot::capture(FP, &cache, &programs, &defs);
-        let mut want = snapshot.verdicts.clone();
+        // Exporting the live caches yields the same logical contents:
+        // identical verdict set, identical def entries.
+        // (A later store under an equal key overwrites an earlier one.)
+        let mut want: Vec<(QueryKey, Validity)> = Vec::new();
+        for (key, verdict) in state.0.clone() {
+            match want.iter_mut().find(|(k, _)| *k == key) {
+                Some(entry) => entry.1 = verdict,
+                None => want.push((key, verdict)),
+            }
+        }
         want.sort_by_key(|(k, _)| k.stable_hash());
-        let mut got = recaptured.verdicts.clone();
+        let mut got = cache.export_entries();
         got.sort_by_key(|(k, _)| k.stable_hash());
         prop_assert_eq!(got, want);
-        prop_assert_eq!(recaptured.defs, snapshot.defs);
-        prop_assert_eq!(recaptured.programs.len(), snapshot.programs.len());
+        prop_assert_eq!(index.export(), state.1.clone());
     }
 }
 
 // ---------------------------------------------------------------------------
-// Corruption tests
+// The fingerprint gate
 // ---------------------------------------------------------------------------
 
-fn sample_snapshot() -> Snapshot {
-    let universals = vec![(IdxVar::new("n"), Sort::Nat)];
-    let hyp = Constr::leq(Idx::var("n"), Idx::nat(8));
-    let goal = Constr::leq(Idx::var("n"), Idx::nat(9));
-    Snapshot {
-        fingerprint: FP,
-        verdicts: vec![(
-            QueryKey::new(FP, &universals, &hyp, &goal),
-            Validity::proved(),
-        )],
-        defs: vec![(
-            42,
-            43,
-            StoredDef {
-                name: "id".to_string(),
-                ok: true,
-                proved: true,
-                error: None,
-            },
-        )],
-        programs: vec![ProgramKey {
-            universals,
-            hyp,
-            goal,
-        }],
-    }
-}
-
 #[test]
-fn truncated_files_are_rejected_at_every_length() {
-    let bytes = sample_snapshot().to_bytes();
-    for cut in 0..bytes.len() {
-        assert!(
-            Snapshot::from_bytes(&bytes[..cut], FP).is_err(),
-            "truncation to {cut} bytes must be rejected"
-        );
-    }
-}
-
-#[test]
-fn every_single_byte_flip_is_rejected() {
-    // The checksum covers the payload and the header fields are each
-    // verified, so no single-byte corruption anywhere in the file may load.
-    let bytes = sample_snapshot().to_bytes();
-    for i in 0..bytes.len() {
-        let mut corrupt = bytes.clone();
-        corrupt[i] ^= 0x01;
-        assert!(
-            Snapshot::from_bytes(&corrupt, FP).is_err(),
-            "flipping byte {i} must be rejected"
-        );
-    }
-}
-
-#[test]
-fn fm_knob_is_fingerprinted_and_invalidates_snapshots() {
+fn fm_knob_is_fingerprinted_and_invalidates_cache_files() {
     // `use_fm` changes verdicts (grid-checked → proved), unlike the
-    // verdict-neutral compiled-eval knob: a snapshot recorded with the
+    // verdict-neutral compiled-eval knob: a cache file recorded with the
     // FM layer on must never warm-start a solver running with it off, and
     // vice versa.
     use birelcost::Engine;
@@ -265,97 +251,23 @@ fn fm_knob_is_fingerprinted_and_invalidates_snapshots() {
     });
     assert_eq!(fm_on.fingerprint(), compiled_off.fingerprint());
 
-    let snapshot = Snapshot {
-        fingerprint: fm_on.fingerprint(),
-        ..sample_snapshot()
-    };
-    let bytes = snapshot.to_bytes();
-    assert!(Snapshot::from_bytes(&bytes, fm_on.fingerprint()).is_ok());
-    match Snapshot::from_bytes(&bytes, fm_off.fingerprint()) {
-        Err(SnapshotError::FingerprintMismatch { found, expected }) => {
-            assert_eq!(found, fm_on.fingerprint());
-            assert_eq!(expected, fm_off.fingerprint());
-        }
-        other => panic!("expected FingerprintMismatch across the FM knob, got {other:?}"),
-    }
-}
-
-#[test]
-fn format_version_1_snapshots_are_rejected() {
-    // Version 2 added verdict provenance; a version-1 file cannot express
-    // it and must cold-start rather than load with guessed provenance.
-    let mut bytes = sample_snapshot().to_bytes();
-    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-    assert!(matches!(
-        Snapshot::from_bytes(&bytes, FP),
-        Err(SnapshotError::UnsupportedVersion(1))
-    ));
-}
-
-#[test]
-fn wrong_fingerprint_is_rejected_with_the_specific_error() {
-    let bytes = sample_snapshot().to_bytes();
-    match Snapshot::from_bytes(&bytes, FP + 1) {
-        Err(SnapshotError::FingerprintMismatch { found, expected }) => {
-            assert_eq!(found, FP);
-            assert_eq!(expected, FP + 1);
-        }
-        other => panic!("expected FingerprintMismatch, got {other:?}"),
-    }
-}
-
-#[test]
-fn bad_magic_and_future_versions_are_rejected() {
-    let bytes = sample_snapshot().to_bytes();
-
-    let mut bad_magic = bytes.clone();
-    bad_magic[0] = b'X';
-    assert!(matches!(
-        Snapshot::from_bytes(&bad_magic, FP),
-        Err(SnapshotError::BadMagic)
-    ));
-
-    let mut future = bytes.clone();
-    future[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    assert!(matches!(
-        Snapshot::from_bytes(&future, FP),
-        Err(SnapshotError::UnsupportedVersion(v)) if v == FORMAT_VERSION + 1
-    ));
-
-    assert!(
-        matches!(
-            Snapshot::from_bytes(&MAGIC, FP),
-            Err(SnapshotError::BadMagic),
-        ),
-        "a bare magic prefix is too short to be a snapshot"
+    let universals = vec![(IdxVar::new("n"), Sort::Nat)];
+    let hyp = Constr::leq(Idx::var("n"), Idx::nat(8));
+    let goal = Constr::leq(Idx::var("n"), Idx::nat(9));
+    let verdicts = vec![(
+        QueryKey::new(fm_on.fingerprint(), &universals, &hyp, &goal),
+        Validity::proved(),
+    )];
+    let image = compacted_image(fm_on.fingerprint(), &verdicts, &[]);
+    assert_eq!(validate_header(&image, fm_on.fingerprint()), Ok(16));
+    assert_eq!(
+        validate_header(&image, fm_off.fingerprint()),
+        Err(HeaderError::Foreign(fm_on.fingerprint())),
+        "a cache file must not cross the FM knob"
     );
-}
-
-#[test]
-fn trailing_garbage_is_rejected() {
-    // Appending bytes after a valid payload changes the checksum; fixing the
-    // checksum up still trips the every-byte-consumed check.
-    let snapshot = sample_snapshot();
-    let mut bytes = snapshot.to_bytes();
-    bytes.push(0);
-    assert!(Snapshot::from_bytes(&bytes, FP).is_err());
-}
-
-#[test]
-fn missing_file_is_a_clean_cold_start_and_save_load_roundtrips() {
-    let dir = std::env::temp_dir().join(format!("rel-persist-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cache.birelcost");
-
-    assert!(matches!(Snapshot::load(&path, FP), Ok(None)));
-
-    let snapshot = sample_snapshot();
-    snapshot.save(&path).unwrap();
-    let back = Snapshot::load(&path, FP).unwrap().expect("file exists now");
-    assert_eq!(back, snapshot);
-
-    // A garbage file at the path is an error, not a panic (and not Ok).
-    std::fs::write(&path, b"not a snapshot at all").unwrap();
-    assert!(Snapshot::load(&path, FP).is_err());
-    std::fs::remove_dir_all(&dir).unwrap();
+    let fs = FaultyFs::new();
+    fs.plant(Path::new(CACHE), image);
+    let recovery = replay(&fs, Path::new(CACHE), fm_off.fingerprint());
+    assert!(recovery.header_rejected);
+    assert!(recovery.records.is_empty());
 }

@@ -1,35 +1,34 @@
-//! Snapshot-format stability across the constraint-interning PR.
+//! Persisted-surface stability: the default engine fingerprint and the
+//! byte encoding of a query key are pinned with **golden values**.
 //!
 //! The hash-consed constraint pool, the FM subproblem memo and the indexed
 //! existential search are all in-memory acceleration layers: none of them
-//! may move the persisted surface.  This test pins that with **golden
-//! bytes**: the hex blob below is a complete v2 snapshot serialized by the
-//! pre-interning build (commit `3f49f5e`), and the engine fingerprint is the
-//! value that build reported for `Engine::new()`.  The current build must
+//! may move the persisted surface.  The fingerprint is the value the
+//! pre-interning build (commit `3f49f5e`) reported for `Engine::new()`, and
+//! the verdict frame below embeds, byte for byte, the query-key encoding
+//! that build wrote.  The current build must
 //!
 //! 1. report the identical default-engine fingerprint (a drift here would
 //!    cold-start every existing cache file),
-//! 2. re-serialize the same logical snapshot to the identical bytes
-//!    (`QueryKey` canonicalization and the codec are untouched by
-//!    interning), and
-//! 3. load — warm-start — the pre-PR blob into live caches.
+//! 2. encode the same verdict to the identical frame bytes (`QueryKey`
+//!    canonicalization and the codec are untouched by interning), and
+//! 3. validate and replay the golden frame into a live cache.
 //!
 //! If a *deliberate* format or fingerprint change ever lands, regenerate
-//! the constants below and bump `FORMAT_VERSION` per DESIGN.md §6.
+//! the constants below and bump `WAL_VERSION` per DESIGN.md §6.
 
-use birelcost::{DefIndex, Engine, StoredDef};
-use rel_constraint::{
-    Constr, ProgramKey, QueryKey, ShardedValidityCache, SharedProgramCache, Validity, ValidityCache,
-};
+use birelcost::Engine;
+use rel_constraint::{Constr, QueryKey, ShardedValidityCache, Validity, ValidityCache};
 use rel_index::{Idx, IdxVar, Sort};
-use rel_persist::Snapshot;
+use rel_persist::{encode_frame, validate_frame, WalRecord};
 
 /// `Engine::new().fingerprint()` as reported by the pre-interning build.
 const GOLDEN_FINGERPRINT: u64 = 0x3b00_3972_1823_44c0;
 
-/// A complete snapshot file serialized by the pre-interning build from the
-/// fixed state assembled in `golden_snapshot()` below.
-const GOLDEN_BYTES_HEX: &str = "4252435302000000c04423187239003bed46c17bedbd0cb201edbd0102016e000174010300016e0300016e01020103070600016e0104010a0001740102010001070b06676f6c64656e0101000101016e00000300016e010801";
+/// The frame `golden_record()` encodes to under `GOLDEN_FINGERPRINT`: a
+/// 20-byte frame header, the verdict tag `00`, the query key exactly as the
+/// pre-interning build serialized it, and the proved-verdict tag `00`.
+const GOLDEN_FRAME_HEX: &str = "27000000be4bd8cf3dd6b0b9c04423187239003b00edbd0102016e000174010300016e0300016e01020103070600016e0104010a00017401020100";
 
 fn decode_hex(hex: &str) -> Vec<u8> {
     assert!(hex.len().is_multiple_of(2));
@@ -39,9 +38,8 @@ fn decode_hex(hex: &str) -> Vec<u8> {
         .collect()
 }
 
-/// The fixed snapshot state the golden bytes encode (one verdict, one def
-/// digest, one program key — every section exercised).
-fn golden_snapshot() -> Snapshot {
+/// The fixed verdict the golden frame encodes.
+fn golden_record() -> WalRecord {
     let key = QueryKey::new(
         0x5EED,
         &[
@@ -54,25 +52,7 @@ fn golden_snapshot() -> Snapshot {
             Idx::max(Idx::var("t"), Idx::one()),
         ),
     );
-    Snapshot {
-        fingerprint: GOLDEN_FINGERPRINT,
-        verdicts: vec![(key, Validity::proved())],
-        defs: vec![(
-            7,
-            11,
-            StoredDef {
-                name: "golden".to_string(),
-                ok: true,
-                proved: true,
-                error: None,
-            },
-        )],
-        programs: vec![ProgramKey {
-            universals: vec![(IdxVar::new("n"), Sort::Nat)],
-            hyp: Constr::Top,
-            goal: Constr::leq(Idx::var("n"), Idx::nat(4)),
-        }],
-    }
+    WalRecord::Verdict(key, Validity::proved())
 }
 
 #[test]
@@ -88,28 +68,27 @@ fn default_engine_fingerprint_is_unchanged_by_interning() {
 
 #[test]
 fn query_key_byte_encoding_is_unchanged_by_interning() {
-    let bytes = golden_snapshot().to_bytes();
+    let bytes = encode_frame(GOLDEN_FINGERPRINT, &golden_record());
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(
-        bytes,
-        decode_hex(GOLDEN_BYTES_HEX),
-        "snapshot byte encoding drifted from the pre-interning build"
+        hex, GOLDEN_FRAME_HEX,
+        "verdict frame encoding drifted from the pinned bytes"
     );
 }
 
 #[test]
-fn pre_interning_v2_snapshot_warm_starts_after_the_pr() {
-    let bytes = decode_hex(GOLDEN_BYTES_HEX);
-    let loaded =
-        Snapshot::from_bytes(&bytes, GOLDEN_FINGERPRINT).expect("pre-PR snapshot must load");
-    assert_eq!(loaded, golden_snapshot());
+fn golden_frame_validates_and_replays_into_a_live_cache() {
+    let bytes = decode_hex(GOLDEN_FRAME_HEX);
+    let (record, used) =
+        validate_frame(&bytes, GOLDEN_FINGERPRINT).expect("golden frame must validate");
+    assert_eq!(used, bytes.len());
+    assert_eq!(record, golden_record());
 
-    // And it restores into live caches: the warm start a daemon would do.
+    let WalRecord::Verdict(key, verdict) = record else {
+        unreachable!("checked equal above")
+    };
     let cache = ShardedValidityCache::new();
-    let programs = SharedProgramCache::new();
-    let defs = DefIndex::new();
-    loaded.restore(&cache, &programs, &defs);
+    cache.store_key(key.clone(), verdict);
     assert_eq!(cache.stats().entries, 1);
-    assert_eq!(programs.stats().entries, 1);
-    assert_eq!(defs.len(), 1);
-    assert_eq!(defs.lookup(7, 11).unwrap().name, "golden");
+    assert_eq!(cache.export_entries(), vec![(key, Validity::proved())]);
 }

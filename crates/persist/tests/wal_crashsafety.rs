@@ -1,4 +1,4 @@
-//! Crash-safety tests for the `rel-wal` layer (DESIGN.md §9.4).
+//! Crash-safety tests for the `rel-wal` layer (DESIGN.md §9.2).
 //!
 //! The harness runs a deterministic store/compact workload against the
 //! in-memory [`FaultyFs`], then kills it at *every* operation index under
@@ -20,12 +20,11 @@ use proptest::prelude::*;
 use rel_constraint::{Constr, QueryKey, Validity};
 use rel_index::Idx;
 use rel_persist::{
-    replay, wal_path, Fault, FaultScript, FaultyFs, Snapshot, UnsyncedSurvival, WalLimits,
-    WalRecord, WalStore,
+    replay, Fault, FaultScript, FaultyFs, UnsyncedSurvival, WalLimits, WalRecord, WalStore,
 };
 
 const FP: u64 = 0x5EED_BEEF;
-const SNAP: &str = "/d/cache";
+const CACHE: &str = "/d/cache";
 
 fn no_limits() -> WalLimits {
     WalLimits {
@@ -61,7 +60,7 @@ type Verdicts = Vec<(QueryKey, Validity)>;
 /// state held (the ceiling recovery may reach).
 fn run_workload(fs: &FaultyFs) -> (Verdicts, Verdicts) {
     let (mut store, _recovery) =
-        WalStore::open(Arc::new(fs.clone()), Path::new(SNAP), FP, no_limits());
+        WalStore::open(Arc::new(fs.clone()), Path::new(CACHE), FP, no_limits());
     let mut acked = Vec::new();
     let mut applied = Vec::new();
     for i in 0..12u64 {
@@ -71,15 +70,9 @@ fn run_workload(fs: &FaultyFs) -> (Verdicts, Verdicts) {
             acked.push((k, v));
         }
         if i == 4 || i == 9 {
-            // The fold mirrors the service: the snapshot carries the whole
+            // The fold mirrors the service: the image carries the whole
             // in-memory state, acknowledged or not.
-            let snapshot = Snapshot {
-                fingerprint: FP,
-                verdicts: applied.clone(),
-                defs: Vec::new(),
-                programs: Vec::new(),
-            };
-            if store.compact(&snapshot).is_ok() {
+            if store.compact(&applied, &[]).is_ok() {
                 acked = applied.clone();
             }
         }
@@ -87,20 +80,18 @@ fn run_workload(fs: &FaultyFs) -> (Verdicts, Verdicts) {
     (acked, applied)
 }
 
-/// Reopens the store over `fs` and flattens snapshot + replayed suffix into
+/// Reopens the store over `fs` and flattens image + replayed suffix into
 /// one verdict list.
 fn recover(fs: FaultyFs) -> Verdicts {
-    let (_store, recovery) = WalStore::open(Arc::new(fs), Path::new(SNAP), FP, no_limits());
-    let mut got = Vec::new();
-    if let Some(snapshot) = &recovery.snapshot {
-        got.extend(snapshot.verdicts.iter().cloned());
-    }
-    for record in &recovery.records {
-        if let WalRecord::Verdict(k, v) = record {
-            got.push((k.clone(), v.clone()));
-        }
-    }
-    got
+    let (_store, recovery) = WalStore::open(Arc::new(fs), Path::new(CACHE), FP, no_limits());
+    recovery
+        .records
+        .into_iter()
+        .filter_map(|record| match record {
+            WalRecord::Verdict(k, v) => Some((k, v)),
+            _ => None,
+        })
+        .collect()
 }
 
 fn contains(set: &[(QueryKey, Validity)], pair: &(QueryKey, Validity)) -> bool {
@@ -143,7 +134,7 @@ fn clean_shutdown_recovers_exactly_what_was_applied() {
 #[test]
 fn roundtrip_replays_verdicts_defs_and_markers() {
     let fs = FaultyFs::new();
-    let (mut store, _) = WalStore::open(Arc::new(fs.clone()), Path::new(SNAP), FP, no_limits());
+    let (mut store, _) = WalStore::open(Arc::new(fs.clone()), Path::new(CACHE), FP, no_limits());
     for i in 0..6u64 {
         store.append_verdict(&key(i), &verdict(i)).unwrap();
     }
@@ -157,7 +148,7 @@ fn roundtrip_replays_verdicts_defs_and_markers() {
     drop(store);
 
     let (reopened, recovery) =
-        WalStore::open(Arc::new(fs.surviving()), Path::new(SNAP), FP, no_limits());
+        WalStore::open(Arc::new(fs.surviving()), Path::new(CACHE), FP, no_limits());
     assert_eq!(recovery.stats.replayed, 7);
     assert_eq!(recovery.stats.anomalies(), 0);
     assert!(recovery.warnings.is_empty(), "{:?}", recovery.warnings);
@@ -233,13 +224,13 @@ fn enospc_short_writes_and_failing_fsyncs_degrade_without_loss() {
 /// it replays to.
 fn wal_image() -> (Vec<u8>, Vec<WalRecord>) {
     let fs = FaultyFs::new();
-    let (mut store, _) = WalStore::open(Arc::new(fs.clone()), Path::new(SNAP), FP, no_limits());
+    let (mut store, _) = WalStore::open(Arc::new(fs.clone()), Path::new(CACHE), FP, no_limits());
     for i in 0..8u64 {
         store.append_verdict(&key(i), &verdict(i)).unwrap();
     }
-    let log = wal_path(Path::new(SNAP));
-    let bytes = fs.bytes_of(&log).expect("wal written");
-    let full = replay(&fs.surviving(), &log, FP);
+    let log = Path::new(CACHE);
+    let bytes = fs.bytes_of(log).expect("wal written");
+    let full = replay(&fs.surviving(), log, FP);
     assert_eq!(full.stats.replayed, 8);
     (bytes, full.records)
 }
@@ -260,13 +251,13 @@ fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
 #[test]
 fn truncation_at_every_offset_replays_a_clean_prefix() {
     let (bytes, full) = wal_image();
-    let log = wal_path(Path::new(SNAP));
+    let log = Path::new(CACHE);
     let boundaries = frame_boundaries(&bytes);
     assert_eq!(*boundaries.last().unwrap(), bytes.len());
     for cut in 0..bytes.len() {
         let fs = FaultyFs::new();
-        fs.plant(&log, bytes[..cut].to_vec());
-        let rep = replay(&fs, &log, FP);
+        fs.plant(log, bytes[..cut].to_vec());
+        let rep = replay(&fs, log, FP);
         assert!(
             full.starts_with(&rep.records),
             "cut at {cut}: replayed records are not a prefix (got {})",
@@ -293,13 +284,13 @@ fn truncation_at_every_offset_replays_a_clean_prefix() {
 #[test]
 fn single_byte_flips_reject_frames_and_never_fabricate_records() {
     let (bytes, full) = wal_image();
-    let log = wal_path(Path::new(SNAP));
+    let log = Path::new(CACHE);
     for offset in 0..bytes.len() {
         let mut corrupt = bytes.clone();
         corrupt[offset] ^= 0xFF;
         let fs = FaultyFs::new();
-        fs.plant(&log, corrupt);
-        let rep = replay(&fs, &log, FP);
+        fs.plant(log, corrupt);
+        let rep = replay(&fs, log, FP);
         if offset < 16 {
             assert!(
                 rep.header_rejected,
@@ -326,9 +317,43 @@ fn single_byte_flips_reject_frames_and_never_fabricate_records() {
 }
 
 #[test]
+fn a_torn_tail_refuses_appends_until_a_compaction() {
+    // Garbage after the last whole frame would hide every later append from
+    // replay, so a store opened over a torn tail must not append behind it.
+    let (bytes, full) = wal_image();
+    let log = Path::new(CACHE);
+    let fs = FaultyFs::new();
+    fs.plant(log, bytes[..bytes.len() - 3].to_vec());
+    let (mut store, recovery) = WalStore::open(Arc::new(fs.clone()), log, FP, no_limits());
+    assert_eq!(recovery.stats.truncated_tail, 1);
+    assert!(recovery.should_compact());
+    assert!(
+        store.needs_compaction(),
+        "a torn tail is due for compaction"
+    );
+    assert!(store.append_verdict(&key(50), &verdict(50)).is_err());
+
+    let kept: Vec<_> = recovery
+        .records
+        .iter()
+        .filter_map(|r| match r {
+            WalRecord::Verdict(k, v) => Some((k.clone(), v.clone())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(kept.len(), full.len() - 1);
+    store.compact(&kept, &[]).unwrap();
+    store.append_verdict(&key(50), &verdict(50)).unwrap();
+    drop(store);
+    let rep = replay(&fs.surviving(), log, FP);
+    assert_eq!(rep.stats.anomalies(), 0);
+    assert_eq!(rep.suffix(), &[WalRecord::Verdict(key(50), verdict(50))]);
+}
+
+#[test]
 fn frames_from_a_foreign_engine_are_rejected_not_replayed() {
     let fs = FaultyFs::new();
-    let (mut store, _) = WalStore::open(Arc::new(fs.clone()), Path::new(SNAP), FP, no_limits());
+    let (mut store, _) = WalStore::open(Arc::new(fs.clone()), Path::new(CACHE), FP, no_limits());
     store.append_verdict(&key(0), &verdict(0)).unwrap();
     store.append_verdict(&key(1), &verdict(1)).unwrap();
     drop(store);
@@ -336,14 +361,14 @@ fn frames_from_a_foreign_engine_are_rejected_not_replayed() {
     // Splice in a frame some other engine configuration wrote.  Its
     // checksum is self-consistent, so only the fingerprint check stands
     // between it and the cache.
-    let log = wal_path(Path::new(SNAP));
-    let mut bytes = fs.bytes_of(&log).unwrap();
+    let log = Path::new(CACHE);
+    let mut bytes = fs.bytes_of(log).unwrap();
     let foreign = rel_persist::encode_frame(FP ^ 1, &WalRecord::Verdict(key(99), verdict(0)));
     bytes.extend_from_slice(&foreign);
     let fs = FaultyFs::new();
-    fs.plant(&log, bytes);
+    fs.plant(log, bytes);
 
-    let rep = replay(&fs, &log, FP);
+    let rep = replay(&fs, log, FP);
     assert_eq!(rep.stats.replayed, 2);
     assert_eq!(rep.stats.fingerprint_rejected, 1);
     assert!(rep
@@ -352,7 +377,7 @@ fn frames_from_a_foreign_engine_are_rejected_not_replayed() {
         .all(|r| !matches!(r, WalRecord::Verdict(k, _) if *k == key(99))));
 
     // A whole log under a foreign fingerprint is rejected at the header.
-    let rep = replay(&fs, &log, FP ^ 2);
+    let rep = replay(&fs, log, FP ^ 2);
     assert!(rep.header_rejected);
     assert!(rep.records.is_empty());
 }
@@ -360,13 +385,14 @@ fn frames_from_a_foreign_engine_are_rejected_not_replayed() {
 #[test]
 fn stale_tmp_files_are_reaped_at_open() {
     let fs = FaultyFs::new();
-    fs.plant(Path::new("/d/cache.tmp.123.0"), b"half a snapshot".to_vec());
-    fs.plant(Path::new("/d/cache.wal.tmp.77.4"), b"half a log".to_vec());
+    fs.plant(Path::new("/d/cache.tmp.123.0"), b"half an image".to_vec());
+    fs.plant(Path::new("/d/cache.tmp.77.4"), b"another".to_vec());
     fs.plant(Path::new("/d/unrelated"), b"keep me".to_vec());
-    let (_store, recovery) = WalStore::open(Arc::new(fs.clone()), Path::new(SNAP), FP, no_limits());
+    let (_store, recovery) =
+        WalStore::open(Arc::new(fs.clone()), Path::new(CACHE), FP, no_limits());
     assert_eq!(recovery.reaped_tmp, 2);
     assert!(fs.bytes_of(Path::new("/d/cache.tmp.123.0")).is_none());
-    assert!(fs.bytes_of(Path::new("/d/cache.wal.tmp.77.4")).is_none());
+    assert!(fs.bytes_of(Path::new("/d/cache.tmp.77.4")).is_none());
     assert!(fs.bytes_of(Path::new("/d/unrelated")).is_some());
 }
 
@@ -377,32 +403,41 @@ fn compaction_threshold_and_marker_counting() {
         max_bytes: u64::MAX,
         max_records: 3,
     };
-    let (mut store, _) = WalStore::open(Arc::new(fs.clone()), Path::new(SNAP), FP, limits);
+    let (mut store, _) = WalStore::open(Arc::new(fs.clone()), Path::new(CACHE), FP, limits);
     for i in 0..4u64 {
         store.append_verdict(&key(i), &verdict(i)).unwrap();
     }
     assert!(store.needs_compaction());
-    let snapshot = Snapshot {
-        fingerprint: FP,
-        verdicts: (0..4).map(|i| (key(i), verdict(i))).collect(),
-        defs: Vec::new(),
-        programs: Vec::new(),
-    };
-    store.compact(&snapshot).unwrap();
+    let folded: Vec<_> = (0..4).map(|i| (key(i), verdict(i))).collect();
+    store.compact(&folded, &[]).unwrap();
     assert!(!store.needs_compaction());
     assert_eq!(store.stats().compactions, 1);
-    assert_eq!(store.stats().records, 1, "only the marker remains");
+    assert_eq!(store.stats().records, 0, "the suffix is empty");
     drop(store);
 
-    // The folded state now lives in the snapshot; the log carries the marker.
-    let (_store, recovery) = WalStore::open(Arc::new(fs.surviving()), Path::new(SNAP), FP, limits);
-    assert_eq!(recovery.snapshot.as_ref().unwrap().verdicts.len(), 4);
-    assert_eq!(recovery.stats.replayed, 0);
+    // The folded state now lives in the image, closed by its marker.
+    let (mut store, recovery) =
+        WalStore::open(Arc::new(fs.surviving()), Path::new(CACHE), FP, limits);
+    assert_eq!(recovery.suffix_start, 5, "four verdicts and the marker");
+    assert!(recovery.suffix().is_empty());
+    assert_eq!(recovery.stats.replayed, 4);
     assert_eq!(recovery.stats.compaction_markers, 1);
-    assert!(
-        !recovery.should_compact(),
-        "marker-only log is already tight"
+    assert_eq!(
+        recovery.records[4],
+        WalRecord::Compaction { folded: 4 },
+        "the marker counts the image's frames"
     );
+    assert!(!recovery.should_compact(), "a bare image is already tight");
+
+    // The limits count the suffix, not the image: four folded records do
+    // not make a store over a three-record limit due.
+    assert!(!store.needs_compaction());
+    for i in 4..7u64 {
+        store.append_verdict(&key(i), &verdict(i)).unwrap();
+        assert!(!store.needs_compaction(), "suffix of {} record(s)", i - 3);
+    }
+    store.append_verdict(&key(7), &verdict(7)).unwrap();
+    assert!(store.needs_compaction());
 }
 
 // ---------------------------------------------------------------------------
@@ -427,18 +462,12 @@ fn tape(seed: u64, len: usize) -> Vec<u64> {
 /// Replays `ops` against a store: even values append a verdict, every 5th
 /// compacts.  Same ack/applied bookkeeping as the fixed workload.
 fn run_tape(fs: &FaultyFs, ops: &[u64]) -> (Verdicts, Verdicts) {
-    let (mut store, _) = WalStore::open(Arc::new(fs.clone()), Path::new(SNAP), FP, no_limits());
+    let (mut store, _) = WalStore::open(Arc::new(fs.clone()), Path::new(CACHE), FP, no_limits());
     let mut acked = Vec::new();
     let mut applied = Vec::new();
     for (n, op) in ops.iter().enumerate() {
         if n % 5 == 4 {
-            let snapshot = Snapshot {
-                fingerprint: FP,
-                verdicts: applied.clone(),
-                defs: Vec::new(),
-                programs: Vec::new(),
-            };
-            if store.compact(&snapshot).is_ok() {
+            if store.compact(&applied, &[]).is_ok() {
                 acked = applied.clone();
             }
         } else {

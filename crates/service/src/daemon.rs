@@ -10,7 +10,7 @@
 //! {"stats": true}                  report service/cache counters
 //! {"cache": "stats"}               full cache counters (validity + programs
 //!                                  + persistence loads/saves)
-//! {"cache": "flush"}               snapshot the warm state to the cache file
+//! {"cache": "flush"}               compact the warm state into the cache file
 //! {"cache": "clear"}               drop all memoized state
 //! {"metrics": "dump"}              versioned metrics snapshot: solver
 //!                                  counters, request latency histograms,

@@ -1,5 +1,5 @@
 //! `FaultNet` — the network seam for the replication plane, mirroring the
-//! persistence layer's `FaultFs` (DESIGN.md §9.4): every byte a peer
+//! persistence layer's `FaultFs` (DESIGN.md §9.2): every byte a peer
 //! session sends or receives goes through the [`Transport`] / [`Wire`]
 //! traits, so the same supervised state machine runs over real TCP in
 //! production ([`RealNet`]) and over an in-memory fault-injecting network

@@ -18,7 +18,9 @@
 //!   wire, and reconnects with capped exponential backoff + jitter on any
 //!   failure.  Queue overflow degrades to *anti-entropy*: the queue is
 //!   cleared, the session notices the lag flag and re-syncs from the
-//!   recent-frame ring — or, beyond the ring, by a full snapshot transfer.
+//!   recent-frame ring — or, beyond the ring, by a full snapshot transfer:
+//!   the compacted image of the sender's state, the same bytes a local
+//!   compaction writes, validated frame by frame and applied only whole.
 //! * **Inbound** ([`ReplicaSink`]): per-source positions and counters.  The
 //!   daemon applies a frame only if it validates; fresh verdicts re-enter
 //!   the local store (and therefore the local WAL and the local outbound
@@ -36,7 +38,7 @@
 //! ← {"replica":"state","applied":N,"fp":"<16-hex>"}
 //! → {"replica":"frame","node":"<token>","seq":N,"data":"<hex frame>"}
 //! ← {"replica":"ack","applied":N}
-//! → {"replica":"snapshot","node":"<token>","seq":N,"data":"<hex snapshot>"}
+//! → {"replica":"snapshot","node":"<token>","seq":N,"data":"<hex image>"}
 //! ← {"replica":"ack","applied":N}
 //! ```
 //!
@@ -370,8 +372,9 @@ pub struct ReplicaStatus {
     pub inbound: InboundStatus,
 }
 
-/// Produces the current full-state snapshot bytes for anti-entropy
-/// transfer.  Provided by the service (it owns the caches).
+/// Produces the compacted image of the current state (the bytes a
+/// compaction writes) for anti-entropy transfer.  Provided by the service
+/// (it owns the caches).
 pub(crate) type SnapshotSource = Arc<dyn Fn() -> Vec<u8> + Send + Sync>;
 
 /// The outbound replication plane: the published-frame ring, one supervised

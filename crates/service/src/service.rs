@@ -1,7 +1,7 @@
 //! The serving subsystem tying engine, worker pool, validity cache, program
 //! memo and warm-start persistence together.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -12,8 +12,8 @@ use rel_constraint::{
 };
 use rel_obs::{Backoff, Registry, RegistrySnapshot};
 use rel_persist::{
-    encode_frame, validate_frame, FaultFs, FrameError, RealFs, Snapshot, WalLimits, WalRecord,
-    WalStats, WalStore,
+    compacted_image, encode_frame, validate_frame, validate_header, FaultFs, FrameError,
+    HeaderError, RealFs, WalLimits, WalRecord, WalStats, WalStore,
 };
 use rel_syntax::parse_program;
 
@@ -49,27 +49,24 @@ pub fn available_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Persistence counters and the configured snapshot path.
+/// Persistence counters and the attached cache file.
 #[derive(Debug, Default)]
 struct PersistState {
-    /// The snapshot file, once configured via [`Service::attach_cache_file`].
-    path: Option<PathBuf>,
-    /// The snapshot + WAL pair under that path.  Shared with the store
-    /// observers (which append outside the persist lock), so the lock order
-    /// is always `persist → wal` or `wal` alone — never the reverse.
+    /// The cache file, once configured via [`Service::attach_cache_file`].
+    /// Shared with the store observers (which append outside the persist
+    /// lock), so the lock order is always `persist → wal` or `wal` alone —
+    /// never the reverse.
     wal: Option<Arc<Mutex<WalStore>>>,
-    /// Successful snapshot loads.
+    /// Attaches that found a compacted image.
     loads: u64,
-    /// Successful snapshot saves.
+    /// Successful compactions.
     saves: u64,
-    /// Verdicts restored by the last successful load.
+    /// Verdicts restored from the image by the last load.
     loaded_verdicts: u64,
-    /// Definition hashes restored by the last successful load.
+    /// Definition hashes restored from the image by the last load.
     loaded_defs: u64,
-    /// Program keys recompiled by the last successful load.
-    loaded_programs: u64,
-    /// [`Service::warm_stamp`] at the last save (dirty tracking for the
-    /// periodic flusher).
+    /// [`Service::warm_stamp`] when memory last matched the file (dirty
+    /// tracking for the flushers).
     last_saved_stamp: Option<u64>,
 }
 
@@ -77,32 +74,28 @@ struct PersistState {
 /// [`Service::persist_stats`], surfaced by the daemon's `{"cache":"stats"}`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PersistStats {
-    /// The configured snapshot file, if any.
+    /// The configured cache file, if any.
     pub path: Option<PathBuf>,
-    /// Successful snapshot loads.
+    /// Attaches that found a compacted image.
     pub loads: u64,
-    /// Successful snapshot saves.
+    /// Successful compactions.
     pub saves: u64,
-    /// Verdicts restored by the last successful load.
+    /// Verdicts restored from the image by the last load.
     pub loaded_verdicts: u64,
-    /// Definition hashes restored by the last successful load.
+    /// Definition hashes restored from the image by the last load.
     pub loaded_defs: u64,
-    /// Program keys recompiled by the last successful load.
-    pub loaded_programs: u64,
-    /// WAL counters, when a cache file (and therefore a log) is attached.
+    /// Log counters, when a cache file is attached.
     pub wal: Option<WalStats>,
 }
 
 /// What [`Service::attach_cache_file`] found on disk.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LoadOutcome {
-    /// Verdicts restored into the validity cache.
+    /// Verdicts restored from the compacted image.
     pub verdicts: u64,
-    /// Definition input hashes restored into the def index.
+    /// Definition input hashes restored from the compacted image.
     pub defs: u64,
-    /// Compiled-program keys recompiled into the program memo.
-    pub programs: u64,
-    /// Records replayed from the WAL suffix on top of the snapshot.
+    /// Records replayed from the suffix appended after the image.
     pub wal_records: u64,
     /// WAL frames rejected during replay (torn tail + checksum/decode
     /// failures + foreign fingerprints) — each one skipped, never applied.
@@ -153,7 +146,7 @@ pub struct Service {
     workers: usize,
 }
 
-/// Failure state of the periodic snapshot save (the flusher's dependency).
+/// Failure state of the periodic save (the flusher's dependency).
 #[derive(Debug)]
 struct SaveHealth {
     backoff: Backoff,
@@ -311,17 +304,17 @@ impl Service {
     /// Persistence counters (loads/saves and what the last load restored).
     pub fn persist_stats(&self) -> PersistStats {
         let p = self.persist.lock().expect("persist state poisoned");
+        let wal = p
+            .wal
+            .as_ref()
+            .map(|w| w.lock().expect("wal store poisoned"));
         PersistStats {
-            path: p.path.clone(),
+            path: wal.as_ref().map(|w| w.path().to_path_buf()),
             loads: p.loads,
             saves: p.saves,
             loaded_verdicts: p.loaded_verdicts,
             loaded_defs: p.loaded_defs,
-            loaded_programs: p.loaded_programs,
-            wal: p
-                .wal
-                .as_ref()
-                .map(|w| w.lock().expect("wal store poisoned").stats()),
+            wal: wal.map(|w| w.stats()),
         }
     }
 
@@ -442,7 +435,7 @@ impl Service {
     /// Drops all memoized state: verdicts, compiled programs and definition
     /// hashes (counters are kept).  With persistence attached, the now-empty
     /// state is compacted to disk too — a cleared verdict must not
-    /// resurrect from the old snapshot or log at the next restart.
+    /// resurrect from the old cache file at the next restart.
     pub fn clear_cache(&self) {
         self.cache.clear();
         self.programs.clear();
@@ -462,18 +455,18 @@ impl Service {
 
     /// Configures warm-start persistence: remembers `path` for
     /// [`Service::save_cache`], switches incremental re-checking on, and
-    /// recovers whatever the snapshot + WAL pair at the path holds.
+    /// recovers whatever the cache file at the path holds.
     ///
-    /// Recovery is `snapshot + WAL suffix`: the snapshot restores the bulk,
-    /// then every validated log record replays on top (torn tails and
-    /// corrupt frames are skipped, never applied).  From here on every
-    /// cache store appends to the log, so verdicts are durable the moment
-    /// they are memoized instead of at the next flush.
+    /// Recovery is one replay of the file: its compacted image, then every
+    /// validated record appended after it (torn tails and corrupt frames
+    /// are skipped, never applied).  From here on every cache store appends
+    /// to the file, so verdicts are durable the moment they are memoized
+    /// instead of at the next flush.
     ///
-    /// A missing file is a clean cold start.  A rejected file (corrupt,
-    /// wrong version, different engine fingerprint) is *also* a cold start:
-    /// the outcome carries the warning, the path stays configured, and the
-    /// next save overwrites the bad file with a good one.
+    /// A missing file is a clean cold start.  A rejected file (wrong magic
+    /// or version, different engine fingerprint) is *also* a cold start: the
+    /// outcome carries the warning and the file is replaced by an empty
+    /// image.
     pub fn attach_cache_file(&self, path: impl Into<PathBuf>) -> LoadOutcome {
         self.attach_cache_file_with(Arc::new(RealFs), path, WalLimits::default())
     }
@@ -486,61 +479,66 @@ impl Service {
         path: impl Into<PathBuf>,
         limits: WalLimits,
     ) -> LoadOutcome {
-        let path = path.into();
         self.set_incremental(true);
-        let (store, recovery) = WalStore::open(fs, &path, self.engine.fingerprint(), limits);
-        let mut warnings = recovery.warnings.clone();
-
+        let (store, mut recovery) = WalStore::open(fs, path, self.engine.fingerprint(), limits);
+        let should_compact = recovery.should_compact();
         let mut outcome = LoadOutcome {
-            wal_records: recovery.stats.replayed,
+            wal_records: recovery.suffix().len() as u64,
             wal_anomalies: recovery.stats.anomalies(),
             reaped_tmp: recovery.reaped_tmp,
             ..LoadOutcome::default()
         };
-        if let Some(snapshot) = &recovery.snapshot {
-            snapshot.restore(&self.cache, &self.programs, &self.defs);
-            outcome.verdicts = snapshot.verdicts.len() as u64;
-            outcome.defs = snapshot.defs.len() as u64;
-            outcome.programs = snapshot.programs.len() as u64;
-        }
-        for record in &recovery.records {
+        let suffix_start = recovery.suffix_start;
+        for (i, record) in std::mem::take(&mut recovery.records)
+            .into_iter()
+            .enumerate()
+        {
+            let in_image = i < suffix_start;
             match record {
                 WalRecord::Verdict(key, verdict) => {
-                    self.cache.store_key(key.clone(), verdict.clone());
+                    self.cache.store_key(key, verdict);
+                    outcome.verdicts += in_image as u64;
                 }
                 WalRecord::Def {
                     input_hash,
                     verify_hash,
                     def,
-                } => self.defs.insert(*input_hash, *verify_hash, def.clone()),
+                } => {
+                    self.defs.insert(input_hash, verify_hash, def);
+                    outcome.defs += in_image as u64;
+                }
                 WalRecord::Compaction { .. } => {}
             }
         }
 
-        let wal = Arc::new(Mutex::new(store));
         {
             let mut p = self.persist.lock().expect("persist state poisoned");
-            if recovery.snapshot.is_some() {
+            if recovery.stats.compaction_markers > 0 {
                 p.loads += 1;
                 p.loaded_verdicts = outcome.verdicts;
                 p.loaded_defs = outcome.defs;
-                p.loaded_programs = outcome.programs;
             }
-            p.path = Some(path);
-            p.wal = Some(Arc::clone(&wal));
+            p.wal = Some(Arc::new(Mutex::new(store)));
         }
 
-        // Attach the store observers only now: every entry restored or
-        // replayed above must not re-enter the log it just came from.
+        // Attach the store observers only now: every entry replayed above
+        // must not re-enter the log it just came from.
         self.install_store_observers();
 
-        // Fold a non-trivial recovery into a fresh snapshot immediately:
-        // the suffix stops growing the next replay, and a torn or corrupt
-        // tail is rewritten away so it can never shadow later appends.
-        if recovery.should_compact() {
+        // Fold a non-trivial recovery into a fresh image immediately: the
+        // suffix stops growing the next replay, and a torn or corrupt tail
+        // is rewritten away so it can never shadow later appends.  A clean
+        // image is already what memory holds, so it counts as saved.
+        let mut warnings = recovery.warnings;
+        if should_compact {
             if let Err(e) = self.save_cache() {
                 warnings.push(format!("startup compaction failed: {e}"));
             }
+        } else {
+            self.persist
+                .lock()
+                .expect("persist state poisoned")
+                .last_saved_stamp = Some(self.warm_stamp());
         }
 
         outcome.warning = if warnings.is_empty() {
@@ -562,16 +560,12 @@ impl Service {
         self.save_cache().map(|_| true)
     }
 
-    /// The configured snapshot path, if any.
+    /// The configured cache file, if any.
     pub fn cache_file(&self) -> Option<PathBuf> {
-        self.persist
-            .lock()
-            .expect("persist state poisoned")
-            .path
-            .clone()
+        self.persist_stats().path
     }
 
-    /// Snapshots the current warm state to the configured cache file.
+    /// Compacts the current warm state into the configured cache file.
     /// Returns the number of verdicts written.
     ///
     /// # Errors
@@ -579,63 +573,46 @@ impl Service {
     /// When no cache file is configured, or the write fails.
     pub fn save_cache(&self) -> Result<u64, String> {
         let mut p = self.persist.lock().expect("persist state poisoned");
-        let path = p
-            .path
-            .clone()
-            .ok_or_else(|| "no cache file configured".to_string())?;
-        self.save_locked(&mut p, &path)
+        self.save_locked(&mut p)
     }
 
-    /// [`Service::save_cache`], unless nothing was memoized since the last
-    /// save — the periodic daemon flusher goes through this so an idle
-    /// daemon does not re-serialize and rewrite an unchanged snapshot every
-    /// interval.  Returns whether a save actually happened.
+    /// [`Service::save_cache`], unless nothing was memoized since memory
+    /// last matched the file — the flushers go through this so an idle
+    /// daemon, or a run whose every definition was skipped, does not
+    /// rewrite an unchanged file.  Returns whether a save actually happened.
     pub fn save_cache_if_dirty(&self) -> Result<bool, String> {
         let mut p = self.persist.lock().expect("persist state poisoned");
-        let path = p
-            .path
-            .clone()
-            .ok_or_else(|| "no cache file configured".to_string())?;
         if p.last_saved_stamp == Some(self.warm_stamp()) {
             return Ok(false);
         }
-        self.save_locked(&mut p, &path)?;
+        self.save_locked(&mut p)?;
         Ok(true)
     }
 
-    /// The save path proper.  Runs under the persist lock, which serializes
-    /// concurrent in-process savers (periodic flusher vs. `{"cache":
-    /// "flush"}`); cross-process savers are safe via the unique-tmp-name
-    /// rename in [`Snapshot::save`].  With a WAL attached, every save is a
-    /// *compaction*: the snapshot lands atomically, then the log truncates
-    /// to a marker (crash between the two replays the old suffix onto the
-    /// new snapshot — idempotent, never a loss).
-    fn save_locked(&self, p: &mut PersistState, path: &Path) -> Result<u64, String> {
+    /// The save path proper: one compaction.  Runs under the persist lock,
+    /// which serializes concurrent in-process savers (periodic flusher vs.
+    /// `{"cache": "flush"}`); cross-process savers are safe via the
+    /// unique-tmp-name rename of the atomic replace.  The state is captured
+    /// under the log lock, so a store racing the compaction either lands in
+    /// the image or is appended after it.
+    fn save_locked(&self, p: &mut PersistState) -> Result<u64, String> {
+        let wal = p
+            .wal
+            .as_ref()
+            .ok_or_else(|| "no cache file configured".to_string())?;
         // Stamp *before* capturing: state memoized concurrently during the
         // capture/write window must count as unsaved (the next dirty check
         // re-saves it), never as persisted.
         let stamp = self.warm_stamp();
-        let snapshot = Snapshot::capture(
-            self.engine.fingerprint(),
-            &self.cache,
-            &self.programs,
-            &self.defs,
-        );
-        let verdicts = snapshot.verdicts.len() as u64;
-        match &p.wal {
-            Some(wal) => wal
-                .lock()
-                .expect("wal store poisoned")
-                .compact(&snapshot)
-                .map_err(|e| format!("cannot write cache file {}: {e}", path.display()))?,
-            None => snapshot
-                .save(path)
-                .map_err(|e| format!("cannot write cache file {}: {e}", path.display()))?,
-        }
+        let mut wal = wal.lock().expect("wal store poisoned");
+        let verdicts = self.cache.export_entries();
+        wal.compact(&verdicts, &self.defs.export())
+            .map_err(|e| format!("cannot write cache file {}: {e}", wal.path().display()))?;
+        drop(wal);
         self.compaction_due.store(false, Ordering::Relaxed);
         p.saves += 1;
         p.last_saved_stamp = Some(stamp);
-        Ok(verdicts)
+        Ok(verdicts.len() as u64)
     }
 
     /// A cheap monotone stamp of the memoized state: misses count freshly
@@ -730,7 +707,7 @@ impl Service {
     /// frames handed to it.
     pub fn enable_replication(&self, transport: Arc<dyn Transport>, options: ReplicaOptions) {
         let fp = self.engine.fingerprint();
-        // Capture *weak* references to the three stores the capture reads,
+        // Capture *weak* references to the two stores the capture reads,
         // never the service or strong store Arcs: the hub lives in
         // `self.replica_hub` and the store observers hold the hub, so a
         // strong capture here closes an Arc cycle — a `Service` dropped
@@ -738,24 +715,15 @@ impl Service {
         // persistence state and every cached verdict for the lifetime of
         // the parked session threads.
         let cache = Arc::downgrade(&self.cache);
-        let programs = Arc::downgrade(&self.programs);
         let defs = Arc::downgrade(&self.defs);
-        let source: SnapshotSource = Arc::new(move || {
-            match (cache.upgrade(), programs.upgrade(), defs.upgrade()) {
-                (Some(cache), Some(programs), Some(defs)) => {
-                    Snapshot::capture(fp, &cache, &programs, &defs).to_bytes()
-                }
-                // The owning service is gone (dropped without shutdown).
-                // An empty snapshot is sound — replication is set union —
-                // and nothing will ever publish to this hub again.
-                _ => Snapshot::capture(
-                    fp,
-                    &ShardedValidityCache::with_shards(1),
-                    &SharedProgramCache::new(),
-                    &DefIndex::new(),
-                )
-                .to_bytes(),
+        let source: SnapshotSource = Arc::new(move || match (cache.upgrade(), defs.upgrade()) {
+            (Some(cache), Some(defs)) => {
+                compacted_image(fp, &cache.export_entries(), &defs.export())
             }
+            // The owning service is gone (dropped without shutdown).  An
+            // empty image is sound — replication is set union — and
+            // nothing will ever publish to this hub again.
+            _ => compacted_image(fp, &[], &[]),
         });
         let hub = ReplicaHub::start(fp, transport, options, source);
         *self.replica_hub.lock().expect("replica hub poisoned") = Some(hub);
@@ -861,32 +829,7 @@ impl Service {
             sink.frames_duplicate.fetch_add(1, Ordering::Relaxed);
             return Ok(applied);
         }
-        let fresh = match record {
-            WalRecord::Verdict(key, verdict) => {
-                if self.cache.contains_key(&key) {
-                    false
-                } else {
-                    self.cache.store_key(key, verdict);
-                    true
-                }
-            }
-            WalRecord::Def {
-                input_hash,
-                verify_hash,
-                def,
-            } => {
-                if self.defs.lookup(input_hash, verify_hash).is_some() {
-                    false
-                } else {
-                    self.defs.insert(input_hash, verify_hash, def);
-                    true
-                }
-            }
-            // Compaction markers describe the sender's log, not state; they
-            // are not shipped, but tolerate one as a positional no-op.
-            WalRecord::Compaction { .. } => false,
-        };
-        if fresh {
+        if self.apply_union(record) {
             sink.frames_applied.fetch_add(1, Ordering::Relaxed);
         } else {
             sink.frames_duplicate.fetch_add(1, Ordering::Relaxed);
@@ -894,10 +837,40 @@ impl Service {
         Ok(applied)
     }
 
-    /// Validates and applies a full snapshot transfer: the snapshot's own
-    /// magic/version/fingerprint/checksum validation gates it exactly as a
-    /// local load would, then every absent verdict and def is applied
-    /// set-union style.  The source's position jumps to `seq`.
+    /// Applies one validated record set-union style: fresh content
+    /// re-enters the store (and therefore the local log and outbound
+    /// sessions); present content is left alone.  Returns whether it was
+    /// fresh.  Compaction markers describe the sender's file, not state.
+    fn apply_union(&self, record: WalRecord) -> bool {
+        match record {
+            WalRecord::Verdict(key, verdict) => {
+                let fresh = !self.cache.contains_key(&key);
+                if fresh {
+                    self.cache.store_key(key, verdict);
+                }
+                fresh
+            }
+            WalRecord::Def {
+                input_hash,
+                verify_hash,
+                def,
+            } => {
+                let fresh = self.defs.lookup(input_hash, verify_hash).is_none();
+                if fresh {
+                    self.defs.insert(input_hash, verify_hash, def);
+                }
+                fresh
+            }
+            WalRecord::Compaction { .. } => false,
+        }
+    }
+
+    /// Validates and applies a full-state transfer: the sender's compacted
+    /// image.  Its header and every frame go through the recovery
+    /// validation path, and the image must end in its own compaction
+    /// marker.  Any failure rejects the *whole* transfer before anything
+    /// is applied — the source's position jumps to `seq` on success, so a
+    /// skipped or truncated-away frame would otherwise be lost silently.
     pub(crate) fn replica_apply_snapshot(
         &self,
         node: &str,
@@ -912,25 +885,30 @@ impl Service {
         let Some(bytes) = from_hex(data_hex) else {
             return reject("snapshot data is not hex".to_string());
         };
-        let snapshot = match Snapshot::from_bytes(&bytes, self.engine.fingerprint()) {
-            Ok(snapshot) => snapshot,
-            Err(rel_persist::SnapshotError::FingerprintMismatch { .. }) => {
-                return reject(FINGERPRINT_MISMATCH.to_string());
-            }
+        let fp = self.engine.fingerprint();
+        let mut pos = match validate_header(&bytes, fp) {
+            Ok(first_frame) => first_frame,
+            Err(HeaderError::Foreign(_)) => return reject(FINGERPRINT_MISMATCH.to_string()),
             Err(e) => return reject(format!("snapshot rejected: {e}")),
         };
-        for (key, verdict) in snapshot.verdicts {
-            if !self.cache.contains_key(&key) {
-                self.cache.store_key(key, verdict);
+        let mut records = Vec::new();
+        while pos < bytes.len() {
+            match validate_frame(&bytes[pos..], fp) {
+                Ok((record, used)) => {
+                    records.push(record);
+                    pos += used;
+                }
+                Err(FrameError::Foreign { .. }) => return reject(FINGERPRINT_MISMATCH.to_string()),
+                Err(e) => return reject(format!("snapshot rejected: {e}")),
             }
         }
-        for (input_hash, verify_hash, def) in snapshot.defs {
-            if self.defs.lookup(input_hash, verify_hash).is_none() {
-                self.defs.insert(input_hash, verify_hash, def);
-            }
+        match records.pop() {
+            Some(WalRecord::Compaction { folded }) if folded == records.len() as u64 => {}
+            _ => return reject("snapshot rejected: image is incomplete".to_string()),
         }
-        // Compiled programs are a local memo (recompiled on demand), not
-        // replicated state.
+        for record in records {
+            self.apply_union(record);
+        }
         sink.snapshots_applied.fetch_add(1, Ordering::Relaxed);
         Ok(sink.jump_to(node, seq))
     }

@@ -9,7 +9,9 @@
 //! delivery rounds and scripted drop/duplicate/reorder/partition faults on
 //! every link.  The property: once the links go quiet, every node holds
 //! exactly the union of every checked program's verdicts, with zero
-//! rejected frames.
+//! rejected frames.  A second property mutates frames and full-state
+//! transfers (compacted images) and asserts each mutation is rejected
+//! whole.
 //!
 //! The generator is the workspace `proptest` shim's splitmix64 stream; the
 //! full `proptest!` macro's 256 cases are too many for fleet cases, so the
@@ -18,7 +20,7 @@
 use std::path::PathBuf;
 
 use proptest::TestRng;
-use rel_persist::{validate_frame, wal_path};
+use rel_persist::{compacted_image, validate_frame, WalRecord};
 use rel_service::json::Value;
 use rel_service::{respond, Service, ServiceConfig};
 
@@ -39,6 +41,7 @@ const MAX_ROUNDS: usize = 60;
 
 struct SimNode {
     service: Service,
+    /// The node's cache file: one log, appended to by every store.
     wal: PathBuf,
     token: String,
 }
@@ -59,7 +62,7 @@ fn fresh_node(case: usize, index: usize) -> SimNode {
     assert_eq!(outcome.warning, None);
     SimNode {
         service,
-        wal: wal_path(&path),
+        wal: path,
         token: format!("n{index}"),
     }
 }
@@ -306,6 +309,28 @@ fn corrupted_frames_are_always_rejected_and_never_applied() {
         .expect("parse");
     let frames = harvest(&producer, fp);
     assert!(!frames.is_empty());
+    // The full-state transfer: exactly the compacted image a compaction
+    // writes, read back from the producer's cache file.
+    producer.service.save_cache().expect("compaction");
+    let image = std::fs::read(&producer.wal).expect("compacted image");
+    let (mut verdicts, mut defs) = (Vec::new(), Vec::new());
+    // Offsets where a frame ends short of the image's end: a cut there
+    // leaves a well-framed prefix that only the closing marker betrays.
+    let mut boundaries = vec![WAL_FILE_HEADER];
+    for frame in harvest(&producer, fp) {
+        boundaries.push(boundaries.last().unwrap() + frame.len());
+        match validate_frame(&frame, fp).expect("image frame").0 {
+            WalRecord::Verdict(key, verdict) => verdicts.push((key, verdict)),
+            WalRecord::Def {
+                input_hash,
+                verify_hash,
+                def,
+            } => defs.push((input_hash, verify_hash, def)),
+            WalRecord::Compaction { .. } => {}
+        }
+    }
+    assert_eq!(compacted_image(fp, &verdicts, &defs), image);
+    assert_eq!(boundaries.pop(), Some(image.len()));
 
     let victim = fresh_node(usize::MAX, 1);
     let mut attempts = 0i64;
@@ -344,11 +369,67 @@ fn corrupted_frames_are_always_rejected_and_never_applied() {
             response.get("error").is_some(),
             "mutated frame was accepted: {response}"
         );
+
+        // The same three mutations of a full-state transfer.  The position
+        // jumps to `seq` when a transfer applies, so a mutated image must be
+        // rejected whole — never applied minus the frames that failed.
+        let mutated = match rng.next_u64() % 3 {
+            0 => {
+                let mut bytes = image.clone();
+                let k = (rng.next_u64() % bytes.len() as u64) as usize;
+                bytes[k] ^= 1 << (rng.next_u64() % 8);
+                bytes
+            }
+            // A cut mid-frame, or on a frame boundary: the image must end
+            // in its own marker.
+            1 => {
+                let keep = if rng.next_u64().is_multiple_of(2) {
+                    (rng.next_u64() % image.len() as u64) as usize
+                } else {
+                    boundaries[(rng.next_u64() % boundaries.len() as u64) as usize]
+                };
+                image[..keep].to_vec()
+            }
+            _ => compacted_image(fp ^ (1 + rng.next_u64() % 0xffff), &verdicts, &defs),
+        };
+        attempts += 1;
+        let response = respond(
+            &victim.service,
+            &format!(
+                "{{\"replica\":\"snapshot\",\"node\":\"evil\",\"seq\":{},\"data\":\"{}\"}}",
+                1_000 + attempts,
+                to_hex(&mutated)
+            ),
+        );
+        assert!(
+            response.get("error").is_some(),
+            "mutated transfer was accepted: {response}"
+        );
+        assert_eq!(
+            hello(&victim, "evil", fp),
+            0,
+            "a rejected transfer moved the position"
+        );
     }
     assert_eq!(
         inbound_counter(&victim.service, "frames_rejected"),
         attempts
     );
     assert_eq!(inbound_counter(&victim.service, "frames_applied"), 0);
+    assert_eq!(inbound_counter(&victim.service, "snapshots_applied"), 0);
     assert_eq!(victim.service.cache_stats().entries, 0);
+
+    // Control: the untouched image applies whole and jumps the position.
+    let response = respond(
+        &victim.service,
+        &format!(
+            "{{\"replica\":\"snapshot\",\"node\":\"honest\",\"seq\":7,\"data\":\"{}\"}}",
+            to_hex(&image)
+        ),
+    );
+    assert_eq!(response.get("applied").and_then(Value::as_int), Some(7));
+    assert_eq!(
+        victim.service.cache_stats().entries,
+        producer.service.cache_stats().entries
+    );
 }

@@ -127,21 +127,35 @@ fn compaction_threshold_folds_the_log_into_the_snapshot() {
     );
     let wal = svc.persist_stats().wal.expect("wal attached");
     assert_eq!(wal.compactions, 1);
-    assert_eq!(wal.records, 1, "only the compaction marker remains");
+    assert_eq!(wal.records, 0, "nothing appended since the compaction");
     drop(svc);
 
-    // The snapshot now carries the verdicts; replay is ~empty.
+    // The compacted image now carries the verdicts; the suffix is empty.
     let second = service();
     let outcome = second.attach_cache_file_with(Arc::new(fs.surviving()), CACHE, limits);
     assert_eq!(outcome.warning, None);
-    assert!(outcome.verdicts > 0, "folded verdicts live in the snapshot");
+    assert!(outcome.verdicts > 0, "folded verdicts live in the image");
     assert_eq!(outcome.wal_records, 0);
     let report = second.check_source(&src()).expect("serves");
     assert!(report.all_ok());
     assert!(
         report.skipped_unchanged() > 0,
-        "snapshot warmed the def index"
+        "the image warmed the def index"
     );
+
+    // The limit counts the suffix, not the image: a store whose image alone
+    // holds far more than `max_records` is due only once its suffix is.
+    assert!(outcome.verdicts + outcome.defs > limits.max_records);
+    let def = birelcost::StoredDef {
+        name: "probe".to_string(),
+        ok: true,
+        proved: true,
+        error: None,
+    };
+    second.def_index().insert(1, 2, def.clone());
+    assert_eq!(second.compact_if_due(), Ok(false), "suffix of one record");
+    second.def_index().insert(3, 4, def);
+    assert_eq!(second.compact_if_due(), Ok(true), "suffix of two records");
 }
 
 #[test]

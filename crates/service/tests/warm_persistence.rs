@@ -1,5 +1,5 @@
-//! Warm-start persistence end to end at the service layer: snapshot save and
-//! restore across *service instances* (standing in for processes), the
+//! Warm-start persistence end to end at the service layer: compaction and
+//! replay across *service instances* (standing in for processes), the
 //! incremental skip path, and the daemon's `{"cache": ...}` commands.
 
 use std::path::PathBuf;
@@ -33,7 +33,7 @@ fn temp_cache_file(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn second_service_instance_starts_warm_from_the_snapshot() {
+fn second_service_instance_starts_warm_from_the_cache_file() {
     let path = temp_cache_file("restart");
     let _ = std::fs::remove_file(&path);
 
@@ -41,7 +41,7 @@ fn second_service_instance_starts_warm_from_the_snapshot() {
     let first = service();
     let outcome = first.attach_cache_file(&path);
     assert_eq!(outcome.warning, None);
-    assert_eq!(outcome.verdicts, 0, "no snapshot yet");
+    assert_eq!(outcome.verdicts, 0, "no cache file yet");
     let cold = first.check_source(SRC).unwrap();
     assert!(cold.all_ok());
     assert_eq!(cold.skipped_unchanged(), 0);
@@ -49,13 +49,13 @@ fn second_service_instance_starts_warm_from_the_snapshot() {
     first.save_cache().unwrap();
     assert!(path.exists());
 
-    // Second "process": loads the snapshot and skips every unchanged def —
+    // Second "process": replays the image and skips every unchanged def —
     // zero solver work of any kind.
     let second = service();
     let outcome = second.attach_cache_file(&path);
     assert_eq!(outcome.warning, None);
-    assert!(outcome.verdicts > 0, "snapshot must carry verdicts");
-    assert_eq!(outcome.defs, 2, "snapshot must carry both def hashes");
+    assert!(outcome.verdicts > 0, "the image must carry verdicts");
+    assert_eq!(outcome.defs, 2, "the image must carry both def hashes");
     let warm = second.check_source(SRC).unwrap();
     assert!(warm.all_ok());
     assert_eq!(warm.skipped_unchanged(), 2);
@@ -82,22 +82,41 @@ fn second_service_instance_starts_warm_from_the_snapshot() {
 }
 
 #[test]
-fn corrupt_snapshots_degrade_to_a_cold_start_with_a_warning() {
-    let path = temp_cache_file("corrupt");
-    std::fs::write(&path, b"definitely not a snapshot").unwrap();
+fn corrupt_cache_files_degrade_to_a_cold_start_with_a_warning() {
+    // Garbage, and a file in the retired snapshot format (its magic, a
+    // format version and a plausible header) — both are rejected whole.
+    let mut retired = b"BRCS".to_vec();
+    retired.extend_from_slice(&2u32.to_le_bytes());
+    retired.extend_from_slice(&Service::default().engine().fingerprint().to_le_bytes());
+    retired.extend_from_slice(&[0u8; 24]);
+    for (tag, bytes) in [
+        ("corrupt", b"definitely not a cache file".to_vec()),
+        ("retired", retired),
+    ] {
+        let path = temp_cache_file(tag);
+        std::fs::write(&path, bytes).unwrap();
 
-    let service = service();
-    let outcome = service.attach_cache_file(&path);
-    let warning = outcome.warning.expect("corrupt file must warn");
-    assert!(warning.contains("ignoring cache file"), "got: {warning}");
+        let service = service();
+        let outcome = service.attach_cache_file(&path);
+        let warning = outcome.warning.expect("a rejected file must warn");
+        assert!(warning.contains("ignoring cache file"), "{tag}: {warning}");
+        assert!(!warning.contains("; "), "{tag}: one warning, got {warning}");
+        assert_eq!(
+            (outcome.verdicts, outcome.defs, outcome.wal_records),
+            (0, 0, 0)
+        );
 
-    // The service still works (cold), and the next save replaces the bad
-    // file with a loadable one.
-    assert!(service.check_source(SRC).unwrap().all_ok());
-    service.save_cache().unwrap();
-    let recovered = Service::default().attach_cache_file(&path);
-    assert_eq!(recovered.warning, None);
-    assert!(recovered.verdicts > 0);
+        // The service still works (cold), and the next compaction leaves a
+        // file that reloads clean.
+        let cold = service.check_source(SRC).unwrap();
+        assert!(cold.all_ok());
+        assert!(cold.cache_misses() > 0, "{tag}: nothing was loaded");
+        service.save_cache().unwrap();
+        let recovered = Service::default().attach_cache_file(&path);
+        assert_eq!(recovered.warning, None, "{tag}");
+        assert!(recovered.verdicts > 0, "{tag}");
+        assert_eq!(recovered.defs, 2, "{tag}");
+    }
 }
 
 #[test]
@@ -131,6 +150,37 @@ fn dirty_checked_flush_skips_when_nothing_changed() {
 }
 
 #[test]
+fn an_identical_rerun_does_not_rewrite_the_cache_file() {
+    let path = temp_cache_file("rerun");
+    let _ = std::fs::remove_file(&path);
+    let first = service();
+    first.attach_cache_file(&path);
+    first.check_source(SRC).unwrap();
+    assert_eq!(first.save_cache_if_dirty(), Ok(true), "the cold run saves");
+    let image = std::fs::read(&path).unwrap();
+
+    // A second process attaches, checks the same source (every def is
+    // skipped, nothing is memoized) and flushes: the file is left alone.
+    let second = service();
+    let outcome = second.attach_cache_file(&path);
+    assert_eq!(outcome.warning, None);
+    assert_eq!(outcome.wal_records, 0, "the image replayed with no suffix");
+    let warm = second.check_source(SRC).unwrap();
+    assert_eq!(warm.skipped_unchanged(), 2);
+    assert_eq!(second.save_cache_if_dirty(), Ok(false));
+    assert_eq!(second.persist_stats().saves, 0);
+    assert_eq!(std::fs::read(&path).unwrap(), image);
+
+    // Only the one cache file exists: no sidecar log beside it.
+    let dir = path.parent().unwrap();
+    let names: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, vec![path.file_name().unwrap().to_os_string()]);
+}
+
+#[test]
 fn daemon_cache_commands_stats_flush_clear() {
     let path = temp_cache_file("daemon");
     let _ = std::fs::remove_file(&path);
@@ -148,7 +198,7 @@ fn daemon_cache_commands_stats_flush_clear() {
     assert!(cache.get("entries").and_then(Value::as_int).unwrap() > 0);
     assert!(cache.get("file").and_then(Value::as_str).is_some());
 
-    // flush: writes the snapshot and reports it.
+    // flush: compacts the cache file and reports it.
     let flush = respond(&service, r#"{"cache": "flush"}"#);
     assert_eq!(flush.get("flushed"), Some(&Value::Bool(true)));
     assert!(flush.get("verdicts").and_then(Value::as_int).unwrap() > 0);
