@@ -635,6 +635,101 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// One row of `explain`'s phase table: the spans that share a call path.
+struct PhaseRow {
+    name: &'static str,
+    count: usize,
+    /// Inclusive time of the row's spans, excluding those folded into it.
+    total_ns: u64,
+    children: Vec<usize>,
+}
+
+/// `explain`'s phase table: span counts and inclusive times keyed by call
+/// path.  A span whose name is already open on its path (a recursing
+/// elimination) folds into that ancestor's row: it is counted there but adds
+/// no time, since the ancestor's inclusive time already holds it, and its
+/// children continue under that row.  So no row's time exceeds its parent's.
+struct PhaseRows {
+    /// Row 0 is a nameless root whose children are the top-level spans.
+    rows: Vec<PhaseRow>,
+}
+
+impl PhaseRows {
+    fn from_trees(trees: &[rel_obs::ThreadTree]) -> Self {
+        let mut table = PhaseRows {
+            rows: vec![PhaseRow {
+                name: "",
+                count: 0,
+                total_ns: 0,
+                children: Vec::new(),
+            }],
+        };
+        for tree in trees {
+            for root in &tree.roots {
+                table.add(root, 0, &mut Vec::new());
+            }
+        }
+        table
+    }
+
+    /// Tallies `node` under the row `parent`; `open` holds the name and row
+    /// of every unfolded span on the path.
+    fn add(
+        &mut self,
+        node: &rel_obs::SpanNode,
+        parent: usize,
+        open: &mut Vec<(&'static str, usize)>,
+    ) {
+        let folded = open
+            .iter()
+            .find(|(name, _)| *name == node.name)
+            .map(|&(_, row)| row);
+        let row = folded.unwrap_or_else(|| self.child(parent, node.name));
+        self.rows[row].count += 1;
+        if folded.is_none() {
+            self.rows[row].total_ns += node.duration_ns();
+            open.push((node.name, row));
+        }
+        for child in &node.children {
+            self.add(child, row, open);
+        }
+        if folded.is_none() {
+            open.pop();
+        }
+    }
+
+    /// The row for `name` under `parent`, created on first occurrence.
+    fn child(&mut self, parent: usize, name: &'static str) -> usize {
+        let siblings = &self.rows[parent].children;
+        if let Some(&row) = siblings.iter().find(|&&r| self.rows[r].name == name) {
+            return row;
+        }
+        self.rows.push(PhaseRow {
+            name,
+            count: 0,
+            total_ns: 0,
+            children: Vec::new(),
+        });
+        let row = self.rows.len() - 1;
+        self.rows[parent].children.push(row);
+        row
+    }
+
+    /// Rows depth-first with their depth, siblings in first-occurrence order.
+    fn in_tree_order(&self) -> Vec<(usize, &PhaseRow)> {
+        let mut out = Vec::new();
+        let mut stack = vec![(0, 0)];
+        while let Some((depth, row)) = stack.pop() {
+            let children = self.rows[row].children.iter().rev();
+            stack.extend(children.map(|&c| (depth + 1, c)));
+            if row != 0 {
+                out.push((depth - 1, &self.rows[row]));
+            }
+        }
+        out
+    }
+}
+
 /// `birelcost explain NAME`: re-checks one bundled benchmark with the span
 /// recorder armed and narrates the verdict from what was actually recorded —
 /// the phase tree, where the wall clock went, and which binding cap (if any)
@@ -677,10 +772,7 @@ fn explain(name: &str) -> ExitCode {
         }
     }
 
-    // Phase breakdown: every span name aggregated over the recorded tree,
-    // shown at the depth it first occurred, in first-occurrence order.  A
-    // span nested in a span of the same name (a recursing elimination) is
-    // counted but adds no time: its parent's inclusive time holds it.
+    // Phase breakdown: spans aggregated by call path, printed in tree order.
     let trees = rel_obs::build_trees(&events);
     let span_count: usize = events
         .iter()
@@ -690,40 +782,13 @@ fn explain(name: &str) -> ExitCode {
         "\nrecorded phases ({} thread(s), {span_count} span(s)):",
         trees.len()
     );
-    let mut order: Vec<&'static str> = Vec::new();
-    let mut rows: std::collections::HashMap<&'static str, (usize, u64, u64)> =
-        std::collections::HashMap::new();
-    fn tally(
-        node: &rel_obs::SpanNode,
-        open: &mut Vec<&'static str>,
-        order: &mut Vec<&'static str>,
-        rows: &mut std::collections::HashMap<&'static str, (usize, u64, u64)>,
-    ) {
-        let depth = open.len();
-        let row = rows.entry(node.name).or_insert_with(|| {
-            order.push(node.name);
-            (depth, 0, 0)
-        });
-        row.0 = row.0.min(depth);
-        row.1 += 1;
-        if !open.contains(&node.name) {
-            row.2 += node.duration_ns();
-        }
-        open.push(node.name);
-        for child in &node.children {
-            tally(child, open, order, rows);
-        }
-        open.pop();
-    }
-    for tree in &trees {
-        for root in &tree.roots {
-            tally(root, &mut Vec::new(), &mut order, &mut rows);
-        }
-    }
-    for span_name in &order {
-        let (depth, count, total) = rows[span_name];
-        let label = format!("{:indent$}{span_name}", "", indent = depth * 2);
-        println!("  {label:<32} {count:>6}×  {:>9}", fmt_ns(total));
+    for (depth, row) in PhaseRows::from_trees(&trees).in_tree_order() {
+        let label = format!("{:indent$}{}", "", row.name, indent = depth * 2);
+        println!(
+            "  {label:<32} {:>6}×  {:>9}",
+            row.count,
+            fmt_ns(row.total_ns)
+        );
     }
 
     // Binding caps, read back from the recorded exhaustion instants — the
@@ -883,4 +948,99 @@ fn list() -> ExitCode {
         println!("{:<10} [{status:>10}]  {}", b.name, b.description);
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::PhaseRows;
+    use rel_obs::{SpanNode, ThreadTree};
+
+    fn span(name: &'static str, start_ns: u64, end_ns: u64, children: Vec<SpanNode>) -> SpanNode {
+        SpanNode {
+            name,
+            start_ns,
+            end_ns,
+            arg: 0,
+            children,
+            events: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn phase_rows_key_by_call_path_and_fold_recursion() {
+        // check ─┬─ entails ─┬─ eliminate ─┬─ component ── entails ── prove
+        //        │           │             └─ eliminate (recursion)
+        //        │           └─ prove
+        //        └─ prove
+        let tree = span(
+            "check",
+            0,
+            100,
+            vec![
+                span(
+                    "entails",
+                    0,
+                    90,
+                    vec![
+                        span(
+                            "eliminate",
+                            0,
+                            80,
+                            vec![
+                                span(
+                                    "component",
+                                    0,
+                                    70,
+                                    vec![span(
+                                        "entails",
+                                        0,
+                                        60,
+                                        vec![span("prove", 0, 50, vec![])],
+                                    )],
+                                ),
+                                span("eliminate", 70, 75, vec![]),
+                            ],
+                        ),
+                        span("prove", 80, 81, vec![]),
+                    ],
+                ),
+                span("prove", 90, 92, vec![]),
+            ],
+        );
+        let trees = [ThreadTree {
+            tid: 0,
+            roots: vec![tree],
+            events: Vec::new(),
+        }];
+        let table = PhaseRows::from_trees(&trees);
+        let rows: Vec<_> = table
+            .in_tree_order()
+            .into_iter()
+            .map(|(depth, row)| (depth, row.name, row.count, row.total_ns))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                (0, "check", 1, 100),
+                // The nested `entails` folds into this row: counted, no time.
+                (1, "entails", 2, 90),
+                // Recursing `eliminate` likewise.
+                (2, "eliminate", 2, 80),
+                (3, "component", 1, 70),
+                // The `prove` under the folded `entails` lands with the
+                // direct one under the outer `entails`.
+                (2, "prove", 2, 51),
+                (1, "prove", 1, 2),
+            ]
+        );
+        // No row's time exceeds the row it is indented under.
+        let mut parents: Vec<u64> = Vec::new();
+        for (depth, row) in table.in_tree_order() {
+            parents.truncate(depth);
+            if let Some(&parent) = parents.last() {
+                assert!(row.total_ns <= parent, "{} exceeds its parent", row.name);
+            }
+            parents.push(row.total_ns);
+        }
+    }
 }

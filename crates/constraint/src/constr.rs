@@ -474,6 +474,7 @@ impl fmt::Display for Constr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn n(v: &str) -> Idx {
         Idx::var(v)
@@ -542,6 +543,37 @@ mod tests {
         );
         let shadowed = c.subst(&IdxVar::new("b"), &Idx::nat(7));
         assert_eq!(shadowed, c);
+    }
+
+    #[test]
+    fn subst_all_handles_quantifier_shadowing_like_pairwise_subst() {
+        let pairwise = |c: &Constr, map: &BTreeMap<IdxVar, Idx>| -> Constr {
+            map.iter().fold(c.clone(), |acc, (v, i)| acc.subst(v, i))
+        };
+        let inner = Constr::exists(
+            "b",
+            Sort::Nat,
+            Constr::eq(n("b"), n("a")).and(Constr::leq(n("c"), n("b"))),
+        );
+        let c = Constr::leq(n("c"), n("a")).and(inner.clone());
+        // A binder of the same name as a substituted variable: its bound
+        // occurrences stay untouched.
+        let shadow: BTreeMap<IdxVar, Idx> = [
+            (IdxVar::new("b"), Idx::nat(7)),
+            (IdxVar::new("c"), Idx::one()),
+        ]
+        .into();
+        let out = c.subst_all(&shadow);
+        assert_eq!(out, pairwise(&c, &shadow));
+        assert!(!out.mentions(&IdxVar::new("c")));
+        // A replacement mentioning the bound variable: the binder is renamed
+        // instead of capturing it.
+        let capture: BTreeMap<IdxVar, Idx> = [(IdxVar::new("a"), n("b") + Idx::one())].into();
+        let out = c.subst_all(&capture);
+        assert_eq!(out, pairwise(&c, &capture));
+        let out = inner.subst_all(&capture);
+        assert_eq!(out, pairwise(&inner, &capture));
+        assert!(out.free_vars().contains(&IdxVar::new("b")));
     }
 
     #[test]

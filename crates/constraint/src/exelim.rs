@@ -45,7 +45,6 @@ use std::hash::{Hash, Hasher};
 use rel_index::{Idx, IdxVar, Sort};
 
 use crate::constr::{Constr, Quantified};
-use crate::cpool;
 use crate::fm;
 use crate::solver::{Provenance, SearchExhaustedReason, Solver, Validity};
 
@@ -498,13 +497,10 @@ fn search_component(
             subst.insert(q.var.clone(), cands[assignment[i]].clone());
         }
         if let Some(resolved) = resolve_mutual(&subst, all_ex_vars) {
-            // One shared-subtree traversal for the whole assignment —
-            // `resolve_mutual` guarantees the replacements mention no
-            // existential variables, which is exactly `subst_all`'s
-            // precondition.  Routed through the hash-consed pool, so only
-            // the subtrees that actually mention a substituted variable are
-            // rebuilt.
-            let instantiated = cpool::subst_all_cached(comp_goal, &resolved);
+            // One traversal for the whole assignment — `resolve_mutual`
+            // guarantees the replacements mention no existential variables,
+            // which is exactly `subst_all`'s precondition.
+            let instantiated = comp_goal.subst_all(&resolved);
             let hash = constr_hash(&instantiated);
             let seen = rejected
                 .get(&hash)

@@ -24,7 +24,6 @@
 pub mod cache;
 pub mod compile;
 pub mod constr;
-pub mod cpool;
 pub mod exelim;
 pub mod fm;
 pub mod lemmas;
@@ -33,7 +32,6 @@ pub mod solver;
 pub use cache::{CacheStats, Fnv1a, QueryKey, QueryRef, ShardedValidityCache, ValidityCache};
 pub use compile::{compile_query, CompiledQuery, EvalFrame, Val};
 pub use constr::{Constr, Quantified};
-pub use cpool::{CId, CNode, CPool};
 pub use exelim::{eliminate_existentials, ExElimOutcome, ExElimStats};
 pub use fm::{FmLimits, FmMemo, FmOutcome, FmVerdict};
 pub use solver::{

@@ -40,7 +40,6 @@ use rel_index::{Atom, Extended, Idx, IdxEnv, IdxVar, Rational, Sort};
 use crate::cache::{Fnv1a, QueryKey, QueryRef, ValidityCache};
 use crate::compile::{compile_query, CompiledQuery, Val};
 use crate::constr::Constr;
-use crate::cpool;
 use crate::exelim;
 use crate::fm::{self, FmLimits, FmMemo, FmOutcome, FmVerdict};
 use crate::lemmas;
@@ -1648,19 +1647,10 @@ fn apply_rewrites<'a>(c: &'a Constr, rewrites: &[(IdxVar, Idx)]) -> Cow<'a, Cons
 
 /// Constant-folds atomic comparisons and simplifies trivial connectives.
 ///
-/// Routes through the calling thread's hash-consed constraint pool
-/// ([`crate::cpool`]): repeated simplification of the same (sub-)constraints
-/// — every canonical entry point simplifies its goal, and `exelim` re-enters
-/// once per candidate substitution — reduces to memo lookups.  Produces
-/// exactly the same constraint as [`simplify_tree`] (differential-tested in
-/// `cpool`).
+/// Idempotent (see the `Not` arm).  A plain tree walk: a per-thread memo
+/// would intern the whole input and rebuild the whole output on every call,
+/// which costs more than the fold it saves (DESIGN.md §4.3).
 pub fn simplify(c: &Constr) -> Constr {
-    cpool::simplify_cached(c)
-}
-
-/// The tree-walking reference implementation of [`simplify`] (the pooled
-/// version mirrors these fold rules node for node).
-pub fn simplify_tree(c: &Constr) -> Constr {
     match c {
         Constr::Eq(a, b) => {
             let (na, nb) = (rel_index::normalize(a), rel_index::normalize(b));
@@ -1713,8 +1703,8 @@ pub fn simplify_tree(c: &Constr) -> Constr {
                 _ => Constr::Lt(na, nb),
             }
         }
-        Constr::And(cs) => Constr::conj(cs.iter().map(simplify_tree)),
-        Constr::Or(cs) => Constr::disj(cs.iter().map(simplify_tree)),
+        Constr::And(cs) => Constr::conj(cs.iter().map(simplify)),
+        Constr::Or(cs) => Constr::disj(cs.iter().map(simplify)),
         // `negate` flips comparisons (¬(a < b) becomes b ≤ a) without
         // re-folding them, so simplify the flipped form once more: this is
         // what makes `simplify` idempotent, the invariant the solver's
@@ -1723,13 +1713,13 @@ pub fn simplify_tree(c: &Constr) -> Constr {
         // decomposition level.  A `Not` result is the opaque case (e.g.
         // ¬(a = b)) whose operand is already simplified — recursing on it
         // would loop.
-        Constr::Not(c) => match simplify_tree(c).negate() {
+        Constr::Not(c) => match simplify(c).negate() {
             negated @ Constr::Not(_) => negated,
-            negated => simplify_tree(&negated),
+            negated => simplify(&negated),
         },
-        Constr::Implies(a, b) => simplify_tree(a).implies(simplify_tree(b)),
-        Constr::Forall(q, c) => Constr::forall(q.var.clone(), q.sort, simplify_tree(c)),
-        Constr::Exists(q, c) => Constr::exists(q.var.clone(), q.sort, simplify_tree(c)),
+        Constr::Implies(a, b) => simplify(a).implies(simplify(b)),
+        Constr::Forall(q, c) => Constr::forall(q.var.clone(), q.sort, simplify(c)),
+        Constr::Exists(q, c) => Constr::exists(q.var.clone(), q.sort, simplify(c)),
         Constr::Top | Constr::Bot => c.clone(),
     }
 }
@@ -1737,6 +1727,8 @@ pub fn simplify_tree(c: &Constr) -> Constr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constr::Quantified;
+    use proptest::prelude::*;
 
     fn nat_vars(names: &[&str]) -> Vec<(IdxVar, Sort)> {
         names.iter().map(|n| (IdxVar::new(*n), Sort::Nat)).collect()
@@ -2409,5 +2401,84 @@ mod tests {
         let mut s = Solver::new();
         assert!(s.entails(&u, &Constr::Top, &goal).is_valid());
         assert_eq!(s.stats().search_exhausted, None);
+    }
+
+    // ---- property tests: `simplify` preserves meaning and is idempotent ----
+
+    fn arb_idx() -> impl Strategy<Value = Idx> {
+        let leaf = prop_oneof![
+            (0u64..5).prop_map(Idx::nat),
+            Just(Idx::Const(Rational::new(1, 2))),
+            Just(Idx::infty()),
+            Just(Idx::var("n")),
+            Just(Idx::var("a")),
+            Just(Idx::var("b")),
+        ];
+        leaf.prop_recursive(2, 12, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a + b),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a - b),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a * b),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| Idx::min(a, b)),
+                inner.clone().prop_map(Idx::ceil),
+                inner.clone().prop_map(|a| a / Idx::nat(2)),
+            ]
+        })
+    }
+
+    fn arb_constr() -> impl Strategy<Value = Constr> {
+        let cmp = prop_oneof![
+            Just(Constr::Top),
+            Just(Constr::Bot),
+            (arb_idx(), arb_idx()).prop_map(|(a, b)| Constr::eq(a, b)),
+            (arb_idx(), arb_idx()).prop_map(|(a, b)| Constr::leq(a, b)),
+            (arb_idx(), arb_idx()).prop_map(|(a, b)| Constr::lt(a, b)),
+            // Equal sides: `a < a` folds only once negated to `a ≤ a`.
+            arb_idx().prop_map(|a| Constr::lt(a.clone(), a)),
+        ];
+        cmp.prop_recursive(3, 24, 3, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone(), 0usize..3).prop_map(|(a, b, k)| {
+                    Constr::And(vec![a, b].into_iter().take(k).collect())
+                }),
+                (inner.clone(), inner.clone(), 0usize..3)
+                    .prop_map(|(a, b, k)| { Constr::Or(vec![a, b].into_iter().take(k).collect()) }),
+                inner.clone().prop_map(|c| Constr::Not(Box::new(c))),
+                (inner.clone(), inner.clone())
+                    .prop_map(|(a, b)| Constr::Implies(Box::new(a), Box::new(b))),
+                inner
+                    .clone()
+                    .prop_map(|c| Constr::Forall(Quantified::new("a", Sort::Nat), Box::new(c))),
+                inner
+                    .clone()
+                    .prop_map(|c| Constr::Exists(Quantified::new("b", Sort::Real), Box::new(c))),
+            ]
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn simplify_preserves_bounded_evaluation(
+            c in arb_constr(),
+            n in 0i64..6,
+            a in 0i64..6,
+            b in 0i64..6,
+        ) {
+            // Quantifier bound within `EXISTS_SEARCH_CAP`, so `∀` and `∃`
+            // range over the same domain and `¬∀ ⟺ ∃¬` holds under
+            // `eval_bounded` too.
+            let env = IdxEnv::from_pairs([
+                ("n", Extended::from(n)),
+                ("a", Extended::from(a)),
+                ("b", Extended::from(b)),
+            ]);
+            prop_assert_eq!(simplify(&c).eval_bounded(&env, 4), c.eval_bounded(&env, 4));
+        }
+
+        #[test]
+        fn simplify_is_idempotent(c in arb_constr()) {
+            let once = simplify(&c);
+            prop_assert_eq!(simplify(&once), once);
+        }
     }
 }

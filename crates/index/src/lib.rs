@@ -41,7 +41,6 @@
 pub mod eval;
 pub mod linear;
 pub mod normalize;
-pub mod pool;
 pub mod rational;
 pub mod sort;
 pub mod term;
@@ -49,8 +48,7 @@ pub mod var;
 
 pub use eval::{EvalError, IdxEnv, MAX_SUM_TERMS};
 pub use linear::{Atom, LinExpr};
-pub use normalize::{normalize, normalize_tree};
-pub use pool::{IdxId, IdxPool};
+pub use normalize::normalize;
 pub use rational::{Extended, Rational};
 pub use sort::Sort;
 pub use term::Idx;

@@ -13,37 +13,26 @@ use crate::term::Idx;
 
 /// Returns a simplified term denoting the same function of its free variables.
 ///
-/// Routed through the hash-consing pool of [`crate::pool`]: terms are
-/// interned (deduplicating shared subtrees) and normalization of each
-/// distinct node is computed once per thread, so the solver's repeated
-/// simplification of the same goals costs memo lookups instead of tree
-/// rebuilds.  The result is identical to [`normalize_tree`] (pinned by the
-/// property tests here and in `pool`).
+/// A plain tree walk: a per-thread memo costs more than the fold it saves
+/// (DESIGN.md §4.3).
 pub fn normalize(idx: &Idx) -> Idx {
-    crate::pool::normalize_cached(idx)
-}
-
-/// The direct tree-walking normalizer (one full rebuild per call).  The
-/// pooled [`normalize`] is the production entry point; this form is kept as
-/// the reference implementation for differential tests and benchmarks.
-pub fn normalize_tree(idx: &Idx) -> Idx {
     match idx {
         Idx::Var(_) | Idx::Const(_) | Idx::Infty => idx.clone(),
-        Idx::Add(a, b) => fold_add(normalize_tree(a), normalize_tree(b)),
-        Idx::Sub(a, b) => fold_sub(normalize_tree(a), normalize_tree(b)),
-        Idx::Mul(a, b) => fold_mul(normalize_tree(a), normalize_tree(b)),
-        Idx::Div(a, b) => fold_div(normalize_tree(a), normalize_tree(b)),
-        Idx::Ceil(a) => fold_ceil(normalize_tree(a)),
-        Idx::Floor(a) => fold_floor(normalize_tree(a)),
-        Idx::Min(a, b) => fold_min(normalize_tree(a), normalize_tree(b)),
-        Idx::Max(a, b) => fold_max(normalize_tree(a), normalize_tree(b)),
-        Idx::Log2(a) => fold_unary_const(normalize_tree(a), Idx::Log2, Extended::log2_total),
-        Idx::Pow2(a) => fold_unary_const(normalize_tree(a), Idx::Pow2, Extended::pow2_total),
+        Idx::Add(a, b) => fold_add(normalize(a), normalize(b)),
+        Idx::Sub(a, b) => fold_sub(normalize(a), normalize(b)),
+        Idx::Mul(a, b) => fold_mul(normalize(a), normalize(b)),
+        Idx::Div(a, b) => fold_div(normalize(a), normalize(b)),
+        Idx::Ceil(a) => fold_ceil(normalize(a)),
+        Idx::Floor(a) => fold_floor(normalize(a)),
+        Idx::Min(a, b) => fold_min(normalize(a), normalize(b)),
+        Idx::Max(a, b) => fold_max(normalize(a), normalize(b)),
+        Idx::Log2(a) => fold_unary_const(normalize(a), Idx::Log2, Extended::log2_total),
+        Idx::Pow2(a) => fold_unary_const(normalize(a), Idx::Pow2, Extended::pow2_total),
         Idx::Sum { var, lo, hi, body } => Idx::Sum {
             var: var.clone(),
-            lo: Box::new(normalize_tree(lo)),
-            hi: Box::new(normalize_tree(hi)),
-            body: Box::new(normalize_tree(body)),
+            lo: Box::new(normalize(lo)),
+            hi: Box::new(normalize(hi)),
+            body: Box::new(normalize(body)),
         },
     }
 }

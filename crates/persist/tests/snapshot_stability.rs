@@ -1,9 +1,8 @@
 //! Persisted-surface stability: the default engine fingerprint and the
 //! byte encoding of a query key are pinned with **golden values**.
 //!
-//! The hash-consed constraint pool, the FM subproblem memo and the indexed
-//! existential search are all in-memory acceleration layers: none of them
-//! may move the persisted surface.  The fingerprint is the value the
+//! The FM subproblem memo and the indexed existential search are in-memory
+//! acceleration layers: neither may move the persisted surface.  The fingerprint is the value the
 //! pre-interning build (commit `3f49f5e`) reported for `Engine::new()`, and
 //! the verdict frame below embeds, byte for byte, the query-key encoding
 //! that build wrote.  The current build must
