@@ -828,7 +828,25 @@ fn explain(name: &str) -> ExitCode {
             }
         }
     }
-    for def in &report.defs {
+    // Assignments the search skipped as unresolvable, per definition: the
+    // defs are checked in order on this thread, one `engine.check_def` span
+    // each, so every `exelim.unresolved` instant belongs to the latest one.
+    let mut skipped = vec![0u64; report.defs.len()];
+    let mut current = None;
+    for e in &events {
+        match (e.kind, e.name) {
+            (rel_obs::EventKind::Begin, "engine.check_def") => {
+                current = Some(current.map_or(0, |d: usize| d + 1));
+            }
+            (rel_obs::EventKind::Instant, "exelim.unresolved") => {
+                if let Some(slot) = current.and_then(|d| skipped.get_mut(d)) {
+                    *slot += e.arg;
+                }
+            }
+            _ => {}
+        }
+    }
+    for (def, skipped) in report.defs.iter().zip(skipped) {
         if let Some(reason) = def.stats.search_exhausted {
             // The recorded instant carrying this reason has the limit that
             // actually fired.
@@ -847,10 +865,13 @@ fn explain(name: &str) -> ExitCode {
                 reason.describe(),
                 reason.as_str()
             );
-            match limit {
-                Some(l) => println!(", limit {l}, so {outcome}."),
-                None => println!(", so {outcome}."),
+            if let Some(l) = limit {
+                print!(", limit {l}");
             }
+            if skipped > 0 {
+                print!(" ({skipped} assignments skipped as cyclic or out of component)");
+            }
+            println!(", so {outcome}.");
         }
     }
 

@@ -35,7 +35,10 @@
 //! its own conjuncts.  Within a component, **memoized rejection** skips any
 //! assignment whose instantiated goal was already refuted under an earlier
 //! assignment (distinct candidate tuples frequently resolve to the same
-//! instantiation), counted as `exelim_candidates_pruned`.  All-ℝ components
+//! instantiation), counted as `exelim_candidates_pruned`.  Candidates that
+//! name other existentials are resolved in **dependency order** over their
+//! precomputed footprints; an assignment whose references form a cycle or
+//! leave the component is skipped before any term is built.  All-ℝ components
 //! that candidate search cannot close fall back to the exact Fourier–Motzkin
 //! projection per component.
 
@@ -55,6 +58,10 @@ pub struct ExElimStats {
     pub variables: usize,
     /// Number of complete candidate assignments tried.
     pub attempts: usize,
+    /// Number of candidate assignments skipped before any term was built:
+    /// their candidates depend on each other in a cycle, or name an
+    /// existential outside the component.
+    pub unresolved: usize,
     /// When the search gave up: which cap ended it, with the configured
     /// limit value (`None` on success, and also when the candidate pool
     /// simply ran dry without any cap firing).
@@ -175,6 +182,37 @@ fn solve_linear_for(v: &IdxVar, a: &Idx, b: &Idx) -> Option<Idx> {
     }
 }
 
+/// One candidate substitution for an existential variable.
+struct Candidate {
+    term: Idx,
+    /// Positions (in the prefix's `ex_vars`, ascending) of the prefix
+    /// existentials the term mentions: the variables that must be resolved
+    /// before this candidate can be substituted.
+    footprint: Vec<usize>,
+}
+
+impl Candidate {
+    /// The candidate with its footprint, or `None` when the term mentions a
+    /// variable out of scope at the prefix: neither a universal nor a
+    /// prefix existential (`positions` maps each to its position).
+    fn in_scope(
+        term: Idx,
+        universals: &[(IdxVar, Sort)],
+        positions: &BTreeMap<&IdxVar, usize>,
+    ) -> Option<Candidate> {
+        let mut footprint = Vec::new();
+        for w in term.free_vars() {
+            match positions.get(&w) {
+                Some(&p) => footprint.push(p),
+                None if universals.iter().any(|(u, _)| *u == w) => {}
+                None => return None,
+            }
+        }
+        footprint.sort_unstable();
+        Some(Candidate { term, footprint })
+    }
+}
+
 /// The matrix, indexed: top-level conjuncts with their existential-variable
 /// footprints, and per-variable candidate lists collected in one pass.
 struct MatrixIndex {
@@ -185,7 +223,7 @@ struct MatrixIndex {
     var_conjuncts: Vec<Vec<usize>>,
     /// Candidate substitutions per variable, sorted small-first (same
     /// position alignment).
-    candidates: Vec<Vec<Idx>>,
+    candidates: Vec<Vec<Candidate>>,
 }
 
 impl MatrixIndex {
@@ -200,7 +238,9 @@ impl MatrixIndex {
     /// at the prefix — a universal or a prefix existential.  Comparisons
     /// under an inner binder yield candidates naming the bound variable;
     /// substituting one would capture (`Constr::subst` renames the binder),
-    /// so such a candidate could never match and is dropped.
+    /// so such a candidate could never match and is dropped.  Each kept
+    /// candidate records its footprint, so the search resolves assignments
+    /// without re-scanning terms.
     fn build(
         matrix: &Constr,
         hyp: &Constr,
@@ -215,13 +255,13 @@ impl MatrixIndex {
             .map(|(i, q)| (&q.var, i))
             .collect();
         let mut var_conjuncts: Vec<Vec<usize>> = vec![Vec::new(); ex_vars.len()];
-        let mut candidates: Vec<Vec<Idx>> = vec![Vec::new(); ex_vars.len()];
+        let mut terms: Vec<Vec<Idx>> = vec![Vec::new(); ex_vars.len()];
         for (ci, conjunct) in conjuncts.iter().enumerate() {
             let fv = conjunct.free_vars();
             for v in &fv {
                 if let Some(&vi) = positions.get(v) {
                     var_conjuncts[vi].push(ci);
-                    candidates_for(v, conjunct, &mut candidates[vi]);
+                    candidates_for(v, conjunct, &mut terms[vi]);
                 }
             }
         }
@@ -230,21 +270,24 @@ impl MatrixIndex {
         // zero default — a frequent witness for cost variables (synchronous
         // executions).
         let hyp_fv = hyp.free_vars();
-        for (vi, q) in ex_vars.iter().enumerate() {
-            if hyp_fv.contains(&q.var) {
-                candidates_for(&q.var, hyp, &mut candidates[vi]);
-            }
-            push_unique(&mut candidates[vi], Idx::zero());
-            candidates[vi].retain(|idx| {
-                idx.free_vars()
-                    .iter()
-                    .all(|w| universals.iter().any(|(u, _)| u == w) || positions.contains_key(w))
-            });
-            // Prefer syntactically small candidates (ground constants
-            // resolve most size variables immediately; the lazy search then
-            // rarely needs to move past the first assignment).
-            candidates[vi].sort_by_key(Idx::size);
-        }
+        let candidates = terms
+            .into_iter()
+            .zip(ex_vars)
+            .map(|(mut terms, q)| {
+                if hyp_fv.contains(&q.var) {
+                    candidates_for(&q.var, hyp, &mut terms);
+                }
+                push_unique(&mut terms, Idx::zero());
+                // Prefer syntactically small candidates (ground constants
+                // resolve most size variables immediately; the lazy search
+                // then rarely needs to move past the first assignment).
+                terms.sort_by_key(Idx::size);
+                terms
+                    .into_iter()
+                    .filter_map(|term| Candidate::in_scope(term, universals, &positions))
+                    .collect()
+            })
+            .collect();
         MatrixIndex {
             conjuncts,
             var_conjuncts,
@@ -346,8 +389,7 @@ pub fn eliminate_existentials(
     let _span = rel_obs::span_with("exelim.eliminate", ex_vars.len() as u64);
     let mut stats = ExElimStats {
         variables: ex_vars.len(),
-        attempts: 0,
-        exhausted: None,
+        ..ExElimStats::default()
     };
     if ex_vars.is_empty() {
         let v = solver.entails_no_exists(universals, hyp, &matrix);
@@ -388,12 +430,13 @@ pub fn eliminate_existentials(
                 .iter()
                 .map(|&ci| index.conjuncts[ci].clone()),
         );
-        let comp_candidates: Vec<(&Quantified, &[Idx])> = var_positions
+        let comp_candidates: Vec<(&Quantified, &[Candidate])> = var_positions
             .iter()
             .map(|&vi| (&ex_vars[vi], index.candidates[vi].as_slice()))
             .collect();
         let _comp_span = rel_obs::span_with("exelim.component", var_positions.len() as u64);
-        match search_component(
+        let unresolved_before = stats.unresolved;
+        let found = search_component(
             solver,
             universals,
             hyp,
@@ -402,7 +445,12 @@ pub fn eliminate_existentials(
             &ex_vars,
             &mut stats,
             max_attempts,
-        ) {
+        );
+        rel_obs::event_with(
+            "exelim.unresolved",
+            (stats.unresolved - unresolved_before) as u64,
+        );
+        match found {
             Some((witness, Validity::Valid(p))) => {
                 provenance = provenance.and(p);
                 if let Some(map) = combined_witness.as_mut() {
@@ -454,12 +502,15 @@ fn search_component(
     universals: &[(IdxVar, Sort)],
     hyp: &Constr,
     comp_goal: &Constr,
-    candidates: &[(&Quantified, &[Idx])],
+    candidates: &[(&Quantified, &[Candidate])],
     all_ex_vars: &[Quantified],
     stats: &mut ExElimStats,
     max_attempts: usize,
 ) -> Option<(BTreeMap<IdxVar, Idx>, Validity)> {
     let mut assignment: Vec<usize> = vec![0; candidates.len()];
+    let vars: Vec<&Quantified> = candidates.iter().map(|(q, _)| *q).collect();
+    let mut resolver = Resolver::new(&vars, all_ex_vars);
+    let mut chosen: Vec<&Candidate> = Vec::with_capacity(candidates.len());
     // Memoized rejection: instantiated goals already refuted under an
     // earlier assignment (distinct candidate tuples routinely resolve to
     // the same instantiation once mutual references are substituted out).
@@ -488,16 +539,15 @@ fn search_component(
             rel_obs::event_with(reason.event_name(), limit);
             return None;
         }
-        // Build the substitution for the current assignment, resolving
-        // candidates that mention other existential variables by iterating
-        // substitution until a fixed point (or giving up on that
-        // assignment).
-        let mut subst: BTreeMap<IdxVar, Idx> = BTreeMap::new();
-        for (i, (q, cands)) in candidates.iter().enumerate() {
-            subst.insert(q.var.clone(), cands[assignment[i]].clone());
-        }
-        if let Some(resolved) = resolve_mutual(&subst, all_ex_vars) {
-            // One traversal for the whole assignment — `resolve_mutual`
+        chosen.clear();
+        chosen.extend(
+            candidates
+                .iter()
+                .zip(&assignment)
+                .map(|((_, cands), &k)| &cands[k]),
+        );
+        if let Some(resolved) = resolver.resolve(&chosen) {
+            // One traversal for the whole assignment — the resolver
             // guarantees the replacements mention no existential variables,
             // which is exactly `subst_all`'s precondition.
             let instantiated = comp_goal.subst_all(&resolved);
@@ -532,6 +582,8 @@ fn search_component(
                     rejected.entry(hash).or_default().push(instantiated);
                 }
             }
+        } else {
+            stats.unresolved += 1;
         }
 
         // Advance the candidate odometer.
@@ -647,48 +699,143 @@ fn fm_projection(
     }
 }
 
-/// Resolves candidates that mention other existential variables by repeated
-/// substitution; returns `None` if a cyclic dependency prevents resolution.
-fn resolve_mutual(
-    subst: &BTreeMap<IdxVar, Idx>,
-    ex_vars: &[Quantified],
-) -> Option<BTreeMap<IdxVar, Idx>> {
-    let ex_names: Vec<&IdxVar> = ex_vars.iter().map(|q| &q.var).collect();
-    let mut out = subst.clone();
-    for _ in 0..=ex_vars.len() {
-        let mut changed = false;
-        let snapshot = out.clone();
-        for (_v, idx) in out.iter_mut() {
-            for w in &ex_names {
-                if idx.mentions(w) {
-                    let replacement = snapshot.get(*w)?.clone();
-                    if replacement.mentions(w) {
-                        // Self-referential candidate: unusable.
-                        return None;
-                    }
-                    *idx = idx.subst(w, &replacement);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            // Verify no existential variable remains anywhere.
-            if out
-                .values()
-                .all(|i| ex_names.iter().all(|w| !i.mentions(w)))
-            {
-                return Some(out);
-            }
-            return None;
+/// Resolves candidate assignments whose terms mention other existentials
+/// of the component, in dependency order.
+///
+/// A candidate may name another prefix existential (`a := b + 1`); the
+/// assignment is usable only when every such reference can be substituted
+/// away.  The candidates' footprints form a dependency graph over the
+/// component's variables: a depth-first walk with on-stack marks rejects a
+/// cycle, or a reference outside the component, before any term is built.
+/// An acyclic assignment then substitutes each variable's resolved term
+/// once, dependencies first.  `Idx::subst` is syntactic, so each result is
+/// the fully unfolded term repeated substitution to a fixed point builds.
+struct Resolver<'a> {
+    /// The component's variables, by slot.
+    vars: &'a [&'a Quantified],
+    /// All prefix existentials (footprints index into this list).
+    all_ex_vars: &'a [Quantified],
+    /// Component slot of each prefix existential, `None` outside it.
+    slot_of: Vec<Option<usize>>,
+    /// Per-slot walk state (reset per assignment).
+    visit: Vec<Visit>,
+    /// Slots in dependency order (dependencies first).
+    order: Vec<usize>,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Visit {
+    New,
+    OnStack,
+    Done,
+}
+
+impl<'a> Resolver<'a> {
+    fn new(vars: &'a [&'a Quantified], all_ex_vars: &'a [Quantified]) -> Resolver<'a> {
+        let slot_of = all_ex_vars
+            .iter()
+            .map(|q| vars.iter().position(|v| v.var == q.var))
+            .collect();
+        Resolver {
+            vars,
+            all_ex_vars,
+            slot_of,
+            visit: vec![Visit::New; vars.len()],
+            order: Vec::with_capacity(vars.len()),
         }
     }
-    None
+
+    /// The substitution for one assignment (`chosen[s]` is slot `s`'s
+    /// candidate) with every existential reference resolved, or `None`
+    /// when the references form a cycle or leave the component.
+    fn resolve(&mut self, chosen: &[&Candidate]) -> Option<BTreeMap<IdxVar, Idx>> {
+        self.visit.fill(Visit::New);
+        self.order.clear();
+        for slot in 0..chosen.len() {
+            if !self.walk(slot, chosen) {
+                return None;
+            }
+        }
+        let mut resolved = BTreeMap::new();
+        for &slot in &self.order {
+            let candidate = chosen[slot];
+            let mut term = candidate.term.clone();
+            for &p in &candidate.footprint {
+                let w = &self.all_ex_vars[p].var;
+                term = term.subst(w, &resolved[w]);
+            }
+            resolved.insert(self.vars[slot].var.clone(), term);
+        }
+        Some(resolved)
+    }
+
+    /// Depth-first post-order over the footprints from `slot`; `false` on
+    /// a cycle or an out-of-component reference.
+    fn walk(&mut self, slot: usize, chosen: &[&Candidate]) -> bool {
+        match self.visit[slot] {
+            Visit::Done => return true,
+            Visit::OnStack => return false,
+            Visit::New => {}
+        }
+        self.visit[slot] = Visit::OnStack;
+        for &p in &chosen[slot].footprint {
+            let Some(dep) = self.slot_of[p] else {
+                return false;
+            };
+            if !self.walk(dep, chosen) {
+                return false;
+            }
+        }
+        self.visit[slot] = Visit::Done;
+        self.order.push(slot);
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solver::SolveConfig;
+    use proptest::prelude::*;
+
+    /// The reference resolver the production [`Resolver`] replaced: repeated
+    /// substitution until a fixed point; `None` if a cyclic dependency (or an
+    /// existential outside `subst`) prevents resolution.
+    fn resolve_mutual(
+        subst: &BTreeMap<IdxVar, Idx>,
+        ex_vars: &[Quantified],
+    ) -> Option<BTreeMap<IdxVar, Idx>> {
+        let ex_names: Vec<&IdxVar> = ex_vars.iter().map(|q| &q.var).collect();
+        let mut out = subst.clone();
+        for _ in 0..=ex_vars.len() {
+            let mut changed = false;
+            let snapshot = out.clone();
+            for (_v, idx) in out.iter_mut() {
+                for w in &ex_names {
+                    if idx.mentions(w) {
+                        let replacement = snapshot.get(*w)?.clone();
+                        if replacement.mentions(w) {
+                            // Self-referential candidate: unusable.
+                            return None;
+                        }
+                        *idx = idx.subst(w, &replacement);
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                // Verify no existential variable remains anywhere.
+                if out
+                    .values()
+                    .all(|i| ex_names.iter().all(|w| !i.mentions(w)))
+                {
+                    return Some(out);
+                }
+                return None;
+            }
+        }
+        None
+    }
 
     fn nat_universals(names: &[&str]) -> Vec<(IdxVar, Sort)> {
         names.iter().map(|n| (IdxVar::new(*n), Sort::Nat)).collect()
@@ -765,7 +912,9 @@ mod tests {
         let u = nat_universals(&["n"]);
         let (matrix, vars) = strip_existentials(&goal);
         let index = MatrixIndex::build(&matrix, &Constr::Top, &u, &vars);
-        assert!(!index.candidates[0].contains(&Idx::var("c")));
+        assert!(index.candidates[0]
+            .iter()
+            .all(|cand| cand.term != Idx::var("c")));
         assert_eq!(index.candidates[0].len(), 2);
         let mut s = Solver::new();
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
@@ -851,6 +1000,29 @@ mod tests {
         );
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
         assert!(matches!(out.validity, Some(Validity::Valid(_))));
+    }
+
+    #[test]
+    fn cyclic_assignments_are_skipped_and_counted() {
+        let mut s = Solver::new();
+        let u = nat_universals(&["n"]);
+        // ∃ a b. a = b ∧ a ≤ n: the first assignment (a := b, b := a) is a
+        // cycle, skipped without an attempt; the next one resolves and works.
+        let goal = Constr::exists(
+            "a",
+            Sort::Nat,
+            Constr::exists(
+                "b",
+                Sort::Nat,
+                Constr::eq(Idx::var("a"), Idx::var("b"))
+                    .and(Constr::leq(Idx::var("a"), Idx::var("n"))),
+            ),
+        );
+        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        assert!(matches!(out.validity, Some(Validity::Valid(_))));
+        assert_eq!((out.stats.unresolved, out.stats.attempts), (1, 1));
+        let w = out.witness.unwrap();
+        assert_eq!(w[&IdxVar::new("a")], w[&IdxVar::new("b")]);
     }
 
     #[test]
@@ -978,6 +1150,177 @@ mod tests {
         // The projected component has no syntactic witness, so none is
         // reported for the combined goal.
         assert!(out.witness.is_none());
+    }
+
+    // ---- differential oracle: dependency-order resolution agrees with the
+    // fixed-point resolver on every assignment ----
+
+    /// One random component: its variables (positions into `ex_vars`, which
+    /// also holds existentials outside the component) and 1–3 candidate
+    /// terms per variable.
+    #[derive(Debug)]
+    struct ComponentCase {
+        ex_vars: Vec<Quantified>,
+        component: Vec<usize>,
+        candidates: Vec<Vec<Idx>>,
+    }
+
+    /// Components of up to 6 variables whose candidates chain, form 2- and
+    /// 3-cycles (both planted and by chance), refer to themselves, name an
+    /// existential outside the component, or put a `Σ_k` binder over a
+    /// reference whose resolution mentions the universal `k` — which forces
+    /// `Idx::subst` to rename the binder.
+    struct ArbComponent;
+
+    fn pick(rng: &mut TestRng, n: usize) -> usize {
+        (rng.next_u64() % n as u64) as usize
+    }
+
+    impl Strategy for ArbComponent {
+        type Value = ComponentCase;
+
+        fn generate(&self, rng: &mut TestRng) -> ComponentCase {
+            let ex_vars: Vec<Quantified> = (0..8)
+                .map(|i| Quantified::new(format!("%e{i}"), Sort::Nat))
+                .collect();
+            let size = 1 + pick(rng, 6);
+            // A random subset of the prefix positions, in a random order:
+            // slot order and position order differ.
+            let mut pool: Vec<usize> = (0..ex_vars.len()).collect();
+            let component: Vec<usize> = (0..size)
+                .map(|_| pool.remove(pick(rng, pool.len())))
+                .collect();
+            let var = |slot: usize| Idx::Var(ex_vars[component[slot]].var.clone());
+            let mut candidates: Vec<Vec<Idx>> = (0..size)
+                .map(|slot| {
+                    (0..1 + pick(rng, 3))
+                        .map(|_| {
+                            let any = var(pick(rng, size));
+                            let later = var(slot + pick(rng, size - slot));
+                            let outside =
+                                Idx::Var(ex_vars[pool[pick(rng, pool.len())]].var.clone());
+                            match pick(rng, 9) {
+                                0 => Idx::nat(pick(rng, 3) as u64),
+                                1 => Idx::var("n") + Idx::var("k"),
+                                2 => Idx::var("m") - Idx::var("k"),
+                                3 => any + Idx::one(),
+                                4 => later * Idx::nat(2),
+                                5 => outside + Idx::var("n"),
+                                6 => Idx::sum("k", Idx::zero(), Idx::var("n"), Idx::var("k") + any),
+                                7 => Idx::sum("k", Idx::zero(), later, Idx::var("k")),
+                                _ => Idx::max(any, later),
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            if size >= 2 && pick(rng, 2) == 0 {
+                // Plant a 2- or 3-cycle.
+                let len = if size >= 3 { 2 + pick(rng, 2) } else { 2 };
+                for (i, cands) in candidates.iter_mut().take(len).enumerate() {
+                    cands.push(var((i + 1) % len) + Idx::var("m"));
+                }
+            }
+            ComponentCase {
+                ex_vars,
+                component,
+                candidates,
+            }
+        }
+    }
+
+    /// Every assignment of the case's candidate cross product, resolved by
+    /// the oracle and by [`Resolver`].
+    #[allow(clippy::type_complexity)]
+    fn resolve_both_ways(
+        case: &ComponentCase,
+    ) -> Vec<(Option<BTreeMap<IdxVar, Idx>>, Option<BTreeMap<IdxVar, Idx>>)> {
+        let universals = nat_universals(&["n", "m", "k"]);
+        let positions: BTreeMap<&IdxVar, usize> = case
+            .ex_vars
+            .iter()
+            .enumerate()
+            .map(|(i, q)| (&q.var, i))
+            .collect();
+        let candidates: Vec<Vec<Candidate>> = case
+            .candidates
+            .iter()
+            .map(|terms| {
+                terms
+                    .iter()
+                    .map(|t| {
+                        Candidate::in_scope(t.clone(), &universals, &positions)
+                            .expect("generated terms are in scope")
+                    })
+                    .collect()
+            })
+            .collect();
+        let vars: Vec<&Quantified> = case.component.iter().map(|&p| &case.ex_vars[p]).collect();
+        let mut resolver = Resolver::new(&vars, &case.ex_vars);
+        let mut assignment = vec![0; vars.len()];
+        let mut out = Vec::new();
+        loop {
+            let chosen: Vec<&Candidate> = candidates
+                .iter()
+                .zip(&assignment)
+                .map(|(cands, &k)| &cands[k])
+                .collect();
+            let subst: BTreeMap<IdxVar, Idx> = vars
+                .iter()
+                .zip(&chosen)
+                .map(|(q, c)| (q.var.clone(), c.term.clone()))
+                .collect();
+            out.push((
+                resolve_mutual(&subst, &case.ex_vars),
+                resolver.resolve(&chosen),
+            ));
+            let mut i = 0;
+            loop {
+                if i == assignment.len() {
+                    return out;
+                }
+                assignment[i] += 1;
+                if assignment[i] < candidates[i].len() {
+                    break;
+                }
+                assignment[i] = 0;
+                i += 1;
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn dependency_order_resolution_matches_the_fixpoint_oracle(case in ArbComponent) {
+            for (oracle, resolved) in resolve_both_ways(&case) {
+                prop_assert_eq!(oracle, resolved, "case: {:?}", case);
+            }
+        }
+    }
+
+    #[test]
+    fn resolver_oracle_cases_cover_every_outcome() {
+        // The property above is only as strong as its cases: they must
+        // resolve, fail, and exercise binder renaming.
+        let mut rng = TestRng::from_label("resolver-coverage");
+        let (mut resolved, mut unresolved, mut renamed) = (0, 0, 0);
+        for _ in 0..256 {
+            for (oracle, _) in resolve_both_ways(&ArbComponent.generate(&mut rng)) {
+                match oracle {
+                    Some(map) => {
+                        resolved += 1;
+                        if format!("{map:?}").contains("\"k'\"") {
+                            renamed += 1;
+                        }
+                    }
+                    None => unresolved += 1,
+                }
+            }
+        }
+        assert!(
+            resolved > 100 && unresolved > 100 && renamed > 10,
+            "resolved {resolved}, unresolved {unresolved}, renamed {renamed}"
+        );
     }
 
     #[test]
