@@ -304,11 +304,12 @@ fn run_proved_suite(use_fm: bool) -> (usize, f64, f64) {
         let program = parse_program(b.source).expect("suite sources parse");
         let report = engine.check_program(&program);
         assert!(report.all_ok(), "{} must check in the bench corpus", b.name);
-        points += report.points_evaluated();
+        let stats = report.solve_stats();
+        points += stats.points_evaluated;
         decision += if use_fm {
-            report.fm_time()
+            stats.fm_time
         } else {
-            report.numeric_time()
+            stats.numeric_time
         };
     }
     (
@@ -347,8 +348,9 @@ fn suite_phase_breakdown() -> PhaseBreakdown {
             exelim += def.timings.existential_elim;
             solving += def.timings.solving;
         }
-        fm += report.fm_time();
-        numeric += report.numeric_time();
+        let stats = report.solve_stats();
+        fm += stats.fm_time;
+        numeric += stats.numeric_time;
     }
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     PhaseBreakdown {

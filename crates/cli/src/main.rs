@@ -383,11 +383,7 @@ fn check_files(files: &[String], flags: &Flags) -> ExitCode {
         stats.defs_ok,
         stats.solve.fm_proved,
         stats.solve.grid_accepted,
-        results
-            .iter()
-            .filter_map(|r| r.outcome.as_ref().ok())
-            .map(|rep| rep.points_evaluated())
-            .sum::<usize>(),
+        stats.solve.points_evaluated,
         stats.solve.fm_memo_hits,
         stats.solve.fm_memo_misses,
         stats.solve.exelim_candidates_pruned
@@ -931,6 +927,7 @@ fn table1() -> ExitCode {
             }
         };
         let report = engine.check_program(&program);
+        let solve = report.solve_stats();
         // Every phase column sums over the defs, like `total(s)`.
         let mut timings = PhaseTimings::default();
         for def in &report.defs {
@@ -952,8 +949,8 @@ fn table1() -> ExitCode {
             timings.typecheck.as_secs_f64(),
             timings.existential_elim.as_secs_f64(),
             timings.solving.as_secs_f64(),
-            report.points_evaluated(),
-            report.programs_compiled(),
+            solve.points_evaluated,
+            solve.programs_compiled,
             result
         );
     }

@@ -170,14 +170,6 @@ pub struct SolveStats {
     /// Wall-clock time spent inside the numeric layer (compile + grid +
     /// random sweep) — the cost of *sweeping*.
     pub numeric_time: Duration,
-    /// Self time of existential elimination: wall clock inside the
-    /// candidate search, minus the nested solving and elimination runs it
-    /// started that bill their own time.
-    pub exelim_time: Duration,
-    /// Self time of existential-free solving (FM and the numeric layer,
-    /// outside and inside elimination).  The two phase timers never
-    /// overlap, so their sum stays within the wall clock of the query.
-    pub solving_time: Duration,
     /// Why the last exhausted existential search gave up, when a specific
     /// cap could be identified (`None` when no search was exhausted, or
     /// when the candidate pool simply ran dry without hitting a cap).
@@ -211,8 +203,6 @@ impl SolveStats {
             program_cache_hits,
             fm_time,
             numeric_time,
-            exelim_time,
-            solving_time,
             search_exhausted,
         } = *other;
         self.queries += queries;
@@ -232,15 +222,13 @@ impl SolveStats {
         self.program_cache_hits += program_cache_hits;
         self.fm_time += fm_time;
         self.numeric_time += numeric_time;
-        self.exelim_time += exelim_time;
-        self.solving_time += solving_time;
         self.search_exhausted = self.search_exhausted.or(search_exhausted);
     }
 
-    /// Publishes these statistics as counters and phase-latency histograms
+    /// Publishes these statistics as counters and leaf-timer histograms
     /// on the process-wide [`rel_obs::metrics::global`] registry.  Called
     /// once per def-check by the engine, so the histograms read as per-def
-    /// phase-time distributions.  Exhaustively destructured like
+    /// time distributions.  Exhaustively destructured like
     /// [`SolveStats::merge`], and for the same reason.
     pub fn publish(&self) {
         let SolveStats {
@@ -261,8 +249,6 @@ impl SolveStats {
             program_cache_hits,
             fm_time,
             numeric_time,
-            exelim_time,
-            solving_time,
             search_exhausted,
         } = *self;
         rel_obs::counter!("solver.queries").add(queries as u64);
@@ -282,8 +268,6 @@ impl SolveStats {
         rel_obs::counter!("solver.program_cache_hits").add(program_cache_hits as u64);
         rel_obs::histogram!("solver.fm_ns").observe(fm_time);
         rel_obs::histogram!("solver.numeric_ns").observe(numeric_time);
-        rel_obs::histogram!("solver.exelim_ns").observe(exelim_time);
-        rel_obs::histogram!("solver.solving_ns").observe(solving_time);
         if let Some(reason) = search_exhausted {
             // Four runtime-chosen names, so the per-call-site caching macro
             // does not apply; this is the once-per-def slow path.
@@ -687,9 +671,6 @@ pub struct Solver {
     /// every `symbolic_decide`, so a refutation is never annotated with an
     /// unrelated goal's atoms).
     pending_fm_order: Vec<String>,
-    /// Time billed by the timed regions nested in the one now running
-    /// (see [`Solver::self_timed`]).
-    nested_time: Duration,
 }
 
 impl Default for Solver {
@@ -720,7 +701,6 @@ impl Solver {
             local_verdict_count: 0,
             last_refutation: RefutationInfo::default(),
             pending_fm_order: Vec::new(),
-            nested_time: Duration::ZERO,
         }
     }
 
@@ -899,9 +879,7 @@ impl Solver {
         }
 
         if goal.existential_vars().is_empty() {
-            let (v, t) = self.self_timed(|s| s.entails_no_exists(universals, hyp, goal));
-            self.stats.solving_time += t;
-            v
+            self.entails_no_exists(universals, hyp, goal)
         } else {
             self.eliminate(universals, hyp, goal)
         }
@@ -918,34 +896,16 @@ impl Solver {
         hyp: &Constr,
         goal: &Constr,
     ) -> Validity {
-        let (outcome, t) =
-            self.self_timed(|s| exelim::eliminate_existentials(s, universals, hyp, goal));
-        self.stats.exelim_time += t;
+        let outcome = exelim::eliminate_existentials(self, universals, hyp, goal);
         if let Some(v) = outcome.validity {
             return v;
         }
         if goal.existential_vars().len() <= 2 {
-            let (v, t) = self.self_timed(|s| s.numeric_check(universals, hyp, goal));
-            self.stats.solving_time += t;
-            v
+            self.numeric_check(universals, hyp, goal)
         } else {
             self.note_search_exhausted(outcome.stats.exhausted);
             Validity::Invalid(None)
         }
-    }
-
-    /// Runs `f`, returning its result and its *self* time: the wall clock
-    /// it took minus what the timed regions nested inside it took.
-    /// Elimination recurses (exelim → `Or` arm → exelim, or an `∃` met
-    /// under a binder), so billing inclusive times would count the nested
-    /// run once more inside its parent's span.
-    fn self_timed<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> (R, Duration) {
-        let outer = std::mem::take(&mut self.nested_time);
-        let start = Instant::now();
-        let result = f(self);
-        let elapsed = start.elapsed();
-        let inner = std::mem::replace(&mut self.nested_time, outer + elapsed);
-        (result, elapsed.saturating_sub(inner))
     }
 
     /// Checks an entailment whose goal contains no existential quantifier.
@@ -1944,10 +1904,11 @@ mod tests {
         let start = Instant::now();
         assert_eq!(s.entails(&u, &Constr::Top, &goal), Validity::proved());
         let wall = start.elapsed();
-        // The nested run bills its own time, not its parent's again.
+        // The FM and numeric leaf timers never nest, so their sum stays
+        // within the wall clock of the query.
         let stats = s.stats();
         assert!(
-            stats.exelim_time + stats.solving_time <= wall,
+            stats.fm_time + stats.numeric_time <= wall,
             "{stats:?} over {wall:?}"
         );
     }
@@ -2299,8 +2260,6 @@ mod tests {
             program_cache_hits: 15,
             fm_time: Duration::from_nanos(16),
             numeric_time: Duration::from_nanos(17),
-            exelim_time: Duration::from_nanos(18),
-            solving_time: Duration::from_nanos(19),
             search_exhausted: Some(SearchExhaustedReason::RowCap),
         };
         let mut acc = SolveStats::default();
@@ -2324,8 +2283,6 @@ mod tests {
             program_cache_hits,
             fm_time,
             numeric_time,
-            exelim_time,
-            solving_time,
             search_exhausted,
         } = acc;
         assert_eq!(queries, 2);
@@ -2345,8 +2302,6 @@ mod tests {
         assert_eq!(program_cache_hits, 30);
         assert_eq!(fm_time, Duration::from_nanos(32));
         assert_eq!(numeric_time, Duration::from_nanos(34));
-        assert_eq!(exelim_time, Duration::from_nanos(36));
-        assert_eq!(solving_time, Duration::from_nanos(38));
         // First-reason-wins accumulation, like the solver's own field.
         assert_eq!(search_exhausted, Some(SearchExhaustedReason::RowCap));
         let mut first = SolveStats {

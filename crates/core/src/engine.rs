@@ -19,14 +19,19 @@ use crate::bidir::{RelChecker, Session};
 use crate::heuristics::Heuristics;
 
 /// Wall-clock timings of the three pipeline phases (the columns of Table 1).
+/// They partition the definition's wall clock: `total()` is the typecheck
+/// wall clock plus the entailment wall clock.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
     /// Bidirectional type checking (constraint generation, including the
-    /// heuristic decisions).
+    /// heuristic decisions and the solver queries they make).
     pub typecheck: Duration,
-    /// Existential elimination (candidate-substitution search).
+    /// The entailment wall clock minus `solving`: candidate search,
+    /// instantiation, structural decomposition, fact preparation, and memo
+    /// and validity-cache lookups.
     pub existential_elim: Duration,
-    /// Constraint solving proper.
+    /// The entailment solver's Fourier–Motzkin and numeric-layer time
+    /// ([`SolveStats::fm_time`] + [`SolveStats::numeric_time`]).
     pub solving: Duration,
 }
 
@@ -59,7 +64,7 @@ pub struct DefReport {
     pub existential_vars: u64,
     /// Number of explicit annotations in the definition (annotation effort).
     pub annotations: usize,
-    /// Every solver counter and phase timer for this definition, merged
+    /// Every solver counter and leaf timer for this definition, merged
     /// across the typechecking and entailment solvers through
     /// [`SolveStats::merge`] — one struct instead of a hand-stitched field
     /// list, so a counter added to the solver automatically reaches every
@@ -98,7 +103,7 @@ impl ProgramReport {
         self.defs.iter().map(|d| d.timings.total()).sum()
     }
 
-    /// All solver counters and phase timers, merged across every
+    /// All solver counters and leaf timers, merged across every
     /// definition through [`SolveStats::merge`].
     pub fn solve_stats(&self) -> SolveStats {
         let mut total = SolveStats::default();
@@ -108,72 +113,9 @@ impl ProgramReport {
         total
     }
 
-    /// Total validity-cache hits across all definitions.
-    pub fn cache_hits(&self) -> usize {
-        self.defs.iter().map(|d| d.stats.cache_hits).sum()
-    }
-
-    /// Total validity-cache misses across all definitions.
-    pub fn cache_misses(&self) -> usize {
-        self.defs.iter().map(|d| d.stats.cache_misses).sum()
-    }
-
-    /// Total numeric queries compiled to bytecode across all definitions.
-    pub fn programs_compiled(&self) -> usize {
-        self.defs.iter().map(|d| d.stats.programs_compiled).sum()
-    }
-
-    /// Total compiled-program cache hits across all definitions.
-    pub fn program_cache_hits(&self) -> usize {
-        self.defs.iter().map(|d| d.stats.program_cache_hits).sum()
-    }
-
-    /// Total numeric grid/random points evaluated across all definitions.
-    pub fn points_evaluated(&self) -> usize {
-        self.defs.iter().map(|d| d.stats.points_evaluated).sum()
-    }
-
     /// Number of definitions skipped because their input hash was unchanged.
     pub fn skipped_unchanged(&self) -> usize {
         self.defs.iter().filter(|d| d.skipped_unchanged).count()
-    }
-
-    /// Total obligations discharged by the Fourier–Motzkin layer.
-    pub fn fm_proved(&self) -> usize {
-        self.defs.iter().map(|d| d.stats.fm_proved).sum()
-    }
-
-    /// Total wall-clock time inside the Fourier–Motzkin layer.
-    pub fn fm_time(&self) -> Duration {
-        self.defs.iter().map(|d| d.stats.fm_time).sum()
-    }
-
-    /// Total wall-clock time inside the numeric layer.
-    pub fn numeric_time(&self) -> Duration {
-        self.defs.iter().map(|d| d.stats.numeric_time).sum()
-    }
-
-    /// Total FM subproblem-memo hits across all definitions.
-    pub fn fm_memo_hits(&self) -> usize {
-        self.defs.iter().map(|d| d.stats.fm_memo_hits).sum()
-    }
-
-    /// Total FM subproblem-memo misses across all definitions.
-    pub fn fm_memo_misses(&self) -> usize {
-        self.defs.iter().map(|d| d.stats.fm_memo_misses).sum()
-    }
-
-    /// Total existential candidates pruned by memoized rejection.
-    pub fn exelim_candidates_pruned(&self) -> usize {
-        self.defs
-            .iter()
-            .map(|d| d.stats.exelim_candidates_pruned)
-            .sum()
-    }
-
-    /// Total obligations accepted only by a whole-grid sweep.
-    pub fn grid_accepted(&self) -> usize {
-        self.defs.iter().map(|d| d.stats.grid_accepted).sum()
     }
 
     /// Definitions whose verdict was proved (vs merely grid-checked).
@@ -543,16 +485,17 @@ impl Engine {
         match generated {
             Err(err) => {
                 let stats = *sess.solver.stats();
-                stats.publish();
+                let timings = PhaseTimings {
+                    typecheck,
+                    ..PhaseTimings::default()
+                };
+                publish(&stats, &timings);
                 DefReport {
                     name: def.name.name().to_string(),
                     ok: false,
                     proved: false,
                     error: Some(err.to_string()),
-                    timings: PhaseTimings {
-                        typecheck,
-                        ..PhaseTimings::default()
-                    },
+                    timings,
                     constraint_atoms: 0,
                     existential_vars: sess.fresh.count(),
                     annotations: def.annotation_count(),
@@ -564,17 +507,27 @@ impl Engine {
             Ok(constraint) => {
                 let atoms = constraint.atom_count();
                 let mut solver = self.new_solver();
-                let verdict = solver.entails(&ctx.universals(), &ctx.assumptions, &constraint);
+                let universals = ctx.universals();
+                let start = Instant::now();
+                let verdict = solver.entails(&universals, &ctx.assumptions, &constraint);
+                let entailment = start.elapsed();
                 let refutation = solver.last_refutation().clone();
-                // The entailment solver's phase timers drive the report's
-                // timings (the session solver's queries happen during the
-                // typecheck phase, which has its own wall clock); both
-                // solvers' counters are folded together through the one
-                // canonical aggregation point.
+                // Solving is the entailment solver's FM and numeric leaf
+                // time (those timers never nest); the rest of the entailment
+                // wall clock is existential elimination.  The session
+                // solver's queries already sit inside the typecheck wall
+                // clock.  Both solvers' counters are folded together through
+                // the one canonical aggregation point.
                 let entail_stats = *solver.stats();
+                let solving = entail_stats.fm_time + entail_stats.numeric_time;
+                let timings = PhaseTimings {
+                    typecheck,
+                    existential_elim: entailment.saturating_sub(solving),
+                    solving,
+                };
                 let mut stats = entail_stats;
                 stats.merge(sess.solver.stats());
-                stats.publish();
+                publish(&stats, &timings);
                 DefReport {
                     name: def.name.name().to_string(),
                     ok: verdict.is_valid(),
@@ -584,11 +537,7 @@ impl Engine {
                     } else {
                         Some(describe_failure(&constraint, &verdict, &refutation))
                     },
-                    timings: PhaseTimings {
-                        typecheck,
-                        existential_elim: entail_stats.exelim_time,
-                        solving: entail_stats.solving_time,
-                    },
+                    timings,
                     constraint_atoms: atoms,
                     existential_vars: sess.fresh.count(),
                     annotations: def.annotation_count(),
@@ -611,6 +560,15 @@ impl Engine {
         }
         solver
     }
+}
+
+/// Publishes one def-check's solver counters and its phase split; the
+/// `solver.exelim_ns`/`solver.solving_ns` histograms read as per-def
+/// phase-time distributions.
+fn publish(stats: &SolveStats, timings: &PhaseTimings) {
+    stats.publish();
+    rel_obs::histogram!("solver.exelim_ns").observe(timings.existential_elim);
+    rel_obs::histogram!("solver.solving_ns").observe(timings.solving);
 }
 
 /// Renders a failed verdict with its provenance: *where* the refutation came
@@ -806,6 +764,34 @@ mod tests {
     }
 
     #[test]
+    fn solving_is_billed_from_the_leaf_timers_inside_elimination() {
+        // `append`'s recursive call instantiates its index arguments with
+        // `[]`, so its obligations are existential and FM runs inside
+        // existential elimination; that time is solving, not elimination.
+        // Typechecking applies no boxed function, so the session solver
+        // makes no queries and the merged leaf timers are the entailment
+        // solver's alone.
+        let report = check(
+            r#"
+            def append : unitr -> forall n :: nat. forall a :: nat.
+                         list[n; a] (UU int) ->
+                         forall m :: nat. forall b :: nat.
+                         list[m; b] (UU int) ->[0] list[n + m; a + b] (UU int)
+            = fix append(u). Lam. Lam. lam l1. Lam. Lam. lam l2.
+                case l1 of
+                  nil -> l2
+                | h :: t -> cons(h, append () [] [] t [] [] l2);
+            "#,
+        );
+        let d = report.def("append").unwrap();
+        assert!(d.ok && d.existential_vars > 0, "{d:?}");
+        let t = d.timings;
+        assert_eq!(t.solving, d.stats.fm_time + d.stats.numeric_time);
+        assert!(t.solving > Duration::ZERO, "{d:?}");
+        assert_eq!(t.typecheck + t.existential_elim + t.solving, t.total());
+    }
+
+    #[test]
     fn cached_engine_matches_uncached_verdicts_and_hits_on_rerun() {
         use rel_constraint::{ShardedValidityCache, ValidityCache};
         let src = r#"
@@ -823,9 +809,12 @@ mod tests {
         for (p, c) in plain.defs.iter().zip(&cold.defs) {
             assert_eq!(p.ok, c.ok, "cache changed the verdict of {}", p.name);
         }
-        assert_eq!(cold.cache_hits(), 0);
-        assert!(cold.cache_misses() > 0);
-        assert!(warm.cache_hits() > 0, "warm rerun must hit the cache");
+        assert_eq!(cold.solve_stats().cache_hits, 0);
+        assert!(cold.solve_stats().cache_misses > 0);
+        assert!(
+            warm.solve_stats().cache_hits > 0,
+            "warm rerun must hit the cache"
+        );
         assert!(cache.stats().entries > 0);
     }
 
@@ -973,17 +962,17 @@ mod tests {
 
         let first = engine.check_program(&program);
         assert!(first.all_ok());
-        let compiled_cold = first.programs_compiled();
+        let compiled_cold = first.solve_stats().programs_compiled;
 
         let second = engine.check_program(&program);
         assert!(second.all_ok());
         assert_eq!(
-            second.programs_compiled(),
+            second.solve_stats().programs_compiled,
             0,
             "every program must come from the shared memo on the second run"
         );
         if compiled_cold > 0 {
-            assert!(second.program_cache_hits() > 0);
+            assert!(second.solve_stats().program_cache_hits > 0);
             assert!(programs.stats().entries > 0);
         }
     }

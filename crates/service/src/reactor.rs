@@ -495,11 +495,7 @@ fn stream_batch(shared: &Shared, job: &Job) {
             break;
         }
         let job_spec = crate::batch::BatchJob::new(format!("job-{seq}"), source.clone());
-        let result = crate::batch::check_job_with(
-            shared.service.engine(),
-            Some(shared.service.def_index().as_ref()),
-            &job_spec,
-        );
+        let result = shared.service.check_job(&job_spec);
         if result.ok() {
             jobs_ok += 1;
         }

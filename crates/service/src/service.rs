@@ -17,7 +17,7 @@ use rel_persist::{
 };
 use rel_syntax::parse_program;
 
-use crate::batch::{check_batch_with, BatchJob, BatchResult};
+use crate::batch::{check_batch_with, check_job_with, BatchJob, BatchResult};
 use crate::faultnet::Transport;
 use crate::replica::{
     from_hex, InboundStatus, ReplicaHub, ReplicaOptions, ReplicaSink, ReplicaStatus, SeqClass,
@@ -284,6 +284,12 @@ impl Service {
                 .check_program_with(&program, self.active_index())),
             Err(e) => Err(format!("parse error: {e}")),
         }
+    }
+
+    /// Checks one job on the calling thread, with the same def-index
+    /// policy as [`Service::check_batch`].
+    pub(crate) fn check_job(&self, job: &BatchJob) -> BatchResult {
+        check_job_with(&self.engine, self.active_index(), job)
     }
 
     /// Checks a batch of jobs on the worker pool, in submission order.

@@ -568,6 +568,21 @@ fn streaming_batch_answers_per_job_on_both_planes() {
         assert_eq!(end.get("jobs"), Some(&Value::Int(2)), "{end}");
         assert_eq!(end.get("jobs_ok"), Some(&Value::Int(2)), "{end}");
     }
+    // No cache file is attached, so incremental mode is off: the second
+    // pass re-checks every definition instead of replaying the first's.
+    for line in &http_lines[..2] {
+        let Some(Value::Arr(defs)) = line.get("job").and_then(|j| j.get("defs")) else {
+            panic!("job frame without defs: {line}");
+        };
+        assert!(!defs.is_empty(), "{line}");
+        for def in defs {
+            assert_eq!(
+                def.get("skipped_unchanged"),
+                Some(&Value::Bool(false)),
+                "{line}"
+            );
+        }
+    }
     planes.stop();
 }
 

@@ -206,7 +206,7 @@ fn assert_warm(node: &Node, sources: &[String]) {
     for src in sources {
         let report = node.service.check_source(src).expect("parse");
         assert_eq!(
-            report.cache_misses(),
+            report.solve_stats().cache_misses,
             0,
             "node {} had to re-solve `{}`",
             node.name,

@@ -282,7 +282,7 @@ fn random_fleets_converge_to_the_union_of_checked_programs() {
             for src in &sources {
                 let report = node.service.check_source(src).expect("parse");
                 assert_eq!(
-                    report.cache_misses(),
+                    report.solve_stats().cache_misses,
                     0,
                     "case {case}: node {} re-solved a replicated program",
                     node.token

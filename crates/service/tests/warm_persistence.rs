@@ -45,7 +45,7 @@ fn second_service_instance_starts_warm_from_the_cache_file() {
     let cold = first.check_source(SRC).unwrap();
     assert!(cold.all_ok());
     assert_eq!(cold.skipped_unchanged(), 0);
-    assert!(cold.cache_misses() > 0);
+    assert!(cold.solve_stats().cache_misses > 0);
     first.save_cache().unwrap();
     assert!(path.exists());
 
@@ -59,9 +59,9 @@ fn second_service_instance_starts_warm_from_the_cache_file() {
     let warm = second.check_source(SRC).unwrap();
     assert!(warm.all_ok());
     assert_eq!(warm.skipped_unchanged(), 2);
-    assert_eq!(warm.points_evaluated(), 0);
-    assert_eq!(warm.cache_misses(), 0);
-    assert_eq!(warm.programs_compiled(), 0);
+    assert_eq!(warm.solve_stats().points_evaluated, 0);
+    assert_eq!(warm.solve_stats().cache_misses, 0);
+    assert_eq!(warm.solve_stats().programs_compiled, 0);
 
     // Third "process", checking a *renamed* copy: defs re-check (new
     // hashes) but the persisted validity cache answers their queries.
@@ -71,11 +71,11 @@ fn second_service_instance_starts_warm_from_the_cache_file() {
     assert!(renamed.all_ok());
     assert_eq!(renamed.skipped_unchanged(), 0);
     assert!(
-        renamed.cache_hits() > 0,
+        renamed.solve_stats().cache_hits > 0,
         "identical queries from renamed defs must hit the persisted cache"
     );
     assert_eq!(
-        renamed.cache_misses(),
+        renamed.solve_stats().cache_misses,
         0,
         "every entailment of the renamed copy was persisted"
     );
@@ -110,7 +110,10 @@ fn corrupt_cache_files_degrade_to_a_cold_start_with_a_warning() {
         // file that reloads clean.
         let cold = service.check_source(SRC).unwrap();
         assert!(cold.all_ok());
-        assert!(cold.cache_misses() > 0, "{tag}: nothing was loaded");
+        assert!(
+            cold.solve_stats().cache_misses > 0,
+            "{tag}: nothing was loaded"
+        );
         service.save_cache().unwrap();
         let recovered = Service::default().attach_cache_file(&path);
         assert_eq!(recovered.warning, None, "{tag}");

@@ -97,7 +97,10 @@ fn compiled_layer_actually_compiles_on_the_suite() {
             continue;
         }
         let program = rel_syntax::parse_program(b.source).unwrap();
-        programs += engine.check_program(&program).programs_compiled();
+        programs += engine
+            .check_program(&program)
+            .solve_stats()
+            .programs_compiled;
     }
     assert!(
         programs > 0,

@@ -78,17 +78,15 @@ fn verified_suite_is_decided_with_zero_grid_points() {
         let program = parse_program(b.source).unwrap();
         let report = engine.check_program(&program);
         assert!(report.all_ok(), "{} failed: {report:?}", b.name);
+        let stats = report.solve_stats();
         assert_eq!(
-            report.points_evaluated(),
-            0,
+            stats.points_evaluated, 0,
             "{}: {} grid/random points evaluated — an obligation fell \
              through the symbolic/FM layers",
-            b.name,
-            report.points_evaluated()
+            b.name, stats.points_evaluated
         );
         assert_eq!(
-            report.grid_accepted(),
-            0,
+            stats.grid_accepted, 0,
             "{}: an obligation was accepted by grid sweep instead of proof",
             b.name
         );
@@ -111,8 +109,9 @@ fn flatten_is_promoted_and_proved() {
     assert_eq!(b.status, VerificationStatus::Verified);
     let report = Engine::new().check_program(&parse_program(b.source).unwrap());
     assert!(report.all_ok());
-    assert_eq!(report.points_evaluated(), 0);
-    assert!(report.fm_proved() > 0, "FM must carry some of the proof");
+    let stats = report.solve_stats();
+    assert_eq!(stats.points_evaluated, 0);
+    assert!(stats.fm_proved > 0, "FM must carry some of the proof");
 }
 
 /// Every Table-1 benchmark against its provenance row: the verdict may
