@@ -11,8 +11,9 @@
 //!
 //! Each check sweeps the full 3-variable grid (31³ = 29 791 points, the
 //! regime the unverified-suite checks live in) plus the randomized phase,
-//! through `use_compiled_eval = false` (the tree-walking reference
-//! evaluator) and through the default compiled path.  Besides the
+//! through the tree-walking oracle (`with_tree_eval`, from the
+//! `reference-eval` feature this crate's dev-dependency enables; release
+//! builds do not carry it) and through the solver's compiled sweep.  Besides the
 //! criterion-style report, the bench writes a machine-readable summary to
 //! `BENCH_numeric.json` at the workspace root so the perf trajectory can be
 //! tracked across PRs, and asserts the ≥5× acceptance bar for the compiled
@@ -23,7 +24,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use birelcost::Engine;
-use rel_constraint::{Constr, SolveConfig, Solver};
+use rel_constraint::{with_tree_eval, Constr, SolveConfig, Solver};
 use rel_index::{Idx, IdxVar, Sort};
 use rel_suite::{all_benchmarks, VerificationStatus};
 use rel_syntax::parse_program;
@@ -75,15 +76,8 @@ fn grid_config() -> SolveConfig {
     }
 }
 
-fn tree_config() -> SolveConfig {
-    SolveConfig {
-        use_compiled_eval: false,
-        ..grid_config()
-    }
-}
-
 /// One full pass over the workload from a fresh solver (compile + sweep for
-/// the compiled path, pure interpretation for the tree path).
+/// the compiled path, pure interpretation inside `with_tree_eval`).
 fn run_workload(config: &SolveConfig) -> usize {
     let mut solver = Solver::with_config(config.clone());
     let u = universals();
@@ -100,12 +94,18 @@ fn run_workload(config: &SolveConfig) -> usize {
     solver.stats().points_evaluated
 }
 
-/// Mean nanoseconds per workload pass over `samples` runs.
-fn measure(config: &SolveConfig, samples: u32) -> f64 {
-    run_workload(config); // warm-up (and correctness assertion)
+/// [`run_workload`] swept by the tree-walking oracle.
+fn run_tree_workload(config: &SolveConfig) -> usize {
+    with_tree_eval(|| run_workload(config))
+}
+
+/// Mean nanoseconds per pass of `workload` over `samples` runs.
+fn measure(workload: fn(&SolveConfig) -> usize, samples: u32) -> f64 {
+    let config = grid_config();
+    workload(&config); // warm-up (and correctness assertion)
     let start = Instant::now();
     for _ in 0..samples {
-        run_workload(config);
+        workload(&config);
     }
     start.elapsed().as_nanos() as f64 / samples as f64
 }
@@ -115,8 +115,8 @@ fn solver_grid(c: &mut Criterion) {
     println!("\nsolver_grid workload: {points} grid+random points per pass");
 
     c.bench_function("solver_grid/tree_eval", |b| {
-        let config = tree_config();
-        b.iter(|| run_workload(&config));
+        let config = grid_config();
+        b.iter(|| run_tree_workload(&config));
     });
     c.bench_function("solver_grid/compiled_eval", |b| {
         let config = grid_config();
@@ -209,8 +209,8 @@ fn solver_grid(c: &mut Criterion) {
     );
 
     // Machine-readable summary for the perf trajectory.
-    let tree_ns = measure(&tree_config(), samples);
-    let compiled_ns = measure(&grid_config(), samples);
+    let tree_ns = measure(run_tree_workload, samples);
+    let compiled_ns = measure(run_workload, samples);
     let speedup = tree_ns / compiled_ns;
     let json = format!(
         "{{\n  \"bench\": \"solver_grid\",\n  \"points_per_pass\": {points},\n  \

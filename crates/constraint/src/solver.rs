@@ -14,7 +14,11 @@
 //!    implication over a grid of values of the universally quantified index
 //!    variables, on the calling thread.  It *refutes* invalid constraints
 //!    (producing a counterexample) and *accepts* constraints that hold on the
-//!    whole grid (DESIGN.md §4).
+//!    whole grid (DESIGN.md §4).  Each query is compiled once to the
+//!    bytecode of [`crate::compile`] and memoized in the solver's program
+//!    memo ([`SharedProgramCache`]).  The tree-walking evaluator it replaced
+//!    survives only as a differential oracle behind the `reference-eval`
+//!    feature, which only dev-dependencies enable.
 //!
 //! Verdicts carry **provenance**: [`Validity::Valid`] records whether the
 //! obligation was *proved* (sound over the unbounded domain) or merely
@@ -44,6 +48,11 @@ use crate::exelim;
 use crate::fm::{self, FmLimits, FmMemo, FmOutcome, FmVerdict};
 use crate::lemmas;
 
+#[cfg(feature = "reference-eval")]
+mod reference;
+#[cfg(feature = "reference-eval")]
+pub use reference::with_tree_eval;
+
 /// Configuration of the solver.
 #[derive(Debug, Clone)]
 pub struct SolveConfig {
@@ -63,15 +72,10 @@ pub struct SolveConfig {
     pub max_exelim_attempts: usize,
     /// Whether the Fourier–Motzkin layer ([`crate::fm`]) runs before the
     /// numeric grid.  `false` leaves a pure grid (the `solver_grid`
-    /// benchmark's control arm).  Unlike the verdict-neutral evaluator knob
-    /// below, this one **changes verdicts** (grid-checked obligations flip
-    /// to proved), so it is part of [`SolveConfig::fingerprint`].
+    /// benchmark's control arm).  It **changes verdicts** (grid-checked
+    /// obligations flip to proved), so it is part of
+    /// [`SolveConfig::fingerprint`].
     pub use_fm: bool,
-    /// Evaluate numeric queries through the compiled bytecode of
-    /// [`crate::compile`] (the default).  `false` selects the tree-walking
-    /// evaluator — kept as the reference implementation and for the
-    /// `solver_grid` benchmark's before/after comparison.
-    pub use_compiled_eval: bool,
 }
 
 impl Default for SolveConfig {
@@ -84,7 +88,6 @@ impl Default for SolveConfig {
             rng_seed: 0xB1DE_C057,
             max_exelim_attempts: 128,
             use_fm: true,
-            use_compiled_eval: true,
         }
     }
 }
@@ -111,10 +114,6 @@ impl SolveConfig {
         // must never be replayed into a solver running with it off (and vice
         // versa).
         h.write_u8(self.use_fm as u8);
-        // `use_compiled_eval` is deliberately *not* mixed in: it selects an
-        // evaluator, not a verdict.  The compiled evaluator is
-        // verdict-identical to the tree evaluator (differential-tested), so
-        // solvers that differ only in it may share cached verdicts.
         h.finish()
     }
 }
@@ -466,7 +465,7 @@ pub struct RefutationInfo {
 
 /// One memoized compiled program, stored next to its full key so program
 /// hash collisions can never alias two queries onto one bytecode.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ProgramEntry {
     universals: Vec<(IdxVar, Sort)>,
     hyp: Constr,
@@ -482,7 +481,7 @@ fn program_key_hash(universals: &[(IdxVar, Sort)], hyp: &Constr, goal: &Constr) 
     h.finish()
 }
 
-/// Counters of a [`SharedProgramCache`] (monotone, process-wide).
+/// Counters of a [`SharedProgramCache`] (monotone).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgramCacheStats {
     /// Lookups answered with an already-compiled program.
@@ -493,16 +492,19 @@ pub struct ProgramCacheStats {
     pub entries: u64,
 }
 
-/// A compiled-program memo shared across solvers.
+/// The compiled-program memo, keyed on the stable structural hash of
+/// `(universals, hyp, goal)` with full-key verification (the same collision
+/// discipline as the validity cache, see DESIGN.md §5.1).
 ///
-/// The per-[`Solver`] program cache dies with its solver — and engines spawn
-/// a fresh solver per definition, so without sharing, every definition (and
-/// every daemon request) recompiles the numeric queries it has in common
-/// with its neighbours.  Attaching one `SharedProgramCache` to an engine
-/// (mirroring the validity cache) makes the bytecode survive across
-/// definitions and requests.  It is not persisted: every lookup follows a
-/// validity-cache miss, and the persisted validity cache answers the
-/// queries a warm process would otherwise compile.
+/// Every [`Solver`] holds one: a private single-shard memo that dies with
+/// the solver, unless [`Solver::with_program_cache`] attaches one shared
+/// across solvers.  Engines spawn a fresh solver per definition, so without
+/// sharing, every definition (and every daemon request) recompiles the
+/// numeric queries it has in common with its neighbours; attaching one memo
+/// to an engine (mirroring the validity cache) makes the bytecode survive
+/// across definitions and requests.  It is not persisted: every lookup
+/// follows a validity-cache miss, and the persisted validity cache answers
+/// the queries a warm process would otherwise compile.
 ///
 /// Sharding and the clear-when-full eviction mirror
 /// [`crate::cache::ShardedValidityCache`]; entries store their full key, so
@@ -626,12 +628,6 @@ impl std::fmt::Debug for SharedProgramCache {
     }
 }
 
-/// Entry cap of the per-solver program cache.  Solvers live for one
-/// definition (engines spawn a fresh one per def), so the cap only matters
-/// for unusually long-lived solvers; it is cleared wholesale when full,
-/// like a validity-cache shard.
-const MAX_CACHED_PROGRAMS: usize = 4_096;
-
 /// The constraint solver.
 #[derive(Debug)]
 pub struct Solver {
@@ -640,14 +636,9 @@ pub struct Solver {
     config_fingerprint: u64,
     stats: SolveStats,
     cache: Option<Arc<dyn ValidityCache>>,
-    /// Compiled-program memo, keyed on the stable structural hash of
-    /// `(universals, hyp, goal)` with full-key verification (the same
-    /// collision discipline as the validity cache, see DESIGN.md §5.1).
-    programs: HashMap<u64, Vec<ProgramEntry>>,
-    cached_program_count: usize,
-    /// Optional cross-solver program memo, consulted after the local map
-    /// misses and published to after every compile.
-    shared_programs: Option<Arc<SharedProgramCache>>,
+    /// Compiled-program memo: private to this solver unless
+    /// [`Solver::with_program_cache`] attached a shared one.
+    programs: Arc<SharedProgramCache>,
     /// Limits of the Fourier–Motzkin layer.
     fm_limits: FmLimits,
     /// FM subproblem memo: canonical normalized branch systems → decisions.
@@ -692,9 +683,10 @@ impl Solver {
             config,
             stats: SolveStats::default(),
             cache: None,
-            programs: HashMap::new(),
-            cached_program_count: 0,
-            shared_programs: None,
+            programs: Arc::new(SharedProgramCache::with_shards_and_capacity(
+                1,
+                Self::PRIVATE_PROGRAM_CAP,
+            )),
             fm_limits: FmLimits::default(),
             fm_memo: FmMemo::default(),
             local_verdicts: HashMap::new(),
@@ -718,13 +710,19 @@ impl Solver {
         self.cache.as_ref()
     }
 
-    /// Attaches a shared compiled-program memo, consulted when the solver's
-    /// own program map misses and published to after every compile.  Safe to
-    /// share between solvers of *different* configurations: the bytecode of a
-    /// query is a pure function of `(universals, hyp, goal)` — configuration
-    /// only decides which points it is evaluated at.
+    /// Entry cap of a solver's private program memo.  Solvers live for one
+    /// definition (engines spawn a fresh one per def), so the cap only
+    /// matters for unusually long-lived solvers; the memo is cleared
+    /// wholesale when full, like a validity-cache shard.
+    const PRIVATE_PROGRAM_CAP: usize = 4_096;
+
+    /// Replaces the solver's private compiled-program memo with a shared
+    /// one, consulted before every compile and published to after it.  Safe
+    /// to share between solvers of *different* configurations: the bytecode
+    /// of a query is a pure function of `(universals, hyp, goal)` —
+    /// configuration only decides which points it is evaluated at.
     pub fn with_program_cache(mut self, programs: Arc<SharedProgramCache>) -> Solver {
-        self.shared_programs = Some(programs);
+        self.programs = programs;
         self
     }
 
@@ -1143,12 +1141,13 @@ impl Solver {
 
     /// Bounded-exhaustive plus randomized check of `∀ universals. hyp ⟹ goal`.
     ///
-    /// The default path compiles the implication **once** to the flat
-    /// bytecode of [`crate::compile`] (memoized in the program cache) and
-    /// re-evaluates that program — with a single reused evaluation frame —
-    /// at every grid and random point.  `use_compiled_eval = false` selects
-    /// the tree-walking reference evaluator.  Verdicts and counterexamples
-    /// are identical either way (differential-tested).
+    /// Compiles the implication **once** to the flat bytecode of
+    /// [`crate::compile`] (memoized in the program cache) and re-evaluates
+    /// that program — with a single reused evaluation frame — at every grid
+    /// and random point.  Builds with the `reference-eval` feature can route
+    /// the sweep through the tree-walking oracle instead
+    /// (`with_tree_eval`); verdicts, counterexamples and point counts are
+    /// identical either way (differential-tested).
     fn numeric_check(
         &mut self,
         universals: &[(IdxVar, Sort)],
@@ -1164,11 +1163,14 @@ impl Solver {
             );
         }
         let tn = Instant::now();
-        let v = if self.config.use_compiled_eval {
-            self.numeric_check_compiled(universals, hyp, goal)
-        } else {
+        #[cfg(feature = "reference-eval")]
+        let v = if reference::tree_eval_selected() {
             self.numeric_check_tree(universals, hyp, goal)
+        } else {
+            self.numeric_sweep(universals, hyp, goal)
         };
+        #[cfg(not(feature = "reference-eval"))]
+        let v = self.numeric_sweep(universals, hyp, goal);
         self.stats.numeric_time += tn.elapsed();
         v
     }
@@ -1218,55 +1220,30 @@ impl Solver {
         goal: &Constr,
     ) -> Arc<CompiledQuery> {
         let key = program_key_hash(universals, hyp, goal);
-        if let Some(entries) = self.programs.get(&key) {
-            if let Some(e) = entries
-                .iter()
-                .find(|e| e.universals == universals && e.hyp == *hyp && e.goal == *goal)
-            {
-                self.stats.program_cache_hits += 1;
-                return Arc::clone(&e.program);
-            }
+        if let Some(program) = self.programs.lookup(key, universals, hyp, goal) {
+            self.stats.program_cache_hits += 1;
+            return program;
         }
-        // The local map missed: try the cross-solver memo (a hit there is
-        // still a program-cache hit from this solver's point of view), and
-        // only compile when both layers miss.  Either way the program is
-        // memoized locally so repeats within this solver stay lock-free.
-        let (program, fresh) = match self
-            .shared_programs
-            .as_ref()
-            .and_then(|shared| shared.lookup(key, universals, hyp, goal))
-        {
-            Some(program) => {
-                self.stats.program_cache_hits += 1;
-                (program, false)
-            }
-            None => {
-                self.stats.programs_compiled += 1;
-                let _span = rel_obs::span("grid.compile");
-                (Arc::new(compile_query(universals, hyp, goal)), true)
-            }
+        self.stats.programs_compiled += 1;
+        let program = {
+            let _span = rel_obs::span("grid.compile");
+            Arc::new(compile_query(universals, hyp, goal))
         };
-        if self.cached_program_count >= MAX_CACHED_PROGRAMS {
-            self.programs.clear();
-            self.cached_program_count = 0;
-        }
-        let entry = ProgramEntry {
-            universals: universals.to_vec(),
-            hyp: hyp.clone(),
-            goal: goal.clone(),
-            program: Arc::clone(&program),
-        };
-        if fresh {
-            if let Some(shared) = &self.shared_programs {
-                shared.insert(key, entry.clone());
-            }
-        }
-        self.programs.entry(key).or_default().push(entry);
-        self.cached_program_count += 1;
+        self.programs.insert(
+            key,
+            ProgramEntry {
+                universals: universals.to_vec(),
+                hyp: hyp.clone(),
+                goal: goal.clone(),
+                program: Arc::clone(&program),
+            },
+        );
         program
     }
 
-    fn numeric_check_compiled(
+    /// The sweep behind [`Solver::numeric_check`]: the grid, then the
+    /// off-grid random samples, through one compiled program.
+    fn numeric_sweep(
         &mut self,
         universals: &[(IdxVar, Sort)],
         hyp: &Constr,
@@ -1301,7 +1278,7 @@ impl Solver {
             return Validity::Invalid(Some(env));
         }
 
-        // Randomized phase: same seeded stream as the tree evaluator, but
+        // Randomized phase: the seeded stream of `draw_random_point`, where
         // points that already lie on the exhaustively-swept grid are skipped
         // (they cannot change the verdict and used to inflate
         // `points_evaluated`).  The stream is always consumed in full so
@@ -1379,80 +1356,6 @@ impl Solver {
         failing.then_some(coords)
     }
 
-    /// The tree-walking reference path (`use_compiled_eval = false`): same
-    /// verdicts, one `Box`-tree interpretation per point.  One environment
-    /// is reused across all points (rebinding in place) instead of the
-    /// seed's fresh `IdxEnv` per point.
-    fn numeric_check_tree(
-        &mut self,
-        universals: &[(IdxVar, Sort)],
-        hyp: &Constr,
-        goal: &Constr,
-    ) -> Validity {
-        let bound = self.config.inner_quantifier_bound;
-        let formula = hyp.clone().implies(goal.clone());
-        let vars = universals;
-
-        if vars.is_empty() {
-            self.stats.points_evaluated += 1;
-            return if formula.eval_bounded(&IdxEnv::new(), bound) {
-                self.numeric_accept()
-            } else {
-                let env = IdxEnv::new();
-                self.note_counterexample(CexSource::GridSweep, &env);
-                Validity::Invalid(Some(env))
-            };
-        }
-
-        let per_var = self.per_var_grid(vars.len());
-        let mut env = IdxEnv::new();
-        let mut grid_env = vec![0u64; vars.len()];
-        'grid: loop {
-            for ((v, _), n) in vars.iter().zip(&grid_env) {
-                env.bind(v.clone(), Extended::from(*n));
-            }
-            self.stats.points_evaluated += 1;
-            if !formula.eval_bounded(&env, bound) {
-                self.note_counterexample(CexSource::GridSweep, &env);
-                return Validity::Invalid(Some(env));
-            }
-            // Advance the odometer.
-            let mut i = 0;
-            loop {
-                if i == grid_env.len() {
-                    break 'grid;
-                }
-                grid_env[i] += 1;
-                if grid_env[i] < per_var {
-                    break;
-                }
-                grid_env[i] = 0;
-                i += 1;
-            }
-        }
-
-        if self.config.random_points > 0 {
-            let mut rng = StdRng::seed_from_u64(self.config.rng_seed);
-            let mut sample = vec![Extended::ZERO; vars.len()];
-            for _ in 0..self.config.random_points {
-                // Grid-coincident samples were already evaluated exhaustively.
-                if draw_random_point(&mut rng, vars, per_var, &mut sample) {
-                    continue;
-                }
-                for ((v, _), e) in vars.iter().zip(&sample) {
-                    env.bind(v.clone(), *e);
-                }
-                self.stats.points_evaluated += 1;
-                if !formula.eval_bounded(&env, bound) {
-                    self.note_counterexample(CexSource::RandomSample, &env);
-                    return Validity::Invalid(Some(env));
-                }
-            }
-        }
-
-        self.numeric_accept()
-    }
-
     /// Records one candidate-substitution attempt (called by `exelim`).
     pub(crate) fn note_exelim_attempt(&mut self) {
         self.stats.exelim_attempts += 1;
@@ -1481,9 +1384,10 @@ fn debug_layers() -> bool {
 /// Draws one random sample point from the seeded stream (the same draws, in
 /// the same order, as the seed solver), returning `true` when every
 /// coordinate already lies on the exhaustive grid (integer-valued and below
-/// `per_var`).  Both numeric paths share this helper so their streams — and
-/// therefore verdicts, counterexamples and `points_evaluated` — stay in
-/// lockstep structurally rather than by convention.
+/// `per_var`).  The sweep and the tree-walking oracle share this helper so
+/// their streams — and therefore verdicts, counterexamples and
+/// `points_evaluated` — stay in lockstep structurally rather than by
+/// convention.
 fn draw_random_point(
     rng: &mut StdRng,
     vars: &[(IdxVar, Sort)],
@@ -2000,10 +1904,6 @@ mod tests {
 
     #[test]
     fn compiled_and_tree_numeric_paths_agree() {
-        let tree_config = SolveConfig {
-            use_compiled_eval: false,
-            ..SolveConfig::default()
-        };
         let u = nat_vars(&["n", "a"]);
         let hyp = Constr::leq(Idx::var("a"), Idx::var("n"));
         let goals = [
@@ -2029,10 +1929,10 @@ mod tests {
         ];
         for goal in &goals {
             let mut compiled = Solver::new();
-            let mut tree = Solver::with_config(tree_config.clone());
+            let mut tree = Solver::new();
             assert_eq!(
                 compiled.entails(&u, &hyp, goal),
-                tree.entails(&u, &hyp, goal),
+                with_tree_eval(|| tree.entails(&u, &hyp, goal)),
                 "compiled and tree verdicts diverge on {goal}"
             );
             assert_eq!(
@@ -2040,6 +1940,8 @@ mod tests {
                 tree.stats().points_evaluated,
                 "evaluation-point counts diverge on {goal}"
             );
+            // The oracle really swept: it never compiles.
+            assert_eq!(tree.stats().programs_compiled, 0);
         }
     }
 
@@ -2058,6 +1960,30 @@ mod tests {
         assert!(s.entails(&u, &Constr::Top, &goal).is_valid());
         assert_eq!(s.stats().programs_compiled, 1);
         assert_eq!(s.stats().points_evaluated, points_cold);
+    }
+
+    #[test]
+    fn private_program_memo_answers_repeated_numeric_queries() {
+        // `entails_no_exists` bypasses the verdict memo, so the second call
+        // reaches the numeric layer again and must find its program in the
+        // solver's private memo.
+        let mut s = Solver::new();
+        let u = nat_vars(&["n"]);
+        let goal = pointwise_goal();
+        for _ in 0..2 {
+            assert!(s.entails_no_exists(&u, &Constr::Top, &goal).is_valid());
+        }
+        assert_eq!(s.stats().numeric_checks, 2);
+        assert_eq!(s.stats().programs_compiled, 1);
+        assert_eq!(s.stats().program_cache_hits, 1);
+        assert_eq!(
+            s.programs.stats(),
+            ProgramCacheStats {
+                hits: 1,
+                misses: 1,
+                entries: 1
+            }
+        );
     }
 
     #[test]
@@ -2087,11 +2013,10 @@ mod tests {
         let goal = pointwise_goal();
         let mut compiled = Solver::new();
         compiled.entails(&u, &Constr::Top, &goal);
-        let mut tree = Solver::with_config(SolveConfig {
-            use_compiled_eval: false,
-            ..SolveConfig::default()
-        });
-        tree.entails(&u, &Constr::Top, &goal);
+        let mut tree = Solver::new();
+        with_tree_eval(|| tree.entails(&u, &Constr::Top, &goal));
+        assert_eq!(compiled.stats().programs_compiled, 1);
+        assert_eq!(tree.stats().programs_compiled, 0);
         assert_eq!(
             compiled.stats().points_evaluated,
             tree.stats().points_evaluated

@@ -1,15 +1,15 @@
 //! Differential tests: the bytecode evaluator of `rel_constraint::compile`
-//! against the tree evaluator `Constr::eval_bounded`, and the compiled
-//! solver path against the tree solver path.
+//! against the tree evaluator `Constr::eval_bounded`, and the solver's
+//! compiled sweep against the tree-walking oracle (`with_tree_eval`, from
+//! the `reference-eval` feature this crate's dev-dependency enables).
 //!
-//! These are the tests that license excluding `use_compiled_eval` from the
-//! solver-config fingerprint: the two evaluators must agree *bit for bit* —
-//! same booleans per point, same verdicts, same counterexample environments,
-//! same `points_evaluated` counts.
+//! The two must agree *bit for bit* — same booleans per point, same
+//! verdicts, same counterexample environments, same `points_evaluated`
+//! counts — which is what lets the solver ship the compiled sweep alone.
 
 use proptest::prelude::*;
 
-use rel_constraint::{compile_query, Constr, SolveConfig, Solver, Val};
+use rel_constraint::{compile_query, with_tree_eval, Constr, SolveConfig, Solver, Val};
 use rel_index::{Extended, Idx, IdxEnv, IdxVar, Sort};
 
 fn universals() -> Vec<(IdxVar, Sort)> {
@@ -131,15 +131,11 @@ proptest! {
             inner_quantifier_bound: 3,
             ..SolveConfig::default()
         };
-        let tree = SolveConfig {
-            use_compiled_eval: false,
-            ..small.clone()
-        };
         let u = universals();
-        let mut s_compiled = Solver::with_config(small);
-        let mut s_tree = Solver::with_config(tree);
+        let mut s_compiled = Solver::with_config(small.clone());
+        let mut s_tree = Solver::with_config(small);
         let v_compiled = s_compiled.entails(&u, &hyp, &goal);
-        let v_tree = s_tree.entails(&u, &hyp, &goal);
+        let v_tree = with_tree_eval(|| s_tree.entails(&u, &hyp, &goal));
         prop_assert_eq!(
             v_compiled,
             v_tree,
@@ -154,5 +150,7 @@ proptest! {
             hyp,
             goal
         );
+        // The oracle swept by tree walking: it never compiles.
+        prop_assert_eq!(s_tree.stats().programs_compiled, 0);
     }
 }

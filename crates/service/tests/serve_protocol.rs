@@ -190,6 +190,45 @@ fn cache_stats_and_metrics_gauges_agree() {
 }
 
 #[test]
+fn program_memo_counters_match_the_per_def_hits() {
+    // Every program lookup of every solver goes through the service's one
+    // shared memo, so its counters are the per-def counters summed — and
+    // `{"cache": "stats"}` and the gauges report the same numbers.
+    let service = service();
+    let (mut hits, mut compiled) = (0, 0);
+    for name in ["2Dcount", "bsplit", "msort", "bfold"] {
+        let b = rel_suite::benchmark(name).expect("bundled benchmark");
+        let report = service.check_source(b.source).expect("benchmark parses");
+        for def in &report.defs {
+            hits += def.stats.program_cache_hits as u64;
+            compiled += def.stats.programs_compiled as u64;
+        }
+    }
+    let programs = service.program_cache_stats();
+    assert!(hits > 0, "the four programs should reuse compiled programs");
+    assert_eq!(programs.hits, hits, "memo hits vs per-def hits");
+    assert_eq!(programs.misses, compiled, "memo misses vs per-def compiles");
+
+    let responses = drive(
+        &service,
+        &[r#"{"cache": "stats"}"#, r#"{"metrics": "dump"}"#],
+    );
+    let cache = responses[0].get("cache").expect("missing cache payload");
+    assert_eq!(
+        cache.get("program_hits").and_then(Value::as_int),
+        Some(hits as i64)
+    );
+    let gauges = responses[1]
+        .get("metrics")
+        .and_then(|m| m.get("gauges"))
+        .expect("missing gauges");
+    assert_eq!(
+        gauges.get("cache.programs.hits").and_then(Value::as_int),
+        Some(hits as i64)
+    );
+}
+
+#[test]
 fn rejects_unknown_metrics_commands() {
     let service = service();
     let responses = drive(&service, &[r#"{"metrics": "reset"}"#]);

@@ -1,17 +1,17 @@
 //! Whole-suite parity of the compiled numeric layer.
 //!
-//! Runs every *verified* Table-1 benchmark through two engines that differ
-//! only in `SolveConfig::use_compiled_eval` and asserts that the compiled
-//! bytecode path is observationally identical to the tree-walking reference
-//! path: same per-definition verdicts, same validity-cache hit/miss
-//! counters, same numeric point counts, and identical warm-cache behaviour
-//! (the two configurations share a fingerprint, so verdicts are
-//! exchangeable between them by design).
+//! Runs every *verified* Table-1 benchmark through two identically
+//! configured engines, one of them inside `with_tree_eval` (the
+//! tree-walking oracle of `rel-constraint`'s `reference-eval` feature, which
+//! this package's dev-dependency enables), and asserts that the compiled
+//! bytecode sweep is observationally identical to the oracle: same
+//! per-definition verdicts, same validity-cache hit/miss counters, same
+//! numeric point counts, and identical warm-cache behaviour.
 
 use std::sync::Arc;
 
 use birelcost::Engine;
-use rel_constraint::{ShardedValidityCache, SolveConfig, ValidityCache};
+use rel_constraint::{with_tree_eval, ShardedValidityCache, SolveConfig, ValidityCache};
 use rel_suite::{all_benchmarks, VerificationStatus};
 
 #[test]
@@ -22,18 +22,15 @@ fn compiled_and_tree_solvers_agree_across_the_verified_suite() {
     // of the two numeric evaluators would be vacuous.
     let compiled_cache = Arc::new(ShardedValidityCache::new());
     let tree_cache = Arc::new(ShardedValidityCache::new());
+    let no_fm = SolveConfig {
+        use_fm: false,
+        ..SolveConfig::default()
+    };
     let compiled = Engine::new()
-        .with_solve_config(SolveConfig {
-            use_fm: false,
-            ..SolveConfig::default()
-        })
+        .with_solve_config(no_fm.clone())
         .with_cache(compiled_cache.clone());
     let tree = Engine::new()
-        .with_solve_config(SolveConfig {
-            use_fm: false,
-            use_compiled_eval: false,
-            ..SolveConfig::default()
-        })
+        .with_solve_config(no_fm)
         .with_cache(tree_cache.clone());
 
     for b in all_benchmarks() {
@@ -44,7 +41,9 @@ fn compiled_and_tree_solvers_agree_across_the_verified_suite() {
         }
         let program = rel_syntax::parse_program(b.source).unwrap();
         let rc = compiled.check_program(&program);
-        let rt = tree.check_program(&program);
+        // The engine checks on the calling thread, so the thread-scoped
+        // selector routes every numeric check of this program to the oracle.
+        let rt = with_tree_eval(|| tree.check_program(&program));
         assert_eq!(
             rc.defs.len(),
             rt.defs.len(),
@@ -67,6 +66,11 @@ fn compiled_and_tree_solvers_agree_across_the_verified_suite() {
             assert_eq!(
                 dc.stats.points_evaluated, dt.stats.points_evaluated,
                 "{}::{}: numeric point counts diverge",
+                b.name, dc.name
+            );
+            assert_eq!(
+                dt.stats.programs_compiled, 0,
+                "{}::{}: the oracle must sweep without compiling",
                 b.name, dc.name
             );
         }
