@@ -1,4 +1,5 @@
-//! A sharded, thread-safe constraint-validity cache.
+//! A sharded, thread-safe constraint-validity cache, and the bounded map it
+//! shares with the compiled-program memo.
 //!
 //! The expensive step of the BiRelCost pipeline is discharging entailments
 //! `∀ ∆. Φₐ ⟹ Φ` (the judgement the paper ships to Why3 + Alt-Ergo).  Those
@@ -9,24 +10,27 @@
 //! re-checked per program, and repeated structural sub-goals within one
 //! derivation.  Memoizing verdicts is therefore sound (the solver is
 //! deterministic: its randomized numeric layer uses a fixed seed) and highly
-//! effective.
+//! effective.  Every solver holds one [`ShardedValidityCache`]: a private
+//! one unless an engine attaches one shared across solvers.
 //!
-//! Lookups go through [`QueryRef`], a *borrowed* view of the query: the hot
-//! path (a cache hit) hashes and compares in place and never clones the
-//! hypothesis or goal.  An owned [`QueryKey`] is materialized only when a
-//! computed verdict is stored.  Hashing is a stable FNV-1a over the canonical
-//! structure (sorted, deduplicated universals; the simplified constraints the
-//! solver works on) so shard selection is reproducible across processes; the
-//! full key lives in the shard map, so hash collisions can never corrupt a
-//! verdict.  Shards are bounded: when one fills up it is wholesale-cleared
-//! (epoch eviction), which bounds daemon memory without LRU bookkeeping.
-//! See DESIGN.md §5.
+//! Lookups go through [`QueryRef`], a *borrowed* view of the query, hashed
+//! once: a hit compares in place and never clones the hypothesis or goal,
+//! and an owned [`QueryKey`] is materialized only when a computed verdict
+//! is stored, under the same hash.  Hashing is a stable FNV-1a over the
+//! canonical structure (sorted, deduplicated universals; the simplified
+//! constraints the solver works on) so shard selection is reproducible
+//! across processes.  The verdicts live in a `ShardedMap`, the map the
+//! compiled-program memo ([`crate::SharedProgramCache`]) is built on too:
+//! full keys in the buckets, so hash collisions can never corrupt an
+//! entry, and bounded shards that are wholesale-cleared when full (epoch
+//! eviction), which bounds daemon memory without LRU bookkeeping.  See
+//! DESIGN.md §5.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, RwLock};
 
 use rel_index::{IdxVar, Sort};
 
@@ -36,15 +40,34 @@ use crate::solver::Validity;
 /// A borrowed view of one entailment query `∀ universals. hyp ⟹ goal`,
 /// bound to the fingerprint of the solver configuration answering it.
 ///
-/// This is what the solver hands to [`ValidityCache::lookup`]: building it
-/// allocates at most one small vec of references (for canonicalizing the
-/// universals), never cloning constraints.
+/// This is what the solver hands to [`ShardedValidityCache::lookup`]:
+/// building it hashes the query once and allocates at most one small vec of
+/// references (for canonicalizing the universals), never cloning
+/// constraints.
 pub struct QueryRef<'a> {
     config_fingerprint: u64,
     /// Canonical universals: sorted by (name, sort), deduplicated.
     canonical_universals: Vec<&'a (IdxVar, Sort)>,
     hyp: &'a Constr,
     goal: &'a Constr,
+    hash: u64,
+}
+
+/// The stable structural hash shared by [`QueryRef`] and [`QueryKey`].
+fn query_hash<'a>(
+    config_fingerprint: u64,
+    universals: impl Iterator<Item = &'a (IdxVar, Sort)>,
+    hyp: &Constr,
+    goal: &Constr,
+) -> u64 {
+    let mut h = Fnv1a::default();
+    config_fingerprint.hash(&mut h);
+    for u in universals {
+        u.hash(&mut h);
+    }
+    hyp.hash(&mut h);
+    goal.hash(&mut h);
+    h.finish()
 }
 
 impl<'a> QueryRef<'a> {
@@ -57,7 +80,7 @@ impl<'a> QueryRef<'a> {
     /// irrelevant.  `config_fingerprint` (see `SolveConfig::fingerprint`)
     /// keys the verdict to the configuration that produced it — solvers with
     /// different grids, seeds or decisiveness must not exchange verdicts
-    /// even when they share a cache.
+    /// even when they share a cache.  The query is hashed here, once.
     pub fn new(
         config_fingerprint: u64,
         universals: &'a [(IdxVar, Sort)],
@@ -71,24 +94,24 @@ impl<'a> QueryRef<'a> {
             }
         }
         canonical_universals.sort();
+        let hash = query_hash(
+            config_fingerprint,
+            canonical_universals.iter().copied(),
+            hyp,
+            goal,
+        );
         QueryRef {
             config_fingerprint,
             canonical_universals,
             hyp,
             goal,
+            hash,
         }
     }
 
     /// The stable 64-bit structural hash used for shard and bucket selection.
     pub fn stable_hash(&self) -> u64 {
-        let mut h = Fnv1a::default();
-        self.config_fingerprint.hash(&mut h);
-        for u in &self.canonical_universals {
-            u.hash(&mut h);
-        }
-        self.hyp.hash(&mut h);
-        self.goal.hash(&mut h);
-        h.finish()
+        self.hash
     }
 
     pub(crate) fn matches(&self, key: &QueryKey) -> bool {
@@ -119,7 +142,7 @@ impl<'a> QueryRef<'a> {
 
 impl fmt::Debug for QueryRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "QueryRef(#{:016x})", self.stable_hash())
+        write!(f, "QueryRef(#{:016x})", self.hash)
     }
 }
 
@@ -179,14 +202,12 @@ impl QueryKey {
 
     /// The stable 64-bit structural hash (agrees with the borrowed view's).
     pub fn stable_hash(&self) -> u64 {
-        let mut h = Fnv1a::default();
-        self.config_fingerprint.hash(&mut h);
-        for u in &self.universals {
-            u.hash(&mut h);
-        }
-        self.hyp.hash(&mut h);
-        self.goal.hash(&mut h);
-        h.finish()
+        query_hash(
+            self.config_fingerprint,
+            self.universals.iter(),
+            &self.hyp,
+            &self.goal,
+        )
     }
 
     #[cfg(test)]
@@ -196,6 +217,7 @@ impl QueryKey {
             canonical_universals: self.universals.iter().collect(),
             hyp: &self.hyp,
             goal: &self.goal,
+            hash: self.stable_hash(),
         }
     }
 }
@@ -232,14 +254,14 @@ impl Hasher for Fnv1a {
     }
 }
 
-/// Counters describing cache effectiveness (monotone, process-wide).
+/// Counters describing memo effectiveness (monotone, process-wide).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found a memoized verdict.
+    /// Lookups that found a memoized entry.
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
-    /// Number of verdicts currently stored.
+    /// Number of entries currently stored.
     pub entries: u64,
     /// Shard-clear evictions triggered by the per-shard capacity bound.
     pub evictions: u64,
@@ -257,50 +279,167 @@ impl CacheStats {
     }
 }
 
-/// The interface the solver consults before running an entailment query.
-///
-/// Implementations must be thread-safe: one cache instance is shared across
-/// all workers of a batch run.
-pub trait ValidityCache: Send + Sync + fmt::Debug {
-    /// Returns the memoized verdict for the query, if any, updating hit/miss
-    /// counters.  Must not clone the query's constraints on the hit path.
-    fn lookup(&self, query: &QueryRef<'_>) -> Option<Validity>;
-
-    /// Memoizes a verdict.
-    fn store(&self, query: &QueryRef<'_>, verdict: Validity);
-
-    /// Current effectiveness counters.
-    fn stats(&self) -> CacheStats;
-}
-
-type Bucket = Vec<(QueryKey, Validity)>;
-
-/// One lockable shard: hash-bucketed verdicts plus a maintained entry count
-/// (so the capacity check on store is O(1), not a scan over all buckets).
-#[derive(Default)]
-struct Shard {
-    buckets: HashMap<u64, Bucket>,
+/// One lockable shard: hash buckets of full keys plus a maintained entry
+/// count (so the capacity check on insert is O(1), not a scan).
+struct Shard<K, V> {
+    buckets: HashMap<u64, Vec<(K, V)>>,
     len: usize,
 }
 
-/// The default [`ValidityCache`]: N independently locked shards selected by
-/// the query's stable hash, each a hash-bucketed map with a capacity bound.
+/// The bounded sharded map behind both solver memos: N independently
+/// locked shards selected by a caller-supplied stable hash, each a map from
+/// that hash to a bucket of `(full key, value)` pairs.  Callers compare full
+/// keys, so a hash collision can never alias two keys onto one value.
 ///
 /// When a shard reaches its per-shard entry cap it is wholesale-cleared
 /// before the insert (epoch eviction): O(1) amortized, no recency
 /// bookkeeping, and memory stays bounded for long-running daemons.  Under
 /// the bound, a working set that fits is never evicted.
-pub struct ShardedValidityCache {
-    shards: Vec<Mutex<Shard>>,
+pub(crate) struct ShardedMap<K, V> {
+    shards: Vec<Mutex<Shard<K, V>>>,
     max_entries_per_shard: usize,
     entries: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+}
+
+impl<K: PartialEq, V: Clone> ShardedMap<K, V> {
+    /// A map with `n` shards of at most `max_entries_per_shard` entries
+    /// each (both rounded up to at least 1).
+    pub(crate) fn new(n: usize, max_entries_per_shard: usize) -> ShardedMap<K, V> {
+        ShardedMap {
+            shards: (0..n.max(1))
+                .map(|_| {
+                    Mutex::new(Shard {
+                        buckets: HashMap::new(),
+                        len: 0,
+                    })
+                })
+                .collect(),
+            max_entries_per_shard: max_entries_per_shard.max(1),
+            entries: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self, index: usize) -> MutexGuard<'_, Shard<K, V>> {
+        self.shards[index].lock().expect("cache shard poisoned")
+    }
+
+    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard<K, V>> {
+        self.lock((hash % self.shards.len() as u64) as usize)
+    }
+
+    /// The value stored under the key `is_key` accepts in `hash`'s bucket,
+    /// counted as a hit or a miss.
+    pub(crate) fn get(&self, hash: u64, is_key: impl Fn(&K) -> bool) -> Option<V> {
+        let found = self
+            .shard(hash)
+            .buckets
+            .get(&hash)
+            .and_then(|bucket| bucket.iter().find(|(k, _)| is_key(k)))
+            .map(|(_, v)| v.clone());
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Whether `key` is stored, without touching the hit/miss counters.
+    pub(crate) fn contains(&self, hash: u64, key: &K) -> bool {
+        self.shard(hash)
+            .buckets
+            .get(&hash)
+            .is_some_and(|bucket| bucket.iter().any(|(k, _)| k == key))
+    }
+
+    /// Stores `value` under `key` (whose hash is `hash`), overwriting an
+    /// equal key's value; a full shard is cleared first.
+    pub(crate) fn insert(&self, hash: u64, key: K, value: V) {
+        let mut shard = self.shard(hash);
+        if shard.len >= self.max_entries_per_shard {
+            self.drop_entries(&mut shard);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        let bucket = shard.buckets.entry(hash).or_default();
+        match bucket.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, v)) => *v = value,
+            None => {
+                bucket.push((key, value));
+                shard.len += 1;
+                self.entries.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn drop_entries(&self, shard: &mut Shard<K, V>) {
+        shard.buckets.clear();
+        self.entries.fetch_sub(shard.len as u64, Ordering::Relaxed);
+        shard.len = 0;
+    }
+
+    /// Drops every entry (counters are kept).
+    pub(crate) fn clear(&self) {
+        for i in 0..self.shards.len() {
+            self.drop_entries(&mut self.lock(i));
+        }
+    }
+
+    /// Clones out every entry in a deterministic order — shards in index
+    /// order, buckets by hash, entries in insertion order — so two exports
+    /// of the same contents agree.
+    pub(crate) fn export(&self) -> Vec<(K, V)>
+    where
+        K: Clone,
+    {
+        let mut out = Vec::new();
+        for i in 0..self.shards.len() {
+            let shard = self.lock(i);
+            let mut hashes: Vec<u64> = shard.buckets.keys().copied().collect();
+            hashes.sort_unstable();
+            for h in hashes {
+                out.extend(shard.buckets[&h].iter().cloned());
+            }
+        }
+        out
+    }
+
+    /// Current effectiveness counters.
+    pub(crate) fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.entries.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Shape and counters only: the entries themselves are never printed.
+impl<K: PartialEq, V: Clone> fmt::Debug for ShardedMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ShardedMap")
+            .field("shards", &self.shards.len())
+            .field("max_entries_per_shard", &self.max_entries_per_shard)
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+/// The validity cache: verdicts keyed on canonical [`QueryKey`]s in a
+/// `ShardedMap`, plus an optional store observer (the WAL).
+pub struct ShardedValidityCache {
+    map: ShardedMap<QueryKey, Validity>,
     /// Store notification hook (WAL durability): called on every store,
     /// *before* the shard lock is taken, so the observer may itself inspect
     /// the cache or take unrelated locks without deadlocking.
-    observer: std::sync::RwLock<Option<StoreObserver>>,
+    observer: RwLock<Option<StoreObserver>>,
 }
 
 /// A callback notified of every verdict store (key + verdict).  Attached by
@@ -326,15 +465,9 @@ impl ShardedValidityCache {
         n: usize,
         max_entries_per_shard: usize,
     ) -> ShardedValidityCache {
-        let n = n.max(1);
         ShardedValidityCache {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-            max_entries_per_shard: max_entries_per_shard.max(1),
-            entries: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            observer: std::sync::RwLock::new(None),
+            map: ShardedMap::new(n, max_entries_per_shard),
+            observer: RwLock::new(None),
         }
     }
 
@@ -346,54 +479,24 @@ impl ShardedValidityCache {
         *self.observer.write().expect("cache observer poisoned") = observer;
     }
 
-    fn shard(&self, hash: u64) -> &Mutex<Shard> {
-        &self.shards[(hash % self.shards.len() as u64) as usize]
+    /// Returns the memoized verdict for the query, if any, counting a hit
+    /// or a miss.  Never clones the query's constraints.
+    pub fn lookup(&self, query: &QueryRef<'_>) -> Option<Validity> {
+        self.map.get(query.hash, |k| query.matches(k))
     }
 
-    /// Drops every memoized verdict (counters are kept).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard poisoned");
-            shard.buckets.clear();
-            self.entries.fetch_sub(shard.len as u64, Ordering::Relaxed);
-            shard.len = 0;
-        }
-    }
-
-    /// Clones out every memoized verdict (compaction).  Entries are
-    /// returned in a deterministic order — shards in index order, buckets by
-    /// hash, entries in insertion order — so two exports of the same cache
-    /// contents serialize identically.
-    pub fn export_entries(&self) -> Vec<(QueryKey, Validity)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
-            let mut hashes: Vec<u64> = shard.buckets.keys().copied().collect();
-            hashes.sort_unstable();
-            for h in hashes {
-                for (k, v) in &shard.buckets[&h] {
-                    out.push((k.clone(), v.clone()));
-                }
-            }
-        }
-        out
-    }
-
-    /// Whether a verdict is memoized under `key`, without touching the
-    /// hit/miss counters (replication dedup: an already-present key is a
-    /// duplicate to drop, not a cache miss to report).
-    pub fn contains_key(&self, key: &QueryKey) -> bool {
-        let hash = key.stable_hash();
-        let shard = self.shard(hash).lock().expect("cache shard poisoned");
-        shard
-            .buckets
-            .get(&hash)
-            .is_some_and(|bucket| bucket.iter().any(|(k, _)| k == key))
+    /// Memoizes a verdict under the hash the query was built with.
+    pub fn store(&self, query: &QueryRef<'_>, verdict: Validity) {
+        self.insert(query.hash, query.to_key(), verdict);
     }
 
     /// Stores a verdict under an owned key (out-of-band population; the
-    /// solver path goes through [`ValidityCache::store`]).
+    /// solver path goes through [`ShardedValidityCache::store`]).
     pub fn store_key(&self, key: QueryKey, verdict: Validity) {
+        self.insert(key.stable_hash(), key, verdict);
+    }
+
+    fn insert(&self, hash: u64, key: QueryKey, verdict: Validity) {
         // Notify before the insert, with no shard lock held: the observer
         // (a WAL append) may block on I/O, and a durability log written
         // before the in-memory store can at worst carry a verdict the
@@ -407,23 +510,31 @@ impl ShardedValidityCache {
         {
             observer(&key, &verdict);
         }
-        let hash = key.stable_hash();
-        let mut shard = self.shard(hash).lock().expect("cache shard poisoned");
-        if shard.len >= self.max_entries_per_shard {
-            shard.buckets.clear();
-            self.entries.fetch_sub(shard.len as u64, Ordering::Relaxed);
-            shard.len = 0;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        let bucket = shard.buckets.entry(hash).or_default();
-        match bucket.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => *v = verdict,
-            None => {
-                bucket.push((key, verdict));
-                shard.len += 1;
-                self.entries.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.map.insert(hash, key, verdict);
+    }
+
+    /// Current effectiveness counters.
+    pub fn stats(&self) -> CacheStats {
+        self.map.stats()
+    }
+
+    /// Drops every memoized verdict (counters are kept).
+    pub fn clear(&self) {
+        self.map.clear();
+    }
+
+    /// Clones out every memoized verdict (compaction), in the map's
+    /// deterministic export order, so two exports of the same cache
+    /// contents serialize identically.
+    pub fn export_entries(&self) -> Vec<(QueryKey, Validity)> {
+        self.map.export()
+    }
+
+    /// Whether a verdict is memoized under `key`, without touching the
+    /// hit/miss counters (replication dedup: an already-present key is a
+    /// duplicate to drop, not a cache miss to report).
+    pub fn contains_key(&self, key: &QueryKey) -> bool {
+        self.map.contains(key.stable_hash(), key)
     }
 }
 
@@ -435,51 +546,9 @@ impl Default for ShardedValidityCache {
 
 impl fmt::Debug for ShardedValidityCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.stats();
         f.debug_struct("ShardedValidityCache")
-            .field("shards", &self.shards.len())
-            .field("max_entries_per_shard", &self.max_entries_per_shard)
-            .field("entries", &s.entries)
-            .field("hits", &s.hits)
-            .field("misses", &s.misses)
-            .field("evictions", &s.evictions)
-            .finish()
-    }
-}
-
-impl ValidityCache for ShardedValidityCache {
-    fn lookup(&self, query: &QueryRef<'_>) -> Option<Validity> {
-        let hash = query.stable_hash();
-        let shard = self.shard(hash).lock().expect("cache shard poisoned");
-        let found = shard
-            .buckets
-            .get(&hash)
-            .and_then(|bucket| bucket.iter().find(|(k, _)| query.matches(k)))
-            .map(|(_, v)| v.clone());
-        drop(shard);
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn store(&self, query: &QueryRef<'_>, verdict: Validity) {
-        self.store_key(query.to_key(), verdict);
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+            .field("map", &self.map)
+            .finish_non_exhaustive()
     }
 }
 

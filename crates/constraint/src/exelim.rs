@@ -25,7 +25,7 @@
 //! binder would be renamed away from it — and is dropped before it costs
 //! an attempt.
 //!
-//! **The indexed search.**  The search works off a [`MatrixIndex`] built in
+//! **The indexed search.**  The search works off a `MatrixIndex` built in
 //! one pass: the matrix's top-level conjuncts, each with its (sorted)
 //! existential-variable footprint, candidates collected per conjunct.
 //! Because `∃x⃗.(A ∧ B) ⟺ (∃x⃗₁.A) ∧ (∃x⃗₂.B)` when `A` and `B` mention

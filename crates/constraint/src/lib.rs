@@ -29,7 +29,7 @@ pub mod fm;
 pub mod lemmas;
 pub mod solver;
 
-pub use cache::{CacheStats, Fnv1a, QueryKey, QueryRef, ShardedValidityCache, ValidityCache};
+pub use cache::{CacheStats, Fnv1a, QueryKey, QueryRef, ShardedValidityCache};
 pub use compile::{compile_query, CompiledQuery, EvalFrame, Val};
 pub use constr::{Constr, Quantified};
 pub use exelim::{eliminate_existentials, ExElimOutcome, ExElimStats};

@@ -20,6 +20,11 @@
 //!    survives only as a differential oracle behind the `reference-eval`
 //!    feature, which only dev-dependencies enable.
 //!
+//! Before either layer runs, each query — and each conjunct, implication
+//! body and ∀-body it decomposes into — is looked up in the solver's one
+//! verdict memo, a [`ShardedValidityCache`]: private to the solver unless
+//! [`Solver::with_cache`] attaches one shared across solvers.
+//!
 //! Verdicts carry **provenance**: [`Validity::Valid`] records whether the
 //! obligation was *proved* (sound over the unbounded domain) or merely
 //! *grid-checked* (accepted because no counterexample appeared on the
@@ -30,10 +35,9 @@
 //! breakdown reported by the engine.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -41,7 +45,7 @@ use rand::{Rng, SeedableRng};
 
 use rel_index::{Atom, Extended, Idx, IdxEnv, IdxVar, Rational, Sort};
 
-use crate::cache::{Fnv1a, QueryKey, QueryRef, ValidityCache};
+use crate::cache::{CacheStats, Fnv1a, QueryRef, ShardedMap, ShardedValidityCache};
 use crate::compile::{compile_query, CompiledQuery, Val};
 use crate::constr::Constr;
 use crate::exelim;
@@ -121,7 +125,9 @@ impl SolveConfig {
 /// Statistics accumulated across solver queries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Number of top-level entailment queries.
+    /// Entailment queries at every structural decomposition level: the
+    /// top-level goal and each conjunct, implication body and ∀-body it
+    /// splits into (trivially true ones included).
     pub queries: usize,
     /// Goals discharged by the Fourier–Motzkin layer (proved, zero grid
     /// points).
@@ -154,9 +160,11 @@ pub struct SolveStats {
     pub points_evaluated: usize,
     /// Candidate substitutions attempted during existential elimination.
     pub exelim_attempts: usize,
-    /// Entailment queries answered from the validity cache.
+    /// Verdict-memo lookups answered from the solver's one verdict memo
+    /// (the shared validity cache when attached, else its private one).
     pub cache_hits: usize,
-    /// Entailment queries that consulted the validity cache and missed.
+    /// Verdict-memo lookups that missed (the verdict was computed and
+    /// stored).  Hits plus misses are the non-trivial `queries`.
     pub cache_misses: usize,
     /// Numeric queries lowered to bytecode (program-cache misses).
     pub programs_compiled: usize,
@@ -339,8 +347,8 @@ impl SearchExhaustedReason {
         }
     }
 
-    /// Human phrasing of the cap for failure diagnostics ("the <cap> of
-    /// <n> ..." reads naturally with the fired limit appended).
+    /// Human phrasing of the cap for failure diagnostics ("the `<cap>` of
+    /// `<n>` ..." reads naturally with the fired limit appended).
     pub fn describe(self) -> &'static str {
         match self {
             SearchExhaustedReason::AttemptBudget => "the candidate-substitution attempt budget",
@@ -463,15 +471,8 @@ pub struct RefutationInfo {
     pub exhausted: Option<(SearchExhaustedReason, u64)>,
 }
 
-/// One memoized compiled program, stored next to its full key so program
-/// hash collisions can never alias two queries onto one bytecode.
-#[derive(Debug)]
-struct ProgramEntry {
-    universals: Vec<(IdxVar, Sort)>,
-    hyp: Constr,
-    goal: Constr,
-    program: Arc<CompiledQuery>,
-}
+/// The key of a compiled program: its `(universals, hyp, goal)`, verbatim.
+type ProgramKey = (Vec<(IdxVar, Sort)>, Constr, Constr);
 
 fn program_key_hash(universals: &[(IdxVar, Sort)], hyp: &Constr, goal: &Constr) -> u64 {
     let mut h = Fnv1a::default();
@@ -482,39 +483,24 @@ fn program_key_hash(universals: &[(IdxVar, Sort)], hyp: &Constr, goal: &Constr) 
 }
 
 /// Counters of a [`SharedProgramCache`] (monotone).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProgramCacheStats {
-    /// Lookups answered with an already-compiled program.
-    pub hits: u64,
-    /// Lookups that missed (the caller compiled and published).
-    pub misses: u64,
-    /// Programs currently stored.
-    pub entries: u64,
-}
+pub type ProgramCacheStats = CacheStats;
 
-/// The compiled-program memo, keyed on the stable structural hash of
-/// `(universals, hyp, goal)` with full-key verification (the same collision
-/// discipline as the validity cache, see DESIGN.md §5.1).
+/// The compiled-program memo: a `ShardedMap` keyed on the stable
+/// structural hash of `(universals, hyp, goal)` with full-key verification,
+/// the map the validity cache is built on (DESIGN.md §5.1).
 ///
 /// Every [`Solver`] holds one: a private single-shard memo that dies with
 /// the solver, unless [`Solver::with_program_cache`] attaches one shared
 /// across solvers.  Engines spawn a fresh solver per definition, so without
 /// sharing, every definition (and every daemon request) recompiles the
 /// numeric queries it has in common with its neighbours; attaching one memo
-/// to an engine (mirroring the validity cache) makes the bytecode survive
+/// to an engine (as with the validity cache) makes the bytecode survive
 /// across definitions and requests.  It is not persisted: every lookup
 /// follows a validity-cache miss, and the persisted validity cache answers
 /// the queries a warm process would otherwise compile.
-///
-/// Sharding and the clear-when-full eviction mirror
-/// [`crate::cache::ShardedValidityCache`]; entries store their full key, so
-/// hash collisions can never alias two queries onto one bytecode.
+#[derive(Debug)]
 pub struct SharedProgramCache {
-    shards: Vec<Mutex<ProgramShard>>,
-    max_entries_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    entries: AtomicU64,
+    map: ShardedMap<ProgramKey, Arc<CompiledQuery>>,
 }
 
 impl Default for SharedProgramCache {
@@ -523,12 +509,6 @@ impl Default for SharedProgramCache {
     fn default() -> Self {
         SharedProgramCache::new()
     }
-}
-
-#[derive(Default)]
-struct ProgramShard {
-    buckets: HashMap<u64, Vec<ProgramEntry>>,
-    len: usize,
 }
 
 impl SharedProgramCache {
@@ -541,90 +521,18 @@ impl SharedProgramCache {
     /// rounded up to at least 1).
     pub fn with_shards_and_capacity(n: usize, max_entries_per_shard: usize) -> SharedProgramCache {
         SharedProgramCache {
-            shards: (0..n.max(1))
-                .map(|_| Mutex::new(ProgramShard::default()))
-                .collect(),
-            max_entries_per_shard: max_entries_per_shard.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
+            map: ShardedMap::new(n, max_entries_per_shard),
         }
-    }
-
-    fn shard(&self, hash: u64) -> &Mutex<ProgramShard> {
-        &self.shards[(hash % self.shards.len() as u64) as usize]
-    }
-
-    fn lookup(
-        &self,
-        hash: u64,
-        universals: &[(IdxVar, Sort)],
-        hyp: &Constr,
-        goal: &Constr,
-    ) -> Option<Arc<CompiledQuery>> {
-        let shard = self.shard(hash).lock().expect("program shard poisoned");
-        let found = shard.buckets.get(&hash).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|e| e.universals == universals && e.hyp == *hyp && e.goal == *goal)
-                .map(|e| Arc::clone(&e.program))
-        });
-        drop(shard);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn insert(&self, hash: u64, entry: ProgramEntry) {
-        let mut shard = self.shard(hash).lock().expect("program shard poisoned");
-        if shard.len >= self.max_entries_per_shard {
-            shard.buckets.clear();
-            self.entries.fetch_sub(shard.len as u64, Ordering::Relaxed);
-            shard.len = 0;
-        }
-        let bucket = shard.buckets.entry(hash).or_default();
-        if bucket
-            .iter()
-            .any(|e| e.universals == entry.universals && e.hyp == entry.hyp && e.goal == entry.goal)
-        {
-            return;
-        }
-        bucket.push(entry);
-        shard.len += 1;
-        self.entries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drops every stored program (counters are kept).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("program shard poisoned");
-            shard.buckets.clear();
-            self.entries.fetch_sub(shard.len as u64, Ordering::Relaxed);
-            shard.len = 0;
-        }
+        self.map.clear();
     }
 
     /// Current effectiveness counters.
     pub fn stats(&self) -> ProgramCacheStats {
-        ProgramCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl std::fmt::Debug for SharedProgramCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        f.debug_struct("SharedProgramCache")
-            .field("shards", &self.shards.len())
-            .field("entries", &s.entries)
-            .field("hits", &s.hits)
-            .field("misses", &s.misses)
-            .finish()
+        self.map.stats()
     }
 }
 
@@ -635,7 +543,14 @@ pub struct Solver {
     /// `config.fingerprint()`, computed once — it is on the cache hot path.
     config_fingerprint: u64,
     stats: SolveStats,
-    cache: Option<Arc<dyn ValidityCache>>,
+    /// Verdict memo over canonical query keys, consulted at every
+    /// structural decomposition level: private to this solver unless
+    /// [`Solver::with_cache`] attached a shared one.  The `entails_no_exists`
+    /// gateway of `exelim`'s candidate attempts deliberately does *not*
+    /// consult it — hashing a large hypothesis per attempt costs more than
+    /// the cheap sweeps it would save; repeated *decide-layer* work on that
+    /// path is deduplicated by the FM layer's own query/branch memos instead.
+    cache: Arc<ShardedValidityCache>,
     /// Compiled-program memo: private to this solver unless
     /// [`Solver::with_program_cache`] attached a shared one.
     programs: Arc<SharedProgramCache>,
@@ -643,18 +558,6 @@ pub struct Solver {
     fm_limits: FmLimits,
     /// FM subproblem memo: canonical normalized branch systems → decisions.
     fm_memo: FmMemo,
-    /// Per-solver verdict memo over canonical query keys, consulted by
-    /// `entails_canonical` (the structural decomposition): engines run
-    /// cache-less solvers by default, and the sub-goals one definition
-    /// decomposes into repeat heavily.  The `entails_no_exists` gateway of
-    /// `exelim`'s candidate attempts deliberately does *not* consult it —
-    /// hashing a large hypothesis per attempt costs more than the cheap
-    /// sweeps it would save; repeated *decide-layer* work on that path is
-    /// deduplicated by the FM layer's own query/branch memos instead.
-    /// Keys are the same canonical [`QueryKey`]s the shared cache uses, so
-    /// hash collisions can never replay a wrong verdict.
-    local_verdicts: HashMap<u64, Vec<(QueryKey, Validity)>>,
-    local_verdict_count: usize,
     /// Diagnostics of the last refutation (reset per top-level `entails`).
     last_refutation: RefutationInfo,
     /// FM elimination order of the goal currently being decided; moved into
@@ -682,32 +585,39 @@ impl Solver {
             config_fingerprint: config.fingerprint(),
             config,
             stats: SolveStats::default(),
-            cache: None,
+            cache: Arc::new(ShardedValidityCache::with_shards_and_capacity(
+                1,
+                Self::PRIVATE_VERDICT_CAP,
+            )),
             programs: Arc::new(SharedProgramCache::with_shards_and_capacity(
                 1,
                 Self::PRIVATE_PROGRAM_CAP,
             )),
             fm_limits: FmLimits::default(),
             fm_memo: FmMemo::default(),
-            local_verdicts: HashMap::new(),
-            local_verdict_count: 0,
             last_refutation: RefutationInfo::default(),
             pending_fm_order: Vec::new(),
         }
     }
 
-    /// Attaches a shared validity cache, consulted before every entailment
-    /// query (including the structural sub-queries `entails` decomposes into)
-    /// and populated with every verdict computed.  Sound because the solver is
-    /// deterministic: its randomized numeric layer runs from a fixed seed.
-    pub fn with_cache(mut self, cache: Arc<dyn ValidityCache>) -> Solver {
-        self.cache = Some(cache);
+    /// Entry cap of a solver's private verdict memo (one shard, cleared
+    /// wholesale when full).
+    const PRIVATE_VERDICT_CAP: usize = 16_384;
+
+    /// Replaces the solver's private verdict memo with a shared validity
+    /// cache, consulted before every entailment query (including the
+    /// structural sub-queries `entails` decomposes into) and populated with
+    /// every verdict computed.  Sound because the solver is deterministic:
+    /// its randomized numeric layer runs from a fixed seed.
+    pub fn with_cache(mut self, cache: Arc<ShardedValidityCache>) -> Solver {
+        self.cache = cache;
         self
     }
 
-    /// The attached validity cache, if any.
-    pub fn cache(&self) -> Option<&Arc<dyn ValidityCache>> {
-        self.cache.as_ref()
+    /// The solver's verdict memo: the attached shared cache, or its
+    /// private one.
+    pub fn cache(&self) -> &Arc<ShardedValidityCache> {
+        &self.cache
     }
 
     /// Entry cap of a solver's private program memo.  Solvers live for one
@@ -782,64 +692,23 @@ impl Solver {
         if goal.is_top() {
             return Validity::proved();
         }
-        // Consult the per-solver memo, then the shared validity cache (when
-        // attached), on the canonical form of the query.  Structural
-        // sub-queries recurse back through `entails`, so conjuncts and
+        // Consult the verdict memo on the canonical form of the query.
+        // Structural sub-queries recurse back through here, so conjuncts and
         // implication bodies are memoized individually — that is what lets
         // verdicts transfer across definitions that share sub-derivations,
-        // not just across identical top-level queries.  The lookup borrows
-        // the constraints; nothing is cloned unless a freshly computed
-        // verdict is stored.  (The Arc clone releases the borrow of
-        // `self.cache` so one canonicalized query serves both the lookup
-        // and the store.)
+        // not just across identical top-level queries.  The query is hashed
+        // once, for the lookup and the store together; the lookup borrows
+        // the constraints, and nothing is cloned unless a freshly computed
+        // verdict is stored.
         let query = QueryRef::new(self.config_fingerprint, universals, hyp, goal);
-        let qhash = query.stable_hash();
-        if let Some(verdict) = self.local_lookup(qhash, &query) {
+        if let Some(verdict) = self.cache.lookup(&query) {
+            self.stats.cache_hits += 1;
             return verdict;
         }
-        if let Some(cache) = self.cache.clone() {
-            if let Some(verdict) = cache.lookup(&query) {
-                self.stats.cache_hits += 1;
-                self.local_store(qhash, query.to_key(), verdict.clone());
-                return verdict;
-            }
-            self.stats.cache_misses += 1;
-            let verdict = self.entails_simplified(universals, hyp, goal);
-            cache.store(&query, verdict.clone());
-            self.local_store(qhash, query.to_key(), verdict.clone());
-            verdict
-        } else {
-            let verdict = self.entails_simplified(universals, hyp, goal);
-            self.local_store(qhash, query.to_key(), verdict.clone());
-            verdict
-        }
-    }
-
-    /// The per-solver verdict memo entry cap; a full memo is wholesale-
-    /// cleared (epoch eviction, like every other memo layer).
-    const MAX_LOCAL_VERDICTS: usize = 16_384;
-
-    /// Looks up a canonical query in the per-solver memo.
-    fn local_lookup(&self, hash: u64, query: &QueryRef<'_>) -> Option<Validity> {
-        self.local_verdicts
-            .get(&hash)?
-            .iter()
-            .find(|(k, _)| query.matches(k))
-            .map(|(_, v)| v.clone())
-    }
-
-    /// Memoizes a verdict in the per-solver memo.
-    fn local_store(&mut self, hash: u64, key: QueryKey, verdict: Validity) {
-        if self.local_verdict_count >= Self::MAX_LOCAL_VERDICTS {
-            self.local_verdicts.clear();
-            self.local_verdict_count = 0;
-        }
-        let bucket = self.local_verdicts.entry(hash).or_default();
-        if bucket.iter().any(|(k, _)| *k == key) {
-            return;
-        }
-        bucket.push((key, verdict));
-        self.local_verdict_count += 1;
+        self.stats.cache_misses += 1;
+        let verdict = self.entails_simplified(universals, hyp, goal);
+        self.cache.store(&query, verdict.clone());
+        verdict
     }
 
     /// The uncached entailment check on an already-simplified goal.
@@ -877,7 +746,7 @@ impl Solver {
         }
 
         if goal.existential_vars().is_empty() {
-            self.entails_no_exists(universals, hyp, goal)
+            self.no_exists_canonical(universals, hyp, goal)
         } else {
             self.eliminate(universals, hyp, goal)
         }
@@ -1219,8 +1088,12 @@ impl Solver {
         hyp: &Constr,
         goal: &Constr,
     ) -> Arc<CompiledQuery> {
-        let key = program_key_hash(universals, hyp, goal);
-        if let Some(program) = self.programs.lookup(key, universals, hyp, goal) {
+        let hash = program_key_hash(universals, hyp, goal);
+        let found = self
+            .programs
+            .map
+            .get(hash, |(u, h, g)| u == universals && h == hyp && g == goal);
+        if let Some(program) = found {
             self.stats.program_cache_hits += 1;
             return program;
         }
@@ -1229,14 +1102,10 @@ impl Solver {
             let _span = rel_obs::span("grid.compile");
             Arc::new(compile_query(universals, hyp, goal))
         };
-        self.programs.insert(
-            key,
-            ProgramEntry {
-                universals: universals.to_vec(),
-                hyp: hyp.clone(),
-                goal: goal.clone(),
-                program: Arc::clone(&program),
-            },
+        self.programs.map.insert(
+            hash,
+            (universals.to_vec(), hyp.clone(), goal.clone()),
+            Arc::clone(&program),
         );
         program
     }
@@ -1854,7 +1723,7 @@ mod tests {
 
     #[test]
     fn cached_solver_agrees_with_uncached_and_reports_hits() {
-        use crate::cache::{ShardedValidityCache, ValidityCache};
+        use crate::cache::ShardedValidityCache;
         let cache = Arc::new(ShardedValidityCache::new());
         let u = nat_vars(&["n", "a"]);
         let hyp = Constr::leq(Idx::var("a"), Idx::var("n"));
@@ -1981,9 +1850,29 @@ mod tests {
             ProgramCacheStats {
                 hits: 1,
                 misses: 1,
-                entries: 1
+                entries: 1,
+                evictions: 0,
             }
         );
+    }
+
+    #[test]
+    fn private_verdict_memo_answers_and_counts_repeated_queries() {
+        // No cache attached: the solver's private memo answers the repeat,
+        // and counts it like a shared cache would.
+        let mut s = Solver::new();
+        let u = nat_vars(&["n"]);
+        let goal = pointwise_goal();
+        for _ in 0..2 {
+            assert!(s.entails(&u, &Constr::Top, &goal).is_valid());
+        }
+        assert_eq!(s.stats().cache_hits, 1);
+        assert_eq!(s.stats().cache_misses, 1);
+        assert_eq!(s.stats().numeric_checks, 1);
+        let memo = s.cache().stats();
+        assert_eq!(memo.hits, s.stats().cache_hits as u64);
+        assert_eq!(memo.misses, s.stats().cache_misses as u64);
+        assert_eq!(memo.entries, 1);
     }
 
     #[test]

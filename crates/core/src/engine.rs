@@ -8,8 +8,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rel_constraint::{
-    CexSource, Constr, Fnv1a, Provenance, RefutationInfo, SharedProgramCache, SolveConfig,
-    SolveStats, Solver, Validity, ValidityCache,
+    CexSource, Constr, Fnv1a, Provenance, RefutationInfo, ShardedValidityCache, SharedProgramCache,
+    SolveConfig, SolveStats, Solver, Validity,
 };
 use rel_index::Idx;
 use rel_syntax::{Def, Program, SystemLevel};
@@ -293,14 +293,15 @@ impl DefIndex {
 ///
 /// The engine holds no mutable state — checking goes through `&self` — so one
 /// instance can be shared across worker threads behind an [`Arc`].  When a
-/// [`ValidityCache`] is attached it is consulted by every solver the engine
-/// spawns, letting concurrent batch checks share constraint verdicts.
+/// [`ShardedValidityCache`] is attached it is consulted by every solver the
+/// engine spawns, letting concurrent batch checks share constraint
+/// verdicts; otherwise each solver memoizes into a private one.
 #[derive(Debug, Clone)]
 pub struct Engine {
     checker: RelChecker,
     solve_config: SolveConfig,
     level: SystemLevel,
-    cache: Option<Arc<dyn ValidityCache>>,
+    cache: Option<Arc<ShardedValidityCache>>,
     programs: Option<Arc<SharedProgramCache>>,
 }
 
@@ -326,13 +327,13 @@ impl Engine {
     /// Attaches a shared constraint-validity cache.  Every solver the engine
     /// creates (both the checking-phase solver and the final entailment
     /// solver) consults it before solving and publishes its verdicts to it.
-    pub fn with_cache(mut self, cache: Arc<dyn ValidityCache>) -> Engine {
+    pub fn with_cache(mut self, cache: Arc<ShardedValidityCache>) -> Engine {
         self.cache = Some(cache);
         self
     }
 
     /// The attached validity cache, if any.
-    pub fn cache(&self) -> Option<&Arc<dyn ValidityCache>> {
+    pub fn cache(&self) -> Option<&Arc<ShardedValidityCache>> {
         self.cache.as_ref()
     }
 
@@ -793,7 +794,7 @@ mod tests {
 
     #[test]
     fn cached_engine_matches_uncached_verdicts_and_hits_on_rerun() {
-        use rel_constraint::{ShardedValidityCache, ValidityCache};
+        use rel_constraint::ShardedValidityCache;
         let src = r#"
             def not2 : boolr -> boolr = lam b. if b then false else true;
             def use : boolr -> boolr = lam b. not2 (not2 b);

@@ -95,10 +95,10 @@ impl std::error::Error for EvalError {}
 
 /// Upper bound on the number of terms a `Σ` may expand to during evaluation.
 ///
-/// Public because every evaluator of index terms — this tree walker, the
-/// pooled evaluator of [`crate::pool`], and downstream bytecode evaluators —
-/// must agree on it exactly: evaluators are required to be verdict-identical
-/// and diverging caps would silently break that.
+/// Public because every evaluator of index terms — this tree walker and
+/// downstream bytecode evaluators — must agree on it exactly: evaluators
+/// are required to be verdict-identical and diverging caps would silently
+/// break that.
 pub const MAX_SUM_TERMS: u64 = 1_000_000;
 
 impl Idx {

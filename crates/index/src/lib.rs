@@ -21,7 +21,8 @@
 //! * [`IdxVar`] / [`IdxVarGen`] — index variables and fresh-name generation,
 //! * [`Idx`] — the index-term AST with substitution and free-variable support,
 //! * [`IdxEnv`] / evaluation — numeric evaluation of index terms,
-//! * [`normalize`] — symbolic simplification (constant folding, unit laws),
+//! * [`normalize`](mod@normalize) — symbolic simplification (constant
+//!   folding, unit laws),
 //! * [`LinExpr`] — linear normal forms over opaque atoms, the workhorse of the
 //!   constraint solver's symbolic layer.
 //!

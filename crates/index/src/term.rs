@@ -303,9 +303,8 @@ impl Idx {
     /// mutual references first); under that precondition simultaneous and
     /// sequential application agree, which is also how the rare
     /// binder-capture case is handled.  Callers substituting into many
-    /// terms with one map should validate the map once themselves (see
-    /// [`crate::pool`]-level callers such as `Constr::subst_all`) — this
-    /// entry point does not re-check it.
+    /// terms with one map should validate the map once themselves (as
+    /// `Constr::subst_all` does) — this entry point does not re-check it.
     pub fn subst_all(&self, map: &BTreeMap<IdxVar, Idx>) -> Idx {
         if map.is_empty() {
             return self.clone();

@@ -5,8 +5,9 @@
 //! * [`global()`] — the process-wide registry the solver layers publish
 //!   monotonic counters into (`SolveStats::publish` in rel-constraint,
 //!   persist load/save counters, …).  Handles are cached per call site by
-//!   the [`counter!`]/[`histogram!`] macros, so after the first call an
-//!   increment is a single atomic add: no locking, no allocation.
+//!   the [`counter!`](crate::counter!)/[`histogram!`](crate::histogram!)
+//!   macros, so after the first call an increment is a single atomic add:
+//!   no locking, no allocation.
 //! * Private [`Registry`] instances — `rel-service` gives every `Service`
 //!   its own registry for per-request latency histograms and cache gauges,
 //!   so parallel services (and parallel tests in one binary) never bleed
@@ -189,7 +190,8 @@ pub struct HistogramSnapshot {
 /// A named-metric registry: counters, gauges and latency histograms.
 ///
 /// Lookup by name takes a mutex, so callers on hot paths cache the handle
-/// (see [`counter!`]/[`histogram!`]); the handles themselves are lock-free.
+/// (see [`counter!`](crate::counter!)/[`histogram!`](crate::histogram!));
+/// the handles themselves are lock-free.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
@@ -365,7 +367,7 @@ macro_rules! counter {
 }
 
 /// A histogram on the [`global`] registry, handle cached per call site
-/// like [`counter!`].
+/// like [`counter!`](crate::counter!).
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{

@@ -17,7 +17,7 @@
 //! the constants below and bump `WAL_VERSION` per DESIGN.md §6.
 
 use birelcost::Engine;
-use rel_constraint::{Constr, QueryKey, ShardedValidityCache, Validity, ValidityCache};
+use rel_constraint::{Constr, QueryKey, ShardedValidityCache, Validity};
 use rel_index::{Idx, IdxVar, Sort};
 use rel_persist::{encode_frame, validate_frame, WalRecord};
 

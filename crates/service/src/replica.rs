@@ -11,7 +11,7 @@
 //!
 //! ## Roles
 //!
-//! * **Outbound** ([`ReplicaHub`]): one supervised session per configured
+//! * **Outbound** (`ReplicaHub`): one supervised session per configured
 //!   peer.  The store observers publish every freshly encoded WAL frame to
 //!   a bounded per-peer queue (never blocking the client path); each
 //!   session thread drains its queue, ships frames over a [`Transport`]
@@ -21,7 +21,7 @@
 //!   recent-frame ring — or, beyond the ring, by a full snapshot transfer:
 //!   the compacted image of the sender's state, the same bytes a local
 //!   compaction writes, validated frame by frame and applied only whole.
-//! * **Inbound** ([`ReplicaSink`]): per-source positions and counters.  The
+//! * **Inbound** (`ReplicaSink`): per-source positions and counters.  The
 //!   daemon applies a frame only if it validates; fresh verdicts re-enter
 //!   the local store (and therefore the local WAL and the local outbound
 //!   sessions), which is what makes chains `A → B → C` converge without a

@@ -7,9 +7,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use birelcost::{DefIndex, Engine, ProgramReport};
-use rel_constraint::{
-    CacheStats, ProgramCacheStats, ShardedValidityCache, SharedProgramCache, ValidityCache,
-};
+use rel_constraint::{CacheStats, ProgramCacheStats, ShardedValidityCache, SharedProgramCache};
 use rel_obs::{Backoff, Registry, RegistrySnapshot};
 use rel_persist::{
     compacted_image, encode_frame, validate_frame, validate_header, FaultFs, FrameError,

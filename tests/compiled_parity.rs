@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use birelcost::Engine;
-use rel_constraint::{with_tree_eval, ShardedValidityCache, SolveConfig, ValidityCache};
+use rel_constraint::{with_tree_eval, ShardedValidityCache, SolveConfig};
 use rel_suite::{all_benchmarks, VerificationStatus};
 
 #[test]
