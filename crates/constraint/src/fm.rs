@@ -43,23 +43,20 @@
 //! pairs over a per-solver atom table ([`FmMemo`]): structural atom
 //! equality, hashing, sorting and pivot bookkeeping are integer operations,
 //! and every per-atom property elimination consults (`∞`-freeness,
-//! integrality, product factors) is computed once at interning time.  On
-//! top of the table sit four memo layers, verified by the dual-hash scheme
-//! of the engine's `DefIndex` where the keys would otherwise be cloned
-//! trees: per-fact row conversion, per-hypothesis normalized base systems,
-//! per-goal negated DNF, and — the layer the solver's
-//! `fm_memo_hits`/`fm_memo_misses` counters report — canonical *branch
-//! systems* and whole-query outcomes, so the structurally identical
-//! subproblems that Eq-splits and Or case-splits generate in abundance are
-//! eliminated once per solver and replayed everywhere else.
+//! integrality, product factors) is computed once at interning time.  Next
+//! to the table sit two memos, verified by the dual-hash scheme of the
+//! engine's `DefIndex`: per-fact row conversion, and whole-query outcomes —
+//! the memo the solver's `fm_memo_hits`/`fm_memo_misses` counters report,
+//! one lookup per [`prove`] call.  The sub-goals one definition decomposes
+//! into repeat heavily, so a repeated query is answered without conversion
+//! or elimination.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use rel_index::{Atom, Extended, Idx, IdxVar, LinExpr, Rational, Sort};
 
-use crate::cache::Fnv1a;
+use crate::cache::{Fnv1a, ShardedMap};
 use crate::constr::Constr;
 use crate::solver::SearchExhaustedReason;
 
@@ -125,20 +122,25 @@ pub struct FmOutcome {
     /// direct evaluation before trusting it, which is what keeps a
     /// witness-backed `Invalid` exactly as sound as a grid counterexample.
     pub witness: Option<Vec<(IdxVar, Rational)>>,
-    /// DNF branches of this run answered from the subproblem memo.
+    /// 1 when the whole-query memo answered this call, else 0.
     pub memo_hits: usize,
-    /// DNF branches of this run decided by elimination (and then memoized).
+    /// 1 when this call missed the whole-query memo and was decided, else 0.
     pub memo_misses: usize,
 }
 
 impl FmOutcome {
-    fn abstained() -> FmOutcome {
+    /// An outcome decided on a whole-query memo miss.
+    fn decided(
+        verdict: FmVerdict,
+        eliminated: Vec<String>,
+        witness: Option<Vec<(IdxVar, Rational)>>,
+    ) -> FmOutcome {
         FmOutcome {
-            verdict: FmVerdict::Abstained,
-            eliminated: Vec::new(),
-            witness: None,
+            verdict,
+            eliminated,
+            witness,
             memo_hits: 0,
-            memo_misses: 0,
+            memo_misses: 1,
         }
     }
 }
@@ -173,63 +175,27 @@ struct AtomInfo {
 }
 
 // ---------------------------------------------------------------------------
-// Subproblem memo
+// Memo
 // ---------------------------------------------------------------------------
 
-/// The decision recorded for one normalized branch system.
-///
-/// A decision is a pure function of the canonical system and the
-/// integer-atom signature (tightening): elimination, witness extraction and
-/// the sort checks of `concretize` consult nothing else — `prefer_positive`
-/// only nudges a *candidate* witness, which every caller re-verifies by
-/// direct evaluation before trusting.
-#[derive(Debug, Clone)]
-enum BranchDecision {
-    /// Elimination drove the system to a ground contradiction.
-    Infeasible {
-        /// Atom elimination order.
-        order: Vec<String>,
-    },
-    /// The system is feasible in the abstraction.
-    Feasible {
-        /// Atom elimination order.
-        order: Vec<String>,
-        /// The concretized candidate witness, when extraction succeeded.
-        witness: Option<Vec<(IdxVar, Rational)>>,
-    },
-    /// Limits were exceeded mid-elimination.
-    Abstained {
-        /// Atom elimination order up to the abstention.
-        order: Vec<String>,
-        /// Which cap fired.
-        cause: SearchExhaustedReason,
-    },
-}
-
-/// Entry cap of the subproblem memo; a full memo is wholesale-cleared
-/// (epoch eviction, like every other memo layer of the solver).
+/// Entry cap of each memo map; a full map is wholesale-cleared (epoch
+/// eviction, like every other memo of the solver).
 const FM_MEMO_MAX_ENTRIES: usize = 8_192;
 
-/// Entry cap of the per-fact row-conversion cache.
-const FACT_ROWS_MAX_ENTRIES: usize = 8_192;
-
-/// Salt separating the verify-hash stream from the primary one in the
-/// query/base memos (an arbitrary odd constant, 2⁶⁴/φ — the same scheme as
-/// the engine's `DefIndex`).
+/// Salt separating the verify-hash stream from the primary one (an
+/// arbitrary odd constant, 2⁶⁴/φ — the same scheme as the engine's
+/// `DefIndex`).
 const FM_VERIFY_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Per-solver Fourier–Motzkin working memory: the interned atom table, a
-/// per-fact row-conversion cache, and the *subproblem* memo keyed on the
-/// canonical hash of the normalized atom system of one DNF branch.
-///
-/// Eq-splits (`¬(a = b)` forks into `a > b` and `b > a`) and Or case-splits
-/// generate structurally identical branch systems in abundance — both
-/// within one query and across the sub-goals `Solver::entails` decomposes a
-/// definition into (which share their hypothesis rows).  Each distinct
-/// system is eliminated once per solver; repeats are O(key) lookups over
-/// integer row vectors.  The full canonical system is stored next to its
-/// hash, so collisions can never replay the wrong decision.
-#[derive(Debug, Default)]
+/// Per-solver Fourier–Motzkin working memory: the interned atom table plus
+/// two memos keyed by the dual-hash scheme of the engine's `DefIndex` — the
+/// primary hash of the inputs selects the bucket and an independently
+/// seeded verify hash over the same stream is the key.  The full inputs
+/// are deliberately not stored, so an accidental primary-hash collision is
+/// a miss, never a wrong replay (~2⁻⁶⁴ at birthday scale for any feasible
+/// memo size) — and a replayed refutation is re-checked by the caller
+/// anyway before an `Invalid` is trusted.
+#[derive(Debug)]
 pub struct FmMemo {
     /// Interned atoms (`AtomId` indexes this table).
     atoms: Vec<AtomInfo>,
@@ -237,80 +203,27 @@ pub struct FmMemo {
     atom_ids: HashMap<Atom, AtomId>,
     /// Per-fact row conversion: one hypothesis fact re-enters `prove` with
     /// every sub-goal of its definition, and its `LinExpr` decomposition is
-    /// identical each time.  Dual-hash verified like the query memo.
-    fact_rows: HashMap<u64, Vec<(u64, Vec<Row>)>>,
-    fact_rows_len: usize,
-    /// Per-goal DNF conversion: the sub-goals one definition decides repeat
-    /// heavily, and their negated-DNF row form is identical each time.
-    /// `None` records a goal outside the fragment (so the abstention is
-    /// memoized too).
-    #[allow(clippy::type_complexity)]
-    goal_branches: HashMap<u64, Vec<(Constr, Option<Arc<Branches>>)>>,
-    goal_branches_len: usize,
-    /// Whole normalized base systems, keyed on the fact list and the
-    /// ℕ-sorted variable set: the same hypothesis re-enters `prove` with
-    /// every sub-goal of its definition, and its converted, tightened,
-    /// canonicalized rows are identical each time.
-    bases: HashMap<u64, Vec<BaseEntry>>,
-    bases_len: usize,
-    /// Decided branch systems.
-    entries: HashMap<u64, Vec<MemoEntry>>,
-    len: usize,
-    /// Whole-query outcomes: `(facts, goal, nat_vars) → FmOutcome`.  The
-    /// branch memo already deduplicates the elimination work, but a repeated
-    /// query still pays conversion and canonicalization per branch; this
-    /// level answers it for one fact-list + goal hash and two tree
-    /// comparisons.
-    queries: HashMap<u64, Vec<QueryEntry>>,
-    queries_len: usize,
+    /// identical each time.
+    fact_rows: ShardedMap<u64, Vec<Row>>,
+    /// Whole-query outcomes: `(facts, ℕ-sorted variables, goal) →
+    /// FmOutcome`, stored with `memo_hits = 1` so a hit returns the entry
+    /// as is.  The ℕ-sorted variables are part of the key because integer
+    /// tightening and the witness's sort check depend on them.
+    queries: ShardedMap<u64, FmOutcome>,
 }
 
-/// One memoized whole-query outcome.  Like the engine's `DefIndex`, the
-/// full inputs are deliberately not stored: the entry is verified by an
-/// independently seeded second hash over the same stream, so an accidental
-/// primary-hash collision is a miss, never a wrong-outcome replay (~2⁻⁶⁴
-/// at birthday scale for any feasible memo size) — and a replayed outcome
-/// is re-checked by the caller anyway before an `Invalid` is trusted.
-#[derive(Debug)]
-struct QueryEntry {
-    verify: u64,
-    verdict: FmVerdict,
-    eliminated: Vec<String>,
-    witness: Option<Vec<(IdxVar, Rational)>>,
-}
-
-#[derive(Debug)]
-struct MemoEntry {
-    rows: Vec<Row>,
-    ints: Vec<(AtomId, bool)>,
-    decision: BranchDecision,
-}
-
-/// One cached base system, verified by the same dual-hash scheme as
-/// [`QueryEntry`]: the normalized rows, their atom set, and whether
-/// normalization already exposed a ground contradiction.
-#[derive(Debug)]
-struct BaseEntry {
-    verify: u64,
-    /// `None` when the facts alone are contradictory (every branch of any
-    /// goal is infeasible) or the conversion blew the magnitude cap
-    /// (`contradictory` distinguishes the two).
-    rows: Option<Arc<Vec<Row>>>,
-    atoms: Arc<BTreeSet<AtomId>>,
-    contradictory: bool,
+impl Default for FmMemo {
+    fn default() -> Self {
+        FmMemo {
+            atoms: Vec::new(),
+            atom_ids: HashMap::new(),
+            fact_rows: ShardedMap::new(1, FM_MEMO_MAX_ENTRIES),
+            queries: ShardedMap::new(1, FM_MEMO_MAX_ENTRIES),
+        }
+    }
 }
 
 impl FmMemo {
-    /// Number of memoized branch systems.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when nothing is memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Interns an atom (and, for products, its factors), computing its
     /// elimination-relevant properties once.
     fn intern(&mut self, atom: &Atom) -> AtomId {
@@ -383,10 +296,8 @@ impl FmMemo {
     /// outside the ground shapes of [`FmMemo::row_of`]) contributes nothing
     /// — proving from fewer hypotheses is always sound.
     fn fact_rows_cached(&mut self, fact: &Constr, hash: u64, verify: u64) -> Vec<Row> {
-        if let Some(bucket) = self.fact_rows.get(&hash) {
-            if let Some((_, rows)) = bucket.iter().find(|(v, _)| *v == verify) {
-                return rows.clone();
-            }
+        if let Some(rows) = self.fact_rows.get(hash, |&v| v == verify) {
+            return rows;
         }
         let mut rows = Vec::new();
         match fact {
@@ -409,130 +320,8 @@ impl FmMemo {
             Constr::Bot => rows.push(ground_row(true)),
             _ => {}
         }
-        if self.fact_rows_len >= FACT_ROWS_MAX_ENTRIES {
-            self.fact_rows.clear();
-            self.fact_rows_len = 0;
-        }
-        self.fact_rows
-            .entry(hash)
-            .or_default()
-            .push((verify, rows.clone()));
-        self.fact_rows_len += 1;
+        self.fact_rows.insert(hash, verify, rows.clone());
         rows
-    }
-
-    /// The negated-goal DNF, memoized per goal (the branch cap is fixed per
-    /// solver, so it is not part of the key).
-    fn neg_branches_cached(&mut self, goal: &Constr, cap: usize) -> Option<Arc<Branches>> {
-        let hash = {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            goal.hash(&mut h);
-            h.finish()
-        };
-        if let Some(bucket) = self.goal_branches.get(&hash) {
-            if let Some((_, branches)) = bucket.iter().find(|(g, _)| g == goal) {
-                return branches.clone();
-            }
-        }
-        let branches = neg_branches(goal, cap, self).map(Arc::new);
-        if self.goal_branches_len >= FACT_ROWS_MAX_ENTRIES {
-            self.goal_branches.clear();
-            self.goal_branches_len = 0;
-        }
-        self.goal_branches
-            .entry(hash)
-            .or_default()
-            .push((goal.clone(), branches.clone()));
-        self.goal_branches_len += 1;
-        branches
-    }
-
-    /// The normalized base system of one fact list (memoized).  Returns
-    /// `(rows, atoms)` — `rows` is `None` on a ground contradiction
-    /// (`contradictory = true` in the entry) or a magnitude blow-up.
-    #[allow(clippy::type_complexity)]
-    fn base_cached(
-        &mut self,
-        hash: u64,
-        verify: u64,
-        facts: &[(&Constr, u64, u64)],
-        nat_vars: &BTreeSet<IdxVar>,
-    ) -> (Option<Arc<Vec<Row>>>, Arc<BTreeSet<AtomId>>, bool) {
-        if let Some(bucket) = self.bases.get(&hash) {
-            if let Some(e) = bucket.iter().find(|e| e.verify == verify) {
-                return (e.rows.clone(), Arc::clone(&e.atoms), e.contradictory);
-            }
-        }
-        let mut base: Vec<Row> = Vec::new();
-        for (fact, fh, fv) in facts {
-            base.extend(self.fact_rows_cached(fact, *fh, *fv));
-        }
-        let mut atoms: BTreeSet<AtomId> = BTreeSet::new();
-        for row in &base {
-            atoms.extend(row.coeffs.iter().map(|(id, _)| *id));
-        }
-        base.extend(atoms.iter().map(|&id| nonneg_row(id)));
-        let (rows, contradictory) = match normalize_system(base, &self.atoms, nat_vars) {
-            Err(()) => (None, false),
-            Ok(None) => (None, true),
-            Ok(Some(rows)) => (Some(Arc::new(rows)), false),
-        };
-        let atoms = Arc::new(atoms);
-        if self.bases_len >= FACT_ROWS_MAX_ENTRIES {
-            self.bases.clear();
-            self.bases_len = 0;
-        }
-        self.bases.entry(hash).or_default().push(BaseEntry {
-            verify,
-            rows: rows.clone(),
-            atoms: Arc::clone(&atoms),
-            contradictory,
-        });
-        self.bases_len += 1;
-        (rows, atoms, contradictory)
-    }
-
-    /// Records one whole-query outcome.
-    fn store_query(&mut self, hash: u64, verify: u64, out: &FmOutcome) {
-        if self.queries_len >= FM_MEMO_MAX_ENTRIES {
-            self.queries.clear();
-            self.queries_len = 0;
-        }
-        self.queries.entry(hash).or_default().push(QueryEntry {
-            verify,
-            verdict: out.verdict,
-            eliminated: out.eliminated.clone(),
-            witness: out.witness.clone(),
-        });
-        self.queries_len += 1;
-    }
-
-    fn lookup(&self, hash: u64, rows: &[Row], ints: &[(AtomId, bool)]) -> Option<BranchDecision> {
-        self.entries.get(&hash).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|e| e.rows == rows && e.ints == ints)
-                .map(|e| e.decision.clone())
-        })
-    }
-
-    fn store(
-        &mut self,
-        hash: u64,
-        rows: Vec<Row>,
-        ints: Vec<(AtomId, bool)>,
-        decision: BranchDecision,
-    ) {
-        if self.len >= FM_MEMO_MAX_ENTRIES {
-            self.entries.clear();
-            self.len = 0;
-        }
-        self.entries.entry(hash).or_default().push(MemoEntry {
-            rows,
-            ints,
-            decision,
-        });
-        self.len += 1;
     }
 }
 
@@ -962,9 +751,9 @@ fn classify(row: &mut Row, table: &[AtomInfo], nat_vars: &BTreeSet<IdxVar>) -> R
 /// row, detects ground contradictions, sorts the rows, and keeps only the
 /// tightest bound per coefficient vector (base facts recur in every branch,
 /// and combination steps produce duplicates; over id vectors the dedup is
-/// cheap enough to run unconditionally).  The canonical output doubles as
-/// the subproblem-memo key.  `Ok(None)` means a ground contradiction (the
-/// branch is infeasible); `Err(())` means a magnitude blow-up (abstain).
+/// cheap enough to run unconditionally).  `Ok(None)` means a ground
+/// contradiction (the branch is infeasible); `Err(())` means a magnitude
+/// blow-up (abstain).
 fn normalize_system(
     rows: Vec<Row>,
     table: &[AtomInfo],
@@ -998,54 +787,6 @@ fn canonical_merge(rows: &mut Vec<Row>) {
             .then_with(|| b.strict.cmp(&a.strict))
     });
     rows.dedup_by(|a, b| a.coeffs == b.coeffs);
-}
-
-/// The (process-local) hash and integer signature of a canonical system —
-/// bucket selection for [`FmMemo`]; the stored entry carries the full
-/// system for verification.  The signature records which system atoms are
-/// integer-valued under the query's ℕ-sorted variables: two queries with
-/// identical rows but different sorts must not share a decision.  The atom
-/// set is closed under product *factors*: a factor variable never appears
-/// as a row atom of the system, yet `concretize`'s sort check consults its
-/// integrality when it solves `P = x·y` for `x` — replaying a witness
-/// across a sort flip there would smuggle a fractional value past the
-/// ℕ-domain check.
-fn system_sig(
-    rows: &[Row],
-    table: &[AtomInfo],
-    nat_vars: &BTreeSet<IdxVar>,
-) -> (u64, Vec<(AtomId, bool)>) {
-    let mut ids: Vec<AtomId> = rows
-        .iter()
-        .flat_map(|r| r.coeffs.iter().map(|(id, _)| *id))
-        .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    // Close over product factors (chains of products terminate: factors
-    // were interned before the product that mentions them).
-    let mut queue: Vec<AtomId> = ids.clone();
-    while let Some(id) = queue.pop() {
-        if let Some((fx, fy)) = table[id as usize].factors {
-            for f in [fx, fy] {
-                if let Err(pos) = ids.binary_search(&f) {
-                    ids.insert(pos, f);
-                    queue.push(f);
-                }
-            }
-        }
-    }
-    let ints: Vec<(AtomId, bool)> = ids
-        .into_iter()
-        .map(|id| (id, is_integer_atom(table, nat_vars, id)))
-        .collect();
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for row in rows {
-        row.strict.hash(&mut h);
-        row.constant.hash(&mut h);
-        row.coeffs.hash(&mut h);
-    }
-    ints.hash(&mut h);
-    (h.finish(), ints)
 }
 
 // ---------------------------------------------------------------------------
@@ -1084,8 +825,8 @@ fn eliminate(
     order: &mut Vec<String>,
     steps: &mut Vec<ElimStep>,
 ) -> ElimResult {
-    // The input system arrives normalized (callers canonicalize it as the
-    // memo key); inside the loop only freshly *combined* rows need
+    // The input system arrives normalized; inside the loop only freshly
+    // *combined* rows need
     // tightening and classification — everything else is already in normal
     // form, so re-normalizing the whole system per round would triple the
     // elimination cost for nothing.
@@ -1409,12 +1150,10 @@ fn nat_var_set(universals: &[(IdxVar, Sort)]) -> BTreeSet<IdxVar> {
 /// `Proved` is sound unconditionally.  `CandidateRefuted` and `Abstained`
 /// are inconclusive: the caller falls through to the numeric layer.
 ///
-/// The branch-invariant work is hoisted out of the branch loop: the fact
-/// rows come from the memo's per-fact conversion cache, their
-/// atom-nonnegativity side rows are derived once per query (branches only
-/// contribute their own goal atoms on top), and each branch system is
-/// normalized into canonical form and answered through the subproblem memo
-/// — structurally identical branches are eliminated once per solver.
+/// Each call is one lookup in the memo's whole-query map; a miss decides
+/// the query and stores its outcome.  The one outcome not stored is a goal
+/// whose negated DNF exceeds the branch cap, so its `fm.abstain.branch-cap`
+/// event fires on every call.
 pub fn prove(
     universals: &[(IdxVar, Sort)],
     facts: &[&Constr],
@@ -1424,9 +1163,8 @@ pub fn prove(
 ) -> FmOutcome {
     let nat_vars = nat_var_set(universals);
     // Each fact is hashed once into two independently seeded streams; the
-    // per-fact pairs verify the fact-row cache, their combination (plus the
-    // sorts) keys the base cache, and folding in the goal keys the query
-    // memo — one pass over the inputs serves every memo layer.
+    // per-fact pairs key the fact-row cache, and their combination with the
+    // sorts and the goal keys the query memo.
     let mut primary = Fnv1a::default();
     let mut verify = Fnv1a::default();
     verify.write_u64(FM_VERIFY_SALT);
@@ -1446,64 +1184,63 @@ pub fn prove(
         .collect();
     nat_vars.hash(&mut primary);
     nat_vars.hash(&mut verify);
-    let (base_hash, base_verify) = (primary.finish(), verify.finish());
     goal.hash(&mut primary);
     goal.hash(&mut verify);
     let (query_hash, query_verify) = (primary.finish(), verify.finish());
-    if let Some(bucket) = memo.queries.get(&query_hash) {
-        if let Some(e) = bucket.iter().find(|e| e.verify == query_verify) {
-            return FmOutcome {
-                verdict: e.verdict,
-                eliminated: e.eliminated.clone(),
-                witness: e.witness.clone(),
-                memo_hits: 1,
-                memo_misses: 0,
-            };
-        }
+    if let Some(hit) = memo.queries.get(query_hash, |&v| v == query_verify) {
+        return hit;
     }
-    let Some(branches) = memo.neg_branches_cached(goal, limits.max_branches) else {
+    let Some(branches) = neg_branches(goal, limits.max_branches, memo) else {
         rel_obs::event_with(
             SearchExhaustedReason::BranchCap.fm_event_name(),
             limits.max_branches as u64,
         );
-        return FmOutcome::abstained();
+        return FmOutcome::decided(FmVerdict::Abstained, Vec::new(), None);
     };
-    // Hoisted *and memoized* once per hypothesis (satellite of the FM perf
-    // pass): the base facts' rows, their atom-nonnegativity side rows and
-    // the whole normalization (tightening) of the base system are
-    // branch-invariant and identical across every sub-goal sharing the
-    // hypothesis — branches only contribute their own goal rows, normalized
-    // separately and merged below.
-    let (base_rows, base_atoms, contradictory) =
-        memo.base_cached(base_hash, base_verify, &hashed_facts, &nat_vars);
-    let base_norm = match base_rows {
-        Some(rows) => rows,
-        // Contradictory hypotheses: every branch is infeasible outright.
-        None if contradictory => {
-            return FmOutcome {
-                verdict: FmVerdict::Proved,
-                eliminated: Vec::new(),
-                witness: None,
-                memo_hits: 0,
-                memo_misses: 0,
-            }
-        }
-        None => return FmOutcome::abstained(),
-    };
+    let out = decide(universals, &hashed_facts, branches, &nat_vars, limits, memo);
+    memo.queries.insert(
+        query_hash,
+        query_verify,
+        FmOutcome {
+            memo_hits: 1,
+            memo_misses: 0,
+            ..out.clone()
+        },
+    );
+    out
+}
 
-    let mut eliminated = Vec::new();
-    let mut memo_hits = 0;
-    let mut memo_misses = 0;
-    let outcome = |verdict, eliminated, witness, memo_hits, memo_misses| FmOutcome {
-        verdict,
-        eliminated,
-        witness,
-        memo_hits,
-        memo_misses,
+/// Refutes `facts ∧ branch` for every branch of the negated goal.  The
+/// base system (the facts' rows and the
+/// non-negativity rows of their atoms) is branch-invariant, so it is
+/// normalized once, outside the branch loop; each branch normalizes only
+/// its own rows on top (tightening is row-local, so normalizing the parts
+/// equals normalizing the whole).
+fn decide(
+    universals: &[(IdxVar, Sort)],
+    facts: &[(&Constr, u64, u64)],
+    branches: Branches,
+    nat_vars: &BTreeSet<IdxVar>,
+    limits: &FmLimits,
+    memo: &mut FmMemo,
+) -> FmOutcome {
+    let mut base: Vec<Row> = Vec::new();
+    for (fact, hash, verify) in facts {
+        base.extend(memo.fact_rows_cached(fact, *hash, *verify));
+    }
+    let mut base_atoms: BTreeSet<AtomId> = BTreeSet::new();
+    for row in &base {
+        base_atoms.extend(row.coeffs.iter().map(|(id, _)| *id));
+    }
+    base.extend(base_atoms.iter().map(|&id| nonneg_row(id)));
+    let base = match normalize_system(base, &memo.atoms, nat_vars) {
+        Ok(Some(rows)) => rows,
+        // Contradictory hypotheses: every branch is infeasible outright.
+        Ok(None) => return FmOutcome::decided(FmVerdict::Proved, Vec::new(), None),
+        Err(()) => return FmOutcome::decided(FmVerdict::Abstained, Vec::new(), None),
     };
-    let mut early: Option<FmOutcome> = None;
-    for branch in branches.iter() {
-        let mut branch = branch.clone();
+    let mut eliminated = Vec::new();
+    for mut branch in branches {
         // Side rows for the branch's own atoms (those outside the base set).
         let mut branch_atoms: BTreeSet<AtomId> = BTreeSet::new();
         for row in &branch {
@@ -1514,109 +1251,47 @@ pub fn prove(
                 branch.push(nonneg_row(id));
             }
         }
-        // Normalize the branch's own rows, merge with the pre-normalized
-        // base (tightening is row-local, so normalizing the parts equals
-        // normalizing the whole), and canonicalize: ground contradictions
-        // close the branch before the memo is consulted, and the canonical
-        // system is the memo key.
-        let rows = match normalize_system(branch, &memo.atoms, &nat_vars) {
-            Err(()) => {
-                early = Some(outcome(
-                    FmVerdict::Abstained,
-                    Vec::new(),
-                    None,
-                    memo_hits,
-                    memo_misses,
-                ));
-                break;
-            }
+        let rows = match normalize_system(branch, &memo.atoms, nat_vars) {
+            Err(()) => return FmOutcome::decided(FmVerdict::Abstained, Vec::new(), None),
+            // A ground contradiction closes the branch without elimination.
             Ok(None) => {
                 eliminated = Vec::new();
                 continue;
             }
             Ok(Some(mut rows)) => {
-                rows.extend(base_norm.iter().cloned());
+                rows.extend(base.iter().cloned());
                 canonical_merge(&mut rows);
                 rows
             }
         };
-        let (hash, ints) = system_sig(&rows, &memo.atoms, &nat_vars);
-        let decision = match memo.lookup(hash, &rows, &ints) {
-            Some(decision) => {
-                memo_hits += 1;
-                decision
+        // Atoms occurring as factors of product atoms in this system: steer
+        // them positive so the concretizer can divide the product value back
+        // out.
+        let mut prefer_positive: BTreeSet<AtomId> = BTreeSet::new();
+        for row in &rows {
+            for (id, _) in &row.coeffs {
+                if let Some((fx, fy)) = memo.atoms[*id as usize].factors {
+                    prefer_positive.insert(fx);
+                    prefer_positive.insert(fy);
+                }
             }
-            None => {
-                memo_misses += 1;
-                let decision =
-                    decide_branch(rows.clone(), universals, &memo.atoms, &nat_vars, limits);
-                memo.store(hash, rows, ints, decision.clone());
-                decision
+        }
+        let mut order = Vec::new();
+        let mut steps = Vec::new();
+        match eliminate(rows, &memo.atoms, nat_vars, limits, &mut order, &mut steps) {
+            ElimResult::Unsat => eliminated = order,
+            ElimResult::Sat => {
+                let witness = extract_witness(&steps, &memo.atoms, nat_vars, &prefer_positive)
+                    .and_then(|assignment| concretize(&assignment, &memo.atoms, universals));
+                return FmOutcome::decided(FmVerdict::CandidateRefuted, order, witness);
             }
-        };
-        match decision {
-            BranchDecision::Infeasible { order } => eliminated = order,
-            BranchDecision::Feasible { order, witness } => {
-                early = Some(outcome(
-                    FmVerdict::CandidateRefuted,
-                    order,
-                    witness,
-                    memo_hits,
-                    memo_misses,
-                ));
-                break;
-            }
-            BranchDecision::Abstained { order, cause } => {
+            ElimResult::Abstain(cause) => {
                 rel_obs::event(cause.fm_event_name());
-                early = Some(outcome(
-                    FmVerdict::Abstained,
-                    order,
-                    None,
-                    memo_hits,
-                    memo_misses,
-                ));
-                break;
+                return FmOutcome::decided(FmVerdict::Abstained, order, None);
             }
         }
     }
-    let out = early
-        .unwrap_or_else(|| outcome(FmVerdict::Proved, eliminated, None, memo_hits, memo_misses));
-    memo.store_query(query_hash, query_verify, &out);
-    out
-}
-
-/// Runs the elimination core on one normalized branch system and packages
-/// the result as the memoized [`BranchDecision`].
-fn decide_branch(
-    rows: Vec<Row>,
-    universals: &[(IdxVar, Sort)],
-    table: &[AtomInfo],
-    nat_vars: &BTreeSet<IdxVar>,
-    limits: &FmLimits,
-) -> BranchDecision {
-    // Atoms occurring as factors of product atoms in this system: steer
-    // them positive so the concretizer can divide the product value back
-    // out.
-    let mut prefer_positive: BTreeSet<AtomId> = BTreeSet::new();
-    for row in &rows {
-        for (id, _) in &row.coeffs {
-            if let Some((fx, fy)) = table[*id as usize].factors {
-                prefer_positive.insert(fx);
-                prefer_positive.insert(fy);
-            }
-        }
-    }
-    let mut order = Vec::new();
-    let mut steps = Vec::new();
-    match eliminate(rows, table, nat_vars, limits, &mut order, &mut steps) {
-        ElimResult::Unsat => BranchDecision::Infeasible { order },
-        ElimResult::Sat => {
-            let witness = extract_witness(&steps, table, nat_vars, &prefer_positive)
-                .and_then(|assignment| concretize(&assignment, table, universals));
-            BranchDecision::Feasible { order, witness }
-        }
-        ElimResult::Abstain(cause) => BranchDecision::Abstained { order, cause },
-    }
+    FmOutcome::decided(FmVerdict::Proved, eliminated, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -1922,12 +1597,10 @@ mod tests {
     }
 
     #[test]
-    fn identical_branch_systems_hit_the_memo() {
-        // ¬(a = b) Eq-splits into two branches whose systems are decided
-        // separately on the cold call; re-proving the same goal is answered
-        // by the whole-query memo (one hit, zero eliminations), and two
-        // *different* goals with structurally identical branch systems
-        // share at the branch level.
+    fn repeated_queries_hit_the_memo() {
+        // The cold call decides the query (one miss); re-proving the same
+        // query is answered by the whole-query memo (one hit, zero
+        // eliminations).
         let u = nats(&["a", "b", "c"]);
         let f1 = Constr::eq(Idx::var("a"), Idx::var("b"));
         let f2 = Constr::eq(Idx::var("b"), Idx::var("c"));
@@ -1936,22 +1609,11 @@ mod tests {
         let cold = prove(&u, &[&f1, &f2], &goal, &FmLimits::default(), &mut memo);
         assert_eq!(cold.verdict, FmVerdict::Proved);
         assert_eq!(cold.memo_hits, 0);
-        assert!(cold.memo_misses > 0);
-        assert_eq!(memo.len(), cold.memo_misses);
+        assert_eq!(cold.memo_misses, 1);
         let warm = prove(&u, &[&f1, &f2], &goal, &FmLimits::default(), &mut memo);
         assert_eq!(warm.verdict, FmVerdict::Proved);
         assert_eq!(warm.memo_misses, 0);
         assert_eq!(warm.memo_hits, 1, "whole-query memo answers the repeat");
-        // A goal whose negation produces one of the same branch systems
-        // (a ≤ c is one of ¬(a = c)'s two Eq-split branches… the converse
-        // inequality) is answered at the *branch* level without a fresh
-        // elimination.
-        let half = Constr::leq(Idx::var("a"), Idx::var("c"));
-        let len_before = memo.len();
-        let shared = prove(&u, &[&f1, &f2], &half, &FmLimits::default(), &mut memo);
-        assert_eq!(shared.verdict, FmVerdict::Proved);
-        assert_eq!(shared.memo_hits, 1, "the Eq-split twin system is reused");
-        assert_eq!(memo.len(), len_before);
         // Memoization must not change the verdict on a feasible branch
         // either (witness included).
         let refutable = Constr::leq(Idx::var("a") + Idx::one(), Idx::var("c"));
@@ -1961,17 +1623,17 @@ mod tests {
         assert_eq!(first.verdict, FmVerdict::CandidateRefuted);
         assert_eq!(second.verdict, first.verdict);
         assert_eq!(second.witness, first.witness);
-        assert!(second.memo_hits > 0);
+        assert_eq!(second.memo_hits, 1);
     }
 
     #[test]
-    fn branch_memo_never_replays_witnesses_across_sort_flips() {
+    fn query_memo_never_replays_witnesses_across_sort_flips() {
         // `t` occurs only as a *factor* of the product atom t·a — never as
-        // a row atom — so the branch systems under t::Real and t::Nat are
+        // a row atom — so the systems under t::Real and t::Nat are
         // canonically identical.  A memo replay across the sort flip would
         // smuggle the Real run's fractional witness past `concretize`'s
-        // ℕ-domain check; the integer signature closes over factors to
-        // keep the two decisions apart.
+        // ℕ-domain check; the query key includes the ℕ-sorted variables to
+        // keep the two outcomes apart.
         let hyp = Constr::leq(Idx::one(), Idx::var("a"));
         let goal = Constr::leq(Idx::nat(2) * (Idx::var("t") * Idx::var("a")), Idx::one());
         let mut memo = FmMemo::default();

@@ -139,10 +139,11 @@ pub struct SolveStats {
     /// Leftover real-sorted existentials discharged by FM projection in
     /// `exelim` (each saved a bounded existential grid search).
     pub fm_projections: usize,
-    /// DNF branch systems answered from the FM subproblem memo (each hit
-    /// skipped a full elimination run).
+    /// FM queries answered from the whole-query memo (each hit skipped
+    /// conversion and elimination).  Every FM run is one lookup: a hit here
+    /// or a miss below.
     pub fm_memo_hits: usize,
-    /// DNF branch systems eliminated and then memoized.
+    /// FM queries that missed the whole-query memo and were decided.
     pub fm_memo_misses: usize,
     /// Candidate assignments `exelim` rejected without a solver call:
     /// either the instantiated goal was already refuted under an earlier
@@ -556,7 +557,7 @@ pub struct Solver {
     programs: Arc<SharedProgramCache>,
     /// Limits of the Fourier–Motzkin layer.
     fm_limits: FmLimits,
-    /// FM subproblem memo: canonical normalized branch systems → decisions.
+    /// FM atom table, per-fact rows and whole-query outcomes.
     fm_memo: FmMemo,
     /// Diagnostics of the last refutation (reset per top-level `entails`).
     last_refutation: RefutationInfo,
@@ -896,14 +897,6 @@ impl Solver {
         if outcome.memo_hits > 0 {
             rel_obs::event_with("fm.memo_hit", outcome.memo_hits as u64);
         }
-        if debug_layers() {
-            eprintln!(
-                "fm[{:?} w={} elim={}]: GOAL {goal}",
-                outcome.verdict,
-                outcome.witness.is_some(),
-                outcome.eliminated.len()
-            );
-        }
         if outcome.verdict == FmVerdict::Proved {
             self.stats.fm_proved += 1;
         }
@@ -1025,12 +1018,6 @@ impl Solver {
     ) -> Validity {
         let _span = rel_obs::span_with("solver.numeric", universals.len() as u64);
         self.stats.numeric_checks += 1;
-        if debug_layers() {
-            eprintln!(
-                "numeric[{} univ]: GOAL {goal} ||| HYP {hyp}",
-                universals.len()
-            );
-        }
         let tn = Instant::now();
         #[cfg(feature = "reference-eval")]
         let v = if reference::tree_eval_selected() {
@@ -1240,15 +1227,6 @@ impl Solver {
 // --------------------------------------------------------------------------
 // Helpers
 // --------------------------------------------------------------------------
-
-/// `BIRELCOST_DEBUG_SOLVER=1` traces every query that reaches the FM and
-/// numeric layers (goal shape, FM verdict, witness availability) — the tool
-/// for diagnosing why an obligation is not decided symbolically.  The env
-/// lookup happens once per process.
-fn debug_layers() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("BIRELCOST_DEBUG_SOLVER").is_some())
-}
 
 /// Draws one random sample point from the seeded stream (the same draws, in
 /// the same order, as the seed solver), returning `true` when every

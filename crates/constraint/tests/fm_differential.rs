@@ -10,7 +10,9 @@
 //!   counterexamples have);
 //! * the full solver pipeline reaches the same accept/reject verdict with
 //!   the FM layer on and off — FM changes *provenance* and cost, never the
-//!   boolean outcome the type checker sees.
+//!   boolean outcome the type checker sees;
+//! * a query replayed from the whole-query memo is the cold outcome,
+//!   verdict, elimination order and witness alike.
 
 use proptest::prelude::*;
 
@@ -163,6 +165,32 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    // Memo replay: the second call through a shared memo is one hit and
+    // reproduces the outcome a fresh memo computes.  The generator's goals
+    // have at most four comparisons, so their negated DNF stays within the
+    // branch cap and every query is memoized.
+    #[test]
+    fn memo_replays_equal_cold_outcomes(
+        hyp in arb_linear_constr(),
+        goal in arb_linear_constr(),
+    ) {
+        let u = universals();
+        let facts: Vec<&Constr> = vec![&hyp];
+        let limits = FmLimits::default();
+        let cold = fm::prove(&u, &facts, &goal, &limits, &mut fm::FmMemo::default());
+        let mut memo = fm::FmMemo::default();
+        let first = fm::prove(&u, &facts, &goal, &limits, &mut memo);
+        let replay = fm::prove(&u, &facts, &goal, &limits, &mut memo);
+        prop_assert_eq!(first.memo_hits, 0);
+        prop_assert_eq!(replay.memo_hits, 1, "hyp = {}, goal = {}", hyp, goal);
+        prop_assert_eq!(replay.memo_misses, 0);
+        for out in [&first, &replay] {
+            prop_assert_eq!(out.verdict, cold.verdict);
+            prop_assert_eq!(&out.eliminated, &cold.eliminated);
+            prop_assert_eq!(&out.witness, &cold.witness);
         }
     }
 

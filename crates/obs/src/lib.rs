@@ -1,7 +1,7 @@
 //! `rel-obs`: the flight recorder for the BiRelCost pipeline.
 //!
-//! PRs 4–5 made the checker a multi-layer decision pipeline (symbolic search
-//! → Fourier–Motzkin proving with four memo layers → indexed existential
+//! The checker is a multi-layer decision pipeline (symbolic search →
+//! Fourier–Motzkin proving behind a whole-query memo → indexed existential
 //! elimination → compiled grid sweeps); this crate is the window into it.
 //! It is deliberately dependency-free — the build environment has no
 //! registry access, so `tracing`/`metrics` crates are out — and splits into

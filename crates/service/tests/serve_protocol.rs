@@ -57,12 +57,12 @@ fn answers_consecutive_check_requests() {
 
 #[test]
 fn def_reports_carry_the_fm_memo_and_exelim_counters() {
-    // The perf counters of the FM subproblem memo and the indexed
+    // The perf counters of the FM whole-query memo and the indexed
     // existential search are part of the wire protocol: a load harness must
     // be able to watch memo hit rates and pruned candidates per definition.
     let service = service();
     // `map` exercises both machineries: existential candidates and FM
-    // branches with Eq-splits (so the memo actually registers traffic).
+    // queries (each FM run is one memo lookup, so a cold check misses).
     let src = rel_suite::benchmark("map")
         .unwrap()
         .source
