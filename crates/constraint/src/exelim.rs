@@ -26,24 +26,39 @@
 //! an attempt.
 //!
 //! **The indexed search.**  The search works off a `MatrixIndex` built in
-//! one pass: the matrix's top-level conjuncts, each with its (sorted)
-//! existential-variable footprint, candidates collected per conjunct.
-//! Because `∃x⃗.(A ∧ B) ⟺ (∃x⃗₁.A) ∧ (∃x⃗₂.B)` when `A` and `B` mention
-//! disjoint variable sets, the conjuncts partition into **connected
-//! components** solved independently — the cross product of candidate lists
-//! collapses into a sum of small per-component searches, each checking only
-//! its own conjuncts.  Within a component, **memoized rejection** skips any
-//! assignment whose instantiated goal was already refuted under an earlier
-//! assignment (distinct candidate tuples frequently resolve to the same
-//! instantiation), counted as `exelim_candidates_pruned`.  Candidates that
-//! name other existentials are resolved in **dependency order** over their
+//! one pass: the matrix's top-level conjuncts, each with its existential
+//! footprint (the prefix existentials it mentions), candidates collected
+//! per conjunct.  Because `∃x⃗.(A ∧ B) ⟺ (∃x⃗₁.A) ∧ (∃x⃗₂.B)` when `A` and
+//! `B` mention disjoint variable sets, the conjuncts partition into
+//! **connected components** solved independently — the cross product of
+//! candidate lists collapses into a sum of small per-component searches,
+//! each checking only its own conjuncts.  Candidates that name other
+//! existentials are resolved in **dependency order** over their
 //! precomputed footprints; an assignment whose references form a cycle or
-//! leave the component is skipped before any term is built.  All-ℝ components
-//! that candidate search cannot close fall back to the exact Fourier–Motzkin
-//! projection per component.
+//! leave the component is skipped before any term is built.
+//!
+//! **The instance table.**  A component search decides *conjunct
+//! instances*, not whole instantiated goals.  An instance is one conjunct
+//! under one tuple of resolved terms for the variables in its footprint;
+//! the odometer usually moves one variable at a time, so most conjuncts keep
+//! their instance from one assignment to the next.  After each resolved
+//! assignment only the conjuncts whose footprint saw a term change are
+//! re-keyed, and a conjunct is substituted only when its key is new.  Each
+//! instance caches its screen result and its verdict, so an instance is
+//! screened and decided at most once per search.  An assignment is its
+//! tuple of instance ids: a repeated tuple is skipped without an attempt,
+//! and a new one is rejected at once when one of its instances is already
+//! refuted.  Otherwise its unscreened instances are screened and its
+//! undecided ones decided, in conjunct order, stopping at the first
+//! failure — the order in which the solver decomposes the instantiated
+//! conjunction, so verdicts, attempts and witnesses match the whole-goal
+//! search.  Rejections without a solver call count as
+//! `exelim_candidates_pruned`.  The table lives for one search only;
+//! per-candidate verdicts never reach the verdict caches.  All-ℝ
+//! components that candidate search cannot close fall back to the exact
+//! Fourier–Motzkin projection per component.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use rel_index::{Idx, IdxVar, Sort};
 
@@ -218,11 +233,11 @@ impl Candidate {
 struct MatrixIndex {
     /// Top-level conjuncts of the matrix (flattened `And` spine).
     conjuncts: Vec<Constr>,
-    /// Indices of the conjuncts that mention each existential variable
-    /// (position-aligned with the `ex_vars` list handed to `build`).
-    var_conjuncts: Vec<Vec<usize>>,
-    /// Candidate substitutions per variable, sorted small-first (same
-    /// position alignment).
+    /// Each conjunct's existential footprint: the positions (in the
+    /// `ex_vars` list handed to `build`) of the variables it mentions.
+    footprints: Vec<Vec<usize>>,
+    /// Candidate substitutions per variable, sorted small-first
+    /// (position-aligned with `ex_vars`).
     candidates: Vec<Vec<Candidate>>,
 }
 
@@ -254,17 +269,20 @@ impl MatrixIndex {
             .enumerate()
             .map(|(i, q)| (&q.var, i))
             .collect();
-        let mut var_conjuncts: Vec<Vec<usize>> = vec![Vec::new(); ex_vars.len()];
         let mut terms: Vec<Vec<Idx>> = vec![Vec::new(); ex_vars.len()];
-        for (ci, conjunct) in conjuncts.iter().enumerate() {
-            let fv = conjunct.free_vars();
-            for v in &fv {
-                if let Some(&vi) = positions.get(v) {
-                    var_conjuncts[vi].push(ci);
-                    candidates_for(v, conjunct, &mut terms[vi]);
+        let footprints = conjuncts
+            .iter()
+            .map(|conjunct| {
+                let mut footprint = Vec::new();
+                for v in &conjunct.free_vars() {
+                    if let Some(&vi) = positions.get(v) {
+                        footprint.push(vi);
+                        candidates_for(v, conjunct, &mut terms[vi]);
+                    }
                 }
-            }
-        }
+                footprint
+            })
+            .collect();
         // Hypothesis candidates (the bidirectional rules never leak
         // existentials into the context, but direct callers can) and the
         // zero default — a frequent witness for cost variables (synchronous
@@ -290,20 +308,20 @@ impl MatrixIndex {
             .collect();
         MatrixIndex {
             conjuncts,
-            var_conjuncts,
+            footprints,
             candidates,
         }
     }
 
     /// Partitions the variables into connected components (two variables
     /// connect when some conjunct mentions both), returning per component
-    /// the variable positions and the union of their conjunct indices.
+    /// the variable positions and its conjunct indices, both ascending.
     /// Conjuncts mentioning no existential variable are the residual,
     /// returned separately.
     #[allow(clippy::type_complexity)]
-    fn components(&self, ex_vars: &[Quantified]) -> (Vec<(Vec<usize>, Vec<usize>)>, Vec<usize>) {
+    fn components(&self, vars: usize) -> (Vec<(Vec<usize>, Vec<usize>)>, Vec<usize>) {
         // Union-find over variable positions.
-        let mut parent: Vec<usize> = (0..ex_vars.len()).collect();
+        let mut parent: Vec<usize> = (0..vars).collect();
         fn find(parent: &mut [usize], i: usize) -> usize {
             let mut root = i;
             while parent[root] != root {
@@ -317,45 +335,37 @@ impl MatrixIndex {
             }
             root
         }
-        let mut conjunct_vars: Vec<Vec<usize>> = vec![Vec::new(); self.conjuncts.len()];
-        for (vi, cis) in self.var_conjuncts.iter().enumerate() {
-            for &ci in cis {
-                conjunct_vars[ci].push(vi);
-            }
-        }
-        for vars in &conjunct_vars {
-            for w in vars.windows(2) {
+        for footprint in &self.footprints {
+            for w in footprint.windows(2) {
                 let (a, b) = (find(&mut parent, w[0]), find(&mut parent, w[1]));
                 if a != b {
                     parent[a] = b;
                 }
             }
         }
-        // Group variable positions and conjuncts by root, preserving order.
-        let mut order: Vec<usize> = Vec::new();
-        let mut groups: BTreeMap<usize, (Vec<usize>, BTreeSet<usize>)> = BTreeMap::new();
-        for vi in 0..ex_vars.len() {
+        // Group variable positions and conjuncts by root, in order of each
+        // component's first variable.
+        let mut group_of: Vec<Option<usize>> = vec![None; vars];
+        let mut components: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
+        for vi in 0..vars {
             let root = find(&mut parent, vi);
-            let entry = groups.entry(root).or_insert_with(|| {
-                order.push(root);
-                (Vec::new(), BTreeSet::new())
+            let group = *group_of[root].get_or_insert_with(|| {
+                components.push((Vec::new(), Vec::new()));
+                components.len() - 1
             });
-            entry.0.push(vi);
-            entry.1.extend(self.var_conjuncts[vi].iter().copied());
+            components[group].0.push(vi);
         }
-        let components = order
-            .into_iter()
-            .map(|root| {
-                let (vars, conjuncts) = groups.remove(&root).expect("grouped above");
-                (vars, conjuncts.into_iter().collect())
-            })
-            .collect();
-        let residual = conjunct_vars
-            .iter()
-            .enumerate()
-            .filter(|(_, vars)| vars.is_empty())
-            .map(|(ci, _)| ci)
-            .collect();
+        let mut residual = Vec::new();
+        for (ci, footprint) in self.footprints.iter().enumerate() {
+            match footprint.first() {
+                Some(&vi) => {
+                    let root = find(&mut parent, vi);
+                    let group = group_of[root].expect("every root was grouped above");
+                    components[group].1.push(ci);
+                }
+                None => residual.push(ci),
+            }
+        }
         (components, residual)
     }
 }
@@ -400,8 +410,12 @@ pub fn eliminate_existentials(
         };
     }
 
-    let index = MatrixIndex::build(&matrix, hyp, universals, &ex_vars);
-    let (components, residual) = index.components(&ex_vars);
+    let (index, (components, residual)) = {
+        let _span = rel_obs::span("exelim.index");
+        let index = MatrixIndex::build(&matrix, hyp, universals, &ex_vars);
+        let parts = index.components(ex_vars.len());
+        (index, parts)
+    };
 
     // The existential-free conjuncts must hold regardless of any witness;
     // check them once instead of re-checking them under every assignment.
@@ -425,23 +439,15 @@ pub fn eliminate_existentials(
     let max_attempts = solver.config().max_exelim_attempts;
     let mut combined_witness: Option<BTreeMap<IdxVar, Idx>> = Some(BTreeMap::new());
     for (var_positions, conjunct_indices) in components {
-        let comp_goal = Constr::conj(
-            conjunct_indices
-                .iter()
-                .map(|&ci| index.conjuncts[ci].clone()),
-        );
-        let comp_candidates: Vec<(&Quantified, &[Candidate])> = var_positions
-            .iter()
-            .map(|&vi| (&ex_vars[vi], index.candidates[vi].as_slice()))
-            .collect();
         let _comp_span = rel_obs::span_with("exelim.component", var_positions.len() as u64);
         let unresolved_before = stats.unresolved;
         let found = search_component(
             solver,
             universals,
             hyp,
-            &comp_goal,
-            &comp_candidates,
+            &index,
+            &var_positions,
+            &conjunct_indices,
             &ex_vars,
             &mut stats,
             max_attempts,
@@ -451,19 +457,23 @@ pub fn eliminate_existentials(
             (stats.unresolved - unresolved_before) as u64,
         );
         match found {
-            Some((witness, Validity::Valid(p))) => {
+            Some((witness, p)) => {
                 provenance = provenance.and(p);
                 if let Some(map) = combined_witness.as_mut() {
                     map.extend(witness);
                 }
             }
-            Some((_, _)) => unreachable!("search_component only returns Valid"),
             None => {
                 // Candidate substitution is out of ideas for this component.
                 // Real-sorted (cost) existentials have one more complete
                 // move: Fourier–Motzkin projection is *exact* for ∃ over the
                 // non-negative reals, so the projected, ∃-free component can
                 // be handed back to the solver pipeline.
+                let comp_goal = Constr::conj(
+                    conjunct_indices
+                        .iter()
+                        .map(|&ci| index.conjuncts[ci].clone()),
+                );
                 let comp_vars: Vec<&Quantified> =
                     var_positions.iter().map(|&vi| &ex_vars[vi]).collect();
                 match fm_projection(solver, universals, hyp, &comp_goal, &comp_vars, &mut stats) {
@@ -493,40 +503,47 @@ pub fn eliminate_existentials(
     }
 }
 
-/// Lazily searches one component's candidate cross product.  Returns the
-/// resolved substitution and its (valid) verdict, or `None` when the budget
-/// is exhausted or no assignment works.
+/// Lazily searches one component's candidate cross product, deciding
+/// conjunct instances rather than whole instantiated goals (see the module
+/// docs).  `var_positions` and `conjunct_indices` index `all_ex_vars` and
+/// `index.conjuncts`.  Returns the resolved substitution and the provenance
+/// of its verdict, or `None` when the budget is exhausted or no assignment
+/// works.
 #[allow(clippy::too_many_arguments)]
 fn search_component(
     solver: &mut Solver,
     universals: &[(IdxVar, Sort)],
     hyp: &Constr,
-    comp_goal: &Constr,
-    candidates: &[(&Quantified, &[Candidate])],
+    index: &MatrixIndex,
+    var_positions: &[usize],
+    conjunct_indices: &[usize],
     all_ex_vars: &[Quantified],
     stats: &mut ExElimStats,
     max_attempts: usize,
-) -> Option<(BTreeMap<IdxVar, Idx>, Validity)> {
-    let mut assignment: Vec<usize> = vec![0; candidates.len()];
-    let vars: Vec<&Quantified> = candidates.iter().map(|(q, _)| *q).collect();
+) -> Option<(BTreeMap<IdxVar, Idx>, Provenance)> {
+    let candidates: Vec<&[Candidate]> = var_positions
+        .iter()
+        .map(|&vi| index.candidates[vi].as_slice())
+        .collect();
+    let vars: Vec<&Quantified> = var_positions.iter().map(|&vi| &all_ex_vars[vi]).collect();
+    let mut assignment: Vec<usize> = vec![0; vars.len()];
     let mut resolver = Resolver::new(&vars, all_ex_vars);
-    let mut chosen: Vec<&Candidate> = Vec::with_capacity(candidates.len());
-    // Memoized rejection: instantiated goals already refuted under an
-    // earlier assignment (distinct candidate tuples routinely resolve to
-    // the same instantiation once mutual references are substituted out).
-    let mut rejected: HashMap<u64, Vec<Constr>> = HashMap::new();
-    // Unresolvable candidates and memo-pruned repeats do not spend the
+    let mut chosen: Vec<&Candidate> = Vec::with_capacity(vars.len());
+    let mut table = InstanceTable::new(index, conjunct_indices, vars.len());
+    // Unresolvable candidates and repeated assignments do not spend the
     // attempt budget (screen rejections do: a screened candidate was a
     // genuine try, just a cheap one) — but budget-free assignments must
     // not let the odometer walk an astronomically large cross product
     // either, so exploration itself is capped at a multiple of the budget.
     let max_explored = max_attempts.saturating_mul(64);
     let mut explored = 0usize;
-    let screen_bound = solver.config().inner_quantifier_bound;
     // An `∃` left under a binder evaluates by bounded search, so a false
-    // reading proves nothing: goals that still hold one skip the screen.
-    let screenable = comp_goal.existential_vars().is_empty();
-    let mut screen_env = rel_index::IdxEnv::new();
+    // reading proves nothing: components that still hold one skip the
+    // screen.
+    let screen = conjunct_indices
+        .iter()
+        .all(|&ci| index.conjuncts[ci].existential_vars().is_empty())
+        .then(|| Screen::new(universals, hyp, solver.config().inner_quantifier_bound));
     loop {
         explored += 1;
         if stats.attempts >= max_attempts || explored > max_explored {
@@ -539,51 +556,31 @@ fn search_component(
             rel_obs::event_with(reason.event_name(), limit);
             return None;
         }
-        chosen.clear();
-        chosen.extend(
-            candidates
-                .iter()
-                .zip(&assignment)
-                .map(|((_, cands), &k)| &cands[k]),
-        );
-        if let Some(resolved) = resolver.resolve(&chosen) {
-            // One traversal for the whole assignment — the resolver
-            // guarantees the replacements mention no existential variables,
-            // which is exactly `subst_all`'s precondition.
-            let instantiated = comp_goal.subst_all(&resolved);
-            let hash = constr_hash(&instantiated);
-            let seen = rejected
-                .get(&hash)
-                .is_some_and(|bucket| bucket.contains(&instantiated));
-            if seen {
-                solver.note_exelim_pruned();
-            } else {
+        let resolved = {
+            let _span = rel_obs::span("exelim.instantiate");
+            chosen.clear();
+            chosen.extend(
+                candidates
+                    .iter()
+                    .zip(&assignment)
+                    .map(|(cands, &k)| &cands[k]),
+            );
+            let resolved = resolver.resolve(&chosen);
+            if let Some(resolved) = &resolved {
+                table.instantiate(resolved, &vars, &resolver.slot_of);
+            }
+            resolved
+        };
+        match resolved {
+            None => stats.unresolved += 1,
+            Some(_) if !table.first_try() => solver.note_exelim_pruned(),
+            Some(resolved) => {
                 stats.attempts += 1;
                 solver.note_exelim_attempt();
-                if screenable
-                    && screen_rejects(
-                        universals,
-                        hyp,
-                        &instantiated,
-                        screen_bound,
-                        &mut screen_env,
-                    )
-                {
-                    // A concrete on-grid counterexample: the full pipeline
-                    // could only have said `Invalid` here, at far greater
-                    // cost.  Memoize the rejection like any other.
-                    solver.note_exelim_pruned();
-                    rejected.entry(hash).or_default().push(instantiated);
-                } else {
-                    let verdict = solver.entails_no_exists(universals, hyp, &instantiated);
-                    if verdict.is_valid() {
-                        return Some((resolved, verdict));
-                    }
-                    rejected.entry(hash).or_default().push(instantiated);
+                if let Some(p) = table.decide(solver, universals, hyp, screen.as_ref()) {
+                    return Some((resolved, p));
                 }
             }
-        } else {
-            stats.unresolved += 1;
         }
 
         // Advance the candidate odometer.
@@ -597,7 +594,7 @@ fn search_component(
                 return None;
             }
             assignment[i] += 1;
-            if assignment[i] < candidates[i].1.len() {
+            if assignment[i] < candidates[i].len() {
                 break;
             }
             assignment[i] = 0;
@@ -606,10 +603,171 @@ fn search_component(
     }
 }
 
-fn constr_hash(c: &Constr) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    c.hash(&mut h);
-    h.finish()
+/// What a component search knows about one conjunct instance.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Status {
+    /// Neither screened nor decided.
+    Open,
+    /// Passed the screen, not yet decided.
+    Screened,
+    /// Decided valid.
+    Valid(Provenance),
+    /// Rejected by the screen or decided not valid.
+    Refuted,
+}
+
+/// One conjunct under one tuple of resolved terms for its footprint.
+struct Instance {
+    constr: Constr,
+    status: Status,
+}
+
+/// The conjunct instances of one component search.  An instance's key is
+/// its conjunct (component-local) followed by the interned resolved terms
+/// of its footprint, so two assignments share an instance exactly when
+/// they instantiate that conjunct identically.
+struct InstanceTable<'a> {
+    index: &'a MatrixIndex,
+    /// The component's conjuncts, as indices into `index.conjuncts`.
+    conjuncts: &'a [usize],
+    /// Interned resolved terms.
+    term_ids: HashMap<Idx, u32>,
+    /// Each slot's current term id, and whether the last assignment
+    /// changed it.
+    slot_terms: Vec<(u32, bool)>,
+    /// Instance ids by key.
+    ids: HashMap<Vec<u32>, u32>,
+    instances: Vec<Instance>,
+    /// The current assignment: one instance id per conjunct.
+    current: Vec<u32>,
+    /// Assignments already tried — all rejected, since a valid one ends
+    /// the search.
+    tried: HashSet<Vec<u32>>,
+}
+
+impl<'a> InstanceTable<'a> {
+    fn new(index: &'a MatrixIndex, conjuncts: &'a [usize], slots: usize) -> InstanceTable<'a> {
+        InstanceTable {
+            index,
+            conjuncts,
+            term_ids: HashMap::new(),
+            slot_terms: vec![(u32::MAX, true); slots],
+            ids: HashMap::new(),
+            instances: Vec::new(),
+            current: vec![u32::MAX; conjuncts.len()],
+            tried: HashSet::new(),
+        }
+    }
+
+    /// Moves to a resolved assignment: re-keys the conjuncts whose
+    /// footprint saw a term change and substitutes those whose key is new.
+    fn instantiate(
+        &mut self,
+        resolved: &BTreeMap<IdxVar, Idx>,
+        vars: &[&Quantified],
+        slot_of: &[Option<usize>],
+    ) {
+        for (q, (term_id, changed)) in vars.iter().zip(&mut self.slot_terms) {
+            let term = &resolved[&q.var];
+            let next = self.term_ids.len() as u32;
+            let id = *self.term_ids.get(term).unwrap_or(&next);
+            if id == next {
+                self.term_ids.insert(term.clone(), id);
+            }
+            *changed = id != *term_id;
+            *term_id = id;
+        }
+        let slot =
+            |p: usize| slot_of[p].expect("a component's conjuncts mention only its variables");
+        let mut key = Vec::new();
+        for (j, &ci) in self.conjuncts.iter().enumerate() {
+            let footprint = &self.index.footprints[ci];
+            if !footprint.iter().any(|&p| self.slot_terms[slot(p)].1) {
+                continue;
+            }
+            key.clear();
+            key.push(j as u32);
+            key.extend(footprint.iter().map(|&p| self.slot_terms[slot(p)].0));
+            self.current[j] = match self.ids.get(&key) {
+                Some(&id) => id,
+                None => {
+                    // The resolver guarantees the replacements mention no
+                    // existential variable: `subst_all`'s precondition.
+                    let id = self.instances.len() as u32;
+                    self.instances.push(Instance {
+                        constr: self.index.conjuncts[ci].subst_all(resolved),
+                        status: Status::Open,
+                    });
+                    self.ids.insert(key.clone(), id);
+                    id
+                }
+            };
+        }
+    }
+
+    /// Records the current assignment as tried; `false` when it already was.
+    fn first_try(&mut self) -> bool {
+        if self.tried.contains(&self.current) {
+            return false;
+        }
+        self.tried.insert(self.current.clone());
+        true
+    }
+
+    /// Decides the current assignment: rejected at once when one of its
+    /// instances is already refuted; otherwise its unscreened instances are
+    /// screened and its undecided ones decided, in conjunct order, stopping
+    /// at the first failure.  Returns the provenance of a valid assignment.
+    fn decide(
+        &mut self,
+        solver: &mut Solver,
+        universals: &[(IdxVar, Sort)],
+        hyp: &Constr,
+        screen: Option<&Screen>,
+    ) -> Option<Provenance> {
+        let (instances, current) = (&mut self.instances, &self.current);
+        if current
+            .iter()
+            .any(|&id| instances[id as usize].status == Status::Refuted)
+        {
+            solver.note_exelim_pruned();
+            return None;
+        }
+        if let Some(screen) = screen {
+            let _span = rel_obs::span("exelim.screen");
+            for &id in current {
+                let instance = &mut instances[id as usize];
+                if instance.status != Status::Open {
+                    continue;
+                }
+                if screen.rejects(&instance.constr) {
+                    // A concrete on-grid counterexample: the full pipeline
+                    // could only have said `Invalid` here, at far greater
+                    // cost.
+                    instance.status = Status::Refuted;
+                    solver.note_exelim_pruned();
+                    return None;
+                }
+                instance.status = Status::Screened;
+            }
+        }
+        let mut provenance = Provenance::Proved;
+        for &id in current {
+            let instance = &mut instances[id as usize];
+            if !matches!(instance.status, Status::Valid(_)) {
+                instance.status = match solver.entails_no_exists(universals, hyp, &instance.constr)
+                {
+                    Validity::Valid(p) => Status::Valid(p),
+                    Validity::Invalid(_) => Status::Refuted,
+                };
+            }
+            match instance.status {
+                Status::Valid(p) => provenance = provenance.and(p),
+                _ => return None,
+            }
+        }
+        Some(provenance)
+    }
 }
 
 /// Diagonal probe values for the candidate screen.  Every value is below
@@ -621,8 +779,8 @@ fn constr_hash(c: &Constr) -> u64 {
 /// a different boolean.
 const SCREEN_DIAGONAL: [u64; 3] = [0, 1, 2];
 
-/// Cheap rejection screen for one instantiated candidate: evaluates
-/// `hyp ⟹ goal` at a handful of small grid points and returns `true` when
+/// Cheap rejection screen for instantiated candidates: evaluates
+/// `hyp ⟹ goal` at a handful of small grid points and rejects `goal` when
 /// one falsifies it.  Most candidate assignments are wrong, and refuting a
 /// wrong one through the full pipeline is expensive in exactly the case the
 /// symbolic path is supposed to win (prepared facts, lemma saturation and a
@@ -631,23 +789,35 @@ const SCREEN_DIAGONAL: [u64; 3] = [0, 1, 2];
 /// survive go through the full solver unchanged.  Goals that still hold an
 /// `∃` under a binder are not screened: bounded search reads such an `∃` as
 /// false whenever its witness lies past the bound.
-fn screen_rejects(
-    universals: &[(IdxVar, Sort)],
-    hyp: &Constr,
-    goal: &Constr,
+struct Screen {
+    /// The diagonal points at which `hyp` holds — the only ones that can
+    /// falsify the implication — each with every universal bound.
+    points: Vec<rel_index::IdxEnv>,
     bound: u64,
-    env: &mut rel_index::IdxEnv,
-) -> bool {
-    use rel_index::Extended;
-    for k in SCREEN_DIAGONAL {
-        for (v, _) in universals {
-            env.bind(v.clone(), Extended::from(k));
-        }
-        if hyp.eval_bounded(env, bound) && !goal.eval_bounded(env, bound) {
-            return true;
-        }
+}
+
+impl Screen {
+    fn new(universals: &[(IdxVar, Sort)], hyp: &Constr, bound: u64) -> Screen {
+        let points = SCREEN_DIAGONAL
+            .into_iter()
+            .map(|k| {
+                let mut env = rel_index::IdxEnv::new();
+                for (v, _) in universals {
+                    env.bind(v.clone(), rel_index::Extended::from(k));
+                }
+                env
+            })
+            .filter(|env| hyp.eval_bounded(env, bound))
+            .collect();
+        Screen { points, bound }
     }
-    false
+
+    /// Whether some point falsifies `goal`.
+    fn rejects(&self, goal: &Constr) -> bool {
+        self.points
+            .iter()
+            .any(|env| !goal.eval_bounded(env, self.bound))
+    }
 }
 
 /// Replaces `∃ v₁…vₖ :: ℝ. component` by its FM projection and re-checks;
@@ -835,6 +1005,95 @@ mod tests {
             }
         }
         None
+    }
+
+    /// The whole-goal search the instance table replaced: each attempt
+    /// substitutes the whole component goal, skips goals already refuted
+    /// (memoized by hash), screens the whole goal and decides it with one
+    /// solver call.
+    #[allow(clippy::too_many_arguments)]
+    fn search_whole_goal(
+        solver: &mut Solver,
+        universals: &[(IdxVar, Sort)],
+        hyp: &Constr,
+        comp_goal: &Constr,
+        candidates: &[(&Quantified, &[Candidate])],
+        all_ex_vars: &[Quantified],
+        stats: &mut ExElimStats,
+        max_attempts: usize,
+    ) -> Option<(BTreeMap<IdxVar, Idx>, Provenance)> {
+        let mut assignment: Vec<usize> = vec![0; candidates.len()];
+        let vars: Vec<&Quantified> = candidates.iter().map(|(q, _)| *q).collect();
+        let mut resolver = Resolver::new(&vars, all_ex_vars);
+        let mut chosen: Vec<&Candidate> = Vec::with_capacity(candidates.len());
+        let mut rejected: HashMap<u64, Vec<Constr>> = HashMap::new();
+        let max_explored = max_attempts.saturating_mul(64);
+        let mut explored = 0usize;
+        let screen = comp_goal
+            .existential_vars()
+            .is_empty()
+            .then(|| Screen::new(universals, hyp, solver.config().inner_quantifier_bound));
+        loop {
+            explored += 1;
+            if stats.attempts >= max_attempts || explored > max_explored {
+                let (reason, limit) = if stats.attempts >= max_attempts {
+                    (SearchExhaustedReason::AttemptBudget, max_attempts as u64)
+                } else {
+                    (SearchExhaustedReason::ComponentBlowup, max_explored as u64)
+                };
+                stats.exhausted = stats.exhausted.or(Some((reason, limit)));
+                return None;
+            }
+            chosen.clear();
+            chosen.extend(
+                candidates
+                    .iter()
+                    .zip(&assignment)
+                    .map(|((_, cands), &k)| &cands[k]),
+            );
+            if let Some(resolved) = resolver.resolve(&chosen) {
+                let instantiated = comp_goal.subst_all(&resolved);
+                let hash = constr_hash(&instantiated);
+                let seen = rejected
+                    .get(&hash)
+                    .is_some_and(|bucket| bucket.contains(&instantiated));
+                if !seen {
+                    stats.attempts += 1;
+                    let screened_out = screen
+                        .as_ref()
+                        .is_some_and(|screen| screen.rejects(&instantiated));
+                    if !screened_out {
+                        if let Validity::Valid(p) =
+                            solver.entails_no_exists(universals, hyp, &instantiated)
+                        {
+                            return Some((resolved, p));
+                        }
+                    }
+                    rejected.entry(hash).or_default().push(instantiated);
+                }
+            } else {
+                stats.unresolved += 1;
+            }
+            let mut i = 0;
+            loop {
+                if i == assignment.len() {
+                    return None;
+                }
+                assignment[i] += 1;
+                if assignment[i] < candidates[i].1.len() {
+                    break;
+                }
+                assignment[i] = 0;
+                i += 1;
+            }
+        }
+    }
+
+    fn constr_hash(c: &Constr) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        c.hash(&mut h);
+        h.finish()
     }
 
     fn nat_universals(names: &[&str]) -> Vec<(IdxVar, Sort)> {
@@ -1229,21 +1488,21 @@ mod tests {
         }
     }
 
-    /// Every assignment of the case's candidate cross product, resolved by
-    /// the oracle and by [`Resolver`].
-    #[allow(clippy::type_complexity)]
-    fn resolve_both_ways(
-        case: &ComponentCase,
-    ) -> Vec<(Option<BTreeMap<IdxVar, Idx>>, Option<BTreeMap<IdxVar, Idx>>)> {
-        let universals = nat_universals(&["n", "m", "k"]);
+    /// The universals the generated cases mention.
+    fn case_universals() -> Vec<(IdxVar, Sort)> {
+        nat_universals(&["n", "m", "k"])
+    }
+
+    /// The case's candidate terms as [`Candidate`]s, per component slot.
+    fn slot_candidates(case: &ComponentCase) -> Vec<Vec<Candidate>> {
+        let universals = case_universals();
         let positions: BTreeMap<&IdxVar, usize> = case
             .ex_vars
             .iter()
             .enumerate()
             .map(|(i, q)| (&q.var, i))
             .collect();
-        let candidates: Vec<Vec<Candidate>> = case
-            .candidates
+        case.candidates
             .iter()
             .map(|terms| {
                 terms
@@ -1254,7 +1513,16 @@ mod tests {
                     })
                     .collect()
             })
-            .collect();
+            .collect()
+    }
+
+    /// Every assignment of the case's candidate cross product, resolved by
+    /// the oracle and by [`Resolver`].
+    #[allow(clippy::type_complexity)]
+    fn resolve_both_ways(
+        case: &ComponentCase,
+    ) -> Vec<(Option<BTreeMap<IdxVar, Idx>>, Option<BTreeMap<IdxVar, Idx>>)> {
+        let candidates = slot_candidates(case);
         let vars: Vec<&Quantified> = case.component.iter().map(|&p| &case.ex_vars[p]).collect();
         let mut resolver = Resolver::new(&vars, &case.ex_vars);
         let mut assignment = vec![0; vars.len()];
@@ -1321,6 +1589,287 @@ mod tests {
             resolved > 100 && unresolved > 100 && renamed > 10,
             "resolved {resolved}, unresolved {unresolved}, renamed {renamed}"
         );
+    }
+
+    // ---- differential oracle: the instance table agrees with the
+    // whole-goal search on every component ----
+
+    /// One random component search: an [`ArbComponent`] case, 1–5
+    /// conjuncts over its variables, a hypothesis and an attempt budget.
+    #[derive(Debug)]
+    struct SearchCase {
+        component: ComponentCase,
+        conjuncts: Vec<Constr>,
+        hyp: Constr,
+        max_attempts: usize,
+    }
+
+    /// Conjuncts that mention one variable (their instances repeat while
+    /// the odometer moves the others), conjuncts the screen rejects on most
+    /// candidates (`x = n`), conjuncts only the solver refutes (`x ≤ n + 2`
+    /// holds on the screen's diagonal for `x := n + k`), conjuncts coupling
+    /// two variables, and an inner `∃` that turns the screen off.
+    struct ArbSearch;
+
+    impl Strategy for ArbSearch {
+        type Value = SearchCase;
+
+        fn generate(&self, rng: &mut TestRng) -> SearchCase {
+            let mut component = ArbComponent.generate(rng);
+            // A candidate most conjuncts accept, so searches also succeed.
+            for cands in &mut component.candidates {
+                if pick(rng, 2) == 0 {
+                    cands.push(Idx::var("n"));
+                }
+            }
+            let size = component.component.len();
+            let var =
+                |slot: usize| Idx::Var(component.ex_vars[component.component[slot]].var.clone());
+            let (n, m) = (Idx::var("n"), Idx::var("m"));
+            let conjuncts = (0..1 + pick(rng, 4))
+                .map(|_| {
+                    let (a, b) = (var(pick(rng, size)), var(pick(rng, size)));
+                    match pick(rng, 9) {
+                        0 => Constr::leq(a, n.clone() + m.clone()),
+                        8 => Constr::leq(Idx::zero(), a),
+                        1 => Constr::leq(a, n.clone() + Idx::nat(2)),
+                        2 => Constr::eq(a, n.clone()),
+                        3 => Constr::leq(a + b, m.clone() * Idx::nat(2) + n.clone()),
+                        4 => Constr::leq(a, b),
+                        5 => Constr::leq(Idx::one(), a).implies(Constr::leq(b, n.clone())),
+                        6 => Constr::lt(m.clone(), a.clone() + Idx::one())
+                            .or(Constr::eq(a, Idx::zero())),
+                        _ => Constr::exists("j", Sort::Nat, Constr::eq(Idx::var("j"), a))
+                            .or(Constr::leq(n.clone(), b)),
+                    }
+                })
+                .collect();
+            let hyp = match pick(rng, 3) {
+                0 => Constr::Top,
+                1 => Constr::leq(Idx::one(), n),
+                _ => Constr::leq(m, n),
+            };
+            let max_attempts = [1, 2, 3, 5, 8, 128][pick(rng, 6)];
+            SearchCase {
+                component,
+                conjuncts,
+                hyp,
+                max_attempts,
+            }
+        }
+    }
+
+    /// The case's matrix, indexed, with the generated candidates in place
+    /// of the collected ones.
+    fn search_index(case: &SearchCase) -> MatrixIndex {
+        let c = &case.component;
+        let matrix = Constr::conj(case.conjuncts.iter().cloned());
+        let mut index = MatrixIndex::build(&matrix, &case.hyp, &case_universals(), &c.ex_vars);
+        assert_eq!(index.conjuncts, case.conjuncts);
+        let mut by_slot = slot_candidates(c).into_iter();
+        let mut candidates: Vec<Vec<Candidate>> = c.ex_vars.iter().map(|_| Vec::new()).collect();
+        for &p in &c.component {
+            candidates[p] = by_slot.next().expect("one list per slot");
+        }
+        index.candidates = candidates;
+        index
+    }
+
+    type SearchResult = (Option<(BTreeMap<IdxVar, Idx>, Provenance)>, ExElimStats);
+
+    /// The case searched by the instance table and by the whole-goal
+    /// oracle, each on a fresh solver.
+    fn search_both_ways(case: &SearchCase) -> (SearchResult, SearchResult) {
+        let universals = case_universals();
+        let c = &case.component;
+        let index = search_index(case);
+        let all: Vec<usize> = (0..index.conjuncts.len()).collect();
+        let mut stats = ExElimStats::default();
+        let found = search_component(
+            &mut Solver::new(),
+            &universals,
+            &case.hyp,
+            &index,
+            &c.component,
+            &all,
+            &c.ex_vars,
+            &mut stats,
+            case.max_attempts,
+        );
+        let candidates: Vec<(&Quantified, &[Candidate])> = c
+            .component
+            .iter()
+            .map(|&p| (&c.ex_vars[p], index.candidates[p].as_slice()))
+            .collect();
+        let mut oracle_stats = ExElimStats::default();
+        let oracle = search_whole_goal(
+            &mut Solver::new(),
+            &universals,
+            &case.hyp,
+            &Constr::conj(case.conjuncts.iter().cloned()),
+            &candidates,
+            &c.ex_vars,
+            &mut oracle_stats,
+            case.max_attempts,
+        );
+        ((found, stats), (oracle, oracle_stats))
+    }
+
+    proptest! {
+        #[test]
+        fn instance_table_search_matches_the_whole_goal_oracle(case in ArbSearch) {
+            let (table, oracle) = search_both_ways(&case);
+            prop_assert_eq!(table, oracle, "case: {:?}", case);
+        }
+    }
+
+    #[test]
+    fn search_oracle_cases_cover_repeats_refutations_and_screening() {
+        // Per distinct conjunct instance over every resolved assignment:
+        // how often it recurs in a later assignment whose whole
+        // instantiation differs, whether the screen rejects it, and whether
+        // only the solver refutes it.  Searches must also both succeed and
+        // give up.
+        let universals = case_universals();
+        let mut rng = TestRng::from_label("search-coverage");
+        let (mut repeats, mut screened, mut refuted) = (0, 0, 0);
+        let (mut found, mut failed) = (0, 0);
+        for _ in 0..64 {
+            let case = ArbSearch.generate(&mut rng);
+            let c = &case.component;
+            let vars: Vec<&Quantified> = c.component.iter().map(|&p| &c.ex_vars[p]).collect();
+            let candidates = slot_candidates(c);
+            let mut resolver = Resolver::new(&vars, &c.ex_vars);
+            let mut seen: HashSet<Constr> = HashSet::new();
+            let mut goals: HashSet<Constr> = HashSet::new();
+            let mut assignment = vec![0; vars.len()];
+            let screen = Screen::new(
+                &universals,
+                &case.hyp,
+                SolveConfig::default().inner_quantifier_bound,
+            );
+            let mut solver = Solver::new();
+            'odometer: loop {
+                let chosen: Vec<&Candidate> = candidates
+                    .iter()
+                    .zip(&assignment)
+                    .map(|(cands, &k)| &cands[k])
+                    .collect();
+                if let Some(resolved) = resolver.resolve(&chosen) {
+                    let instances: Vec<Constr> = case
+                        .conjuncts
+                        .iter()
+                        .map(|c| c.subst_all(&resolved))
+                        .collect();
+                    let new_goal = goals.insert(Constr::conj(instances.iter().cloned()));
+                    for instance in instances {
+                        if seen.contains(&instance) {
+                            repeats += usize::from(new_goal);
+                        } else if screen.rejects(&instance) {
+                            screened += 1;
+                        } else if !solver
+                            .entails_no_exists(&universals, &case.hyp, &instance)
+                            .is_valid()
+                        {
+                            refuted += 1;
+                        }
+                        seen.insert(instance);
+                    }
+                }
+                let mut i = 0;
+                loop {
+                    if i == assignment.len() {
+                        break 'odometer;
+                    }
+                    assignment[i] += 1;
+                    if assignment[i] < candidates[i].len() {
+                        break;
+                    }
+                    assignment[i] = 0;
+                    i += 1;
+                }
+            }
+            match search_both_ways(&case).0 .0 {
+                Some(_) => found += 1,
+                None => failed += 1,
+            }
+        }
+        assert!(
+            repeats > 200 && screened > 50 && refuted > 30 && found > 10 && failed > 10,
+            "repeats {repeats}, screened {screened}, refuted {refuted}, found {found}, failed {failed}"
+        );
+    }
+
+    #[test]
+    fn a_shared_instance_is_decided_once() {
+        // ∃ b a. ((∃j. j = a) ∨ n + 1 ≤ a) ∧ b = n, tried as b := 0 then
+        // b := n, with a := n both times.  Both assignments share the first
+        // conjunct's instance.  Deciding it costs one query (its `∃`
+        // disjunct goes back through the solver's entry point); the second
+        // assignment reuses its verdict, so the query count does not move.
+        let u = nat_universals(&["n"]);
+        let ex_vars = vec![
+            Quantified::new("b", Sort::Nat),
+            Quantified::new("a", Sort::Nat),
+        ];
+        let shared = Constr::exists("j", Sort::Nat, Constr::eq(Idx::var("j"), Idx::var("a")))
+            .or(Constr::leq(Idx::var("n") + Idx::one(), Idx::var("a")));
+        let matrix = shared.and(Constr::eq(Idx::var("b"), Idx::var("n")));
+        let mut index = MatrixIndex::build(&matrix, &Constr::Top, &u, &ex_vars);
+        let candidate = |term: Idx, footprint: Vec<usize>| Candidate { term, footprint };
+        index.candidates = vec![
+            vec![
+                candidate(Idx::zero(), vec![]),
+                candidate(Idx::var("n"), vec![]),
+            ],
+            vec![candidate(Idx::var("n"), vec![])],
+        ];
+        let (components, residual) = index.components(ex_vars.len());
+        assert!(residual.is_empty());
+        assert_eq!(components, vec![(vec![0], vec![1]), (vec![1], vec![0])]);
+        // Search both variables as one component, so the shared conjunct's
+        // instance survives the change of `b`.
+        let mut s = Solver::new();
+        let mut stats = ExElimStats::default();
+        let found = search_component(
+            &mut s,
+            &u,
+            &Constr::Top,
+            &index,
+            &[0, 1],
+            &[0, 1],
+            &ex_vars,
+            &mut stats,
+            128,
+        );
+        let (witness, provenance) = found.expect("b := n, a := n works");
+        assert_eq!(provenance, Provenance::Proved);
+        assert_eq!(witness[&IdxVar::new("b")], Idx::var("n"));
+        assert_eq!(stats.attempts, 2);
+        assert_eq!(s.stats().queries, 1, "the shared instance is decided once");
+        // The whole-goal search decides it under both assignments.
+        let mut oracle = Solver::new();
+        let candidates: Vec<(&Quantified, &[Candidate])> = ex_vars
+            .iter()
+            .zip(&index.candidates)
+            .map(|(q, c)| (q, c.as_slice()))
+            .collect();
+        let mut oracle_stats = ExElimStats::default();
+        let oracle_found = search_whole_goal(
+            &mut oracle,
+            &u,
+            &Constr::Top,
+            &Constr::conj(index.conjuncts.iter().cloned()),
+            &candidates,
+            &ex_vars,
+            &mut oracle_stats,
+            128,
+        );
+        assert_eq!(
+            (oracle_found.map(|(w, _)| w), oracle_stats.attempts),
+            (Some(witness), 2)
+        );
+        assert_eq!(oracle.stats().queries, 2);
     }
 
     #[test]

@@ -145,11 +145,10 @@ pub struct SolveStats {
     pub fm_memo_hits: usize,
     /// FM queries that missed the whole-query memo and were decided.
     pub fm_memo_misses: usize,
-    /// Candidate assignments `exelim` rejected without a solver call:
-    /// either the instantiated goal was already refuted under an earlier
-    /// assignment (memoized rejection), or the screen found an on-grid
-    /// counterexample at tree-evaluation cost (both from the indexed
-    /// existential search).
+    /// Candidate assignments `exelim` rejected without a solver call: a
+    /// repeat of an assignment already tried, one holding a conjunct
+    /// instance already refuted earlier in the search, or one the screen
+    /// found an on-grid counterexample for at tree-evaluation cost.
     pub exelim_candidates_pruned: usize,
     /// Goals that needed the numeric layer.
     pub numeric_checks: usize,
@@ -1217,8 +1216,8 @@ impl Solver {
         self.stats.exelim_attempts += 1;
     }
 
-    /// Records one candidate assignment skipped by memoized rejection
-    /// (called by `exelim`'s indexed search).
+    /// Records one candidate assignment rejected without a solver call
+    /// (called by `exelim`'s component search).
     pub(crate) fn note_exelim_pruned(&mut self) {
         self.stats.exelim_candidates_pruned += 1;
     }

@@ -1,8 +1,10 @@
 //! Persisted-surface stability: the default engine fingerprint and the
 //! byte encoding of a query key are pinned with **golden values**.
 //!
-//! The FM subproblem memo and the indexed existential search are in-memory
-//! acceleration layers: neither may move the persisted surface.  The fingerprint is the value the
+//! The Fourier–Motzkin memo (whole-query outcomes and per-fact rows), the
+//! compiled-program memo and the existential search's per-search instance
+//! table are in-memory acceleration layers: none may move the persisted
+//! surface.  The fingerprint is the value the
 //! pre-interning build (commit `3f49f5e`) reported for `Engine::new()`, and
 //! the verdict frame below embeds, byte for byte, the query-key encoding
 //! that build wrote.  The current build must
