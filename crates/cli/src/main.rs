@@ -4,7 +4,9 @@
 //! birelcost check [FLAGS] FILE...  type check one or more .rc programs
 //! birelcost serve [FLAGS]          newline-delimited JSON daemon on
 //!                                  stdin/stdout: {"check": "<source>"} ->
-//!                                  per-def verdicts, timings, cache stats
+//!                                  per-def verdicts, timings, cache stats;
+//!                                  with --jobs > 1, responses arrive in
+//!                                  finish order (tag requests with "id")
 //! birelcost explain NAME           re-check the bundled benchmark NAME with
 //!                                  the span recorder armed and narrate the
 //!                                  verdict: phase breakdown, where the time
@@ -36,9 +38,9 @@
 //! FLAGS (serve only):
 //!   --listen ADDR        serve the NDJSON protocol on a TCP socket instead
 //!                        of stdin/stdout ({"shutdown": true} stops it);
-//!                        runs the multiplexed reactor: many connections
-//!                        over one worker pool, responses in finish order
-//!                        (tag requests with "id" and match on the echo)
+//!                        many connections over one worker pool, responses
+//!                        in finish order (tag requests with "id" and match
+//!                        on the echo), as on stdio
 //!   --http ADDR          serve the same content over HTTP/1.1 (POST /check,
 //!                        GET /metrics, GET /cache/stats, POST /shutdown);
 //!                        composable with --listen — both planes share the
@@ -46,11 +48,12 @@
 //!   --max-queue N        bound on queued-but-unstarted requests across all
 //!                        connections; excess requests answer
 //!                        {"error": "backpressure"} (HTTP 503) immediately
+//!                        (stdio is paced instead: it stops reading)
 //!   --request-timeout-ms N   wall-clock budget per request; a request over
 //!                        budget answers {"error": "deadline"} while its
 //!                        worker drains in the background
-//!   --idle-timeout-ms N  (--listen/--http only) disconnect a client whose
-//!                        socket stays silent this long
+//!   --idle-timeout-ms N  (needs --listen, --http or --replica) disconnect a
+//!                        client whose socket stays silent this long
 //!   --replica ADDR       serve the daemon-to-daemon replication plane on a
 //!                        TCP socket: peers ship WAL frames here and they
 //!                        are applied through the same validation path as
@@ -76,8 +79,8 @@ use std::time::Duration;
 use birelcost::{Engine, PhaseTimings};
 use rel_constraint::SearchExhaustedReason;
 use rel_service::{
-    serve_reactor, serve_with, BatchJob, BatchStats, CodecKind, CodecLimits, PeriodicSave,
-    ReactorOptions, RealNet, ReplicaOptions, ServeOptions, Service, ServiceConfig,
+    serve, serve_reactor, BatchJob, BatchStats, CodecKind, CodecLimits, PeriodicSave,
+    ReactorOptions, ReactorSummary, RealNet, ReplicaOptions, Service, ServiceConfig,
 };
 use rel_suite::{all_benchmarks, VerificationStatus};
 use rel_syntax::parse_program;
@@ -100,7 +103,7 @@ fn main() -> ExitCode {
             Err(e) => usage_error(&e),
         },
         Some((cmd, rest)) if cmd == "serve" => match Flags::parse(rest) {
-            Ok((flags, extra)) if extra.is_empty() => serve_stdio(&flags),
+            Ok((flags, extra)) if extra.is_empty() => serve_command(&flags),
             Ok(_) => usage_error("serve takes no positional arguments"),
             Err(e) => usage_error(&e),
         },
@@ -144,7 +147,7 @@ struct Flags {
     max_queue: Option<usize>,
     /// Per-request wall-clock budget for `serve`.
     request_timeout_ms: Option<u64>,
-    /// Socket idle timeout for `serve --listen`/`--http`.
+    /// Socket idle timeout for `serve --listen`/`--http`/`--replica`.
     idle_timeout_ms: Option<u64>,
     /// TCP address for the replication plane (`serve --replica`).
     replica: Option<String>,
@@ -232,6 +235,11 @@ impl Flags {
             }
         }
         Ok((flags, rest))
+    }
+
+    /// Whether `serve` binds sockets rather than serving stdin/stdout.
+    fn serves_sockets(&self) -> bool {
+        self.listen.is_some() || self.http.is_some() || self.replica.is_some()
     }
 }
 
@@ -449,11 +457,23 @@ fn check_files(files: &[String], flags: &Flags) -> ExitCode {
     }
 }
 
-fn serve_stdio(flags: &Flags) -> ExitCode {
+/// Rejects flag combinations `serve` cannot honour.
+fn serve_flag_error(flags: &Flags) -> Option<&'static str> {
     if flags.metrics_out.is_some() || flags.trace_out.is_some() {
-        return usage_error(
+        return Some(
             "--metrics-out/--trace-out are check flags; ask a running daemon with {\"metrics\": \"dump\"}",
         );
+    }
+    if flags.idle_timeout_ms.is_some() && !flags.serves_sockets() {
+        // It would reap the stdio session itself after a quiet spell.
+        return Some("--idle-timeout-ms needs --listen, --http or --replica");
+    }
+    None
+}
+
+fn serve_command(flags: &Flags) -> ExitCode {
+    if let Some(message) = serve_flag_error(flags) {
+        return usage_error(message);
     }
     // The daemon defaults to the machine's parallelism: it exists to serve
     // traffic, and `{"batch": ...}` requests should use the cores without an
@@ -533,23 +553,20 @@ fn serve_stdio(flags: &Flags) -> ExitCode {
         })
     });
 
-    let outcome = if flags.listen.is_some() || flags.http.is_some() || flags.replica.is_some() {
-        // Socket planes run the multiplexed reactor: every listed address
-        // (NDJSON and/or HTTP) shares one worker pool, one bounded queue
-        // and one set of caches.
-        serve_sockets(&service, flags, workers)
+    // One reactor serves either plane: every listed address (NDJSON, HTTP,
+    // replication) or the stdin/stdout session shares one worker pool, one
+    // bounded queue and one set of caches.
+    let options = ReactorOptions {
+        workers,
+        max_queue: flags.max_queue.unwrap_or((workers * 32).max(64)),
+        request_timeout: flags.request_timeout_ms.map(Duration::from_millis),
+        idle_timeout: flags.idle_timeout_ms.map(Duration::from_millis),
+        limits: CodecLimits::default(),
+    };
+    let outcome = if flags.serves_sockets() {
+        bind_listeners(flags).and_then(|listeners| serve_reactor(&service, listeners, options))
     } else {
-        let options = ServeOptions {
-            request_timeout: flags.request_timeout_ms.map(Duration::from_millis),
-        };
-        let stdin = io::stdin();
-        let stdout = io::stdout();
-        serve_with(&service, stdin.lock(), stdout.lock(), options).map(|summary| {
-            format!(
-                "handled {} request(s), {} error(s), {} deadline(s)",
-                summary.requests, summary.errors, summary.deadlines
-            )
-        })
+        serve(&service, io::stdin(), io::stdout(), options)
     };
     stop.store(true, Ordering::Relaxed);
     if let Some(handle) = flusher {
@@ -559,13 +576,13 @@ fn serve_stdio(flags: &Flags) -> ExitCode {
     // while the process winds down (receivers heal any cut-off tail by
     // anti-entropy on our next start).
     service.shutdown_replication();
-    // On-shutdown flush: runs after the serving loop drained any timed-out
-    // workers, so the final state includes everything they memoized.
+    // On-shutdown flush: runs after the reactor joined its workers (timed-out
+    // ones included), so the final state includes everything they memoized.
     flush_cache(&service);
 
     match outcome {
-        Ok(report) => {
-            eprintln!("birelcost serve: {report}");
+        Ok(summary) => {
+            eprintln!("birelcost serve: {}", describe(&summary));
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -575,9 +592,8 @@ fn serve_stdio(flags: &Flags) -> ExitCode {
     }
 }
 
-/// Binds the requested socket planes and runs the reactor over them,
-/// returning the summary line for the shutdown report.
-fn serve_sockets(service: &Service, flags: &Flags, workers: usize) -> io::Result<String> {
+/// Binds the requested socket planes, each paired with its codec.
+fn bind_listeners(flags: &Flags) -> io::Result<Vec<(TcpListener, CodecKind)>> {
     let mut listeners = Vec::new();
     let planes = [
         (&flags.listen, CodecKind::Ndjson),
@@ -597,15 +613,12 @@ fn serve_sockets(service: &Service, flags: &Flags, workers: usize) -> io::Result
         );
         listeners.push((listener, kind));
     }
-    let options = ReactorOptions {
-        workers,
-        max_queue: flags.max_queue.unwrap_or((workers * 32).max(64)),
-        request_timeout: flags.request_timeout_ms.map(Duration::from_millis),
-        idle_timeout: flags.idle_timeout_ms.map(Duration::from_millis),
-        limits: CodecLimits::default(),
-    };
-    let summary = serve_reactor(service, listeners, options)?;
-    Ok(format!(
+    Ok(listeners)
+}
+
+/// The shutdown report line.
+fn describe(summary: &ReactorSummary) -> String {
+    format!(
         "handled {} request(s) over {} connection(s): {} error(s), {} deadline(s), \
          {} backpressure refusal(s), {} conn error(s), {} idle disconnect(s)",
         summary.requests,
@@ -615,7 +628,7 @@ fn serve_sockets(service: &Service, flags: &Flags, workers: usize) -> io::Result
         summary.backpressure,
         summary.conn_errors,
         summary.idle_disconnects
-    ))
+    )
 }
 
 /// Renders a nanosecond duration at a human scale.
@@ -970,8 +983,35 @@ fn list() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::PhaseRows;
+    use super::{serve_flag_error, Flags, PhaseRows};
     use rel_obs::{SpanNode, ThreadTree};
+
+    fn serve_flags(args: &[&str]) -> Flags {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let (flags, rest) = Flags::parse(&args).expect("flags parse");
+        assert!(rest.is_empty());
+        flags
+    }
+
+    #[test]
+    fn idle_timeout_is_a_socket_flag() {
+        let stdio = serve_flags(&["--idle-timeout-ms", "500"]);
+        assert!(serve_flag_error(&stdio).is_some_and(|e| e.contains("--idle-timeout-ms")));
+        for plane in ["--listen", "--http", "--replica"] {
+            let socket = serve_flags(&["--idle-timeout-ms", "500", plane, "127.0.0.1:0"]);
+            assert_eq!(serve_flag_error(&socket), None, "{plane}");
+        }
+        // Stdio takes the other serve flags as before.
+        let stdio = serve_flags(&[
+            "--jobs",
+            "2",
+            "--request-timeout-ms",
+            "50",
+            "--max-queue",
+            "4",
+        ]);
+        assert_eq!(serve_flag_error(&stdio), None);
+    }
 
     fn span(name: &'static str, start_ns: u64, end_ns: u64, children: Vec<SpanNode>) -> SpanNode {
         SpanNode {

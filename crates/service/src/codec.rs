@@ -200,7 +200,7 @@ impl Codec for NdjsonCodec {
             }
             let text = String::from_utf8_lossy(&line);
             if text.trim().is_empty() {
-                continue; // blank lines are ignored, as in the stdio loop
+                continue; // blank lines are ignored
             }
             let payload = json::parse(&text).map_err(|e| format!("malformed request: {e}"));
             return Decode::Request(DecodedRequest { payload });

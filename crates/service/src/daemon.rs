@@ -1,7 +1,7 @@
 //! The daemon front end: a newline-delimited JSON request/response protocol.
 //!
-//! One request per line on the reader, one response per line on the writer —
-//! the shape external load harnesses want for sustained traffic.  Requests:
+//! One request per line in, one response per line out — the shape external
+//! load harnesses want for sustained traffic.  Requests:
 //!
 //! ```text
 //! {"check": "<source>"}            check a program, report per-def verdicts
@@ -19,6 +19,8 @@
 //!                                  HTTP plane serves on GET /healthz)
 //! {"replica": ...}                 the daemon-to-daemon replication plane:
 //!                                  hello/frame/snapshot/status (§11)
+//! {"shutdown": true}               answer {"bye": true}, drain, stop (parsed
+//!                                  by the reactor, not here)
 //! ```
 //!
 //! Every response carries `"cache"` counters so a harness can watch hit rates
@@ -26,148 +28,15 @@
 //! `{"error": ...}` response instead of killing the session: a serving
 //! process must survive bad input.
 //!
-//! [`ServeOptions::request_timeout`] puts a wall-clock budget on each
-//! request.  A request that blows the budget gets a structured
-//! `{"error": "deadline"}` response immediately; its worker keeps running
-//! and is *drained* (joined) before the loop returns, so cache stores it
-//! makes still land and still persist at the final flush.
-//!
-//! This loop serves one reader/writer pair (stdio).  Sockets — NDJSON and
-//! HTTP alike — are served by the poll(2) reactor of [`crate::reactor`],
-//! which answers through the same [`respond`].
-
-use std::io::{BufRead, Write};
-use std::sync::mpsc;
-use std::time::Duration;
+//! This module is the protocol alone: [`respond`] turns one request into one
+//! response.  Serving — sockets and stdio alike, with deadlines,
+//! backpressure and shutdown — is the poll(2) reactor of [`crate::reactor`],
+//! whose workers answer through [`respond_parsed`].
 
 use birelcost::{DefReport, ProgramReport};
 
 use crate::json::{self, Value};
 use crate::service::Service;
-
-/// Counters for one `serve` session.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeSummary {
-    /// Lines processed.
-    pub requests: usize,
-    /// Requests answered with an `error` field.
-    pub errors: usize,
-    /// Requests that blew the per-request deadline (also counted in
-    /// `errors`; the worker finished in the background).
-    pub deadlines: usize,
-    /// Whether the session ended on `{"shutdown": true}` rather than EOF.
-    pub shutdown: bool,
-}
-
-/// Knobs for [`serve_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServeOptions {
-    /// Wall-clock budget per request; `None` = unbounded (the default, and
-    /// the behavior of plain [`serve`]).
-    pub request_timeout: Option<Duration>,
-}
-
-/// Runs the request/response loop until the reader is exhausted.
-pub fn serve<R: BufRead, W: Write>(
-    service: &Service,
-    reader: R,
-    writer: W,
-) -> std::io::Result<ServeSummary> {
-    serve_with(service, reader, writer, ServeOptions::default())
-}
-
-/// [`serve`] with explicit [`ServeOptions`].
-pub fn serve_with<R: BufRead, W: Write>(
-    service: &Service,
-    reader: R,
-    mut writer: W,
-    options: ServeOptions,
-) -> std::io::Result<ServeSummary> {
-    let mut summary = ServeSummary::default();
-    let mut inflight: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        summary.requests += 1;
-        if is_shutdown(&line) {
-            summary.shutdown = true;
-            let response = Value::obj([("bye", Value::Bool(true))]);
-            writeln!(writer, "{response}")?;
-            writer.flush()?;
-            break;
-        }
-        let response = answer(service, &line, options, &mut inflight, &mut summary);
-        if response.get("error").is_some() {
-            summary.errors += 1;
-        }
-        writeln!(writer, "{response}")?;
-        writer.flush()?;
-    }
-    // Graceful drain: timed-out workers may still be storing verdicts;
-    // finish them now so the caller's final flush persists their work.
-    // Their responses are discarded — the client already got the deadline
-    // error, and interleaving a late line would corrupt the 1:1 protocol.
-    for handle in inflight {
-        let _ = handle.join();
-    }
-    Ok(summary)
-}
-
-/// Computes one response, enforcing the per-request deadline when one is
-/// configured.  A timed-out worker is handed to `inflight` for the
-/// end-of-session drain.
-fn answer(
-    service: &Service,
-    line: &str,
-    options: ServeOptions,
-    inflight: &mut Vec<std::thread::JoinHandle<()>>,
-    summary: &mut ServeSummary,
-) -> Value {
-    let Some(timeout) = options.request_timeout else {
-        return respond(service, line);
-    };
-    let (tx, rx) = mpsc::channel();
-    let worker_service = service.clone();
-    let worker_line = line.to_string();
-    let handle = std::thread::spawn(move || {
-        // The receiver may be gone (deadline already reported): the send
-        // fails, the work — cache stores, WAL appends — is already done.
-        let _ = tx.send(respond(&worker_service, &worker_line));
-    });
-    match rx.recv_timeout(timeout) {
-        Ok(response) => {
-            let _ = handle.join();
-            response
-        }
-        Err(_) => {
-            summary.deadlines += 1;
-            service.metrics().counter("serve.deadlines").incr();
-            inflight.push(handle);
-            let mut fields = vec![
-                ("error".to_string(), Value::Str("deadline".to_string())),
-                (
-                    "timeout_ms".to_string(),
-                    Value::Int(timeout.as_millis() as i64),
-                ),
-            ];
-            if let Some(id) = json::parse(line).ok().and_then(|v| v.get("id").cloned()) {
-                fields.insert(0, ("id".to_string(), id));
-            }
-            Value::Obj(fields)
-        }
-    }
-}
-
-/// Whether a request line is `{"shutdown": true}` (cheap substring gate
-/// before the real parse, since almost no line is).
-fn is_shutdown(line: &str) -> bool {
-    line.contains("\"shutdown\"")
-        && json::parse(line)
-            .ok()
-            .is_some_and(|v| matches!(v.get("shutdown"), Some(Value::Bool(true))))
-}
 
 /// Computes the response for one request line, recording the request's
 /// latency on the service's private metrics registry (and a span on the
@@ -191,11 +60,9 @@ pub fn respond(service: &Service, line: &str) -> Value {
 
 /// [`respond`] for an already-parsed request: dispatch plus the `id` echo,
 /// without the request counter or the latency observation — the reactor
-/// plane counts requests at decode and measures latency at completion (so
-/// queueing time is included), while the blocking loop above does both
-/// around the parse.
+/// counts requests at decode and measures latency at completion (so
+/// queueing time is included).
 pub fn respond_parsed(service: &Service, request: &Value) -> Value {
-    let id = request.get("id").cloned();
     let mut response = match dispatch(service, request) {
         Ok(fields) => fields,
         Err(message) => {
@@ -203,10 +70,15 @@ pub fn respond_parsed(service: &Service, request: &Value) -> Value {
             Value::obj([("error", Value::Str(message))])
         }
     };
-    if let (Some(id), Value::Obj(fields)) = (id, &mut response) {
-        fields.insert(0, ("id".to_string(), id));
-    }
+    echo_id(&mut response, request.get("id"));
     response
+}
+
+/// Puts the request's `id` first in a response object.
+pub(crate) fn echo_id(payload: &mut Value, id: Option<&Value>) {
+    if let (Some(id), Value::Obj(fields)) = (id, payload) {
+        fields.insert(0, ("id".to_string(), id.clone()));
+    }
 }
 
 fn dispatch(service: &Service, request: &Value) -> Result<Value, String> {

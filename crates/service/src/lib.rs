@@ -10,16 +10,16 @@
 //!   [`Engine`](birelcost::Engine) to a sharded
 //!   [constraint-validity cache](rel_constraint::ShardedValidityCache), so
 //!   verdicts computed for one request are reused by every later request;
-//! * [`daemon`] — a newline-delimited JSON front end (`birelcost serve`)
-//!   speaking `{"check": "<source>"}` → per-def verdicts, timings and cache
-//!   counters over stdin/stdout, so external harnesses can drive sustained
-//!   traffic;
+//! * [`daemon`] — the request protocol behind `birelcost serve`:
+//!   `{"check": "<source>"}` → per-def verdicts, timings and cache
+//!   counters, so external harnesses can drive sustained traffic;
 //! * [`codec`] — the wire-format seam: NDJSON and hand-rolled HTTP/1.1
 //!   framings of the *same* JSON content, so both planes answer
 //!   byte-identical payloads (DESIGN.md §10);
-//! * [`reactor`] — the multiplexed serving plane: a `poll(2)` readiness
-//!   loop driving many connections over one bounded worker queue, with
-//!   per-request deadlines, explicit backpressure and streamed batches;
+//! * [`reactor`] — the one serving loop: a `poll(2)` readiness loop
+//!   driving many connections (stdio is one of them) over one bounded
+//!   worker queue, with per-request deadlines, explicit backpressure and
+//!   streamed batches;
 //! * [`json`] — the minimal JSON layer backing the protocol (no external
 //!   dependencies are available in this build environment).
 //!
@@ -58,9 +58,9 @@ pub use batch::{
     check_batch, check_batch_with, check_job, check_job_with, BatchJob, BatchResult, BatchStats,
 };
 pub use codec::{content_line, make_codec, Codec, CodecKind, CodecLimits, Decode};
-pub use daemon::{respond, serve, serve_with, ServeOptions, ServeSummary};
+pub use daemon::respond;
 pub use faultnet::{NetFault, NetScript, RealNet, SimConn, SimNet, Transport, Wire};
-pub use reactor::{serve_reactor, ReactorOptions, ReactorSummary};
+pub use reactor::{serve, serve_reactor, ReactorOptions, ReactorSummary};
 pub use replica::{ReplicaOptions, ReplicaStatus};
 pub use schema::{validate_metrics, MetricsSummary};
 pub use service::{

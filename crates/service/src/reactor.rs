@@ -1,5 +1,5 @@
-//! The non-blocking serving plane: one readiness loop multiplexing many
-//! connections over the shared worker pool.
+//! The serving plane: one `poll(2)` readiness loop multiplexing every
+//! connection — sockets and stdio alike — over one bounded worker pool.
 //!
 //! The PR 1–7 daemon dedicated one OS thread to each connection; this module
 //! replaces that with a `poll(2)`-driven reactor (an in-tree readiness loop —
@@ -28,33 +28,38 @@
 //!   immediately answers `{"error": "backpressure", ...}` (HTTP 503) instead
 //!   of buffering unboundedly — the client knows to back off, and the
 //!   daemon's memory stays bounded no matter the offered load.
-//! * **Cancellation** reuses the PR 7 deadline machinery: a request that
-//!   blows [`ReactorOptions::request_timeout`] is answered with the same
-//!   `{"error": "deadline", "timeout_ms": N}` object the blocking loop
-//!   produces.  If a worker is already running it, the work completes in the
-//!   background (its cache stores still land) and the late response is
-//!   dropped; if it is still queued, the dequeue check skips the work
-//!   entirely.
+//! * **Cancellation**: a request that blows
+//!   [`ReactorOptions::request_timeout`] is answered with
+//!   `{"error": "deadline", "timeout_ms": N}`.  If a worker is already
+//!   running it, the work completes in the background (its cache stores
+//!   still land) and the late response is dropped; if it is still queued,
+//!   the dequeue check skips the work entirely.
 //! * **Streaming**: `{"batch": [...], "stream": true}` answers one frame per
 //!   job as it finishes (NDJSON lines on one plane, HTTP chunks on the
 //!   other) and a terminal `{"done": true, ...}` summary, so a client
 //!   replaying a large suite sees results as they land.
+//! * **Stdio** ([`serve`]) is one more NDJSON connection: two copy threads
+//!   bridge the reader and writer to a loopback socket pair, and a run with
+//!   no listeners ends when its last connection has closed.  End of input
+//!   is a half-close, so every request read before it is answered, and the
+//!   workers are joined before [`serve`] returns.
 //!
-//! Responses on the NDJSON plane complete in *finish* order, not submission
-//! order — pipelining clients tag requests with `"id"` and match on the
-//! echo.  The HTTP plane is half-duplex per connection (HTTP/1.1 responses
-//! must land in request order), so multiplexing there comes from many
-//! connections.
+//! Responses on the NDJSON plane — stdio included — complete in *finish*
+//! order, not submission order: pipelining clients tag requests with `"id"`
+//! and match on the echo.  The HTTP plane is half-duplex per connection
+//! (HTTP/1.1 responses must land in request order), so multiplexing there
+//! comes from many connections.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::codec::{make_codec, Codec, CodecKind, CodecLimits, Decode};
-use crate::daemon;
+use crate::daemon::{self, echo_id};
 use crate::json::Value;
 use crate::service::Service;
 
@@ -65,7 +70,8 @@ pub struct ReactorOptions {
     /// parallelism).
     pub workers: usize,
     /// Bound on queued-but-not-started requests across all connections;
-    /// excess requests are answered with an explicit backpressure error.
+    /// excess requests are answered with an explicit backpressure error
+    /// (the stdio session of [`serve`] is paced at this bound instead).
     pub max_queue: usize,
     /// Wall-clock budget per request (the PR 7 deadline machinery); `None`
     /// is unbounded.
@@ -106,9 +112,11 @@ pub struct ReactorSummary {
     pub conn_errors: u64,
     /// Connections reaped by the idle timeout.
     pub idle_disconnects: u64,
-    /// Connections accepted over the run.
+    /// Connections served over the run: those accepted, plus the stdio
+    /// session of [`serve`].
     pub connections: u64,
-    /// Whether the run ended on a shutdown request rather than an error.
+    /// Whether the run ended on a shutdown request (rather than at the end
+    /// of its last connection, or on an error).
     pub shutdown: bool,
 }
 
@@ -294,58 +302,14 @@ struct Completion {
     frame: Frame,
 }
 
-/// The bounded in-flight queue.  `try_push` refuses instead of blocking —
-/// refusal is the backpressure signal the reactor turns into an explicit
-/// error response.
-struct JobQueue {
-    inner: Mutex<(std::collections::VecDeque<Job>, bool)>,
-    ready: Condvar,
-    cap: usize,
-}
-
-impl JobQueue {
-    fn new(cap: usize) -> JobQueue {
-        JobQueue {
-            inner: Mutex::new((std::collections::VecDeque::new(), false)),
-            ready: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    fn try_push(&self, job: Job) -> Result<(), Job> {
-        let mut inner = self.inner.lock().expect("job queue poisoned");
-        if inner.1 || inner.0.len() >= self.cap {
-            return Err(job);
-        }
-        inner.0.push_back(job);
-        drop(inner);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    fn pop(&self) -> Option<Job> {
-        let mut inner = self.inner.lock().expect("job queue poisoned");
-        loop {
-            if let Some(job) = inner.0.pop_front() {
-                return Some(job);
-            }
-            if inner.1 {
-                return None;
-            }
-            inner = self.ready.wait(inner).expect("job queue poisoned");
-        }
-    }
-
-    fn close(&self) {
-        self.inner.lock().expect("job queue poisoned").1 = true;
-        self.ready.notify_all();
-    }
-}
-
 /// State shared between the reactor thread and the workers.
 struct Shared {
     service: Service,
-    queue: JobQueue,
+    /// Receiving end of the bounded job queue (a `sync_channel` of
+    /// `max_queue`): the reactor's `try_send` refuses instead of blocking,
+    /// and refusal is the backpressure signal it answers with an explicit
+    /// error.  One idle worker waits in `recv` holding the lock.
+    jobs: Mutex<mpsc::Receiver<Job>>,
     completions: Mutex<Vec<Completion>>,
     /// Write end of the wake pipe: one byte per completion batch, so the
     /// reactor's poll wakes as soon as a response is ready.
@@ -358,8 +322,13 @@ struct Shared {
 }
 
 impl Shared {
-    /// Queues a frame for the reactor and kicks its poll loop.
+    /// Queues a frame for the reactor and kicks its poll loop.  A request's
+    /// latency is observed here, when its final frame is produced, so a
+    /// later request on the same connection already sees it in the metrics.
     fn complete(&self, token: Arc<RequestToken>, frame: Frame) {
+        if matches!(frame, Frame::Response(_) | Frame::StreamEnd(_)) {
+            observe_latency(&self.service, &token);
+        }
         self.completions
             .lock()
             .expect("completions poisoned")
@@ -390,30 +359,16 @@ fn wake(waker: &mut TcpStream) {
     }
 }
 
-/// The structured deadline error — field-for-field the object the blocking
-/// loop's deadline machinery produces, so both serving planes (and both
-/// codecs) answer identical content.
-fn deadline_payload(timeout_ms: u64, id: Option<&Value>) -> Value {
-    let mut fields = vec![
-        ("error".to_string(), Value::Str("deadline".to_string())),
-        ("timeout_ms".to_string(), Value::Int(timeout_ms as i64)),
-    ];
-    if let Some(id) = id {
-        fields.insert(0, ("id".to_string(), id.clone()));
-    }
-    Value::Obj(fields)
-}
-
-/// The structured backpressure refusal.
-fn backpressure_payload(max_queue: usize, id: Option<&Value>) -> Value {
-    let mut fields = vec![
-        ("error".to_string(), Value::Str("backpressure".to_string())),
-        ("max_queue".to_string(), Value::Int(max_queue as i64)),
-    ];
-    if let Some(id) = id {
-        fields.insert(0, ("id".to_string(), id.clone()));
-    }
-    Value::Obj(fields)
+/// A structured refusal, identical content on every codec:
+/// `{"error": "deadline", "timeout_ms": N}` or
+/// `{"error": "backpressure", "max_queue": N}`, after the request's `id`.
+fn refusal(error: &str, (field, n): (&'static str, u64), id: Option<&Value>) -> Value {
+    let mut payload = Value::obj([
+        ("error", Value::Str(error.to_string())),
+        (field, Value::Int(n as i64)),
+    ]);
+    echo_id(&mut payload, id);
+    payload
 }
 
 // ---------------------------------------------------------------------------
@@ -421,7 +376,12 @@ fn backpressure_payload(max_queue: usize, id: Option<&Value>) -> Value {
 // ---------------------------------------------------------------------------
 
 fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
+    loop {
+        // Bound first, so the lock is released before the job runs.
+        let next = shared.jobs.lock().expect("job queue poisoned").recv();
+        let Ok(job) = next else {
+            return; // the reactor has stopped and the queue is drained
+        };
         let now = Instant::now();
         // Dequeue-time gates: never burn solver time for a client that is
         // gone, and answer an already-blown deadline without starting.
@@ -434,7 +394,8 @@ fn worker_loop(shared: &Shared) {
         }
         if job.token.expired(now) && job.token.try_answer() {
             shared.expired_at_dequeue.fetch_add(1, Ordering::Relaxed);
-            let payload = deadline_payload(job.token.timeout_ms, job.token.id.as_ref());
+            let timeout = ("timeout_ms", job.token.timeout_ms);
+            let payload = refusal("deadline", timeout, job.token.id.as_ref());
             shared.complete(job.token, Frame::Response(payload));
             continue;
         }
@@ -517,12 +478,6 @@ fn stream_batch(shared: &Shared, job: &Job) {
     shared.complete(Arc::clone(&job.token), Frame::StreamEnd(end));
 }
 
-fn echo_id(payload: &mut Value, id: Option<&Value>) {
-    if let (Some(id), Value::Obj(fields)) = (id, payload) {
-        fields.insert(0, ("id".to_string(), id.clone()));
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Connections
 // ---------------------------------------------------------------------------
@@ -540,9 +495,17 @@ struct Conn {
     /// HTTP half-duplex gate: stop decoding until the current request's
     /// response has been queued.
     awaiting_response: bool,
-    /// Close once the write buffer drains (fatal framing error, HTTP
-    /// `Connection: close`, shutdown's `{"bye": true}`).
+    /// Close once the write buffer drains and nothing is in flight (fatal
+    /// framing error, HTTP `Connection: close`, shutdown's `{"bye": true}`).
     close_after_flush: bool,
+    /// The peer shut down its write side (or the read failed): the socket is
+    /// no longer polled for reading, and the connection closes once its
+    /// in-flight requests are answered and flushed.
+    read_closed: bool,
+    /// Paced rather than refused: the stdio session's client is a pipe that
+    /// cannot back off, so while `max_queue` of its requests are in flight
+    /// the reactor stops reading it instead of answering backpressure.
+    paced: bool,
 }
 
 impl Conn {
@@ -557,7 +520,27 @@ impl Conn {
             inflight: 0,
             awaiting_response: false,
             close_after_flush: false,
+            read_closed: false,
+            paced: false,
         }
+    }
+
+    /// Whether decoding must wait for an answer first: the HTTP half-duplex
+    /// gate, or a paced connection at its in-flight bound.
+    fn decode_gated(&self, max_queue: usize) -> bool {
+        (self.codec.half_duplex() && self.awaiting_response)
+            || (self.paced && self.inflight >= max_queue)
+    }
+
+    /// Every request it sent is answered and flushed.
+    fn settled(&self) -> bool {
+        self.inflight == 0 && self.write_buf.is_empty()
+    }
+
+    /// Whether the connection is finished: it was told to close, or its peer
+    /// stopped sending, and it is settled.
+    fn done(&self) -> bool {
+        (self.close_after_flush || self.read_closed) && self.settled()
     }
 
     /// Flushes as much of the write buffer as the socket accepts.
@@ -596,27 +579,149 @@ pub fn serve_reactor(
     listeners: Vec<(TcpListener, CodecKind)>,
     options: ReactorOptions,
 ) -> io::Result<ReactorSummary> {
+    run(service, listeners, None, options)
+}
+
+/// Serves one NDJSON session over `reader`/`writer` (`birelcost serve`'s
+/// stdio) as a connection of the reactor, until `{"shutdown": true}` or the
+/// end of `reader`.  Two copy threads bridge the pair to a loopback socket,
+/// so the caller's descriptors stay blocking; the input thread is detached,
+/// as after a shutdown it may still be blocked reading.  Every request read
+/// before EOF is answered, and the workers (timed-out ones included) are
+/// joined before this returns.  With more than one worker, responses arrive
+/// in completion order: match them by `"id"`.
+pub fn serve<R, W>(
+    service: &Service,
+    reader: R,
+    writer: W,
+    options: ReactorOptions,
+) -> io::Result<ReactorSummary>
+where
+    R: Read + Send + 'static,
+    W: Write + Send,
+{
+    let (bridge, conn) = loopback_pair()?;
+    let input = bridge.try_clone()?;
+    let (read_error, read_failed) = mpsc::channel();
+    std::thread::spawn(move || pump_input(reader, input, read_error));
+    std::thread::scope(|scope| {
+        let output = scope.spawn(|| pump_output(&bridge, writer));
+        let summary = run(service, Vec::new(), Some(conn), options);
+        let written = output.join().expect("stdio output thread panicked");
+        let summary = summary?;
+        written?;
+        match read_failed.try_recv() {
+            Ok(error) => Err(error),
+            Err(_) => Ok(summary),
+        }
+    })
+}
+
+/// Copies `reader` into the session socket, then half-closes it.  An
+/// unterminated last line is still a request, so it gets its newline.  A
+/// read error ends the input like EOF (what was read is still answered) and
+/// is reported before the half-close, for [`serve`] to return.
+fn pump_input<R: Read>(mut reader: R, mut socket: TcpStream, error: mpsc::Sender<io::Error>) {
+    let mut buf = [0u8; 16 * 1024];
+    let mut last = b'\n';
+    loop {
+        match reader.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => {
+                if socket.write_all(&buf[..n]).is_err() {
+                    return; // the session is over (shutdown): stop reading
+                }
+                last = buf[n - 1];
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => {
+                let _ = error.send(e);
+                break;
+            }
+        }
+    }
+    if last != b'\n' {
+        let _ = socket.write_all(b"\n");
+    }
+    let _ = socket.shutdown(Shutdown::Write);
+}
+
+/// Copies the session socket into `writer`, flushing after every read so an
+/// interactive client sees each response as it lands, until the reactor
+/// closes the connection.  A reset is a close too: after a shutdown request
+/// the reactor closes with input still unread, and the kernel then resets
+/// the connection — after delivering everything written before it.
+fn pump_output<W: Write>(mut socket: &TcpStream, mut writer: W) -> io::Result<()> {
+    let mut buf = [0u8; 16 * 1024];
+    let mut written = Ok(());
+    loop {
+        let n = match socket.read(&mut buf) {
+            Ok(0) => return written,
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => return written,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+            Ok(n) => n,
+        };
+        if written.is_ok() {
+            written = writer.write_all(&buf[..n]).and_then(|()| writer.flush());
+            if written.is_err() {
+                // Nobody reads the answers any more: end the input, and keep
+                // draining so the reactor can finish what is in flight.
+                let _ = socket.shutdown(Shutdown::Write);
+            }
+        }
+    }
+}
+
+/// A connected loopback TCP pair `(connecting end, accepted end)`: the
+/// portable, dependency-free stand-in for `socketpair(2)` behind the wake
+/// pipe and the stdio bridge.
+fn loopback_pair() -> io::Result<(TcpStream, TcpStream)> {
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let near = TcpStream::connect(listener.local_addr()?)?;
+    let far = accept_from(&listener, near.local_addr()?)?;
+    Ok((near, far))
+}
+
+/// Accepts connections on `listener` until the one from `peer` arrives:
+/// another local process may connect to the ephemeral port first, and it
+/// must not become an end of the pair.
+fn accept_from(listener: &TcpListener, peer: SocketAddr) -> io::Result<TcpStream> {
+    loop {
+        let (stream, from) = listener.accept()?;
+        if from == peer {
+            return Ok(stream);
+        }
+    }
+}
+
+/// The reactor over `listeners` plus, when given, one already-connected
+/// NDJSON connection (the stdio bridge).  A run with no listeners ends when
+/// its last connection has closed; either way the workers are joined before
+/// this returns.
+fn run(
+    service: &Service,
+    listeners: Vec<(TcpListener, CodecKind)>,
+    adopted: Option<TcpStream>,
+    options: ReactorOptions,
+) -> io::Result<ReactorSummary> {
     for (listener, _) in &listeners {
         listener.set_nonblocking(true)?;
     }
-    // Self-connected wake pipe: workers write a byte to unblock the poll
-    // as soon as a completion is queued (loopback TCP is the portable,
-    // dependency-free self-pipe).
-    let wake_listener = TcpListener::bind("127.0.0.1:0")?;
-    let wake_tx = TcpStream::connect(wake_listener.local_addr()?)?;
-    let (wake_rx, _) = wake_listener.accept()?;
-    wake_rx.set_nonblocking(true)?;
-    // The write side must be nonblocking too: a blocking write from a worker
+    // Workers write a byte to unblock the poll as soon as a completion is
+    // queued.  Both ends are nonblocking: a blocking write from a worker
     // against a full pipe buffer would park the worker (and with it the
     // waker mutex) until the reactor drains — a lost-wakeup deadlock if the
     // reactor is itself sleeping in poll.  `wake` treats WouldBlock as
     // success because pending bytes already guarantee the next poll wakes.
+    let (wake_tx, wake_rx) = loopback_pair()?;
+    wake_rx.set_nonblocking(true)?;
     wake_tx.set_nonblocking(true)?;
-    drop(wake_listener);
 
+    let (jobs, queue) = mpsc::sync_channel(options.max_queue.max(1));
     let shared = Arc::new(Shared {
         service: service.clone(),
-        queue: JobQueue::new(options.max_queue),
+        jobs: Mutex::new(queue),
         completions: Mutex::new(Vec::new()),
         waker: Mutex::new(wake_tx),
         dropped_for_closed_conn: AtomicU64::new(0),
@@ -629,9 +734,9 @@ pub fn serve_reactor(
         })
         .collect();
 
-    let result = reactor_loop(&shared, &listeners, &wake_rx, &options);
+    let result = reactor_loop(&shared, &jobs, &listeners, adopted, &wake_rx, &options);
 
-    shared.queue.close();
+    drop(jobs);
     for handle in workers {
         let _ = handle.join();
     }
@@ -643,13 +748,23 @@ pub fn serve_reactor(
 
 fn reactor_loop(
     shared: &Shared,
+    jobs: &SyncSender<Job>,
     listeners: &[(TcpListener, CodecKind)],
+    adopted: Option<TcpStream>,
     wake_rx: &TcpStream,
     options: &ReactorOptions,
 ) -> io::Result<ReactorSummary> {
     let mut summary = ReactorSummary::default();
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_conn_id: u64 = 0;
+    if let Some(stream) = adopted {
+        stream.set_nonblocking(true)?;
+        let mut conn = Conn::new(stream, CodecKind::Ndjson, options.limits);
+        conn.paced = true;
+        summary.connections += 1;
+        conns.insert(next_conn_id, conn);
+        next_conn_id += 1;
+    }
     // Outstanding request tokens, scanned for deadline expiry.
     let mut outstanding: Vec<Arc<RequestToken>> = Vec::new();
     let mut stopping = false;
@@ -661,9 +776,10 @@ fn reactor_loop(
         let sources: Vec<(&TcpStream, bool, bool)> = std::iter::once((wake_rx, true, false))
             .chain(ids.iter().map(|id| {
                 let c = &conns[id];
-                let want_read = !(c.close_after_flush
+                let want_read = !(c.read_closed
+                    || c.close_after_flush
                     || stopping
-                    || (c.codec.half_duplex() && c.awaiting_response));
+                    || c.decode_gated(options.max_queue));
                 (&c.stream, want_read, !c.write_buf.is_empty())
             }))
             .collect();
@@ -729,7 +845,6 @@ fn reactor_loop(
                 if conn.codec.close_after_response() {
                     conn.close_after_flush = true;
                 }
-                observe_latency(shared, token);
             }
         }
         outstanding.retain(|t| !t.answered.load(Ordering::Acquire));
@@ -748,21 +863,22 @@ fn reactor_loop(
         for token in expired {
             summary.deadlines += 1;
             shared.service.metrics().counter("serve.deadlines").incr();
+            observe_latency(&shared.service, &token);
             if let Some(conn) = conns.get_mut(&token.conn_id) {
-                let payload = deadline_payload(token.timeout_ms, token.id.as_ref());
+                let timeout = ("timeout_ms", token.timeout_ms);
+                let payload = refusal("deadline", timeout, token.id.as_ref());
                 conn.codec.encode_response(&payload, &mut conn.write_buf);
                 summary.errors += 1;
                 conn.inflight = conn.inflight.saturating_sub(1);
                 conn.awaiting_response = false;
-                observe_latency(shared, &token);
             }
         }
 
-        // ---- resume half-duplex pipelines ---------------------------------
-        // A keep-alive client may have pipelined its next request behind the
-        // one just answered; those bytes are already in `read_buf` and no
-        // further readable event will announce them, so decode them now that
-        // `awaiting_response` has cleared.
+        // ---- resume gated pipelines ---------------------------------------
+        // A keep-alive client (or the paced stdio session) may have
+        // pipelined requests behind the ones just answered; those bytes are
+        // already in `read_buf` and no further readable event will announce
+        // them, so decode them now that the gate may have opened.
         if !stopping {
             let buffered: Vec<u64> = conns
                 .iter()
@@ -773,6 +889,7 @@ fn reactor_loop(
                 let conn = conns.get_mut(&id).expect("conn present");
                 decode_conn(
                     shared,
+                    jobs,
                     conn,
                     id,
                     &mut summary,
@@ -826,10 +943,10 @@ fn reactor_loop(
                 to_close.push((*id, false));
                 continue;
             }
-            if !readiness.readable || stopping {
+            if !readiness.readable || stopping || conn.read_closed {
                 continue;
             }
-            if conn.codec.half_duplex() && conn.awaiting_response {
+            if conn.decode_gated(options.max_queue) {
                 continue;
             }
             let mut scratch = [0u8; 16 * 1024];
@@ -860,6 +977,7 @@ fn reactor_loop(
             // send a request and immediately shut down its write side.
             decode_conn(
                 shared,
+                jobs,
                 conn,
                 *id,
                 &mut summary,
@@ -867,14 +985,10 @@ fn reactor_loop(
                 &mut stopping,
                 options,
             );
-            if saw_eof && conn.write_buf.is_empty() && conn.inflight == 0 {
-                to_close.push((*id, false));
-            } else if saw_eof {
-                // Keep the conn around to flush pending responses; stop
-                // reading from it by marking it half-closed via the codec
-                // gate.  A failed flush below will close it for real.
-                conn.awaiting_response = conn.codec.half_duplex();
-            }
+            // EOF is a half-close: stop polling the read side (a readable
+            // EOF would wake every poll) and keep the conn until its pending
+            // responses are flushed.
+            conn.read_closed |= saw_eof;
         }
 
         // ---- flush --------------------------------------------------------
@@ -882,7 +996,7 @@ fn reactor_loop(
         for id in flush_ids {
             let conn = conns.get_mut(&id).expect("conn present");
             match conn.flush() {
-                Ok(true) if conn.close_after_flush => to_close.push((id, false)),
+                Ok(true) if conn.done() => to_close.push((id, false)),
                 Ok(_) => {}
                 Err(_) => {
                     // A computed response could not be delivered: that is a
@@ -909,11 +1023,7 @@ fn reactor_loop(
             let now = Instant::now();
             let idle_ids: Vec<u64> = conns
                 .iter()
-                .filter(|(_, c)| {
-                    c.inflight == 0
-                        && c.write_buf.is_empty()
-                        && now.duration_since(c.last_activity) >= idle
-                })
+                .filter(|(_, c)| c.settled() && now.duration_since(c.last_activity) >= idle)
                 .map(|(id, _)| *id)
                 .collect();
             for id in idle_ids {
@@ -926,16 +1036,17 @@ fn reactor_loop(
         }
 
         // ---- shutdown -----------------------------------------------------
-        if stopping {
-            let unflushed = conns.values().any(|c| !c.write_buf.is_empty());
-            let inflight: usize = conns.values().map(|c| c.inflight).sum();
-            if !unflushed && inflight == 0 {
-                summary.shutdown = true;
-                for conn in conns.values() {
-                    conn.closed.store(true, Ordering::Release);
-                }
-                return Ok(summary);
+        if stopping && conns.values().all(Conn::settled) {
+            summary.shutdown = true;
+            for conn in conns.values() {
+                conn.closed.store(true, Ordering::Release);
             }
+            return Ok(summary);
+        }
+        // Nothing can connect to a run without listeners: it is over once
+        // its last connection has closed.
+        if listeners.is_empty() && conns.is_empty() {
+            return Ok(summary);
         }
     }
 }
@@ -943,9 +1054,9 @@ fn reactor_loop(
 /// Records one finished request on the service's latency histograms — the
 /// all-plane `serve.request_ns` plus the per-codec
 /// `serve.request_ns.{ndjson,http}` series the load harness reads back.
-fn observe_latency(shared: &Shared, token: &RequestToken) {
+fn observe_latency(service: &Service, token: &RequestToken) {
     let elapsed = token.enqueued.elapsed();
-    let metrics = shared.service.metrics();
+    let metrics = service.metrics();
     metrics.histogram("serve.request_ns").observe(elapsed);
     metrics
         .histogram(&format!("serve.request_ns.{}", token.codec.label()))
@@ -956,6 +1067,7 @@ fn observe_latency(shared: &Shared, token: &RequestToken) {
 #[allow(clippy::too_many_arguments)]
 fn decode_conn(
     shared: &Shared,
+    jobs: &SyncSender<Job>,
     conn: &mut Conn,
     conn_id: u64,
     summary: &mut ReactorSummary,
@@ -964,7 +1076,7 @@ fn decode_conn(
     options: &ReactorOptions,
 ) {
     loop {
-        if (conn.codec.half_duplex() && conn.awaiting_response) || conn.close_after_flush {
+        if conn.decode_gated(options.max_queue) || conn.close_after_flush {
             return;
         }
         match conn.codec.decode(&mut conn.read_buf) {
@@ -1021,7 +1133,7 @@ fn decode_conn(
                     request: value,
                     streaming,
                 };
-                match shared.queue.try_push(job) {
+                match jobs.try_send(job) {
                     Ok(()) => {
                         conn.inflight += 1;
                         outstanding.push(token);
@@ -1029,7 +1141,7 @@ fn decode_conn(
                             conn.awaiting_response = true;
                         }
                     }
-                    Err(job) => {
+                    Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
                         // Bounded queue refusal → explicit backpressure
                         // response, queued work untouched.
                         summary.backpressure += 1;
@@ -1040,8 +1152,8 @@ fn decode_conn(
                             .counter("serve.backpressure")
                             .incr();
                         shared.service.metrics().counter("serve.errors").incr();
-                        let payload =
-                            backpressure_payload(options.max_queue, job.token.id.as_ref());
+                        let bound = ("max_queue", options.max_queue as u64);
+                        let payload = refusal("backpressure", bound, job.token.id.as_ref());
                         conn.codec.encode_response(&payload, &mut conn.write_buf);
                         if conn.codec.close_after_response() {
                             conn.close_after_flush = true;
@@ -1106,6 +1218,22 @@ mod syscall_tests {
         // And the wakeup is not lost: the read side reports pending bytes.
         let mut scratch = [0u8; 16];
         assert!(matches!((&rx).read(&mut scratch), Ok(n) if n > 0));
+    }
+
+    /// The pair helper takes only its own connection: a stranger that
+    /// reaches the ephemeral port first is turned away.
+    #[test]
+    fn accept_from_skips_strangers() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stranger = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let ours = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let accepted = accept_from(&listener, ours.local_addr().unwrap()).unwrap();
+        assert_eq!(accepted.peer_addr().unwrap(), ours.local_addr().unwrap());
+        // The stranger's accepted end was dropped: it reads EOF (or a reset).
+        let mut scratch = [0u8; 1];
+        assert!(!matches!((&stranger).read(&mut scratch), Ok(n) if n > 0));
+        let (near, far) = loopback_pair().unwrap();
+        assert_eq!(far.peer_addr().unwrap(), near.local_addr().unwrap());
     }
 
     /// Regression: `sys::wait` must retry `poll(2)` after a signal instead

@@ -840,3 +840,76 @@ fn disconnected_clients_queued_jobs_are_dropped_at_dequeue() {
     let summary = planes.stop();
     assert!(summary.conn_errors >= 1, "{summary:?}");
 }
+
+/// Nanoseconds the named thread of this process has spent on a CPU.
+#[cfg(target_os = "linux")]
+fn thread_cpu_ns(name: &str) -> u64 {
+    for task in std::fs::read_dir("/proc/self/task").expect("/proc/self/task") {
+        let dir = task.unwrap().path();
+        let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+        if comm.trim_end() == name {
+            let schedstat = std::fs::read_to_string(dir.join("schedstat")).expect("schedstat");
+            return schedstat
+                .split_whitespace()
+                .next()
+                .and_then(|ns| ns.parse().ok())
+                .expect("schedstat starts with the on-CPU nanoseconds");
+        }
+    }
+    panic!("no thread named {name:?}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_half_closed_ndjson_connection_is_not_busy_polled() {
+    // A client that sends a request and shuts down its write side is still
+    // owed the answer, but its socket reads EOF on every poll: the reactor
+    // must stop polling that side instead of spinning until the work ends.
+    const REACTOR: &str = "halfclose-rx";
+    let service = Service::new(ServiceConfig {
+        workers: 1,
+        cache_shards: 4,
+    });
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ndjson");
+    let addr = listener.local_addr().unwrap();
+    let options = ReactorOptions {
+        workers: 1,
+        ..ReactorOptions::default()
+    };
+    let reactor = std::thread::Builder::new()
+        .name(REACTOR.to_string())
+        .spawn(move || serve_reactor(&service, vec![(listener, CodecKind::Ndjson)], options))
+        .unwrap();
+
+    let hold = test_hooks::hold("held-halfclose");
+    let mut client = connect(addr);
+    client
+        .write_all(b"{\"id\": \"held-halfclose\", \"stats\": true}\n")
+        .unwrap();
+    hold.wait_parked();
+    client.shutdown(std::net::Shutdown::Write).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+
+    let (cpu0, wall0) = (thread_cpu_ns(REACTOR), Instant::now());
+    std::thread::sleep(Duration::from_millis(300));
+    let (cpu, wall) = (
+        thread_cpu_ns(REACTOR) - cpu0,
+        wall0.elapsed().as_nanos() as u64,
+    );
+    assert!(
+        cpu < wall / 10,
+        "the reactor spun on the half-closed connection: {cpu} ns on CPU in {wall} ns"
+    );
+
+    // The held request is still answered on the half-closed connection.
+    hold.release();
+    let mut response = String::new();
+    BufReader::new(client).read_line(&mut response).unwrap();
+    assert!(response.contains("\"id\":\"held-halfclose\""), "{response}");
+    let bye = ndjson_request(addr, "{\"shutdown\": true}");
+    assert_eq!(bye, "{\"bye\":true}\n");
+    reactor
+        .join()
+        .expect("reactor thread")
+        .expect("reactor I/O");
+}

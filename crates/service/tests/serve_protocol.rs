@@ -1,10 +1,14 @@
-//! End-to-end tests of the newline-delimited JSON protocol: the exact loop
-//! `birelcost serve` runs, driven over in-memory readers/writers.
+//! End-to-end tests of the newline-delimited JSON protocol: the stdio
+//! session `birelcost serve` runs on the reactor, driven over in-memory
+//! readers/writers.
 
-use std::io::Cursor;
+use std::collections::HashMap;
+use std::io::{Cursor, Read};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use rel_service::json::{self, Value};
-use rel_service::{serve, Service, ServiceConfig};
+use rel_service::{serve, test_hooks, ReactorOptions, ReactorSummary, Service, ServiceConfig};
 
 fn service() -> Service {
     Service::new(ServiceConfig {
@@ -13,23 +17,249 @@ fn service() -> Service {
     })
 }
 
-/// Runs the daemon loop over a scripted session, returning one parsed JSON
-/// response per request line.
-fn drive(service: &Service, lines: &[&str]) -> Vec<Value> {
-    let input = lines.join("\n");
+/// One reactor worker: responses come back in request order.
+fn one_worker() -> ReactorOptions {
+    ReactorOptions {
+        workers: 1,
+        ..ReactorOptions::default()
+    }
+}
+
+/// Runs a stdio session over `input`, returning its summary and one parsed
+/// JSON value per response line.
+fn session<R: Read + Send + 'static>(
+    service: &Service,
+    input: R,
+    options: ReactorOptions,
+) -> (ReactorSummary, Vec<Value>) {
     let mut output = Vec::new();
-    let summary = serve(service, Cursor::new(input), &mut output).expect("in-memory I/O");
+    let summary = serve(service, input, &mut output, options).expect("in-memory I/O");
     let text = String::from_utf8(output).expect("responses are UTF-8");
-    let responses: Vec<Value> = text
+    let responses = text
         .lines()
         .map(|l| json::parse(l).expect("every response line is valid JSON"))
         .collect();
+    (summary, responses)
+}
+
+/// Runs the daemon over a scripted session, returning one parsed JSON
+/// response per request line, in request order.
+fn drive(service: &Service, lines: &[&str]) -> Vec<Value> {
+    let (summary, responses) = session(service, Cursor::new(lines.join("\n")), one_worker());
     assert_eq!(
         summary.requests,
-        responses.len(),
+        responses.len() as u64,
         "one response per request"
     );
     responses
+}
+
+/// A reader that reports, once, when it hands out end of input.
+struct SignalsEof {
+    inner: Cursor<String>,
+    eof: mpsc::Sender<()>,
+}
+
+impl Read for SignalsEof {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        if n == 0 {
+            let _ = self.eof.send(());
+        }
+        Ok(n)
+    }
+}
+
+fn id_of(response: &Value) -> &str {
+    response
+        .get("id")
+        .and_then(Value::as_str)
+        .unwrap_or_else(|| panic!("response without a string id: {response}"))
+}
+
+#[test]
+fn stdio_answers_each_pipelined_id_exactly_once() {
+    // Three workers answer in completion order; a queue bound of one paces
+    // the session (the reactor stops reading) instead of refusing requests.
+    let service = service();
+    let ids: Vec<String> = (0..12).map(|i| format!("pipe-{i}")).collect();
+    let lines: Vec<String> = ids
+        .iter()
+        .enumerate()
+        .map(|(i, id)| {
+            if i % 3 == 0 {
+                format!("{{\"id\": \"{id}\", \"check\": \"def x{i} : boolr = true;\"}}")
+            } else {
+                format!("{{\"id\": \"{id}\", \"stats\": true}}")
+            }
+        })
+        .collect();
+    let options = ReactorOptions {
+        workers: 3,
+        max_queue: 1,
+        ..ReactorOptions::default()
+    };
+    let (summary, responses) = session(&service, Cursor::new(lines.join("\n")), options);
+    assert_eq!(summary.requests, 12);
+    assert_eq!(summary.backpressure, 0, "{summary:?}");
+    assert_eq!(summary.errors, 0, "{summary:?}");
+    let mut seen: HashMap<&str, usize> = HashMap::new();
+    for response in &responses {
+        *seen.entry(id_of(response)).or_default() += 1;
+    }
+    for id in &ids {
+        assert_eq!(seen.get(id.as_str()), Some(&1), "{id} in {responses:?}");
+    }
+    assert_eq!(responses.len(), ids.len());
+}
+
+#[test]
+fn stdio_answers_a_request_held_across_end_of_input() {
+    let service = service();
+    let hold = test_hooks::hold("stdio-held");
+    let (eof_tx, eof_rx) = mpsc::channel();
+    let input = SignalsEof {
+        inner: Cursor::new(
+            "{\"id\": \"stdio-held\", \"stats\": true}\n{\"id\": \"stdio-next\", \"stats\": true}"
+                .to_string(),
+        ),
+        eof: eof_tx,
+    };
+    // Release the worker only once the input has ended and the reactor has
+    // had time to see the half-close.
+    let releaser = std::thread::spawn(move || {
+        hold.wait_parked();
+        eof_rx.recv().expect("the input reaches its end");
+        std::thread::sleep(Duration::from_millis(100));
+        hold.release();
+    });
+    let (summary, responses) = session(&service, input, one_worker());
+    releaser.join().unwrap();
+    assert_eq!(summary.requests, 2);
+    assert!(!summary.shutdown, "the session ended at EOF");
+    let ids: Vec<&str> = responses.iter().map(id_of).collect();
+    assert_eq!(ids, ["stdio-held", "stdio-next"]);
+}
+
+#[test]
+fn stdio_shutdown_says_bye_and_stops_reading() {
+    let service = service();
+    // Everything after the shutdown line is left unread — a megabyte of it,
+    // more than the socket buffers hold while the session closes.
+    let mut input = String::from("{\"id\": \"first\", \"stats\": true}\n{\"shutdown\": true}\n");
+    while input.len() < 1 << 20 {
+        input.push_str("{\"id\": \"unread\", \"stats\": true}\n");
+    }
+    let (summary, responses) = session(&service, Cursor::new(input), one_worker());
+    assert!(summary.shutdown, "{summary:?}");
+    assert_eq!(summary.requests, 2, "{summary:?}");
+    assert!(
+        responses.contains(&Value::obj([("bye", Value::Bool(true))])),
+        "{responses:?}"
+    );
+    let ids: Vec<&str> = responses
+        .iter()
+        .filter_map(|r| r.get("id").and_then(Value::as_str))
+        .collect();
+    assert_eq!(ids, ["first"], "the request before shutdown is answered");
+}
+
+/// A reader that hands out `line` once and then never returns.
+struct ThenBlocks(Option<&'static str>);
+
+impl Read for ThenBlocks {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self.0.take() {
+            Some(line) => {
+                buf[..line.len()].copy_from_slice(line.as_bytes());
+                Ok(line.len())
+            }
+            None => loop {
+                std::thread::park();
+            },
+        }
+    }
+}
+
+/// A writer whose reader has gone away.
+struct Closed;
+
+impl std::io::Write for Closed {
+    fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+        Err(std::io::ErrorKind::BrokenPipe.into())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn stdio_ends_with_the_write_error_when_its_output_is_gone() {
+    // The input never ends, so only the failed write can end the session.
+    let service = service();
+    let input = ThenBlocks(Some("{\"stats\": true}\n"));
+    let error = serve(&service, input, Closed, one_worker()).expect_err("output is gone");
+    assert_eq!(error.kind(), std::io::ErrorKind::BrokenPipe);
+}
+
+/// A reader that hands out `line`, then fails.
+struct ThenFails(Option<&'static str>);
+
+impl Read for ThenFails {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let line = self.0.take().ok_or(std::io::ErrorKind::InvalidData)?;
+        buf[..line.len()].copy_from_slice(line.as_bytes());
+        Ok(line.len())
+    }
+}
+
+#[test]
+fn stdio_answers_what_it_read_then_returns_the_read_error() {
+    let service = service();
+    let mut output = Vec::new();
+    let input = ThenFails(Some("{\"id\": \"before\", \"stats\": true}\n"));
+    let error = serve(&service, input, &mut output, one_worker()).expect_err("input failed");
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
+    let text = String::from_utf8(output).unwrap();
+    assert!(text.contains("\"id\":\"before\""), "{text}");
+}
+
+#[test]
+fn stdio_deadline_workers_store_their_verdicts_before_serve_returns() {
+    let service = service();
+    assert_eq!(service.cache_stats().entries, 0);
+    // `map` stores constraint verdicts in the validity cache.
+    let src = rel_suite::benchmark("map")
+        .unwrap()
+        .source
+        .replace('\n', " ");
+    let request = format!("{{\"id\": \"stdio-late\", \"check\": \"{src}\"}}");
+    let hold = test_hooks::hold("stdio-late");
+    // Keep the worker parked well past the deadline: the deadline answer
+    // goes out, the session ends, and the late worker finishes afterwards.
+    let releaser = std::thread::spawn(move || {
+        hold.wait_parked();
+        std::thread::sleep(Duration::from_millis(300));
+        hold.release();
+    });
+    let options = ReactorOptions {
+        request_timeout: Some(Duration::from_millis(50)),
+        ..one_worker()
+    };
+    let (summary, responses) = session(&service, Cursor::new(request), options);
+    releaser.join().unwrap();
+    assert_eq!(summary.deadlines, 1, "{summary:?}");
+    assert_eq!(responses.len(), 1);
+    assert_eq!(id_of(&responses[0]), "stdio-late");
+    assert_eq!(
+        responses[0].get("error").and_then(Value::as_str),
+        Some("deadline")
+    );
+    assert!(
+        service.cache_stats().entries > 0,
+        "the timed-out worker's verdicts are in the cache when serve returns"
+    );
 }
 
 #[test]

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use rel_persist::{FaultScript, FaultyFs, UnsyncedSurvival, WalLimits};
 use rel_service::json::{self, Value};
-use rel_service::{serve_with, ServeOptions, Service, ServiceConfig};
+use rel_service::{serve, ReactorOptions, Service, ServiceConfig};
 
 const CACHE: &str = "/d/cache";
 
@@ -27,6 +27,15 @@ fn src() -> String {
         .unwrap()
         .source
         .replace('\n', " ")
+}
+
+/// Reactor options for a one-worker stdio session with `request_timeout`.
+fn options(request_timeout: Option<Duration>) -> ReactorOptions {
+    ReactorOptions {
+        workers: 1,
+        request_timeout,
+        ..ReactorOptions::default()
+    }
 }
 
 fn wide_limits() -> WalLimits {
@@ -166,11 +175,11 @@ fn cache_stats_response_carries_the_wal_counters() {
     svc.check_source(&src()).expect("source checks");
 
     let mut output = Vec::new();
-    serve_with(
+    serve(
         &svc,
         Cursor::new("{\"cache\": \"stats\"}"),
         &mut output,
-        ServeOptions::default(),
+        options(None),
     )
     .expect("in-memory I/O");
     let response = json::parse(String::from_utf8(output).unwrap().lines().next().unwrap())
@@ -204,13 +213,11 @@ fn a_zero_deadline_times_out_with_a_structured_error() {
     let svc = service();
     let req = format!("{{\"id\": 7, \"check\": \"{}\"}}", src());
     let mut output = Vec::new();
-    let summary = serve_with(
+    let summary = serve(
         &svc,
         Cursor::new(req),
         &mut output,
-        ServeOptions {
-            request_timeout: Some(Duration::ZERO),
-        },
+        options(Some(Duration::ZERO)),
     )
     .expect("in-memory I/O");
     assert_eq!(summary.requests, 1);
@@ -224,7 +231,8 @@ fn a_zero_deadline_times_out_with_a_structured_error() {
     assert_eq!(response.get("id").and_then(Value::as_int), Some(7));
     assert_eq!(response.get("timeout_ms").and_then(Value::as_int), Some(0));
 
-    // The drained worker finished in the background; the service is intact.
+    // The workers were joined before `serve` returned; the service is
+    // intact.
     assert!(svc.check_source(&src()).expect("still serves").all_ok());
 }
 
@@ -233,13 +241,11 @@ fn generous_deadlines_do_not_interfere_with_answers() {
     let svc = service();
     let req = format!("{{\"check\": \"{}\"}}", src());
     let mut output = Vec::new();
-    let summary = serve_with(
+    let summary = serve(
         &svc,
         Cursor::new(req),
         &mut output,
-        ServeOptions {
-            request_timeout: Some(Duration::from_secs(60)),
-        },
+        options(Some(Duration::from_secs(60))),
     )
     .expect("in-memory I/O");
     assert_eq!(summary.deadlines, 0);
