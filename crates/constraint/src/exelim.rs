@@ -54,16 +54,19 @@
 //! conjunction, so verdicts, attempts and witnesses match the whole-goal
 //! search.  Rejections without a solver call count as
 //! `exelim_candidates_pruned`.  The table lives for one search only;
-//! per-candidate verdicts never reach the verdict caches.  All-ℝ
-//! components that candidate search cannot close fall back to the exact
-//! Fourier–Motzkin projection per component.
+//! per-candidate verdicts never reach the verdict caches.
+//!
+//! **One exit.**  This search is the only way a goal's existentials are
+//! removed.  A goal is valid when every component finds a witness; when
+//! one component's search fails, no other layer retries the goal, and the
+//! solver reports the failure as an exhausted search rather than as a
+//! counterexample.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use rel_index::{Idx, IdxVar, Sort};
 
 use crate::constr::{Constr, Quantified};
-use crate::fm;
 use crate::solver::{Provenance, SearchExhaustedReason, Solver, Validity};
 
 /// Statistics from one elimination run.
@@ -86,12 +89,9 @@ pub struct ExElimStats {
 /// Result of eliminating the existentials of one goal.
 #[derive(Debug, Clone)]
 pub struct ExElimOutcome {
-    /// `Some(Valid)` when a candidate assignment made the goal provable,
-    /// `Some(Invalid)` never (failed candidates simply move on), `None` when
-    /// no assignment worked.
-    pub validity: Option<Validity>,
-    /// The substitution that worked, if any.
-    pub witness: Option<BTreeMap<IdxVar, Idx>>,
+    /// The substitution that made the goal provable, with the provenance of
+    /// that proof; `None` when no assignment worked.
+    pub found: Option<(BTreeMap<IdxVar, Idx>, Provenance)>,
     /// Statistics.
     pub stats: ExElimStats,
 }
@@ -402,12 +402,11 @@ pub fn eliminate_existentials(
         ..ExElimStats::default()
     };
     if ex_vars.is_empty() {
-        let v = solver.entails_no_exists(universals, hyp, &matrix);
-        return ExElimOutcome {
-            validity: Some(v),
-            witness: Some(BTreeMap::new()),
-            stats,
+        let found = match solver.entails_no_exists(universals, hyp, &matrix) {
+            Validity::Valid(p) => Some((BTreeMap::new(), p)),
+            Validity::Invalid(_) => None,
         };
+        return ExElimOutcome { found, stats };
     }
 
     let (index, (components, residual)) = {
@@ -427,17 +426,13 @@ pub fn eliminate_existentials(
             _ => {
                 // No assignment can rescue an invalid residual: the seed
                 // search would have exhausted its budget against it.
-                return ExElimOutcome {
-                    validity: None,
-                    witness: None,
-                    stats,
-                };
+                return ExElimOutcome { found: None, stats };
             }
         }
     }
 
     let max_attempts = solver.config().max_exelim_attempts;
-    let mut combined_witness: Option<BTreeMap<IdxVar, Idx>> = Some(BTreeMap::new());
+    let mut witness = BTreeMap::new();
     for (var_positions, conjunct_indices) in components {
         let _comp_span = rel_obs::span_with("exelim.component", var_positions.len() as u64);
         let unresolved_before = stats.unresolved;
@@ -456,49 +451,17 @@ pub fn eliminate_existentials(
             "exelim.unresolved",
             (stats.unresolved - unresolved_before) as u64,
         );
-        match found {
-            Some((witness, p)) => {
-                provenance = provenance.and(p);
-                if let Some(map) = combined_witness.as_mut() {
-                    map.extend(witness);
-                }
-            }
-            None => {
-                // Candidate substitution is out of ideas for this component.
-                // Real-sorted (cost) existentials have one more complete
-                // move: Fourier–Motzkin projection is *exact* for ∃ over the
-                // non-negative reals, so the projected, ∃-free component can
-                // be handed back to the solver pipeline.
-                let comp_goal = Constr::conj(
-                    conjunct_indices
-                        .iter()
-                        .map(|&ci| index.conjuncts[ci].clone()),
-                );
-                let comp_vars: Vec<&Quantified> =
-                    var_positions.iter().map(|&vi| &ex_vars[vi]).collect();
-                match fm_projection(solver, universals, hyp, &comp_goal, &comp_vars, &mut stats) {
-                    Some(Validity::Valid(p)) => {
-                        provenance = provenance.and(p);
-                        // A projected component has no syntactic witness.
-                        combined_witness = None;
-                    }
-                    _ => {
-                        return ExElimOutcome {
-                            validity: None,
-                            witness: None,
-                            stats,
-                        }
-                    }
-                }
-            }
-        }
+        let Some((component_witness, p)) = found else {
+            return ExElimOutcome { found: None, stats };
+        };
+        provenance = provenance.and(p);
+        witness.extend(component_witness);
     }
 
+    // The provenance of the instantiated checks carries over: witnesses
+    // validated symbolically are a *proof*.
     ExElimOutcome {
-        // The provenance of the instantiated checks carries over: witnesses
-        // validated symbolically are a *proof*.
-        validity: Some(Validity::Valid(provenance)),
-        witness: combined_witness,
+        found: Some((witness, provenance)),
         stats,
     }
 }
@@ -820,55 +783,6 @@ impl Screen {
     }
 }
 
-/// Replaces `∃ v₁…vₖ :: ℝ. component` by its FM projection and re-checks;
-/// only a `Valid` outcome is forwarded (anything else falls back to the
-/// caller's bounded numeric search).  ℕ-sorted existentials are left alone:
-/// rational projection over-approximates integer satisfiability, and proving
-/// an over-approximated goal would be unsound.
-fn fm_projection(
-    solver: &mut Solver,
-    universals: &[(IdxVar, Sort)],
-    hyp: &Constr,
-    matrix: &Constr,
-    ex_vars: &[&Quantified],
-    stats: &mut ExElimStats,
-) -> Option<Validity> {
-    if !solver.config().use_fm || ex_vars.is_empty() {
-        return None;
-    }
-    if ex_vars.iter().any(|q| q.sort != Sort::Real) {
-        return None;
-    }
-    // The projection treats the existentials as goal-local; a hypothesis
-    // mentioning one (never produced by the bidirectional rules) would
-    // change its meaning.
-    if ex_vars.iter().any(|q| hyp.mentions(&q.var)) {
-        return None;
-    }
-    let vars: Vec<IdxVar> = ex_vars.iter().map(|q| q.var.clone()).collect();
-    let limits = solver.fm_limits().clone();
-    let mut abort = None;
-    let projected = match fm::project_reals_with(matrix, &vars, &limits, &mut abort) {
-        Some(p) => p,
-        None => {
-            // A capped projection is the search's last complete move dying
-            // to a limit, not to a missing candidate: record which one.
-            if let Some((reason, limit)) = abort {
-                stats.exhausted = stats.exhausted.or(Some((reason, limit)));
-                rel_obs::event_with(reason.event_name(), limit);
-            }
-            return None;
-        }
-    };
-    let verdict = solver.entails_no_exists(universals, hyp, &projected);
-    if verdict.is_valid() {
-        solver.note_fm_projection();
-        Some(verdict)
-    } else {
-        None
-    }
-}
-
 /// Resolves candidate assignments whose terms mention other existentials
 /// of the component, in dependency order.
 ///
@@ -1141,7 +1055,10 @@ mod tests {
         let mut s = Solver::new();
         let u = nat_universals(&["n"]);
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
-        assert_eq!(out.validity, Some(Validity::proved()));
+        assert_eq!(
+            out.found.as_ref().map(|(_, p)| *p),
+            Some(Provenance::Proved)
+        );
         // Once the solver has opened `∀c` and `n = c + 1 →`, the witness
         // is in scope and found.
         let Constr::Forall(_, body) = &goal else {
@@ -1151,8 +1068,11 @@ mod tests {
             unreachable!()
         };
         let out = eliminate_existentials(&mut s, &nat_universals(&["n", "c"]), hyp, inner);
-        assert_eq!(out.validity, Some(Validity::proved()));
-        assert_eq!(out.witness.unwrap()[&IdxVar::new("i")], Idx::var("c"));
+        assert_eq!(
+            out.found.as_ref().map(|(_, p)| *p),
+            Some(Provenance::Proved)
+        );
+        assert_eq!(out.found.unwrap().0[&IdxVar::new("i")], Idx::var("c"));
     }
 
     #[test]
@@ -1177,7 +1097,7 @@ mod tests {
         assert_eq!(index.candidates[0].len(), 2);
         let mut s = Solver::new();
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
-        assert!(out.validity.is_none());
+        assert!(out.found.is_none());
         assert_eq!(out.stats.attempts, 2);
     }
 
@@ -1201,8 +1121,7 @@ mod tests {
         let hyp =
             Constr::leq(Idx::one(), Idx::var("n")).and(Constr::leq(Idx::one(), Idx::var("alpha")));
         let out = eliminate_existentials(&mut s, &u, &hyp, &goal);
-        assert!(matches!(out.validity, Some(Validity::Valid(_))));
-        let w = out.witness.unwrap();
+        let (w, _) = out.found.expect("a witness");
         assert_eq!(
             rel_index::LinExpr::of_idx(&w[&IdxVar::new("i")]),
             rel_index::LinExpr::of_idx(&(Idx::var("n") - Idx::one()))
@@ -1221,7 +1140,7 @@ mod tests {
                 .and(Constr::leq(Idx::zero(), Idx::var("t2"))),
         );
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
-        assert!(matches!(out.validity, Some(Validity::Valid(_))));
+        assert!(out.found.is_some());
     }
 
     #[test]
@@ -1237,8 +1156,7 @@ mod tests {
                 .and(Constr::leq(Idx::var("t2") + Idx::one(), Idx::var("t"))),
         );
         let out = eliminate_existentials(&mut s, &u, &hyp, &goal);
-        assert!(matches!(out.validity, Some(Validity::Valid(_))));
-        assert_eq!(out.witness.unwrap()[&IdxVar::new("t2")], Idx::var("c"));
+        assert_eq!(out.found.unwrap().0[&IdxVar::new("t2")], Idx::var("c"));
     }
 
     #[test]
@@ -1258,7 +1176,7 @@ mod tests {
             ),
         );
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
-        assert!(matches!(out.validity, Some(Validity::Valid(_))));
+        assert!(out.found.is_some());
     }
 
     #[test]
@@ -1278,9 +1196,9 @@ mod tests {
             ),
         );
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
-        assert!(matches!(out.validity, Some(Validity::Valid(_))));
+        assert!(out.found.is_some());
         assert_eq!((out.stats.unresolved, out.stats.attempts), (1, 1));
-        let w = out.witness.unwrap();
+        let (w, _) = out.found.unwrap();
         assert_eq!(w[&IdxVar::new("a")], w[&IdxVar::new("b")]);
     }
 
@@ -1299,7 +1217,7 @@ mod tests {
                 .and(Constr::eq(Idx::var("i"), Idx::var("n") + Idx::one())),
         );
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
-        assert!(out.validity.is_none());
+        assert!(out.found.is_none());
         assert!(out.stats.attempts >= 2);
         // The pool ran dry without hitting a cap: no reason is reported.
         assert_eq!(out.stats.exhausted, None);
@@ -1320,7 +1238,7 @@ mod tests {
             Constr::eq(Idx::var("i"), Idx::var("n")).and(Constr::leq(Idx::var("i"), Idx::var("n"))),
         );
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
-        assert!(out.validity.is_none());
+        assert!(out.found.is_none());
         assert_eq!(
             out.stats.exhausted,
             Some((SearchExhaustedReason::AttemptBudget, 0))
@@ -1347,8 +1265,7 @@ mod tests {
             ),
         );
         let out = eliminate_existentials(&mut s, &u, &hyp, &goal);
-        assert!(matches!(out.validity, Some(Validity::Valid(_))));
-        let w = out.witness.unwrap();
+        let (w, _) = out.found.expect("a witness");
         assert_eq!(w.len(), 2);
         // Sum, not product: each component resolves within its own list.
         assert!(out.stats.attempts <= 4, "attempts: {}", out.stats.attempts);
@@ -1368,47 +1285,12 @@ mod tests {
                 .and(Constr::leq(Idx::var("i") + Idx::one(), Idx::var("n"))),
         );
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
-        assert!(out.validity.is_none(), "no candidate can work");
+        assert!(out.found.is_none(), "no candidate can work");
         assert!(
             s.stats().exelim_candidates_pruned >= 1,
             "screen rejections must be counted: {:?}",
             s.stats()
         );
-    }
-
-    #[test]
-    fn real_component_projects_even_next_to_a_nat_component() {
-        // A ℕ component (solved by candidate substitution) alongside an
-        // all-ℝ component that only Fourier–Motzkin projection can close:
-        // the seed's whole-matrix fallback required *every* existential to
-        // be real-sorted, so this goal used to fall through to the bounded
-        // numeric search.
-        let mut s = Solver::new();
-        let u = vec![
-            (IdxVar::new("n"), Sort::Nat),
-            (IdxVar::new("c"), Sort::Real),
-            (IdxVar::new("d"), Sort::Real),
-        ];
-        let hyp = Constr::leq(Idx::one(), Idx::var("n"))
-            .and(Constr::lt(Idx::var("c") + Idx::one(), Idx::var("d")));
-        let goal = Constr::exists(
-            "i",
-            Sort::Nat,
-            Constr::exists(
-                "t",
-                Sort::Real,
-                Constr::eq(Idx::var("n"), Idx::var("i") + Idx::one())
-                    .and(Constr::lt(Idx::var("c"), Idx::var("t")))
-                    .and(Constr::lt(Idx::var("t"), Idx::var("d"))),
-            ),
-        );
-        let out = eliminate_existentials(&mut s, &u, &hyp, &goal);
-        assert!(matches!(out.validity, Some(Validity::Valid(_))));
-        assert!(s.stats().fm_projections >= 1);
-        assert_eq!(s.stats().points_evaluated, 0);
-        // The projected component has no syntactic witness, so none is
-        // reported for the combined goal.
-        assert!(out.witness.is_none());
     }
 
     // ---- differential oracle: dependency-order resolution agrees with the

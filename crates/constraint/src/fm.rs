@@ -34,11 +34,6 @@
 //! satisfies, so refutations stay sound — and it is what lets FM decide
 //! `3 ≤ n ⟹ 1 < n`-style strict obligations without a grid.
 //!
-//! The same elimination core implements exact `∃`-projection over the
-//! non-negative reals ([`project_reals`]), which `exelim` uses to discharge
-//! leftover real-sorted (cost) existentials that candidate substitution
-//! missed.
-//!
 //! **Interning and memoization.**  Rows are vectors of `(AtomId, Rational)`
 //! pairs over a per-solver atom table ([`FmMemo`]): structural atom
 //! equality, hashing, sorting and pivot bookkeeping are integer operations,
@@ -1294,129 +1289,6 @@ fn decide(
     FmOutcome::decided(FmVerdict::Proved, eliminated, None)
 }
 
-// ---------------------------------------------------------------------------
-// ∃-projection (exelim reuse)
-// ---------------------------------------------------------------------------
-
-/// Rebuilds the index-term form of a row's expression (projection output).
-fn row_to_idx(row: &Row, table: &[AtomInfo]) -> Idx {
-    let mut lin = LinExpr::constant(Extended::Finite(row.constant));
-    for (id, q) in &row.coeffs {
-        lin = lin.add(&LinExpr::atom(table[*id as usize].atom.clone()).scale(*q));
-    }
-    lin.to_idx()
-}
-
-/// Projects real-sorted existential variables out of a *conjunctive* matrix
-/// by Fourier–Motzkin elimination, returning an equivalent ∃-free
-/// constraint over the remaining atoms.
-///
-/// Exactness: over ℝ, `∃v. conjunction-of-linear-rows` is *equivalent* to
-/// the projected system (this is the textbook property of FM projection),
-/// so replacing the goal `∃v. M` by the projection neither weakens nor
-/// strengthens it.  The variables' sort bound is respected by adding
-/// `v ≥ 0` before projecting (RelCost's ℝ sort is the non-negative reals —
-/// costs).  ℕ-sorted variables are **not** projected this way: rational
-/// projection over-approximates integer satisfiability (the Omega test's
-/// dark shadow would be needed), and an over-approximated goal would be
-/// unsound to prove.
-///
-/// Returns `None` when the matrix is not a conjunction of finite-linear
-/// comparisons, a variable occurs inside an opaque atom, or limits are
-/// exceeded.
-pub fn project_reals(matrix: &Constr, vars: &[IdxVar], limits: &FmLimits) -> Option<Constr> {
-    let mut abort = None;
-    project_reals_with(matrix, vars, limits, &mut abort)
-}
-
-/// [`project_reals`] with cap attribution: when the projection fails on a
-/// *limit* (rather than a fragment mismatch), `abort` is set to the cap
-/// that fired and its configured value, so exelim can report why its last
-/// complete move died instead of a generic "no candidate worked".
-pub fn project_reals_with(
-    matrix: &Constr,
-    vars: &[IdxVar],
-    limits: &FmLimits,
-    abort: &mut Option<(SearchExhaustedReason, u64)>,
-) -> Option<Constr> {
-    // A throwaway atom table: projection is the cold path (once per failed
-    // candidate search over an all-ℝ component).
-    let mut memo = FmMemo::default();
-    // The matrix must be one conjunctive branch of comparisons.
-    let mut branches = pos_branches(matrix, limits.max_branches, &mut memo)?;
-    if branches.len() != 1 {
-        return None;
-    }
-    let mut rows = branches.pop().expect("length checked");
-    if rows.len() > limits.max_rows {
-        *abort = Some((SearchExhaustedReason::RowCap, limits.max_rows as u64));
-        return None;
-    }
-    let nat_vars = BTreeSet::new(); // no integer tightening during projection
-    for v in vars {
-        let vid = memo.intern(&Atom(Idx::Var(v.clone())));
-        // The variable must occur only as its own plain atom.
-        if rows.iter().any(|r| {
-            r.coeffs
-                .iter()
-                .any(|(id, _)| *id != vid && memo.atoms[*id as usize].atom.0.mentions(v))
-        }) {
-            return None;
-        }
-        // Domain bound of the ℝ (cost) sort.
-        rows.push(nonneg_row(vid));
-        rows = match normalize_system(rows, &memo.atoms, &nat_vars) {
-            Err(()) => return None,
-            // Infeasible matrix: ∃v. M is equivalent to ff.
-            Ok(None) => return Some(Constr::Bot),
-            Ok(Some(rows)) => rows,
-        };
-        let mut kept = Vec::new();
-        let mut lower = Vec::new();
-        let mut upper = Vec::new();
-        for mut row in rows {
-            let c = row.remove_atom(vid);
-            if c.is_zero() {
-                kept.push(row);
-            } else if c.is_negative() {
-                upper.push((row, c));
-            } else {
-                lower.push((row, c));
-            }
-        }
-        if !lower.is_empty() && !upper.is_empty() {
-            if kept.len() + lower.len() * upper.len() > limits.max_rows {
-                *abort = Some((SearchExhaustedReason::RowCap, limits.max_rows as u64));
-                return None;
-            }
-            for (lo, a) in &lower {
-                for (up, b) in &upper {
-                    let Some(combined) = combine_rows(lo, *a, up, *b) else {
-                        // Coefficient magnitude overflow: same cap family.
-                        *abort = Some((SearchExhaustedReason::RowCap, limits.max_rows as u64));
-                        return None;
-                    };
-                    kept.push(combined);
-                }
-            }
-        }
-        rows = kept;
-    }
-    let rows = match normalize_system(rows, &memo.atoms, &nat_vars) {
-        Err(()) => return None,
-        Ok(None) => return Some(Constr::Bot),
-        Ok(Some(rows)) => rows,
-    };
-    Some(Constr::conj(rows.into_iter().map(|row| {
-        let idx = row_to_idx(&row, &memo.atoms);
-        if row.strict {
-            Constr::Lt(Idx::zero(), idx)
-        } else {
-            Constr::Leq(Idx::zero(), idx)
-        }
-    })))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1658,43 +1530,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn projection_of_real_costs_is_exact() {
-        // ∃t. c ≤ t ∧ t + 1 ≤ d  projects to  c + 1 ≤ d (plus c, d ≥ 0 noise
-        // that normalization keeps only if non-trivial).
-        let t = IdxVar::new("t");
-        let matrix = Constr::leq(Idx::var("c"), Idx::var("t"))
-            .and(Constr::leq(Idx::var("t") + Idx::one(), Idx::var("d")));
-        let projected = project_reals(&matrix, &[t], &FmLimits::default()).expect("projectable");
-        // The projection must be implied by c + 1 ≤ d and imply it: check a
-        // few ground points on both sides.
-        for (c, d, expect) in [(0, 1, true), (2, 3, true), (3, 3, false), (5, 2, false)] {
-            let env =
-                rel_index::IdxEnv::from_pairs([("c", Extended::from(c)), ("d", Extended::from(d))]);
-            assert_eq!(
-                projected.eval_bounded(&env, 8),
-                expect,
-                "projection wrong at c={c}, d={d}: {projected}"
-            );
-        }
-    }
-
-    #[test]
-    fn projection_refuses_nonlinear_occurrences() {
-        let t = IdxVar::new("t");
-        let matrix = Constr::leq(Idx::half_ceil(Idx::var("t")), Idx::var("n"));
-        assert!(project_reals(&matrix, &[t], &FmLimits::default()).is_none());
-    }
-
-    #[test]
-    fn infeasible_matrices_project_to_bot() {
-        let t = IdxVar::new("t");
-        let matrix = Constr::leq(Idx::var("t") + Idx::one(), Idx::var("t"));
-        assert_eq!(
-            project_reals(&matrix, &[t], &FmLimits::default()),
-            Some(Constr::Bot)
-        );
     }
 }

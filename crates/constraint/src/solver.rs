@@ -137,7 +137,8 @@ pub struct SolveStats {
     /// counterexample — again zero grid points.
     pub fm_refuted: usize,
     /// Leftover real-sorted existentials discharged by FM projection in
-    /// `exelim` (each saved a bounded existential grid search).
+    /// `exelim`.  Nothing writes it any more: candidate search is the only
+    /// existential elimination.  Kept so readers of the stats still build.
     pub fm_projections: usize,
     /// FM queries answered from the whole-query memo (each hit skipped
     /// conversion and elimination).  Every FM run is one lookup: a hit here
@@ -549,7 +550,8 @@ pub struct Solver {
     /// gateway of `exelim`'s candidate attempts deliberately does *not*
     /// consult it — hashing a large hypothesis per attempt costs more than
     /// the cheap sweeps it would save; repeated *decide-layer* work on that
-    /// path is deduplicated by the FM layer's own query/branch memos instead.
+    /// path is deduplicated by the FM layer's own query and fact-row memos
+    /// instead.
     cache: Arc<ShardedValidityCache>,
     /// Compiled-program memo: private to this solver unless
     /// [`Solver::with_program_cache`] attached a shared one.
@@ -745,18 +747,20 @@ impl Solver {
             _ => {}
         }
 
-        if goal.existential_vars().is_empty() {
-            self.no_exists_canonical(universals, hyp, goal)
-        } else {
+        // Only an `∃` has an existential prefix to eliminate; an `∃` under
+        // `∨` or `¬` goes through `no_exists_canonical`'s per-disjunct path.
+        if let Constr::Exists(_, _) = goal {
             self.eliminate(universals, hyp, goal)
+        } else {
+            self.no_exists_canonical(universals, hyp, goal)
         }
     }
 
     /// Eliminates the existential prefix of `goal` by candidate search
-    /// ([`exelim::eliminate_existentials`]).  When no candidate works, a
-    /// fully numeric check with bounded existential search is only
-    /// affordable for a couple of leftover variables; otherwise the goal
-    /// fails as an exhausted search.
+    /// ([`exelim::eliminate_existentials`]), the one place existentials are
+    /// removed.  When no candidate assignment works the goal fails as an
+    /// exhausted search: no numeric counterexample exists, so none is
+    /// reported.
     fn eliminate(
         &mut self,
         universals: &[(IdxVar, Sort)],
@@ -764,14 +768,12 @@ impl Solver {
         goal: &Constr,
     ) -> Validity {
         let outcome = exelim::eliminate_existentials(self, universals, hyp, goal);
-        if let Some(v) = outcome.validity {
-            return v;
-        }
-        if goal.existential_vars().len() <= 2 {
-            self.numeric_check(universals, hyp, goal)
-        } else {
-            self.note_search_exhausted(outcome.stats.exhausted);
-            Validity::Invalid(None)
+        match outcome.found {
+            Some((_, p)) => Validity::Valid(p),
+            None => {
+                self.note_search_exhausted(outcome.stats.exhausted);
+                Validity::Invalid(None)
+            }
         }
     }
 
@@ -984,16 +986,6 @@ impl Solver {
                 }
             }
         })
-    }
-
-    /// Records one FM existential projection (called by `exelim`).
-    pub(crate) fn note_fm_projection(&mut self) {
-        self.stats.fm_projections += 1;
-    }
-
-    /// The FM limits in force (exelim's projection fallback shares them).
-    pub(crate) fn fm_limits(&self) -> &FmLimits {
-        &self.fm_limits
     }
 
     // ----------------------------------------------------------------------
@@ -1955,25 +1947,37 @@ mod tests {
     }
 
     #[test]
-    fn fm_projection_discharges_real_existential_bounds() {
-        // ∃t :: ℝ. c < t ∧ t < d — no syntactic candidate works (the
-        // boundaries themselves violate the strict bounds, and 0 fails
-        // c < 0), but FM projection reduces the goal to c < d ∧ 0 < d,
-        // which the hypothesis proves.
+    fn a_failed_existential_search_is_a_give_up_not_a_counterexample() {
+        // ∃i:ℕ. 100 ≤ i·i holds (i = 10), but no candidate is syntactically
+        // present.  The failed search must say it gave up: an empty
+        // environment would claim a counterexample that does not exist.
         let mut s = Solver::new();
-        let u = vec![
-            (IdxVar::new("c"), Sort::Real),
-            (IdxVar::new("d"), Sort::Real),
-        ];
-        let hyp = Constr::lt(Idx::var("c") + Idx::one(), Idx::var("d"));
         let goal = Constr::exists(
-            "t",
-            Sort::Real,
-            Constr::lt(Idx::var("c"), Idx::var("t")).and(Constr::lt(Idx::var("t"), Idx::var("d"))),
+            "i",
+            Sort::Nat,
+            Constr::leq(Idx::nat(100), Idx::var("i") * Idx::var("i")),
         );
-        assert_eq!(s.entails(&u, &hyp, &goal), Validity::proved());
-        assert!(s.stats().fm_projections >= 1);
+        assert_eq!(s.entails(&[], &Constr::Top, &goal), Validity::Invalid(None));
+        assert_eq!(s.last_refutation().source, Some(CexSource::SearchExhausted));
+        assert_eq!(s.last_refutation().env, None);
+    }
+
+    #[test]
+    fn a_failed_existential_search_is_never_grid_checked() {
+        // ∃i:ℕ. n ≤ i·i holds (i = n), but `i` occurs only inside a
+        // product, so the comparison offers no candidate.  A bounded search
+        // over `i` finds a witness at every grid point; that is not a
+        // proof, and no point is evaluated for it.
+        let mut s = Solver::new();
+        let goal = Constr::exists(
+            "i",
+            Sort::Nat,
+            Constr::leq(Idx::var("n"), Idx::var("i") * Idx::var("i")),
+        );
+        let verdict = s.entails(&nat_vars(&["n"]), &Constr::Top, &goal);
+        assert!(!verdict.is_valid(), "{verdict:?}");
         assert_eq!(s.stats().points_evaluated, 0);
+        assert_eq!(s.stats().numeric_checks, 0);
     }
 
     #[test]

@@ -7,26 +7,34 @@ use rel_suite::benchmark;
 use rel_suite::generators::{apply_spine, list_literal, random_int_list, Workload};
 use rel_syntax::{parse_program, Expr, Program};
 
-fn run_unary(def: &rel_syntax::Def, iapps: usize, items: &[i64]) -> i64 {
-    let call = apply_spine(def.left.clone(), iapps, list_literal(items));
-    eval(&call, &Env::new()).unwrap().cost as i64
-}
-
 #[test]
 fn structure_synchronous_functions_have_zero_relative_cost() {
-    // suml and rev traverse the spine only: two runs on lists differing in
-    // value (not length) cost exactly the same — the typed bound 0.
-    for (bench_name, def_name, iapps) in [("appSum", "suml", 2usize), ("rev", "append", 2)] {
+    // suml, append and rev traverse the spine only: two runs on lists
+    // differing in value (not length) cost exactly the same — the typed
+    // bound 0.  rev calls append, so every call runs against its program's
+    // definitions.
+    for (bench_name, def_name) in [("appSum", "suml"), ("rev", "append"), ("rev", "rev")] {
         let program = parse_program(benchmark(bench_name).unwrap().source).unwrap();
-        let def = program.def(def_name).unwrap();
+        let env = program_env(&program);
+        let body = program.def(def_name).unwrap().left.clone();
+        let run = |items: &[i64]| {
+            let call = if def_name == "append" {
+                // append () [] [] l1 [] [] l2 on the list's two halves.
+                let (l1, l2) = items.split_at(items.len() / 2);
+                apply_spine(body.clone(), 2, list_literal(l1))
+                    .iapp()
+                    .iapp()
+                    .app(list_literal(l2))
+            } else {
+                apply_spine(body.clone(), 2, list_literal(items))
+            };
+            cost_in(&env, &call)
+        };
         for seed in 0..5u64 {
             let w = Workload::generate(24, 6, seed);
-            if def_name == "append" {
-                // append takes two lists; apply to the pair (left, right-half).
-                continue;
-            }
-            let d = (run_unary(def, iapps, &w.left) - run_unary(def, iapps, &w.right)).abs();
-            assert_eq!(d, 0, "{bench_name}/{def_name} seed {seed}");
+            let (left, right) = (run(&w.left), run(&w.right));
+            assert!(left > 0, "{bench_name}/{def_name} seed {seed}: no cost");
+            assert_eq!(left, right, "{bench_name}/{def_name} seed {seed}");
         }
     }
 }
