@@ -12,7 +12,9 @@
 //!                                  verdict: phase breakdown, where the time
 //!                                  went, and — for grid-backed verdicts —
 //!                                  which binding cap exhausted the
-//!                                  existential search
+//!                                  existential search, and per def how
+//!                                  many existentials the one-point rule
+//!                                  defined and how many were searched
 //! birelcost validate-metrics FILE  check a --metrics-out dump against the
 //!                                  documented schema (exit 1 on drift)
 //! birelcost table1                 re-run the Table-1 benchmark suite
@@ -741,8 +743,9 @@ impl PhaseRows {
 
 /// `birelcost explain NAME`: re-checks one bundled benchmark with the span
 /// recorder armed and narrates the verdict from what was actually recorded —
-/// the phase tree, where the wall clock went, and which binding cap (if any)
-/// exhausted the existential search and forced the grid fallback.
+/// the phase tree, where the wall clock went, which binding cap (if any)
+/// exhausted the existential search and forced the grid fallback, and how
+/// many existentials the one-point rule defined and the search handled.
 fn explain(name: &str) -> ExitCode {
     let Some(bench) = all_benchmarks().into_iter().find(|b| b.name == name) else {
         eprintln!("birelcost explain: no bundled benchmark named `{name}` (see `birelcost list`)");
@@ -837,22 +840,41 @@ fn explain(name: &str) -> ExitCode {
             }
         }
     }
-    // Assignments the search skipped as unresolvable, per definition: the
-    // defs are checked in order on this thread, one `engine.check_def` span
-    // each, so every `exelim.unresolved` instant belongs to the latest one.
+    // Per definition: assignments the search skipped as unresolvable,
+    // existentials the one-point rule defined, and existentials handed to
+    // the candidate search (each component span carries its variable
+    // count).  The defs are checked in order on this thread, one
+    // `engine.check_def` span each, so every event belongs to the latest
+    // one.
     let mut skipped = vec![0u64; report.defs.len()];
+    let mut defined = vec![0u64; report.defs.len()];
+    let mut searched = vec![0u64; report.defs.len()];
     let mut current = None;
     for e in &events {
-        match (e.kind, e.name) {
+        let counter = match (e.kind, e.name) {
             (rel_obs::EventKind::Begin, "engine.check_def") => {
                 current = Some(current.map_or(0, |d: usize| d + 1));
+                continue;
             }
-            (rel_obs::EventKind::Instant, "exelim.unresolved") => {
-                if let Some(slot) = current.and_then(|d| skipped.get_mut(d)) {
-                    *slot += e.arg;
-                }
-            }
-            _ => {}
+            (rel_obs::EventKind::Instant, "exelim.unresolved") => &mut skipped,
+            (rel_obs::EventKind::Instant, "exelim.defined") => &mut defined,
+            (rel_obs::EventKind::Begin, "exelim.component") => &mut searched,
+            _ => continue,
+        };
+        if let Some(slot) = current.and_then(|d| counter.get_mut(d)) {
+            *slot += e.arg;
+        }
+    }
+    if defined.iter().chain(&searched).any(|&n| n > 0) {
+        println!(
+            "
+existentials (recorded exelim events):"
+        );
+        for ((def, defined), searched) in report.defs.iter().zip(&defined).zip(&searched) {
+            println!(
+                "  {:<12} {defined:>4} defined by the one-point rule, {searched:>4} searched",
+                def.name
+            );
         }
     }
     for (def, skipped) in report.defs.iter().zip(skipped) {

@@ -25,10 +25,20 @@
 //! binder would be renamed away from it — and is dropped before it costs
 //! an attempt.
 //!
+//! **The one-point rule.**  Before any candidate is searched, the prefix
+//! existentials the matrix already defines are removed:
+//! `∃x.(x = e ∧ R) ⟺ R[e/x]`.  A top-level equality conjunct (flattened
+//! through `∧` only) that solves for `x` as a term `e` over universals
+//! defines `x := e`; definitions chain, and one substitution applies them
+//! all.  A defined variable joins the witness map and spends no attempt:
+//! any candidate that could work must equal `e` under the hypothesis
+//! anyway.  The `exelim.defined` event records how many each run removed.
+//!
 //! **The indexed search.**  The search works off a `MatrixIndex` built in
 //! one pass: the matrix's top-level conjuncts, each with its existential
 //! footprint (the prefix existentials it mentions), candidates collected
-//! per conjunct.  Because `∃x⃗.(A ∧ B) ⟺ (∃x⃗₁.A) ∧ (∃x⃗₂.B)` when `A` and
+//! per conjunct, each comparison linearized once for all the variables it
+//! mentions.  Because `∃x⃗.(A ∧ B) ⟺ (∃x⃗₁.A) ∧ (∃x⃗₂.B)` when `A` and
 //! `B` mention disjoint variable sets, the conjuncts partition into
 //! **connected components** solved independently — the cross product of
 //! candidate lists collapses into a sum of small per-component searches,
@@ -56,15 +66,15 @@
 //! `exelim_candidates_pruned`.  The table lives for one search only;
 //! per-candidate verdicts never reach the verdict caches.
 //!
-//! **One exit.**  This search is the only way a goal's existentials are
-//! removed.  A goal is valid when every component finds a witness; when
-//! one component's search fails, no other layer retries the goal, and the
-//! solver reports the failure as an exhausted search rather than as a
-//! counterexample.
+//! **One exit.**  The one-point rule and this search are the only ways a
+//! goal's existentials are removed.  A goal is valid when every component
+//! finds a witness; when one component's search fails, no other layer
+//! retries the goal, and the solver reports the failure as an exhausted
+//! search rather than as a counterexample.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use rel_index::{Idx, IdxVar, Sort};
+use rel_index::{Atom, Idx, IdxVar, LinExpr, Rational, Sort};
 
 use crate::constr::{Constr, Quantified};
 use crate::solver::{Provenance, SearchExhaustedReason, Solver, Validity};
@@ -74,6 +84,9 @@ use crate::solver::{Provenance, SearchExhaustedReason, Solver, Validity};
 pub struct ExElimStats {
     /// Number of existential variables eliminated.
     pub variables: usize,
+    /// How many of them the one-point rule defined (no attempt spent);
+    /// the rest went to the candidate search.
+    pub defined: usize,
     /// Number of complete candidate assignments tried.
     pub attempts: usize,
     /// Number of candidate assignments skipped before any term was built:
@@ -129,30 +142,40 @@ fn strip_existentials(c: &Constr) -> (Constr, Vec<Quantified>) {
     }
 }
 
-/// Collects candidate substitutions for `v` from atomic comparisons in the
-/// formula: `v = I`, `v ≤ I` and `I ≤ v` each contribute `I` (paper §6,
-/// "Constraint solving").  The variable may occur *linearly inside* the
-/// comparison (the consC rule produces `n ≐ i + 1` for existential `i`), in
-/// which case the comparison is solved for `v`.  Candidates mentioning `v`
-/// itself are skipped.
-fn candidates_for(v: &IdxVar, c: &Constr, acc: &mut Vec<Idx>) {
+/// Collects candidate substitutions from the atomic comparisons of `c`:
+/// `v = I`, `v ≤ I` and `I ≤ v` each contribute `I` for `v` (paper §6,
+/// "Constraint solving").  `vars` are the variables wanted, each with the
+/// index of its list in `terms`.  The variable may occur *linearly inside*
+/// the comparison (the consC rule produces `n ≐ i + 1` for existential
+/// `i`), in which case the comparison is solved for it.  Each comparison
+/// that mentions a wanted variable is linearized once and solved for every
+/// one of them; a comparison that mentions none is skipped unlinearized.
+/// Per variable, candidates arrive in traversal order, as a separate walk
+/// per variable would find them.
+fn collect_candidates(c: &Constr, vars: &[(&IdxVar, usize)], terms: &mut [Vec<Idx>]) {
     match c {
         Constr::Eq(a, b) | Constr::Leq(a, b) | Constr::Lt(a, b) => {
-            if let Some(solution) = solve_linear_for(v, a, b) {
-                push_unique(acc, solution);
+            if !vars.iter().any(|(v, _)| a.mentions(v) || b.mentions(v)) {
+                return;
+            }
+            let diff = linearize(a, b);
+            for &(v, vi) in vars {
+                if let Some(solution) = solve_for(v, &diff) {
+                    push_unique(&mut terms[vi], solution);
+                }
             }
         }
         Constr::And(cs) | Constr::Or(cs) => {
             for c in cs {
-                candidates_for(v, c, acc);
+                collect_candidates(c, vars, terms);
             }
         }
-        Constr::Not(c) => candidates_for(v, c, acc),
+        Constr::Not(c) => collect_candidates(c, vars, terms),
         Constr::Implies(a, b) => {
-            candidates_for(v, a, acc);
-            candidates_for(v, b, acc);
+            collect_candidates(a, vars, terms);
+            collect_candidates(b, vars, terms);
         }
-        Constr::Forall(_, c) | Constr::Exists(_, c) => candidates_for(v, c, acc),
+        Constr::Forall(_, c) | Constr::Exists(_, c) => collect_candidates(c, vars, terms),
         Constr::Top | Constr::Bot => {}
     }
 }
@@ -164,18 +187,19 @@ fn push_unique(acc: &mut Vec<Idx>, idx: Idx) {
     }
 }
 
-/// Solves the comparison `a ⋈ b` for `v` when `v` occurs linearly (as the
-/// plain atom `v`) on exactly one "side" of the linear normal form of
-/// `a − b`: returns the boundary value of `v`, i.e. the term `I` such that the
-/// comparison instantiated with `v := I` makes the two sides equal.
-fn solve_linear_for(v: &IdxVar, a: &Idx, b: &Idx) -> Option<Idx> {
-    use rel_index::{Atom, LinExpr};
-    let diff = LinExpr::of_idx(a).sub(&LinExpr::of_idx(b));
+/// The linear normal form of `a − b`, the one shape every comparison
+/// `a ⋈ b` is solved in.
+fn linearize(a: &Idx, b: &Idx) -> LinExpr {
+    LinExpr::of_idx(a).sub(&LinExpr::of_idx(b))
+}
+
+/// Solves the linearized comparison `diff ⋈ 0` for `v` when `v` occurs
+/// linearly (as the plain atom `v`) in `diff`: returns the boundary value of
+/// `v`, i.e. the term `I` such that the comparison instantiated with
+/// `v := I` makes the two sides equal.
+fn solve_for(v: &IdxVar, diff: &LinExpr) -> Option<Idx> {
     let v_atom = Atom(Idx::Var(v.clone()));
     let coeff = *diff.coeffs.get(&v_atom)?;
-    if coeff.is_zero() {
-        return None;
-    }
     // The variable must not be buried inside any other (non-linear) atom.
     if diff
         .coeffs
@@ -187,14 +211,86 @@ fn solve_linear_for(v: &IdxVar, a: &Idx, b: &Idx) -> Option<Idx> {
     // diff = coeff·v + rest = 0  ⟹  v = −rest / coeff.
     let mut rest = diff.clone();
     rest.coeffs.remove(&v_atom);
-    let solution = rest
-        .scale(rel_index::Rational::from_int(-1) / coeff)
-        .to_idx();
+    let solution = rest.scale(Rational::from_int(-1) / coeff).to_idx();
     if solution.mentions(v) {
         None
     } else {
         Some(solution)
     }
+}
+
+/// The one-point rule, `∃x.(x = e ∧ R) ⟺ R[e/x]`, applied to the prefix
+/// `ex_vars` of `matrix` before any candidate is searched.  The defining
+/// equalities are the matrix's top-level `Eq` conjuncts (flattened through
+/// `∧` only: an equality under `→` holds only under its antecedent).  One
+/// that solves for a prefix existential `x` as a term `e` over universals
+/// only defines `x := e`; `e` is substituted into the pending equalities and
+/// the pass repeats until nothing changes, so chains (`a = n`,
+/// `b = a + 1`) resolve.  Returns the definitions and the existentials left
+/// for the search.
+///
+/// This loses no witness: any candidate that works must equal `e` under
+/// the hypothesis, since the equality is a conjunct.  The defining
+/// equalities stay in the matrix (as `e = e` once substituted), so they are
+/// still decided.  Witness sorts are unchecked here, as in the search.
+fn one_point(
+    matrix: &Constr,
+    ex_vars: &[Quantified],
+    universals: &[(IdxVar, Sort)],
+) -> (BTreeMap<IdxVar, Idx>, Vec<Quantified>) {
+    fn top_level_equalities(c: &Constr, out: &mut Vec<(Idx, Idx)>) {
+        match c {
+            Constr::And(cs) => cs.iter().for_each(|c| top_level_equalities(c, out)),
+            Constr::Eq(a, b) => out.push((a.clone(), b.clone())),
+            _ => {}
+        }
+    }
+    let mut remaining = ex_vars.to_vec();
+    let mut defined = BTreeMap::new();
+    let mut pending = Vec::new();
+    top_level_equalities(matrix, &mut pending);
+    let mentions_any = |remaining: &[Quantified], (a, b): &(Idx, Idx)| {
+        remaining
+            .iter()
+            .any(|q| a.mentions(&q.var) || b.mentions(&q.var))
+    };
+    let over_universals = |e: &Idx| {
+        e.free_vars()
+            .iter()
+            .all(|w| universals.iter().any(|(u, _)| u == w))
+    };
+    let mut changed = true;
+    while changed {
+        changed = false;
+        pending.retain(|eq| mentions_any(&remaining, eq));
+        let mut k = 0;
+        while k < pending.len() {
+            let diff = linearize(&pending[k].0, &pending[k].1);
+            let definition = remaining.iter().enumerate().find_map(|(i, q)| {
+                solve_for(&q.var, &diff)
+                    .map(|e| rel_index::normalize(&e))
+                    .filter(over_universals)
+                    .map(|e| (i, e))
+            });
+            let Some((i, e)) = definition else {
+                k += 1;
+                continue;
+            };
+            pending.remove(k);
+            let x = remaining.remove(i).var;
+            for (a, b) in &mut pending {
+                if a.mentions(&x) {
+                    *a = a.subst(&x, &e);
+                }
+                if b.mentions(&x) {
+                    *b = b.subst(&x, &e);
+                }
+            }
+            defined.insert(x, e);
+            changed = true;
+        }
+    }
+    (defined, remaining)
 }
 
 /// One candidate substitution for an existential variable.
@@ -244,10 +340,11 @@ struct MatrixIndex {
 impl MatrixIndex {
     /// One pass over the matrix: flatten the conjunctive spine, compute each
     /// conjunct's existential footprint from its free variables, and collect
-    /// candidates conjunct by conjunct (the seed re-scanned the *whole*
-    /// matrix once per variable — quadratic in practice, since every
-    /// divide-and-conquer obligation has dozens of conjuncts and a dozen
-    /// existentials).
+    /// candidates conjunct by conjunct, each comparison linearized at most
+    /// once for all the footprint variables it mentions (the seed re-scanned
+    /// the *whole* matrix once per variable — quadratic in practice, since
+    /// every divide-and-conquer obligation has dozens of conjuncts and a
+    /// dozen existentials).
     ///
     /// A candidate is kept only when every variable it mentions is in scope
     /// at the prefix — a universal or a prefix existential.  Comparisons
@@ -270,31 +367,29 @@ impl MatrixIndex {
             .map(|(i, q)| (&q.var, i))
             .collect();
         let mut terms: Vec<Vec<Idx>> = vec![Vec::new(); ex_vars.len()];
+        // The variables of `vars` in scope at the prefix, each with its
+        // position.
+        let wanted = |vars: BTreeSet<IdxVar>| -> Vec<(&IdxVar, usize)> {
+            vars.iter()
+                .filter_map(|v| positions.get_key_value(v).map(|(&v, &vi)| (v, vi)))
+                .collect()
+        };
         let footprints = conjuncts
             .iter()
             .map(|conjunct| {
-                let mut footprint = Vec::new();
-                for v in &conjunct.free_vars() {
-                    if let Some(&vi) = positions.get(v) {
-                        footprint.push(vi);
-                        candidates_for(v, conjunct, &mut terms[vi]);
-                    }
-                }
-                footprint
+                let vars = wanted(conjunct.free_vars());
+                collect_candidates(conjunct, &vars, &mut terms);
+                vars.into_iter().map(|(_, vi)| vi).collect()
             })
             .collect();
         // Hypothesis candidates (the bidirectional rules never leak
         // existentials into the context, but direct callers can) and the
         // zero default — a frequent witness for cost variables (synchronous
         // executions).
-        let hyp_fv = hyp.free_vars();
+        collect_candidates(hyp, &wanted(hyp.free_vars()), &mut terms);
         let candidates = terms
             .into_iter()
-            .zip(ex_vars)
-            .map(|(mut terms, q)| {
-                if hyp_fv.contains(&q.var) {
-                    candidates_for(&q.var, hyp, &mut terms);
-                }
+            .map(|mut terms| {
                 push_unique(&mut terms, Idx::zero());
                 // Prefer syntactically small candidates (ground constants
                 // resolve most size variables immediately; the lazy search
@@ -397,13 +492,19 @@ pub fn eliminate_existentials(
 ) -> ExElimOutcome {
     let (matrix, ex_vars) = strip_existentials(goal);
     let _span = rel_obs::span_with("exelim.eliminate", ex_vars.len() as u64);
+    let (defined, ex_vars) = one_point(&matrix, &ex_vars, universals);
     let mut stats = ExElimStats {
-        variables: ex_vars.len(),
+        variables: defined.len() + ex_vars.len(),
+        defined: defined.len(),
         ..ExElimStats::default()
     };
+    if !defined.is_empty() {
+        rel_obs::event_with("exelim.defined", defined.len() as u64);
+    }
+    let matrix = matrix.subst_all(&defined);
     if ex_vars.is_empty() {
         let found = match solver.entails_no_exists(universals, hyp, &matrix) {
-            Validity::Valid(p) => Some((BTreeMap::new(), p)),
+            Validity::Valid(p) => Some((defined, p)),
             Validity::Invalid(_) => None,
         };
         return ExElimOutcome { found, stats };
@@ -432,7 +533,7 @@ pub fn eliminate_existentials(
     }
 
     let max_attempts = solver.config().max_exelim_attempts;
-    let mut witness = BTreeMap::new();
+    let mut witness = defined;
     for (var_positions, conjunct_indices) in components {
         let _comp_span = rel_obs::span_with("exelim.component", var_positions.len() as u64);
         let unresolved_before = stats.unresolved;
@@ -1014,6 +1115,12 @@ mod tests {
         names.iter().map(|n| (IdxVar::new(*n), Sort::Nat)).collect()
     }
 
+    /// `a ≤ b ∧ b ≤ a`: an equality in effect, but not one the one-point
+    /// rule reads, so its variables reach the candidate search.
+    fn pinned(a: Idx, b: Idx) -> Constr {
+        Constr::leq(a.clone(), b.clone()).and(Constr::leq(b, a))
+    }
+
     #[test]
     fn strip_collects_nested_existentials() {
         let c = Constr::exists(
@@ -1163,20 +1270,28 @@ mod tests {
     fn chained_candidates_resolve_mutually() {
         let mut s = Solver::new();
         let u = nat_universals(&["n"]);
-        // ∃ a b. a = b + 1 ∧ b = n ∧ a ≤ n + 1
+        // ∃ a b. a ≐ b + 1 ∧ b ≐ n ∧ a ≤ n + 1, each `≐` a `≤`/`≥` pair
+        // so that the one-point rule leaves both variables to the search,
+        // which resolves a := b + 1 through b := n.
         let goal = Constr::exists(
             "a",
             Sort::Nat,
             Constr::exists(
                 "b",
                 Sort::Nat,
-                Constr::eq(Idx::var("a"), Idx::var("b") + Idx::one())
-                    .and(Constr::eq(Idx::var("b"), Idx::var("n")))
+                pinned(Idx::var("a"), Idx::var("b") + Idx::one())
+                    .and(pinned(Idx::var("b"), Idx::var("n")))
                     .and(Constr::leq(Idx::var("a"), Idx::var("n") + Idx::one())),
             ),
         );
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
-        assert!(out.found.is_some());
+        assert_eq!(out.stats.defined, 0);
+        let (w, _) = out.found.expect("a witness");
+        assert_eq!(w[&IdxVar::new("b")], Idx::var("n"));
+        assert_eq!(
+            LinExpr::of_idx(&w[&IdxVar::new("a")]),
+            LinExpr::of_idx(&(Idx::var("n") + Idx::one()))
+        );
     }
 
     #[test]
@@ -1209,12 +1324,13 @@ mod tests {
             ..SolveConfig::default()
         });
         let u = nat_universals(&["n"]);
-        // ∃ i. i = n ∧ i = n + 1  — no candidate can satisfy both.
+        // ∃ i. n ≤ i ≤ n ∧ n + 1 ≤ i ≤ n + 1  — no candidate can satisfy
+        // both, and no top-level equality defines `i`, so the search runs.
         let goal = Constr::exists(
             "i",
             Sort::Nat,
-            Constr::eq(Idx::var("i"), Idx::var("n"))
-                .and(Constr::eq(Idx::var("i"), Idx::var("n") + Idx::one())),
+            pinned(Idx::var("i"), Idx::var("n"))
+                .and(pinned(Idx::var("i"), Idx::var("n") + Idx::one())),
         );
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
         assert!(out.found.is_none());
@@ -1232,11 +1348,7 @@ mod tests {
         let u = nat_universals(&["n"]);
         // Solvable (i := n), but the zero budget exhausts the component
         // search before the first candidate is tried.
-        let goal = Constr::exists(
-            "i",
-            Sort::Nat,
-            Constr::eq(Idx::var("i"), Idx::var("n")).and(Constr::leq(Idx::var("i"), Idx::var("n"))),
-        );
+        let goal = Constr::exists("i", Sort::Nat, pinned(Idx::var("i"), Idx::var("n")));
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
         assert!(out.found.is_none());
         assert_eq!(
@@ -1254,17 +1366,20 @@ mod tests {
         let u = nat_universals(&["n", "m"]);
         let hyp =
             Constr::leq(Idx::one(), Idx::var("n")).and(Constr::leq(Idx::nat(2), Idx::var("m")));
+        // `n ≤ i + 1 ≤ n` and `m ≤ b + 2 ≤ m`: no equality, so the
+        // one-point rule leaves both to the search.
         let goal = Constr::exists(
             "i",
             Sort::Nat,
             Constr::exists(
                 "b",
                 Sort::Nat,
-                Constr::eq(Idx::var("n"), Idx::var("i") + Idx::one())
-                    .and(Constr::eq(Idx::var("m"), Idx::var("b") + Idx::nat(2))),
+                pinned(Idx::var("n"), Idx::var("i") + Idx::one())
+                    .and(pinned(Idx::var("m"), Idx::var("b") + Idx::nat(2))),
             ),
         );
         let out = eliminate_existentials(&mut s, &u, &hyp, &goal);
+        assert_eq!(out.stats.defined, 0);
         let (w, _) = out.found.expect("a witness");
         assert_eq!(w.len(), 2);
         // Sum, not product: each component resolves within its own list.
@@ -1274,14 +1389,16 @@ mod tests {
     #[test]
     fn screen_rejects_doomed_candidates_without_solver_calls() {
         // Every candidate for `i` instantiates the goal to something false
-        // at a small grid point (i = n forces n + 1 <= n), so the screen
+        // at a small grid point (n ≤ i forces n + 1 <= n), so the screen
         // rejects them at evaluation cost and the pruned counter records it.
+        // `n ≤ i` is no equality, so the one-point rule leaves `i` to the
+        // search.
         let mut s = Solver::new();
         let u = nat_universals(&["n"]);
         let goal = Constr::exists(
             "i",
             Sort::Nat,
-            Constr::eq(Idx::var("i"), Idx::var("n"))
+            Constr::leq(Idx::var("n"), Idx::var("i"))
                 .and(Constr::leq(Idx::var("i") + Idx::one(), Idx::var("n"))),
         );
         let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
@@ -1752,6 +1869,136 @@ mod tests {
             (Some(witness), 2)
         );
         assert_eq!(oracle.stats().queries, 2);
+    }
+
+    // ---- the one-point rule ----
+
+    #[test]
+    fn one_point_defines_a_witness_without_attempts() {
+        // ∃ i. n = i + 1 ∧ i ≤ n, given 1 ≤ n: the equality defines
+        // i := n − 1, and no candidate is tried.
+        let mut s = Solver::new();
+        let u = nat_universals(&["n"]);
+        let goal = Constr::exists(
+            "i",
+            Sort::Nat,
+            Constr::eq(Idx::var("n"), Idx::var("i") + Idx::one())
+                .and(Constr::leq(Idx::var("i"), Idx::var("n"))),
+        );
+        let hyp = Constr::leq(Idx::one(), Idx::var("n"));
+        let out = eliminate_existentials(&mut s, &u, &hyp, &goal);
+        let (w, p) = out.found.expect("a witness");
+        assert_eq!(p, Provenance::Proved);
+        assert_eq!(
+            LinExpr::of_idx(&w[&IdxVar::new("i")]),
+            LinExpr::of_idx(&(Idx::var("n") - Idx::one()))
+        );
+        assert_eq!((out.stats.defined, out.stats.attempts), (1, 0));
+        assert_eq!(s.stats().exelim_attempts, 0);
+    }
+
+    #[test]
+    fn one_point_definitions_chain() {
+        // ∃ b a. b = a + 1 ∧ a = n ∧ b ≤ n + 1: `b`'s equality names the
+        // existential `a` until `a := n` is substituted into it.
+        let mut s = Solver::new();
+        let u = nat_universals(&["n"]);
+        let goal = Constr::exists(
+            "b",
+            Sort::Nat,
+            Constr::exists(
+                "a",
+                Sort::Nat,
+                Constr::eq(Idx::var("b"), Idx::var("a") + Idx::one())
+                    .and(Constr::eq(Idx::var("a"), Idx::var("n")))
+                    .and(Constr::leq(Idx::var("b"), Idx::var("n") + Idx::one())),
+            ),
+        );
+        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        let (w, _) = out.found.expect("a witness");
+        assert_eq!(w[&IdxVar::new("a")], Idx::var("n"));
+        assert_eq!(
+            LinExpr::of_idx(&w[&IdxVar::new("b")]),
+            LinExpr::of_idx(&(Idx::var("n") + Idx::one()))
+        );
+        assert_eq!((out.stats.defined, out.stats.attempts), (2, 0));
+    }
+
+    #[test]
+    fn an_equality_under_an_implication_defines_nothing() {
+        // 1 ≤ n → ∃ i. i = n: the `∃` is hoisted, but its equality holds
+        // only under the antecedent, so the search decides `i`.
+        let mut s = Solver::new();
+        let u = nat_universals(&["n"]);
+        let goal = Constr::leq(Idx::one(), Idx::var("n")).implies(Constr::exists(
+            "i",
+            Sort::Nat,
+            Constr::eq(Idx::var("i"), Idx::var("n")),
+        ));
+        let (matrix, vars) = strip_existentials(&goal);
+        assert_eq!(vars.len(), 1);
+        assert!(one_point(&matrix, &vars, &u).0.is_empty());
+        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        assert!(out.found.is_some());
+        assert_eq!(out.stats.defined, 0);
+        assert!(out.stats.attempts >= 1);
+    }
+
+    #[test]
+    fn an_equality_naming_another_existential_is_left_to_the_search() {
+        // ∃ x y. x = y + 1 ∧ n ≤ y ≤ n: solved for either variable, the
+        // equality names the other existential, and nothing defines `y`.
+        let mut s = Solver::new();
+        let u = nat_universals(&["n"]);
+        let goal = Constr::exists(
+            "x",
+            Sort::Nat,
+            Constr::exists(
+                "y",
+                Sort::Nat,
+                Constr::eq(Idx::var("x"), Idx::var("y") + Idx::one())
+                    .and(Constr::leq(Idx::var("n"), Idx::var("y")))
+                    .and(Constr::leq(Idx::var("y"), Idx::var("n"))),
+            ),
+        );
+        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        assert_eq!(out.stats.defined, 0);
+        assert!(out.stats.attempts >= 1);
+        let (w, _) = out.found.expect("a witness");
+        assert_eq!(
+            LinExpr::of_idx(&w[&IdxVar::new("x")]),
+            LinExpr::of_idx(&(Idx::var("n") + Idx::one()))
+        );
+    }
+
+    #[test]
+    fn a_definition_is_not_captured_by_a_shadowing_binder() {
+        // ∃ i. i = c ∧ ∀c. c ≤ i, given c = 0: `i := c` names the universal
+        // `c`, which the inner `∀c` shadows.  Substituted without capture,
+        // the conjunct reads ∀c'. c' ≤ c and is false; captured, it would
+        // read ∀c. c ≤ c and hold.
+        let u = nat_universals(&["c"]);
+        let goal = Constr::exists(
+            "i",
+            Sort::Nat,
+            Constr::eq(Idx::var("i"), Idx::var("c")).and(Constr::forall(
+                "c",
+                Sort::Nat,
+                Constr::leq(Idx::var("c"), Idx::var("i")),
+            )),
+        );
+        let (matrix, vars) = strip_existentials(&goal);
+        let (defined, rest) = one_point(&matrix, &vars, &u);
+        assert!(rest.is_empty());
+        assert_eq!(defined[&IdxVar::new("i")], Idx::var("c"));
+        assert!(matrix
+            .subst_all(&defined)
+            .free_vars()
+            .contains(&IdxVar::new("c")));
+        let hyp = Constr::eq(Idx::var("c"), Idx::zero());
+        let out = eliminate_existentials(&mut Solver::new(), &u, &hyp, &goal);
+        assert!(out.found.is_none());
+        assert_eq!((out.stats.defined, out.stats.attempts), (1, 0));
     }
 
     #[test]

@@ -21,9 +21,12 @@
 //!    feature, which only dev-dependencies enable.
 //!
 //! Before either layer runs, each query — and each conjunct, implication
-//! body and ∀-body it decomposes into — is looked up in the solver's one
-//! verdict memo, a [`ShardedValidityCache`]: private to the solver unless
-//! [`Solver::with_cache`] attaches one shared across solvers.
+//! body and ∀-body it decomposes into — is looked up in the verdict cache
+//! that [`Solver::with_cache`] attached, a [`ShardedValidityCache`] shared
+//! across solvers.  A cold solver holds no verdict memo: within one check
+//! the instance table of [`crate::exelim`] and the FM memos already absorb
+//! the repeats, and a private memo answered too few lookups to pay for
+//! hashing every query.
 //!
 //! Verdicts carry **provenance**: [`Validity::Valid`] records whether the
 //! obligation was *proved* (sound over the unbounded domain) or merely
@@ -161,11 +164,12 @@ pub struct SolveStats {
     pub points_evaluated: usize,
     /// Candidate substitutions attempted during existential elimination.
     pub exelim_attempts: usize,
-    /// Verdict-memo lookups answered from the solver's one verdict memo
-    /// (the shared validity cache when attached, else its private one).
+    /// Lookups answered from the attached shared validity cache (always 0
+    /// on a solver without one: a cold solver holds no verdict memo).
     pub cache_hits: usize,
-    /// Verdict-memo lookups that missed (the verdict was computed and
-    /// stored).  Hits plus misses are the non-trivial `queries`.
+    /// Lookups in the attached validity cache that missed (the verdict was
+    /// computed and stored).  With a cache attached, hits plus misses are
+    /// the non-trivial `queries`; without one, both stay 0.
     pub cache_misses: usize,
     /// Numeric queries lowered to bytecode (program-cache misses).
     pub programs_compiled: usize,
@@ -544,15 +548,14 @@ pub struct Solver {
     /// `config.fingerprint()`, computed once — it is on the cache hot path.
     config_fingerprint: u64,
     stats: SolveStats,
-    /// Verdict memo over canonical query keys, consulted at every
-    /// structural decomposition level: private to this solver unless
-    /// [`Solver::with_cache`] attached a shared one.  The `entails_no_exists`
-    /// gateway of `exelim`'s candidate attempts deliberately does *not*
-    /// consult it — hashing a large hypothesis per attempt costs more than
-    /// the cheap sweeps it would save; repeated *decide-layer* work on that
-    /// path is deduplicated by the FM layer's own query and fact-row memos
-    /// instead.
-    cache: Arc<ShardedValidityCache>,
+    /// The shared verdict cache [`Solver::with_cache`] attached, consulted
+    /// at every structural decomposition level; `None` on a cold solver,
+    /// which memoizes no verdicts.  The `entails_no_exists` gateway of
+    /// `exelim`'s candidate attempts deliberately does *not* consult it —
+    /// hashing a large hypothesis per attempt costs more than the cheap
+    /// sweeps it would save; repeated *decide-layer* work on that path is
+    /// deduplicated by the FM layer's own query and fact-row memos instead.
+    cache: Option<Arc<ShardedValidityCache>>,
     /// Compiled-program memo: private to this solver unless
     /// [`Solver::with_program_cache`] attached a shared one.
     programs: Arc<SharedProgramCache>,
@@ -587,10 +590,7 @@ impl Solver {
             config_fingerprint: config.fingerprint(),
             config,
             stats: SolveStats::default(),
-            cache: Arc::new(ShardedValidityCache::with_shards_and_capacity(
-                1,
-                Self::PRIVATE_VERDICT_CAP,
-            )),
+            cache: None,
             programs: Arc::new(SharedProgramCache::with_shards_and_capacity(
                 1,
                 Self::PRIVATE_PROGRAM_CAP,
@@ -602,24 +602,19 @@ impl Solver {
         }
     }
 
-    /// Entry cap of a solver's private verdict memo (one shard, cleared
-    /// wholesale when full).
-    const PRIVATE_VERDICT_CAP: usize = 16_384;
-
-    /// Replaces the solver's private verdict memo with a shared validity
-    /// cache, consulted before every entailment query (including the
-    /// structural sub-queries `entails` decomposes into) and populated with
-    /// every verdict computed.  Sound because the solver is deterministic:
-    /// its randomized numeric layer runs from a fixed seed.
+    /// Attaches a shared validity cache, consulted before every entailment
+    /// query (including the structural sub-queries `entails` decomposes
+    /// into) and populated with every verdict computed.  Sound because the
+    /// solver is deterministic: its randomized numeric layer runs from a
+    /// fixed seed.
     pub fn with_cache(mut self, cache: Arc<ShardedValidityCache>) -> Solver {
-        self.cache = cache;
+        self.cache = Some(cache);
         self
     }
 
-    /// The solver's verdict memo: the attached shared cache, or its
-    /// private one.
-    pub fn cache(&self) -> &Arc<ShardedValidityCache> {
-        &self.cache
+    /// The attached shared validity cache, if any.
+    pub fn cache(&self) -> Option<&Arc<ShardedValidityCache>> {
+        self.cache.as_ref()
     }
 
     /// Entry cap of a solver's private program memo.  Solvers live for one
@@ -694,22 +689,25 @@ impl Solver {
         if goal.is_top() {
             return Validity::proved();
         }
-        // Consult the verdict memo on the canonical form of the query.
+        // Consult the shared cache on the canonical form of the query.
         // Structural sub-queries recurse back through here, so conjuncts and
-        // implication bodies are memoized individually — that is what lets
+        // implication bodies are cached individually — that is what lets
         // verdicts transfer across definitions that share sub-derivations,
         // not just across identical top-level queries.  The query is hashed
         // once, for the lookup and the store together; the lookup borrows
         // the constraints, and nothing is cloned unless a freshly computed
         // verdict is stored.
+        let Some(cache) = self.cache.clone() else {
+            return self.entails_simplified(universals, hyp, goal);
+        };
         let query = QueryRef::new(self.config_fingerprint, universals, hyp, goal);
-        if let Some(verdict) = self.cache.lookup(&query) {
+        if let Some(verdict) = cache.lookup(&query) {
             self.stats.cache_hits += 1;
             return verdict;
         }
         self.stats.cache_misses += 1;
         let verdict = self.entails_simplified(universals, hyp, goal);
-        self.cache.store(&query, verdict.clone());
+        cache.store(&query, verdict.clone());
         verdict
     }
 
@@ -1610,11 +1608,13 @@ mod tests {
     fn existential_goals_are_eliminated() {
         let mut s = Solver::new();
         let u = nat_vars(&["n"]);
-        // ∃ i. i = n + 1 ∧ n ≤ i
+        // ∃ i. n + 1 ≤ i ∧ i ≤ n + 1 ∧ n ≤ i: no equality defines `i`, so
+        // the candidate search finds it.
         let goal = Constr::exists(
             "i",
             Sort::Nat,
-            Constr::eq(Idx::var("i"), Idx::var("n") + Idx::one())
+            Constr::leq(Idx::var("n") + Idx::one(), Idx::var("i"))
+                .and(Constr::leq(Idx::var("i"), Idx::var("n") + Idx::one()))
                 .and(Constr::leq(Idx::var("n"), Idx::var("i"))),
         );
         assert!(s.entails(&u, &Constr::Top, &goal).is_valid());
@@ -1785,7 +1785,7 @@ mod tests {
 
     #[test]
     fn program_cache_reuses_compiled_queries() {
-        let mut s = Solver::new();
+        let mut s = Solver::new().with_cache(Arc::new(crate::cache::ShardedValidityCache::new()));
         let u = nat_vars(&["n"]);
         let goal = pointwise_goal();
         assert!(s.entails(&u, &Constr::Top, &goal).is_valid());
@@ -1793,8 +1793,8 @@ mod tests {
         assert_eq!(s.stats().program_cache_hits, 0);
         let points_cold = s.stats().points_evaluated;
         assert!(points_cold > 0);
-        // Same query again: the per-solver verdict memo replays it outright —
-        // no recompilation *and* no re-sweep.
+        // Same query again: the attached validity cache replays it outright
+        // — no recompilation *and* no re-sweep.
         assert!(s.entails(&u, &Constr::Top, &goal).is_valid());
         assert_eq!(s.stats().programs_compiled, 1);
         assert_eq!(s.stats().points_evaluated, points_cold);
@@ -1823,25 +1823,6 @@ mod tests {
                 evictions: 0,
             }
         );
-    }
-
-    #[test]
-    fn private_verdict_memo_answers_and_counts_repeated_queries() {
-        // No cache attached: the solver's private memo answers the repeat,
-        // and counts it like a shared cache would.
-        let mut s = Solver::new();
-        let u = nat_vars(&["n"]);
-        let goal = pointwise_goal();
-        for _ in 0..2 {
-            assert!(s.entails(&u, &Constr::Top, &goal).is_valid());
-        }
-        assert_eq!(s.stats().cache_hits, 1);
-        assert_eq!(s.stats().cache_misses, 1);
-        assert_eq!(s.stats().numeric_checks, 1);
-        let memo = s.cache().stats();
-        assert_eq!(memo.hits, s.stats().cache_hits as u64);
-        assert_eq!(memo.misses, s.stats().cache_misses as u64);
-        assert_eq!(memo.entries, 1);
     }
 
     #[test]
@@ -2113,14 +2094,15 @@ mod tests {
     #[test]
     fn exhausted_attempt_budget_reaches_stats_and_refutation() {
         // Attempt budget 0: the existential search exhausts before trying a
-        // single candidate.  Three existentials keep the solver from falling
-        // back to the bounded numeric search (that path only covers ≤ 2
-        // leftover variables), so the abstention must surface as a verdict.
+        // single candidate, and the abstention must surface as a verdict.
+        // Each `≐` is a `≤`/`≥` pair, so the one-point rule defines none of
+        // the three existentials and all of them reach the search.
         let mut s = Solver::with_config(SolveConfig {
             max_exelim_attempts: 0,
             ..SolveConfig::default()
         });
         let u = nat_vars(&["n"]);
+        let pair = |a: Idx, b: Idx| Constr::leq(a.clone(), b.clone()).and(Constr::leq(b, a));
         let goal = Constr::exists(
             "a",
             Sort::Nat,
@@ -2130,9 +2112,9 @@ mod tests {
                 Constr::exists(
                     "c",
                     Sort::Nat,
-                    Constr::eq(Idx::var("a"), Idx::var("n"))
-                        .and(Constr::eq(Idx::var("b"), Idx::var("a")))
-                        .and(Constr::eq(Idx::var("c"), Idx::var("b") + Idx::one())),
+                    pair(Idx::var("a"), Idx::var("n"))
+                        .and(pair(Idx::var("b"), Idx::var("a")))
+                        .and(pair(Idx::var("c"), Idx::var("b") + Idx::one())),
                 ),
             ),
         );

@@ -905,10 +905,19 @@ impl RelChecker {
             ));
         }
         let multiple = candidates.len() > 1;
+        // A value argument (a variable or `()` on both sides) is checked at
+        // relative cost 0 instead of a fresh `ta`.  No solution is lost:
+        // every rule that checks a value bounds its cost only from below, by
+        // 0 (`0 ≤ ta` via ↑↓ and nochange; `t₁ − k₂ ≤ ta` with `t₁ ≥ 0 ≥ k₂`
+        // via switch), and `ta` occurs elsewhere only as a summand of the
+        // application's cost, an upper bound, where smaller is easier.  So
+        // whenever some `ta` works, `ta := 0` does too.
+        let value_arg = is_value(a1) && is_value(a2);
         let mut last_err = None;
         for (dom, te, cod) in candidates {
-            let targ = sess.fresh.cost("ta");
-            match self.check(sess, ctx, a1, a2, &dom, &Idx::Var(targ.clone())) {
+            let targ = (!value_arg).then(|| sess.fresh.cost("ta"));
+            let arg_cost = targ.clone().map_or_else(Idx::zero, Idx::Var);
+            match self.check(sess, ctx, a1, a2, &dom, &arg_cost) {
                 Ok(carg) => {
                     let constr = fun.constr.clone().and(carg);
                     // When several candidates exist (the boxed-arrow case),
@@ -921,7 +930,7 @@ impl RelChecker {
                             fun.existentials
                                 .iter()
                                 .map(|q| (q.var.clone(), q.sort))
-                                .chain([(targ.clone(), Sort::Real)]),
+                                .chain(targ.iter().map(|t| (t.clone(), Sort::Real))),
                         );
                         if !sess
                             .solver
@@ -935,10 +944,16 @@ impl RelChecker {
                         }
                     }
                     let mut existentials = fun.existentials.clone();
-                    existentials.push(Quantified::new(targ.clone(), Sort::Real));
+                    let cost = match targ {
+                        Some(targ) => {
+                            existentials.push(Quantified::new(targ.clone(), Sort::Real));
+                            fun.cost.clone() + Idx::Var(targ) + te
+                        }
+                        None => fun.cost.clone() + te,
+                    };
                     return Ok(RelInference {
                         ty: cod,
-                        cost: fun.cost.clone() + Idx::Var(targ) + te,
+                        cost,
                         constr,
                         existentials,
                     });
@@ -1026,6 +1041,12 @@ fn expose_keep_box_arrow(ty: &RelType) -> RelType {
         }
         _ => ty.clone(),
     }
+}
+
+/// A syntactic value the application rules check at cost 0: a variable or
+/// `()`.
+fn is_value(e: &Expr) -> bool {
+    matches!(e, Expr::Var(_) | Expr::Unit)
 }
 
 fn is_diagonal(ty: &RelType) -> bool {
@@ -1159,6 +1180,66 @@ mod tests {
         let ty = |cost: u32| format!("box(UU (int ->[1, 3] int)) -> UU int ->[{cost}] intr");
         assert!(check_program(src, &ty(2)));
         assert!(!check_program(src, &ty(1)));
+    }
+
+    /// Checks the pair `src ⊖ src` against `intr` at relative cost `cost`
+    /// in a context binding `f : intr →[1] intr`, `g : unitr →[1] intr`
+    /// and `x : intr`.  Returns whether the constraint is valid, and the
+    /// names of the existentials it binds.
+    fn check_app(src: &str, cost: u64) -> (bool, Vec<String>) {
+        let ctx = RelCtx::new()
+            .bind_var(Var::new("f"), parse_rel_type("intr ->[1] intr").unwrap())
+            .bind_var(Var::new("g"), parse_rel_type("unitr ->[1] intr").unwrap())
+            .bind_var(Var::new("x"), RelType::IntR);
+        let e = parse_expr(src).unwrap();
+        let c = RelChecker::new()
+            .check(
+                &mut Session::new(),
+                &ctx,
+                &e,
+                &e,
+                &RelType::IntR,
+                &Idx::nat(cost),
+            )
+            .unwrap();
+        let valid = Solver::new()
+            .entails(&ctx.universals(), &ctx.assumptions, &c)
+            .is_valid();
+        let names = c
+            .existential_vars()
+            .into_iter()
+            .map(|q| q.var.to_string())
+            .collect();
+        (valid, names)
+    }
+
+    #[test]
+    fn value_arguments_are_checked_at_cost_zero() {
+        // A variable or `()` argument gets no `%ta` existential; the same
+        // argument behind an annotation (not a value) still does.  Both
+        // check at the same verdicts: the arrow's cost 1 fits a budget of
+        // 1 or more, and not 0.
+        for (value, annotated) in [("f x", "f (x : intr)"), ("g ()", "g (() : unitr)")] {
+            let (_, names) = check_app(value, 1);
+            assert!(
+                !names.iter().any(|n| n.starts_with("%ta")),
+                "{value}: {names:?}"
+            );
+            let (_, names) = check_app(annotated, 1);
+            assert!(
+                names.iter().any(|n| n.starts_with("%ta")),
+                "{annotated}: {names:?}"
+            );
+            for cost in 0..3 {
+                let verdict = check_app(value, cost).0;
+                assert_eq!(verdict, cost >= 1, "{value} at cost {cost}");
+                assert_eq!(
+                    verdict,
+                    check_app(annotated, cost).0,
+                    "{annotated} at cost {cost}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -375,15 +375,26 @@ fn killed_node_restarts_empty_and_heals_by_snapshot() {
 
     // kill -9: b's listener and state vanish mid-stream.
     b.kill();
-    let second: Vec<String> = (1..=2).map(|d| source("two", d)).collect();
-    for src in &second {
-        a.service.check_source(src).expect("parse");
+    // The second batch publishes at least two frames past the kill, so a's
+    // one-frame ring starts above any position b (or a fresh b) can hold,
+    // however many frames each program writes.  Depths beyond the first
+    // batch's give queries no verdict cache holds yet.
+    let at_kill = a.service.replica_status().published;
+    let mut second = Vec::new();
+    for depth in 3.. {
+        if a.service.replica_status().published >= at_kill + 2 {
+            break;
+        }
+        assert!(depth <= 16, "the second batch published no new frames");
+        let src = source("two", depth);
+        a.service.check_source(&src).expect("parse");
+        second.push(src);
     }
 
     // Restart: a *fresh* service re-listens under the same address.  a's
     // session may still be acking into the dead wire — the heartbeat
-    // notices, reconnects, reads applied=0 (far behind a's one-frame
-    // ring), and must heal by full snapshot.
+    // notices, reconnects, reads applied=0 (behind a's one-frame ring by
+    // construction), and must heal by full snapshot.
     let b2 = Node::start(&net, "b", &[]);
     let everything: Vec<String> = first.iter().chain(&second).cloned().collect();
     await_converged(&[&a, &b2], union_entries(&everything));

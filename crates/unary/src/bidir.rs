@@ -370,23 +370,39 @@ impl UnaryChecker {
                         ))
                     }
                 };
-                let (ka, ta) = (fresh.cost("ka"), fresh.cost("ta"));
-                let ca = self.check(
-                    fresh,
-                    ctx,
-                    a,
-                    &a1,
-                    &Idx::Var(ka.clone()),
-                    &Idx::Var(ta.clone()),
-                )?;
                 let step = self.cost_model.app_idx();
                 let mut existentials = fi.existentials;
-                existentials.push(Quantified::new(ka.clone(), Sort::Real));
-                existentials.push(Quantified::new(ta.clone(), Sort::Real));
+                let mut lo = fi.lo;
+                let mut hi = fi.hi;
+                let ca = if matches!(**a, Expr::Var(_) | Expr::Unit) {
+                    // A value argument costs exactly 0, so it is checked at
+                    // `ka = ta = 0` with no `∃`.  No solution is lost: the
+                    // check bounds `ka` above and `ta` below by the value's
+                    // cost 0 (`ka ≤ 0 ≤ ta`), and they occur elsewhere only
+                    // as summands of the application's lower and upper
+                    // bounds, where a larger `ka` and a smaller `ta` are
+                    // easier.  So whenever some `ka`, `ta` work, 0 does too.
+                    self.check(fresh, ctx, a, &a1, &Idx::zero(), &Idx::zero())?
+                } else {
+                    let (ka, ta) = (fresh.cost("ka"), fresh.cost("ta"));
+                    let ca = self.check(
+                        fresh,
+                        ctx,
+                        a,
+                        &a1,
+                        &Idx::Var(ka.clone()),
+                        &Idx::Var(ta.clone()),
+                    )?;
+                    lo = lo + Idx::Var(ka.clone());
+                    hi = hi + Idx::Var(ta.clone());
+                    existentials.push(Quantified::new(ka, Sort::Real));
+                    existentials.push(Quantified::new(ta, Sort::Real));
+                    ca
+                };
                 Ok(UnaryInference {
                     ty: (*a2).clone(),
-                    lo: fi.lo + Idx::Var(ka) + cost.lo.clone() + step.clone(),
-                    hi: fi.hi + Idx::Var(ta) + cost.hi.clone() + step,
+                    lo: lo + cost.lo.clone() + step.clone(),
+                    hi: hi + cost.hi.clone() + step,
                     constr: fi.constr.and(ca),
                     existentials,
                 })
@@ -529,7 +545,7 @@ pub(crate) fn wrap_existentials(
 mod tests {
     use super::*;
     use rel_constraint::Solver;
-    use rel_syntax::{parse_expr, CostBounds};
+    use rel_syntax::{parse_expr, CostBounds, Var};
 
     fn solve(ctx: &UnaryCtx, c: &Constr) -> bool {
         let mut s = Solver::new();
@@ -589,6 +605,72 @@ mod tests {
         let src = "(lam x. x + 1 : UU (int ->[1, 1] int)) 2";
         assert!(check_ok(src, UnaryType::Int, 2, 2));
         assert!(!check_ok(src, UnaryType::Int, 3, 3));
+    }
+
+    /// Checks `src` against `int` with exec bounds `[lo, hi]` in a context
+    /// binding `f : int →[1, 2] int`, `g : unit →[1, 2] int` and `x : int`.
+    /// Returns whether the constraint is valid, and the names of the
+    /// existentials it binds.
+    fn check_app(src: &str, lo: u64, hi: u64) -> (bool, Vec<String>) {
+        let arrow = |dom| {
+            UnaryType::arrow(
+                dom,
+                CostBounds::new(Idx::one(), Idx::nat(2)),
+                UnaryType::Int,
+            )
+        };
+        let ctx = UnaryCtx::new()
+            .bind_var(Var::new("f"), arrow(UnaryType::Int))
+            .bind_var(Var::new("g"), arrow(UnaryType::Unit))
+            .bind_var(Var::new("x"), UnaryType::Int);
+        let e = parse_expr(src).unwrap();
+        let c = UnaryChecker::new()
+            .check(
+                &mut FreshVars::new(),
+                &ctx,
+                &e,
+                &UnaryType::Int,
+                &Idx::nat(lo),
+                &Idx::nat(hi),
+            )
+            .unwrap();
+        let names = c
+            .existential_vars()
+            .into_iter()
+            .map(|q| q.var.to_string())
+            .collect();
+        (solve(&ctx, &c), names)
+    }
+
+    #[test]
+    fn value_arguments_are_checked_at_cost_zero() {
+        // A variable or `()` argument gets no `%ka`/`%ta` existential; the
+        // same argument behind an annotation (not a value) still does.  Both
+        // check at the same verdicts: one app step plus the arrow's [1, 2]
+        // cost exactly fit [2, 3].
+        for (value, annotated) in [("f x", "f (x : UU int)"), ("g ()", "g (() : UU unit)")] {
+            let (_, names) = check_app(value, 2, 3);
+            assert!(
+                !names
+                    .iter()
+                    .any(|n| n.starts_with("%ka") || n.starts_with("%ta")),
+                "{value}: {names:?}"
+            );
+            let (_, names) = check_app(annotated, 2, 3);
+            assert!(
+                names.iter().any(|n| n.starts_with("%ka")),
+                "{annotated}: {names:?}"
+            );
+            for (lo, hi) in [(2, 3), (0, 5), (3, 3), (2, 2)] {
+                let verdict = check_app(value, lo, hi).0;
+                assert_eq!(verdict, lo <= 2 && hi >= 3, "{value} at [{lo}, {hi}]");
+                assert_eq!(
+                    verdict,
+                    check_app(annotated, lo, hi).0,
+                    "{annotated} at [{lo}, {hi}]"
+                );
+            }
+        }
     }
 
     #[test]

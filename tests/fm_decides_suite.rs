@@ -43,21 +43,21 @@ impl Prov {
 /// need integer-aware projection for their ℕ-sorted existentials.
 const TABLE: [(&str, Prov, usize, usize, usize); 16] = [
     ("filter", Prov::Fail, 0, 0, 0),
-    ("append", Prov::Proved, 32, 67, 0),
-    ("rev", Prov::Proved, 76, 110, 0),
-    ("map", Prov::Proved, 25, 45, 0),
-    ("comp", Prov::Proved, 3, 1, 0),
-    ("sam", Prov::Proved, 3, 1, 0),
-    ("find", Prov::Proved, 3, 1, 0),
-    ("2Dcount", Prov::Grid, 6, 2, 11_160),
-    ("ssort", Prov::Grid, 6, 2, 366),
-    ("bsplit", Prov::Grid, 137, 55, 21_223),
-    ("flatten", Prov::Proved, 69, 93, 0),
-    ("appSum", Prov::Proved, 63, 107, 0),
-    ("merge", Prov::Fail, 128, 1, 0),
-    ("zip", Prov::Proved, 54, 128, 0),
-    ("msort", Prov::Fail, 584, 143, 21_328),
-    ("bfold", Prov::Grid, 398, 142, 31_439),
+    ("append", Prov::Proved, 16, 67, 0),
+    ("rev", Prov::Proved, 25, 94, 0),
+    ("map", Prov::Proved, 6, 42, 0),
+    ("comp", Prov::Proved, 1, 1, 0),
+    ("sam", Prov::Proved, 1, 1, 0),
+    ("find", Prov::Proved, 1, 1, 0),
+    ("2Dcount", Prov::Grid, 2, 2, 11_160),
+    ("ssort", Prov::Grid, 4, 2, 366),
+    ("bsplit", Prov::Grid, 100, 11, 21_223),
+    ("flatten", Prov::Proved, 32, 93, 0),
+    ("appSum", Prov::Proved, 31, 107, 0),
+    ("merge", Prov::Fail, 3, 1, 0),
+    ("zip", Prov::Proved, 32, 128, 0),
+    ("msort", Prov::Fail, 396, 99, 21_328),
+    ("bfold", Prov::Grid, 185, 98, 31_439),
 ];
 
 fn row(name: &str) -> (Prov, usize, usize, usize) {
