@@ -578,6 +578,37 @@ mod tests {
     }
 
     #[test]
+    fn keys_over_shared_subterms_equal_keys_over_fresh_ones() {
+        // One `n + 1` node referenced from both atoms and both sides of the
+        // implication, against the same constraint built node by node.
+        let shared_term = Idx::var("n") + Idx::one();
+        let atom = Arc::new(Constr::leq(shared_term.clone(), Idx::var("m")));
+        let shared = Constr::Implies(
+            Arc::clone(&atom),
+            Arc::new(Constr::And(vec![
+                (*atom).clone(),
+                Constr::lt(Idx::zero(), shared_term),
+            ])),
+        );
+        let fresh_atom = || Constr::leq(Idx::var("n") + Idx::one(), Idx::var("m"));
+        let fresh = Constr::Implies(
+            Arc::new(fresh_atom()),
+            Arc::new(Constr::And(vec![
+                fresh_atom(),
+                Constr::lt(Idx::zero(), Idx::var("n") + Idx::one()),
+            ])),
+        );
+        let universals = [(IdxVar::new("n"), Sort::Nat), (IdxVar::new("m"), Sort::Nat)];
+        let a = QueryKey::new(CFG, &universals, &shared, &shared);
+        let b = QueryKey::new(CFG, &universals, &fresh, &fresh);
+        assert_eq!(a, b);
+        assert_eq!(a.stable_hash(), b.stable_hash());
+        let cache = ShardedValidityCache::new();
+        cache.store_key(a, Validity::proved());
+        assert_eq!(lookup_key(&cache, &b), Some(Validity::proved()));
+    }
+
+    #[test]
     fn canonicalization_ignores_universal_order_and_duplicates() {
         let a = QueryKey::new(
             CFG,

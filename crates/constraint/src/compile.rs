@@ -1005,6 +1005,7 @@ pub fn compile_query(universals: &[(IdxVar, Sort)], hyp: &Constr, goal: &Constr)
 mod tests {
     use super::*;
     use rel_index::Idx;
+    use std::sync::Arc;
 
     fn nat_universals(names: &[&str]) -> Vec<(IdxVar, Sort)> {
         names.iter().map(|n| (IdxVar::new(*n), Sort::Nat)).collect()
@@ -1084,7 +1085,7 @@ mod tests {
     #[test]
     fn nested_negation_and_implication() {
         let u = nat_universals(&["n"]);
-        let goal = Constr::Not(Box::new(
+        let goal = Constr::Not(Arc::new(
             Constr::leq(Idx::var("n"), Idx::nat(4)).implies(Constr::lt(Idx::var("n"), Idx::nat(2))),
         ));
         for n in 0..8 {
@@ -1124,7 +1125,7 @@ mod tests {
         let goal = Constr::leq(Idx::var("mystery"), Idx::nat(100));
         assert!(!check_parity(&u, &Constr::Top, &goal, &[0], 8));
         // …and Not flips it, exactly like eval_bounded.
-        let goal = Constr::Not(Box::new(Constr::leq(Idx::var("mystery"), Idx::nat(100))));
+        let goal = Constr::Not(Arc::new(Constr::leq(Idx::var("mystery"), Idx::nat(100))));
         assert!(check_parity(&u, &Constr::Top, &goal, &[0], 8));
     }
 

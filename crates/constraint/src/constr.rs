@@ -11,6 +11,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use rel_index::{Extended, Idx, IdxEnv, IdxVar, Sort};
 
@@ -40,6 +41,11 @@ impl Quantified {
 }
 
 /// A first-order arithmetic constraint over index terms.
+///
+/// Subconstraints sit behind [`Arc`] (index terms share theirs the same
+/// way), so a clone copies at most the top-level conjunction vector, and
+/// [`Constr::subst`]/[`Constr::subst_all`] hand back the input's own
+/// allocation for every part they leave unchanged.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Constr {
     /// The trivially true constraint.
@@ -57,14 +63,21 @@ pub enum Constr {
     /// Disjunction (used by heuristic 1: cons rules joined with ∨).
     Or(Vec<Constr>),
     /// Negation.
-    Not(Box<Constr>),
+    Not(Arc<Constr>),
     /// Implication `Φ₁ → Φ₂` (e.g. from `alg-r-split↓`).
-    Implies(Box<Constr>, Box<Constr>),
+    Implies(Arc<Constr>, Arc<Constr>),
     /// Universal quantification over an index variable.
-    Forall(Quantified, Box<Constr>),
+    Forall(Quantified, Arc<Constr>),
     /// Existential quantification over an algorithmically introduced variable.
-    Exists(Quantified, Box<Constr>),
+    Exists(Quantified, Arc<Constr>),
 }
+
+// Constraints cross threads inside shared engines and caches: a swap to
+// `Rc` must fail the build.
+const _: () = {
+    const fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<Constr>();
+};
 
 impl Constr {
     /// `I₁ = I₂`.
@@ -150,10 +163,10 @@ impl Constr {
         match self {
             Constr::Top => Constr::Bot,
             Constr::Bot => Constr::Top,
-            Constr::Not(c) => *c,
+            Constr::Not(c) => Arc::unwrap_or_clone(c),
             Constr::Leq(a, b) => Constr::Lt(b, a),
             Constr::Lt(a, b) => Constr::Leq(b, a),
-            c => Constr::Not(Box::new(c)),
+            c => Constr::Not(Arc::new(c)),
         }
     }
 
@@ -163,7 +176,7 @@ impl Constr {
             (Constr::Top, c) => c,
             (Constr::Bot, _) => Constr::Top,
             (_, Constr::Top) => Constr::Top,
-            (a, b) => Constr::Implies(Box::new(a), Box::new(b)),
+            (a, b) => Constr::Implies(Arc::new(a), Arc::new(b)),
         }
     }
 
@@ -172,7 +185,7 @@ impl Constr {
     pub fn exists(var: impl Into<IdxVar>, sort: Sort, body: Constr) -> Constr {
         let var = var.into();
         if body.mentions(&var) {
-            Constr::Exists(Quantified::new(var, sort), Box::new(body))
+            Constr::Exists(Quantified::new(var, sort), Arc::new(body))
         } else {
             body
         }
@@ -183,7 +196,7 @@ impl Constr {
     pub fn forall(var: impl Into<IdxVar>, sort: Sort, body: Constr) -> Constr {
         let var = var.into();
         if body.mentions(&var) {
-            Constr::Forall(Quantified::new(var, sort), Box::new(body))
+            Constr::Forall(Quantified::new(var, sort), Arc::new(body))
         } else {
             body
         }
@@ -247,47 +260,31 @@ impl Constr {
     }
 
     /// Capture-avoiding substitution of an index term for a free variable.
+    /// Every subterm the substitution leaves unchanged comes back as the
+    /// input's own allocation.
     pub fn subst(&self, var: &IdxVar, replacement: &Idx) -> Constr {
+        self.subst_changed(var, replacement)
+            .unwrap_or_else(|| self.clone())
+    }
+
+    /// [`Constr::subst`], or `None` when it would return the input unchanged.
+    pub fn subst_changed(&self, var: &IdxVar, replacement: &Idx) -> Option<Constr> {
         match self {
-            Constr::Top | Constr::Bot => self.clone(),
-            Constr::Eq(a, b) => Constr::Eq(a.subst(var, replacement), b.subst(var, replacement)),
-            Constr::Leq(a, b) => Constr::Leq(a.subst(var, replacement), b.subst(var, replacement)),
-            Constr::Lt(a, b) => Constr::Lt(a.subst(var, replacement), b.subst(var, replacement)),
-            Constr::And(cs) => Constr::And(cs.iter().map(|c| c.subst(var, replacement)).collect()),
-            Constr::Or(cs) => Constr::Or(cs.iter().map(|c| c.subst(var, replacement)).collect()),
-            Constr::Not(c) => Constr::Not(Box::new(c.subst(var, replacement))),
-            Constr::Implies(a, b) => Constr::Implies(
-                Box::new(a.subst(var, replacement)),
-                Box::new(b.subst(var, replacement)),
+            Constr::Forall(q, _) | Constr::Exists(q, _) if q.var == *var => None,
+            Constr::Forall(q, c) | Constr::Exists(q, c) if replacement.mentions(&q.var) => {
+                let fresh = IdxVar::new(format!("{}'", q.var.name()));
+                let renamed = c.subst(&q.var, &Idx::Var(fresh.clone()));
+                let body = Arc::new(renamed.subst(var, replacement));
+                let q = Quantified::new(fresh, q.sort);
+                Some(match self {
+                    Constr::Forall(..) => Constr::Forall(q, body),
+                    _ => Constr::Exists(q, body),
+                })
+            }
+            _ => self.map_parts(
+                |i| i.subst_changed(var, replacement),
+                |c| c.subst_changed(var, replacement),
             ),
-            Constr::Forall(q, c) => {
-                if q.var == *var {
-                    self.clone()
-                } else if replacement.mentions(&q.var) {
-                    let fresh = IdxVar::new(format!("{}'", q.var.name()));
-                    let renamed = c.subst(&q.var, &Idx::Var(fresh.clone()));
-                    Constr::Forall(
-                        Quantified::new(fresh, q.sort),
-                        Box::new(renamed.subst(var, replacement)),
-                    )
-                } else {
-                    Constr::Forall(q.clone(), Box::new(c.subst(var, replacement)))
-                }
-            }
-            Constr::Exists(q, c) => {
-                if q.var == *var {
-                    self.clone()
-                } else if replacement.mentions(&q.var) {
-                    let fresh = IdxVar::new(format!("{}'", q.var.name()));
-                    let renamed = c.subst(&q.var, &Idx::Var(fresh.clone()));
-                    Constr::Exists(
-                        Quantified::new(fresh, q.sort),
-                        Box::new(renamed.subst(var, replacement)),
-                    )
-                } else {
-                    Constr::Exists(q.clone(), Box::new(c.subst(var, replacement)))
-                }
-            }
         }
     }
 
@@ -295,7 +292,8 @@ impl Constr {
     /// (existential elimination used to clone the whole matrix once per
     /// eliminated variable).  Same precondition as [`Idx::subst_all`]: no
     /// replacement may mention a substituted variable — validated once
-    /// here, for the whole constraint, in debug builds.
+    /// here, for the whole constraint, in debug builds.  Shares unchanged
+    /// subterms like [`Constr::subst`].
     pub fn subst_all(&self, map: &std::collections::BTreeMap<IdxVar, Idx>) -> Constr {
         debug_assert!(
             map.values().all(|r| map.keys().all(|k| !r.mentions(k))),
@@ -304,40 +302,65 @@ impl Constr {
         if map.is_empty() {
             return self.clone();
         }
-        self.subst_all_inner(map)
+        self.subst_all_changed(map).unwrap_or_else(|| self.clone())
     }
 
-    fn subst_all_inner(&self, map: &std::collections::BTreeMap<IdxVar, Idx>) -> Constr {
+    fn subst_all_changed(&self, map: &std::collections::BTreeMap<IdxVar, Idx>) -> Option<Constr> {
         match self {
-            Constr::Top | Constr::Bot => self.clone(),
-            Constr::Eq(a, b) => Constr::Eq(a.subst_all(map), b.subst_all(map)),
-            Constr::Leq(a, b) => Constr::Leq(a.subst_all(map), b.subst_all(map)),
-            Constr::Lt(a, b) => Constr::Lt(a.subst_all(map), b.subst_all(map)),
-            Constr::And(cs) => Constr::And(cs.iter().map(|c| c.subst_all_inner(map)).collect()),
-            Constr::Or(cs) => Constr::Or(cs.iter().map(|c| c.subst_all_inner(map)).collect()),
-            Constr::Not(c) => Constr::Not(Box::new(c.subst_all_inner(map))),
-            Constr::Implies(a, b) => Constr::Implies(
-                Box::new(a.subst_all_inner(map)),
-                Box::new(b.subst_all_inner(map)),
-            ),
-            Constr::Forall(q, _) | Constr::Exists(q, _) => {
-                if map.contains_key(&q.var) || map.values().any(|r| r.mentions(&q.var)) {
-                    // Shadowing or capture risk: defer to the capture-avoiding
-                    // single substitution, pairwise (equivalent under the
-                    // precondition).
-                    map.iter().fold(self.clone(), |acc, (v, i)| acc.subst(v, i))
-                } else {
-                    match self {
-                        Constr::Forall(q, c) => {
-                            Constr::Forall(q.clone(), Box::new(c.subst_all_inner(map)))
-                        }
-                        Constr::Exists(q, c) => {
-                            Constr::Exists(q.clone(), Box::new(c.subst_all_inner(map)))
-                        }
-                        _ => unreachable!(),
-                    }
-                }
+            Constr::Forall(q, _) | Constr::Exists(q, _)
+                if map.contains_key(&q.var) || map.values().any(|r| r.mentions(&q.var)) =>
+            {
+                // Shadowing or capture risk: defer to the capture-avoiding
+                // single substitution, pairwise (equivalent under the
+                // precondition).
+                map.iter().fold(None, |acc: Option<Constr>, (v, i)| {
+                    acc.as_ref().unwrap_or(self).subst_changed(v, i).or(acc)
+                })
             }
+            _ => self.map_parts(|i| i.subst_all_changed(map), |c| c.subst_all_changed(map)),
+        }
+    }
+
+    /// Rebuilds the constraint with `term` applied to the index terms of its
+    /// atoms and `sub` to its immediate subconstraints (under binders too),
+    /// sharing every part for which they return `None`.  `None` when no part
+    /// changed.
+    fn map_parts(
+        &self,
+        mut term: impl FnMut(&Idx) -> Option<Idx>,
+        mut sub: impl FnMut(&Constr) -> Option<Constr>,
+    ) -> Option<Constr> {
+        let mut atom = |a: &Idx, b: &Idx, node: fn(Idx, Idx) -> Constr| {
+            let (na, nb) = (term(a), term(b));
+            if na.is_none() && nb.is_none() {
+                return None;
+            }
+            Some(node(
+                na.unwrap_or_else(|| a.clone()),
+                nb.unwrap_or_else(|| b.clone()),
+            ))
+        };
+        let mut arc = |c: &Arc<Constr>| sub(c).map(Arc::new);
+        match self {
+            Constr::Top | Constr::Bot => None,
+            Constr::Eq(a, b) => atom(a, b, Constr::Eq),
+            Constr::Leq(a, b) => atom(a, b, Constr::Leq),
+            Constr::Lt(a, b) => atom(a, b, Constr::Lt),
+            Constr::And(cs) => map_vec(cs, sub).map(Constr::And),
+            Constr::Or(cs) => map_vec(cs, sub).map(Constr::Or),
+            Constr::Not(c) => arc(c).map(Constr::Not),
+            Constr::Implies(a, b) => {
+                let (na, nb) = (arc(a), arc(b));
+                if na.is_none() && nb.is_none() {
+                    return None;
+                }
+                Some(Constr::Implies(
+                    na.unwrap_or_else(|| Arc::clone(a)),
+                    nb.unwrap_or_else(|| Arc::clone(b)),
+                ))
+            }
+            Constr::Forall(q, c) => arc(c).map(|c| Constr::Forall(q.clone(), c)),
+            Constr::Exists(q, c) => arc(c).map(|c| Constr::Exists(q.clone(), c)),
         }
     }
 
@@ -426,6 +449,27 @@ impl Constr {
             }
         }
     }
+}
+
+/// `f` applied to every element, or `None` when it changes none.
+pub(crate) fn map_vec(
+    cs: &[Constr],
+    mut f: impl FnMut(&Constr) -> Option<Constr>,
+) -> Option<Vec<Constr>> {
+    let mut out: Option<Vec<Constr>> = None;
+    for (k, c) in cs.iter().enumerate() {
+        match (f(c), &mut out) {
+            (new, Some(out)) => out.push(new.unwrap_or_else(|| c.clone())),
+            (Some(new), None) => {
+                let mut v = Vec::with_capacity(cs.len());
+                v.extend_from_slice(&cs[..k]);
+                v.push(new);
+                out = Some(v);
+            }
+            (None, None) => {}
+        }
+    }
+    out
 }
 
 impl Default for Constr {
@@ -574,6 +618,27 @@ mod tests {
         let out = inner.subst_all(&capture);
         assert_eq!(out, pairwise(&inner, &capture));
         assert!(out.free_vars().contains(&IdxVar::new("b")));
+    }
+
+    #[test]
+    fn subst_all_shares_what_it_leaves_unchanged() {
+        let hyp = Arc::new(Constr::lt(Idx::zero(), n("n")));
+        let body = Constr::leq(n("n"), n("m") + Idx::one());
+        let concl = Arc::new(Constr::forall("m", Sort::Nat, body));
+        let c = Constr::Implies(Arc::clone(&hyp), Arc::clone(&concl));
+        let absent: BTreeMap<IdxVar, Idx> = [(IdxVar::new("z"), Idx::nat(3))].into();
+        let Constr::Implies(a, b) = &c.subst_all(&absent) else {
+            panic!("subst_all changed the head");
+        };
+        assert!(Arc::ptr_eq(&hyp, a) && Arc::ptr_eq(&concl, b));
+        // Substituting under the binder rebuilds that side only.
+        let k_to_3: BTreeMap<IdxVar, Idx> = [(IdxVar::new("k"), Idx::nat(3))].into();
+        let c = Constr::Implies(Arc::clone(&hyp), Arc::new(Constr::leq(n("n"), n("k"))));
+        let Constr::Implies(a, b) = &c.subst_all(&k_to_3) else {
+            panic!("subst_all changed the head");
+        };
+        assert!(Arc::ptr_eq(&hyp, a));
+        assert_eq!(**b, Constr::leq(n("n"), Idx::nat(3)));
     }
 
     #[test]

@@ -73,6 +73,7 @@
 //! search rather than as a counterexample.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use rel_index::{Atom, Idx, IdxVar, LinExpr, Rational, Sort};
 
@@ -136,7 +137,7 @@ fn strip_existentials(c: &Constr) -> (Constr, Vec<Quantified>) {
             // hoisted (the antecedent never binds them); existentials in the
             // antecedent are left untouched (they are really universals).
             let (inner, vars) = strip_existentials(b);
-            (Constr::Implies(a.clone(), Box::new(inner)), vars)
+            (Constr::Implies(a.clone(), Arc::new(inner)), vars)
         }
         other => (other.clone(), Vec::new()),
     }

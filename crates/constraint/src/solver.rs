@@ -46,11 +46,12 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use rel_index::normalize::normalize_changed;
 use rel_index::{Atom, Extended, Idx, IdxEnv, IdxVar, Rational, Sort};
 
 use crate::cache::{CacheStats, Fnv1a, QueryRef, ShardedMap, ShardedValidityCache};
 use crate::compile::{compile_query, CompiledQuery, Val};
-use crate::constr::Constr;
+use crate::constr::{map_vec, Constr};
 use crate::exelim;
 use crate::fm::{self, FmLimits, FmMemo, FmOutcome, FmVerdict};
 use crate::lemmas;
@@ -1332,10 +1333,8 @@ fn split_rewrites<'a>(facts: &[&'a Constr]) -> (Vec<(IdxVar, Idx)>, Vec<&'a Cons
 
 /// Applies variable rewrites throughout a constraint, borrowing the input
 /// when no rewrite variable occurs in it (the common case for most facts).
+/// Each substitution shares the subterms it leaves unchanged.
 fn apply_rewrites<'a>(c: &'a Constr, rewrites: &[(IdxVar, Idx)]) -> Cow<'a, Constr> {
-    if !rewrites.iter().any(|(v, _)| c.mentions(v)) {
-        return Cow::Borrowed(c);
-    }
     let mut acc = Cow::Borrowed(c);
     for (v, i) in rewrites {
         if acc.mentions(v) {
@@ -1347,64 +1346,30 @@ fn apply_rewrites<'a>(c: &'a Constr, rewrites: &[(IdxVar, Idx)]) -> Cow<'a, Cons
 
 /// Constant-folds atomic comparisons and simplifies trivial connectives.
 ///
-/// Idempotent (see the `Not` arm).  A plain tree walk: a per-thread memo
-/// would intern the whole input and rebuild the whole output on every call,
-/// which costs more than the fold it saves (DESIGN.md §4.3).
+/// Idempotent (see the `Not` arm).  Copy-on-write: a subterm that is
+/// already simplified comes back as the input's own allocation, so
+/// re-simplifying a simplified constraint allocates at most its top-level
+/// conjunction vector.
 pub fn simplify(c: &Constr) -> Constr {
+    simplify_changed(c).unwrap_or_else(|| c.clone())
+}
+
+/// [`simplify`], or `None` when the constraint is already simplified.
+fn simplify_changed(c: &Constr) -> Option<Constr> {
     match c {
-        Constr::Eq(a, b) => {
-            let (na, nb) = (rel_index::normalize(a), rel_index::normalize(b));
-            match (na.as_const(), nb.as_const()) {
-                (Some(x), Some(y)) => {
-                    if x == y {
-                        Constr::Top
-                    } else {
-                        Constr::Bot
-                    }
-                }
-                _ => {
-                    if na == nb {
-                        Constr::Top
-                    } else {
-                        Constr::Eq(na, nb)
-                    }
-                }
-            }
-        }
-        Constr::Leq(a, b) => {
-            let (na, nb) = (rel_index::normalize(a), rel_index::normalize(b));
-            match (na.as_const(), nb.as_const()) {
-                (Some(x), Some(y)) => {
-                    if x <= y {
-                        Constr::Top
-                    } else {
-                        Constr::Bot
-                    }
-                }
-                _ => {
-                    if na == nb {
-                        Constr::Top
-                    } else {
-                        Constr::Leq(na, nb)
-                    }
-                }
-            }
-        }
-        Constr::Lt(a, b) => {
-            let (na, nb) = (rel_index::normalize(a), rel_index::normalize(b));
-            match (na.as_const(), nb.as_const()) {
-                (Some(x), Some(y)) => {
-                    if x < y {
-                        Constr::Top
-                    } else {
-                        Constr::Bot
-                    }
-                }
-                _ => Constr::Lt(na, nb),
-            }
-        }
-        Constr::And(cs) => Constr::conj(cs.iter().map(simplify)),
-        Constr::Or(cs) => Constr::disj(cs.iter().map(simplify)),
+        Constr::Eq(a, b) => simplify_atom(a, b, Constr::Eq, |x, y| x == y, true),
+        Constr::Leq(a, b) => simplify_atom(a, b, Constr::Leq, |x, y| x <= y, true),
+        Constr::Lt(a, b) => simplify_atom(a, b, Constr::Lt, |x, y| x < y, false),
+        Constr::And(cs) => simplify_list(
+            cs,
+            |c| matches!(c, Constr::Top | Constr::Bot | Constr::And(_)),
+            Constr::conj,
+        ),
+        Constr::Or(cs) => simplify_list(
+            cs,
+            |c| matches!(c, Constr::Top | Constr::Bot | Constr::Or(_)),
+            Constr::disj,
+        ),
         // `negate` flips comparisons (¬(a < b) becomes b ≤ a) without
         // re-folding them, so simplify the flipped form once more: this is
         // what makes `simplify` idempotent, the invariant the solver's
@@ -1413,15 +1378,93 @@ pub fn simplify(c: &Constr) -> Constr {
         // decomposition level.  A `Not` result is the opaque case (e.g.
         // ¬(a = b)) whose operand is already simplified — recursing on it
         // would loop.
-        Constr::Not(c) => match simplify(c).negate() {
-            negated @ Constr::Not(_) => negated,
-            negated => simplify(&negated),
+        Constr::Not(inner) => match simplify_changed(inner) {
+            None if !matches!(
+                **inner,
+                Constr::Top | Constr::Bot | Constr::Not(_) | Constr::Leq(..) | Constr::Lt(..)
+            ) =>
+            {
+                None
+            }
+            changed => Some(
+                match changed.unwrap_or_else(|| Constr::clone(inner)).negate() {
+                    negated @ Constr::Not(_) => negated,
+                    negated => simplify(&negated),
+                },
+            ),
         },
-        Constr::Implies(a, b) => simplify(a).implies(simplify(b)),
-        Constr::Forall(q, c) => Constr::forall(q.var.clone(), q.sort, simplify(c)),
-        Constr::Exists(q, c) => Constr::exists(q.var.clone(), q.sort, simplify(c)),
-        Constr::Top | Constr::Bot => c.clone(),
+        // As `Constr::implies`, keeping an unchanged side's allocation.
+        Constr::Implies(a, b) => {
+            let (na, nb) = (simplify_changed(a), simplify_changed(b));
+            match (na.as_ref().unwrap_or(a), nb.as_ref().unwrap_or(b)) {
+                (Constr::Top, sb) => Some(sb.clone()),
+                (Constr::Bot, _) | (_, Constr::Top) => Some(Constr::Top),
+                _ if na.is_none() && nb.is_none() => None,
+                _ => Some(Constr::Implies(share(na, a), share(nb, b))),
+            }
+        }
+        // As `Constr::forall`/`Constr::exists`: a binder whose variable the
+        // simplified body no longer mentions is dropped.
+        Constr::Forall(q, body) | Constr::Exists(q, body) => {
+            let nb = simplify_changed(body);
+            if !nb.as_ref().unwrap_or(body).mentions(&q.var) {
+                return Some(nb.unwrap_or_else(|| Constr::clone(body)));
+            }
+            let body = Arc::new(nb?);
+            Some(match c {
+                Constr::Forall(..) => Constr::Forall(q.clone(), body),
+                _ => Constr::Exists(q.clone(), body),
+            })
+        }
+        Constr::Top | Constr::Bot => None,
     }
+}
+
+/// `join` (`Constr::conj` or `Constr::disj`) over the simplified parts, or
+/// `None` when no part changed and `join` would rebuild the same list: it
+/// has two or more parts and none that `join` folds away (`folded`: a unit
+/// or a nested list of the same connective).
+fn simplify_list(
+    cs: &[Constr],
+    folded: fn(&Constr) -> bool,
+    join: fn(Vec<Constr>) -> Constr,
+) -> Option<Constr> {
+    match map_vec(cs, simplify_changed) {
+        None if cs.len() > 1 && !cs.iter().any(folded) => None,
+        parts => Some(join(parts.unwrap_or_else(|| cs.to_vec()))),
+    }
+}
+
+/// Folds a comparison whose sides normalize to constants to `Top`/`Bot`;
+/// `reflexive` comparisons of syntactically equal sides hold too.
+fn simplify_atom(
+    a: &Idx,
+    b: &Idx,
+    node: fn(Idx, Idx) -> Constr,
+    holds: fn(&Extended, &Extended) -> bool,
+    reflexive: bool,
+) -> Option<Constr> {
+    let (na, nb) = (normalize_changed(a), normalize_changed(b));
+    let (sa, sb) = (na.as_ref().unwrap_or(a), nb.as_ref().unwrap_or(b));
+    match (sa.as_const(), sb.as_const()) {
+        (Some(x), Some(y)) => Some(if holds(&x, &y) {
+            Constr::Top
+        } else {
+            Constr::Bot
+        }),
+        _ if reflexive && sa == sb => Some(Constr::Top),
+        _ if na.is_none() && nb.is_none() => None,
+        _ => Some(node(
+            na.unwrap_or_else(|| a.clone()),
+            nb.unwrap_or_else(|| b.clone()),
+        )),
+    }
+}
+
+/// The rewritten subconstraint, or the input's own allocation when the
+/// rewrite left it unchanged (`new` is `None`).
+fn share(new: Option<Constr>, old: &Arc<Constr>) -> Arc<Constr> {
+    new.map_or_else(|| Arc::clone(old), Arc::new)
 }
 
 #[cfg(test)]
@@ -2135,6 +2178,106 @@ mod tests {
         assert_eq!(s.stats().search_exhausted, None);
     }
 
+    #[test]
+    fn simplify_shares_what_it_leaves_unchanged() {
+        let hyp = Arc::new(Constr::lt(Idx::zero(), Idx::var("n")));
+        let body = Constr::leq(Idx::var("n"), Idx::var("m") + Idx::one());
+        let c = Constr::Implies(
+            Arc::clone(&hyp),
+            Arc::new(Constr::forall("m", Sort::Nat, body)),
+        );
+        assert_eq!(deep_simplify(&c), c, "the input is already simplified");
+        let (Constr::Implies(a, b), Constr::Implies(sa, sb)) = (&c, &simplify(&c)) else {
+            panic!("simplify changed the head");
+        };
+        assert!(Arc::ptr_eq(a, sa) && Arc::ptr_eq(b, sb));
+        // Folding one side rebuilds that side only.
+        let folded = Constr::leq(Idx::var("n") + Idx::zero(), Idx::var("m"));
+        let c = Constr::Implies(Arc::clone(&hyp), Arc::new(folded));
+        let Constr::Implies(sa, sb) = &simplify(&c) else {
+            panic!("simplify changed the head");
+        };
+        assert!(Arc::ptr_eq(&hyp, sa));
+        assert_eq!(**sb, Constr::leq(Idx::var("n"), Idx::var("m")));
+    }
+
+    /// `simplify` as it was before constraints shared subterms: a deep walk
+    /// that rebuilds every node.  The sharing `simplify` must agree with it
+    /// exactly.
+    fn deep_simplify(c: &Constr) -> Constr {
+        match c {
+            Constr::Eq(a, b) => {
+                let (na, nb) = (rel_index::normalize(a), rel_index::normalize(b));
+                match (na.as_const(), nb.as_const()) {
+                    (Some(x), Some(y)) => {
+                        if x == y {
+                            Constr::Top
+                        } else {
+                            Constr::Bot
+                        }
+                    }
+                    _ => {
+                        if na == nb {
+                            Constr::Top
+                        } else {
+                            Constr::Eq(na, nb)
+                        }
+                    }
+                }
+            }
+            Constr::Leq(a, b) => {
+                let (na, nb) = (rel_index::normalize(a), rel_index::normalize(b));
+                match (na.as_const(), nb.as_const()) {
+                    (Some(x), Some(y)) => {
+                        if x <= y {
+                            Constr::Top
+                        } else {
+                            Constr::Bot
+                        }
+                    }
+                    _ => {
+                        if na == nb {
+                            Constr::Top
+                        } else {
+                            Constr::Leq(na, nb)
+                        }
+                    }
+                }
+            }
+            Constr::Lt(a, b) => {
+                let (na, nb) = (rel_index::normalize(a), rel_index::normalize(b));
+                match (na.as_const(), nb.as_const()) {
+                    (Some(x), Some(y)) => {
+                        if x < y {
+                            Constr::Top
+                        } else {
+                            Constr::Bot
+                        }
+                    }
+                    _ => Constr::Lt(na, nb),
+                }
+            }
+            Constr::And(cs) => Constr::conj(cs.iter().map(deep_simplify)),
+            Constr::Or(cs) => Constr::disj(cs.iter().map(deep_simplify)),
+            // `negate` flips comparisons (¬(a < b) becomes b ≤ a) without
+            // re-folding them, so simplify the flipped form once more: this is
+            // what makes `simplify` idempotent, the invariant the solver's
+            // canonical entry points (`entails_canonical`,
+            // `no_exists_canonical`) rely on to skip re-simplification at every
+            // decomposition level.  A `Not` result is the opaque case (e.g.
+            // ¬(a = b)) whose operand is already simplified — recursing on it
+            // would loop.
+            Constr::Not(c) => match deep_simplify(c).negate() {
+                negated @ Constr::Not(_) => negated,
+                negated => deep_simplify(&negated),
+            },
+            Constr::Implies(a, b) => deep_simplify(a).implies(deep_simplify(b)),
+            Constr::Forall(q, c) => Constr::forall(q.var.clone(), q.sort, deep_simplify(c)),
+            Constr::Exists(q, c) => Constr::exists(q.var.clone(), q.sort, deep_simplify(c)),
+            Constr::Top | Constr::Bot => c.clone(),
+        }
+    }
+
     // ---- property tests: `simplify` preserves meaning and is idempotent ----
 
     fn arb_idx() -> impl Strategy<Value = Idx> {
@@ -2175,15 +2318,15 @@ mod tests {
                 }),
                 (inner.clone(), inner.clone(), 0usize..3)
                     .prop_map(|(a, b, k)| { Constr::Or(vec![a, b].into_iter().take(k).collect()) }),
-                inner.clone().prop_map(|c| Constr::Not(Box::new(c))),
+                inner.clone().prop_map(|c| Constr::Not(Arc::new(c))),
                 (inner.clone(), inner.clone())
-                    .prop_map(|(a, b)| Constr::Implies(Box::new(a), Box::new(b))),
+                    .prop_map(|(a, b)| Constr::Implies(Arc::new(a), Arc::new(b))),
                 inner
                     .clone()
-                    .prop_map(|c| Constr::Forall(Quantified::new("a", Sort::Nat), Box::new(c))),
+                    .prop_map(|c| Constr::Forall(Quantified::new("a", Sort::Nat), Arc::new(c))),
                 inner
                     .clone()
-                    .prop_map(|c| Constr::Exists(Quantified::new("b", Sort::Real), Box::new(c))),
+                    .prop_map(|c| Constr::Exists(Quantified::new("b", Sort::Real), Arc::new(c))),
             ]
         })
     }
@@ -2205,6 +2348,38 @@ mod tests {
                 ("b", Extended::from(b)),
             ]);
             prop_assert_eq!(simplify(&c).eval_bounded(&env, 4), c.eval_bounded(&env, 4));
+        }
+
+        #[test]
+        fn sharing_simplify_agrees_with_the_deep_walk(c in arb_constr(), d in arb_constr()) {
+            prop_assert_eq!(simplify(&c), deep_simplify(&c));
+            // One connective over already-simplified parts: there the sharing
+            // walk decides from the node alone whether it changes.
+            let (c, d) = (simplify(&c), simplify(&d));
+            for node in [
+                Constr::And(vec![c.clone(), d.clone()]),
+                Constr::Or(vec![c.clone(), d.clone()]),
+                Constr::Not(Arc::new(c.clone())),
+                Constr::Implies(Arc::new(c.clone()), Arc::new(d.clone())),
+                Constr::Forall(Quantified::new("a", Sort::Nat), Arc::new(c)),
+                Constr::Exists(Quantified::new("b", Sort::Real), Arc::new(d)),
+            ] {
+                prop_assert_eq!(simplify(&node), deep_simplify(&node));
+            }
+        }
+
+        #[test]
+        fn subst_all_agrees_with_pairwise_subst(c in arb_constr(), r in arb_idx(), s in arb_idx()) {
+            // Replacements free of the substituted `n` and `b`; they may
+            // mention `a`, which `arb_constr` binds, so the capture path runs
+            // as well as the shadowing one (`b` is bound too).
+            let clean = |i: Idx| i.subst(&IdxVar::new("n"), &Idx::one()).subst(&IdxVar::new("b"), &Idx::nat(2));
+            let map = std::collections::BTreeMap::from([
+                (IdxVar::new("n"), clean(r)),
+                (IdxVar::new("b"), clean(s)),
+            ]);
+            let pairwise = map.iter().fold(c.clone(), |acc, (v, i)| acc.subst(v, i));
+            prop_assert_eq!(c.subst_all(&map), pairwise);
         }
 
         #[test]

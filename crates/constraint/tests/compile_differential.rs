@@ -7,6 +7,8 @@
 //! verdicts, same counterexample environments, same `points_evaluated`
 //! counts — which is what lets the solver ship the compiled sweep alone.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use rel_constraint::{compile_query, with_tree_eval, Constr, SolveConfig, Solver, Val};
@@ -72,15 +74,15 @@ fn arb_constr() -> BoxedStrategy<Constr> {
             (inner.clone(), inner.clone()).prop_map(|(x, y)| Constr::And(vec![x, y])),
             (inner.clone(), inner.clone()).prop_map(|(x, y)| Constr::Or(vec![x, y])),
             (inner.clone(), inner.clone())
-                .prop_map(|(x, y)| Constr::Implies(Box::new(x), Box::new(y))),
-            inner.clone().prop_map(|x| Constr::Not(Box::new(x))),
+                .prop_map(|(x, y)| Constr::Implies(Arc::new(x), Arc::new(y))),
+            inner.clone().prop_map(|x| Constr::Not(Arc::new(x))),
             inner.clone().prop_map(|x| Constr::Forall(
                 rel_constraint::Quantified::new("q", Sort::Nat),
-                Box::new(x)
+                Arc::new(x)
             )),
             inner.clone().prop_map(|x| Constr::Exists(
                 rel_constraint::Quantified::new("w", Sort::Nat),
-                Box::new(x)
+                Arc::new(x)
             )),
         ]
     })

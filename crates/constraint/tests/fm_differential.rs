@@ -14,6 +14,8 @@
 //! * a query replayed from the whole-query memo is the cold outcome,
 //!   verdict, elimination order and witness alike.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use rel_constraint::fm::{self, FmLimits, FmVerdict};
@@ -62,8 +64,8 @@ fn arb_linear_constr() -> BoxedStrategy<Constr> {
             (inner.clone(), inner.clone()).prop_map(|(x, y)| Constr::And(vec![x, y])),
             (inner.clone(), inner.clone()).prop_map(|(x, y)| Constr::Or(vec![x, y])),
             (inner.clone(), inner.clone())
-                .prop_map(|(x, y)| Constr::Implies(Box::new(x), Box::new(y))),
-            inner.clone().prop_map(|x| Constr::Not(Box::new(x))),
+                .prop_map(|(x, y)| Constr::Implies(Arc::new(x), Arc::new(y))),
+            inner.clone().prop_map(|x| Constr::Not(Arc::new(x))),
         ]
     })
     .boxed()

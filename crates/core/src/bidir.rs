@@ -11,6 +11,8 @@
 //! [`crate::heuristics::Heuristics`]).  The judgments emit constraints; the
 //! engine hands them to the constraint pipeline of `rel-constraint`.
 
+use std::sync::Arc;
+
 use rel_constraint::{Constr, Quantified, Solver};
 use rel_index::{Idx, Sort};
 use rel_syntax::{Expr, RelType, UnaryType, Var};
@@ -419,7 +421,7 @@ impl RelChecker {
                 }
                 let packed = self.infer(sess, ctx, p1, p2)?;
                 let (i, s, inner) = match expose(&packed.ty) {
-                    RelType::Exists(i, s, inner) => (i, s, *inner),
+                    RelType::Exists(i, s, inner) => (i, s, Arc::unwrap_or_clone(inner)),
                     other => {
                         return Err(TypeError::shape(
                             "an existential type for unpack",
@@ -443,7 +445,7 @@ impl RelChecker {
                 }
                 let guarded = self.infer(sess, ctx, g1, g2)?;
                 let (cond, inner) = match expose(&guarded.ty) {
-                    RelType::CAnd(c, inner) => (c, *inner),
+                    RelType::CAnd(c, inner) => (c, Arc::unwrap_or_clone(inner)),
                     other => {
                         return Err(TypeError::shape(
                             "a constrained type (C & τ) for clet",
@@ -746,7 +748,7 @@ impl RelChecker {
                     RelType::U(a1, a2) => {
                         // Instantiate both unary quantifiers with the same
                         // fresh witness.
-                        match (*a1, *a2) {
+                        match (Arc::unwrap_or_clone(a1), Arc::unwrap_or_clone(a2)) {
                             (UnaryType::Forall(i1, s1, b1), UnaryType::Forall(i2, _, b2)) => {
                                 let witness = sess.fresh.size("inst");
                                 let ty = RelType::u(
@@ -785,7 +787,11 @@ impl RelChecker {
                         ))
                     }
                 };
-                let ty = if matches!(e1, Expr::Fst(_)) { *a } else { *b };
+                let ty = if matches!(e1, Expr::Fst(_)) {
+                    Arc::unwrap_or_clone(a)
+                } else {
+                    Arc::unwrap_or_clone(b)
+                };
                 Ok(RelInference {
                     ty,
                     cost: inner.cost,
@@ -797,7 +803,7 @@ impl RelChecker {
                 let inner = self.infer(sess, ctx, g1, g2)?;
                 match expose(&inner.ty) {
                     RelType::CImpl(cond, body) => Ok(RelInference {
-                        ty: *body,
+                        ty: Arc::unwrap_or_clone(body),
                         cost: inner.cost,
                         constr: inner.constr.and(cond),
                         existentials: inner.existentials,

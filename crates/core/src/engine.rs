@@ -582,10 +582,16 @@ fn describe_failure(
     verdict: &Validity,
     refutation: &RefutationInfo,
 ) -> String {
-    let mut msg = format!(
-        "the generated constraints ({} atomic comparisons) are not valid",
-        constraint.atom_count()
-    );
+    let atoms = constraint.atom_count();
+    let mut msg = match verdict {
+        // A search that gave up has neither proved nor refuted anything.
+        Validity::Invalid(None) => format!(
+            "the generated constraints ({atoms} atomic comparisons) were not proved: \
+             the existential search gave up (the candidate-substitution search for the \
+             goal's existentials was exhausted) and no counterexample was found"
+        ),
+        _ => format!("the generated constraints ({atoms} atomic comparisons) are not valid"),
+    };
     match verdict {
         Validity::Invalid(Some(env)) => {
             let point = if env.is_empty() {
@@ -607,11 +613,6 @@ fn describe_failure(
             msg.push_str(&format!(": {source} a counterexample at {point}"));
         }
         Validity::Invalid(None) => {
-            msg.push_str(
-                ": refuted without a numeric counterexample \
-                 (the candidate-substitution search for the goal's \
-                 existentials was exhausted)",
-            );
             if let Some((reason, limit)) = refutation.exhausted {
                 msg.push_str(&format!(
                     "; the binding cap was {} ({}, limit {limit})",
@@ -733,6 +734,36 @@ mod tests {
         assert!(d.error.is_none());
         assert_eq!(d.annotations, 1);
         assert!(d.timings.total() > Duration::ZERO);
+    }
+
+    #[test]
+    fn failure_diagnostics_tell_a_refutation_from_a_search_that_gave_up() {
+        let goal = Constr::leq(Idx::var("n"), Idx::nat(1));
+        let gave_up = RefutationInfo {
+            source: Some(CexSource::SearchExhausted),
+            exhausted: Some((rel_constraint::SearchExhaustedReason::AttemptBudget, 128)),
+            ..RefutationInfo::default()
+        };
+        let msg = describe_failure(&goal, &Validity::Invalid(None), &gave_up);
+        assert!(msg.contains("were not proved"), "{msg}");
+        assert!(msg.contains("the existential search gave up"), "{msg}");
+        assert!(msg.contains("no counterexample was found"), "{msg}");
+        assert!(msg.contains("(attempt-budget, limit 128)"), "{msg}");
+        assert!(!msg.contains("not valid"), "{msg}");
+
+        let env = rel_index::IdxEnv::from_pairs([("n", rel_index::Extended::from(2))]);
+        let refuted = RefutationInfo {
+            source: Some(CexSource::GridSweep),
+            env: Some(env.clone()),
+            ..RefutationInfo::default()
+        };
+        let msg = describe_failure(&goal, &Validity::Invalid(Some(env)), &refuted);
+        assert!(msg.contains("are not valid"), "{msg}");
+        assert!(
+            msg.contains("the numeric grid sweep found a counterexample at n = 2"),
+            "{msg}"
+        );
+        assert!(!msg.contains("gave up"), "{msg}");
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl LinExpr {
             } else {
                 (b.0.clone(), atom.0.clone())
             };
-            let prod = normalize(&Idx::Mul(Box::new(x), Box::new(y)));
+            let prod = normalize(&(x * y));
             acc = acc.add(&LinExpr::atom(Atom(prod)).scale(*q));
         }
         if !c.is_zero() {

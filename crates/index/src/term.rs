@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
+use std::sync::Arc;
 
 use crate::rational::{Extended, Rational};
 use crate::var::IdxVar;
@@ -17,6 +18,12 @@ use crate::var::IdxVar;
 ///              | Σ_{i = I}^{I} I
 /// ```
 ///
+/// Children sit behind [`Arc`], so a clone is a reference-count bump and
+/// the rewriting walks ([`Idx::subst`], [`Idx::subst_all`],
+/// [`normalize`](crate::normalize())) hand back the input's own allocation
+/// for every subtree they leave unchanged.  `Arc` rather than `Rc`: engines,
+/// caches and the terms inside them are shared across worker threads.
+///
 /// Construction goes through the helper constructors ([`Idx::var`],
 /// [`Idx::nat`], [`Idx::min`], …) or the overloaded arithmetic operators.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -28,38 +35,45 @@ pub enum Idx {
     /// Positive infinity (the trivial cost bound).
     Infty,
     /// Addition `I1 + I2`.
-    Add(Box<Idx>, Box<Idx>),
+    Add(Arc<Idx>, Arc<Idx>),
     /// Subtraction `I1 - I2`.
-    Sub(Box<Idx>, Box<Idx>),
+    Sub(Arc<Idx>, Arc<Idx>),
     /// Multiplication `I1 · I2`.
-    Mul(Box<Idx>, Box<Idx>),
+    Mul(Arc<Idx>, Arc<Idx>),
     /// Division `I1 / I2`.
-    Div(Box<Idx>, Box<Idx>),
+    Div(Arc<Idx>, Arc<Idx>),
     /// Ceiling `⌈I⌉`.
-    Ceil(Box<Idx>),
+    Ceil(Arc<Idx>),
     /// Floor `⌊I⌋`.
-    Floor(Box<Idx>),
+    Floor(Arc<Idx>),
     /// Binary minimum `min(I1, I2)`.
-    Min(Box<Idx>, Box<Idx>),
+    Min(Arc<Idx>, Arc<Idx>),
     /// Binary maximum `max(I1, I2)`.
-    Max(Box<Idx>, Box<Idx>),
+    Max(Arc<Idx>, Arc<Idx>),
     /// Base-2 logarithm `log2 I` (totalized as `log2(max(I, 1))`).
-    Log2(Box<Idx>),
+    Log2(Arc<Idx>),
     /// Power of two `2^I`.
-    Pow2(Box<Idx>),
+    Pow2(Arc<Idx>),
     /// Bounded iterated sum `Σ_{var = lo}^{hi} body` (inclusive bounds), used
     /// by divide-and-conquer cost recurrences such as `Q(n, α)` for merge sort.
     Sum {
         /// The bound summation variable.
         var: IdxVar,
         /// Lower bound (inclusive).
-        lo: Box<Idx>,
+        lo: Arc<Idx>,
         /// Upper bound (inclusive).
-        hi: Box<Idx>,
+        hi: Arc<Idx>,
         /// Summand, may mention `var`.
-        body: Box<Idx>,
+        body: Arc<Idx>,
     },
 }
+
+// Terms cross threads inside shared engines and caches: a swap to `Rc`
+// must fail the build.
+const _: () = {
+    const fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<Idx>();
+};
 
 impl Idx {
     /// An index variable.
@@ -94,41 +108,41 @@ impl Idx {
 
     /// `min(a, b)`.
     pub fn min(a: Idx, b: Idx) -> Idx {
-        Idx::Min(Box::new(a), Box::new(b))
+        Idx::Min(Arc::new(a), Arc::new(b))
     }
 
     /// `max(a, b)`.
     pub fn max(a: Idx, b: Idx) -> Idx {
-        Idx::Max(Box::new(a), Box::new(b))
+        Idx::Max(Arc::new(a), Arc::new(b))
     }
 
     /// `⌈a⌉`.
     pub fn ceil(a: Idx) -> Idx {
-        Idx::Ceil(Box::new(a))
+        Idx::Ceil(Arc::new(a))
     }
 
     /// `⌊a⌋`.
     pub fn floor(a: Idx) -> Idx {
-        Idx::Floor(Box::new(a))
+        Idx::Floor(Arc::new(a))
     }
 
     /// `log2 a`.
     pub fn log2(a: Idx) -> Idx {
-        Idx::Log2(Box::new(a))
+        Idx::Log2(Arc::new(a))
     }
 
     /// `2^a`.
     pub fn pow2(a: Idx) -> Idx {
-        Idx::Pow2(Box::new(a))
+        Idx::Pow2(Arc::new(a))
     }
 
     /// `Σ_{var = lo}^{hi} body`.
     pub fn sum(var: impl Into<IdxVar>, lo: Idx, hi: Idx, body: Idx) -> Idx {
         Idx::Sum {
             var: var.into(),
-            lo: Box::new(lo),
-            hi: Box::new(hi),
-            body: Box::new(body),
+            lo: Arc::new(lo),
+            hi: Arc::new(hi),
+            body: Arc::new(body),
         }
     }
 
@@ -217,80 +231,51 @@ impl Idx {
     ///
     /// Summation binders shadow the substituted variable; substitution under a
     /// binder whose bound variable occurs free in `replacement` renames the
-    /// binder (the generated name is derived from the original).
+    /// binder (the generated name is derived from the original).  Every
+    /// subtree the substitution leaves unchanged comes back as the input's
+    /// own allocation.
     pub fn subst(&self, var: &IdxVar, replacement: &Idx) -> Idx {
+        self.subst_changed(var, replacement)
+            .unwrap_or_else(|| self.clone())
+    }
+
+    /// [`Idx::subst`], or `None` when it would return the term unchanged.
+    pub fn subst_changed(&self, var: &IdxVar, replacement: &Idx) -> Option<Idx> {
         match self {
-            Idx::Var(v) => {
-                if v == var {
-                    replacement.clone()
-                } else {
-                    self.clone()
-                }
-            }
-            Idx::Const(_) | Idx::Infty => self.clone(),
-            Idx::Add(a, b) => Idx::Add(
-                Box::new(a.subst(var, replacement)),
-                Box::new(b.subst(var, replacement)),
-            ),
-            Idx::Sub(a, b) => Idx::Sub(
-                Box::new(a.subst(var, replacement)),
-                Box::new(b.subst(var, replacement)),
-            ),
-            Idx::Mul(a, b) => Idx::Mul(
-                Box::new(a.subst(var, replacement)),
-                Box::new(b.subst(var, replacement)),
-            ),
-            Idx::Div(a, b) => Idx::Div(
-                Box::new(a.subst(var, replacement)),
-                Box::new(b.subst(var, replacement)),
-            ),
-            Idx::Min(a, b) => Idx::Min(
-                Box::new(a.subst(var, replacement)),
-                Box::new(b.subst(var, replacement)),
-            ),
-            Idx::Max(a, b) => Idx::Max(
-                Box::new(a.subst(var, replacement)),
-                Box::new(b.subst(var, replacement)),
-            ),
-            Idx::Ceil(a) => Idx::Ceil(Box::new(a.subst(var, replacement))),
-            Idx::Floor(a) => Idx::Floor(Box::new(a.subst(var, replacement))),
-            Idx::Log2(a) => Idx::Log2(Box::new(a.subst(var, replacement))),
-            Idx::Pow2(a) => Idx::Pow2(Box::new(a.subst(var, replacement))),
+            Idx::Var(v) => (v == var).then(|| replacement.clone()),
             Idx::Sum {
                 var: b,
                 lo,
                 hi,
                 body,
-            } => {
-                let lo = lo.subst(var, replacement);
-                let hi = hi.subst(var, replacement);
+            } if b == var || replacement.mentions(b) => {
+                let (new_lo, new_hi) = (
+                    lo.subst_changed(var, replacement),
+                    hi.subst_changed(var, replacement),
+                );
                 if b == var {
                     // Bound occurrence shadows the substitution.
-                    Idx::Sum {
+                    if new_lo.is_none() && new_hi.is_none() {
+                        return None;
+                    }
+                    return Some(Idx::Sum {
                         var: b.clone(),
-                        lo: Box::new(lo),
-                        hi: Box::new(hi),
-                        body: body.clone(),
-                    }
-                } else if replacement.mentions(b) {
-                    // Rename the binder to avoid capture.
-                    let fresh = IdxVar::new(format!("{}'", b.name()));
-                    let renamed_body = body.subst(b, &Idx::Var(fresh.clone()));
-                    Idx::Sum {
-                        var: fresh,
-                        lo: Box::new(lo),
-                        hi: Box::new(hi),
-                        body: Box::new(renamed_body.subst(var, replacement)),
-                    }
-                } else {
-                    Idx::Sum {
-                        var: b.clone(),
-                        lo: Box::new(lo),
-                        hi: Box::new(hi),
-                        body: Box::new(body.subst(var, replacement)),
-                    }
+                        lo: share(new_lo, lo),
+                        hi: share(new_hi, hi),
+                        body: Arc::clone(body),
+                    });
                 }
+                // Rename the binder to avoid capture.
+                let fresh = IdxVar::new(format!("{}'", b.name()));
+                let renamed_body = body.subst(b, &Idx::Var(fresh.clone()));
+                Some(Idx::Sum {
+                    var: fresh,
+                    lo: share(new_lo, lo),
+                    hi: share(new_hi, hi),
+                    body: Arc::new(renamed_body.subst(var, replacement)),
+                })
             }
+            _ => self.map_children(|c| c.subst_changed(var, replacement)),
         }
     }
 
@@ -305,61 +290,60 @@ impl Idx {
     /// binder-capture case is handled.  Callers substituting into many
     /// terms with one map should validate the map once themselves (as
     /// `Constr::subst_all` does) — this entry point does not re-check it.
+    /// Shares unchanged subtrees like [`Idx::subst`].
     pub fn subst_all(&self, map: &BTreeMap<IdxVar, Idx>) -> Idx {
-        if map.is_empty() {
-            return self.clone();
-        }
-        self.subst_all_inner(map)
+        self.subst_all_changed(map).unwrap_or_else(|| self.clone())
     }
 
-    fn subst_all_inner(&self, map: &BTreeMap<IdxVar, Idx>) -> Idx {
+    /// [`Idx::subst_all`], or `None` when it would return the term unchanged
+    /// (same precondition).
+    pub fn subst_all_changed(&self, map: &BTreeMap<IdxVar, Idx>) -> Option<Idx> {
+        if map.is_empty() {
+            return None;
+        }
         match self {
-            Idx::Var(v) => map.get(v).cloned().unwrap_or_else(|| self.clone()),
-            Idx::Const(_) | Idx::Infty => self.clone(),
-            Idx::Add(a, b) => Idx::Add(
-                Box::new(a.subst_all_inner(map)),
-                Box::new(b.subst_all_inner(map)),
-            ),
-            Idx::Sub(a, b) => Idx::Sub(
-                Box::new(a.subst_all_inner(map)),
-                Box::new(b.subst_all_inner(map)),
-            ),
-            Idx::Mul(a, b) => Idx::Mul(
-                Box::new(a.subst_all_inner(map)),
-                Box::new(b.subst_all_inner(map)),
-            ),
-            Idx::Div(a, b) => Idx::Div(
-                Box::new(a.subst_all_inner(map)),
-                Box::new(b.subst_all_inner(map)),
-            ),
-            Idx::Min(a, b) => Idx::Min(
-                Box::new(a.subst_all_inner(map)),
-                Box::new(b.subst_all_inner(map)),
-            ),
-            Idx::Max(a, b) => Idx::Max(
-                Box::new(a.subst_all_inner(map)),
-                Box::new(b.subst_all_inner(map)),
-            ),
-            Idx::Ceil(a) => Idx::Ceil(Box::new(a.subst_all_inner(map))),
-            Idx::Floor(a) => Idx::Floor(Box::new(a.subst_all_inner(map))),
-            Idx::Log2(a) => Idx::Log2(Box::new(a.subst_all_inner(map))),
-            Idx::Pow2(a) => Idx::Pow2(Box::new(a.subst_all_inner(map))),
-            Idx::Sum { var, .. } => {
-                if map.contains_key(var) || map.values().any(|r| r.mentions(var)) {
-                    // Shadowing or capture risk at this binder: fall back to
-                    // the capture-avoiding single substitution, pairwise
-                    // (equivalent under the documented precondition).
-                    map.iter().fold(self.clone(), |acc, (v, i)| acc.subst(v, i))
-                } else if let Idx::Sum { var, lo, hi, body } = self {
-                    Idx::Sum {
-                        var: var.clone(),
-                        lo: Box::new(lo.subst_all_inner(map)),
-                        hi: Box::new(hi.subst_all_inner(map)),
-                        body: Box::new(body.subst_all_inner(map)),
-                    }
-                } else {
-                    unreachable!()
+            Idx::Var(v) => map.get(v).cloned(),
+            Idx::Sum { var, .. }
+                if map.contains_key(var) || map.values().any(|r| r.mentions(var)) =>
+            {
+                // Shadowing or capture risk at this binder: fall back to the
+                // capture-avoiding single substitution, pairwise (equivalent
+                // under the documented precondition).
+                map.iter().fold(None, |acc: Option<Idx>, (v, i)| {
+                    acc.as_ref().unwrap_or(self).subst_changed(v, i).or(acc)
+                })
+            }
+            _ => self.map_children(|c| c.subst_all_changed(map)),
+        }
+    }
+
+    /// Applies `f` to each child (the bounds and the body alike for a sum)
+    /// and rebuilds the node around the results, sharing every child for
+    /// which `f` returns `None`.  `None` when `f` changed no child.
+    pub(crate) fn map_children(&self, mut f: impl FnMut(&Idx) -> Option<Idx>) -> Option<Idx> {
+        match self {
+            Idx::Var(_) | Idx::Const(_) | Idx::Infty => None,
+            Idx::Add(a, b) => rebuild2(a, b, Idx::Add, f),
+            Idx::Sub(a, b) => rebuild2(a, b, Idx::Sub, f),
+            Idx::Mul(a, b) => rebuild2(a, b, Idx::Mul, f),
+            Idx::Div(a, b) => rebuild2(a, b, Idx::Div, f),
+            Idx::Min(a, b) => rebuild2(a, b, Idx::Min, f),
+            Idx::Max(a, b) => rebuild2(a, b, Idx::Max, f),
+            Idx::Ceil(a) => f(a).map(|a| Idx::Ceil(Arc::new(a))),
+            Idx::Floor(a) => f(a).map(|a| Idx::Floor(Arc::new(a))),
+            Idx::Log2(a) => f(a).map(|a| Idx::Log2(Arc::new(a))),
+            Idx::Pow2(a) => f(a).map(|a| Idx::Pow2(Arc::new(a))),
+            Idx::Sum { var, lo, hi, body } => {
+                let (new_lo, new_hi, new_body) = (f(lo), f(hi), f(body));
+                if new_lo.is_none() && new_hi.is_none() && new_body.is_none() {
+                    return None;
                 }
+                Some(Idx::Sum {
+                    var: var.clone(),
+                    lo: share(new_lo, lo),
+                    hi: share(new_hi, hi),
+                    body: share(new_body, body),
+                })
             }
         }
     }
@@ -380,31 +364,51 @@ impl Idx {
     }
 }
 
+/// The rewritten child, or the input's own allocation when the rewrite
+/// left it unchanged (`new` is `None`).
+fn share(new: Option<Idx>, old: &Arc<Idx>) -> Arc<Idx> {
+    new.map_or_else(|| Arc::clone(old), Arc::new)
+}
+
+/// Rebuilds a binary node when `f` changes either child.
+fn rebuild2(
+    a: &Arc<Idx>,
+    b: &Arc<Idx>,
+    node: fn(Arc<Idx>, Arc<Idx>) -> Idx,
+    mut f: impl FnMut(&Idx) -> Option<Idx>,
+) -> Option<Idx> {
+    let (new_a, new_b) = (f(a), f(b));
+    if new_a.is_none() && new_b.is_none() {
+        return None;
+    }
+    Some(node(share(new_a, a), share(new_b, b)))
+}
+
 impl Add for Idx {
     type Output = Idx;
     fn add(self, rhs: Idx) -> Idx {
-        Idx::Add(Box::new(self), Box::new(rhs))
+        Idx::Add(Arc::new(self), Arc::new(rhs))
     }
 }
 
 impl Sub for Idx {
     type Output = Idx;
     fn sub(self, rhs: Idx) -> Idx {
-        Idx::Sub(Box::new(self), Box::new(rhs))
+        Idx::Sub(Arc::new(self), Arc::new(rhs))
     }
 }
 
 impl Mul for Idx {
     type Output = Idx;
     fn mul(self, rhs: Idx) -> Idx {
-        Idx::Mul(Box::new(self), Box::new(rhs))
+        Idx::Mul(Arc::new(self), Arc::new(rhs))
     }
 }
 
 impl Div for Idx {
     type Output = Idx;
     fn div(self, rhs: Idx) -> Idx {
-        Idx::Div(Box::new(self), Box::new(rhs))
+        Idx::Div(Arc::new(self), Arc::new(rhs))
     }
 }
 
@@ -452,7 +456,7 @@ mod tests {
         let i = Idx::var("n") + Idx::nat(1);
         assert_eq!(
             i,
-            Idx::Add(Box::new(Idx::Var(IdxVar::new("n"))), Box::new(Idx::nat(1)))
+            Idx::Add(Arc::new(Idx::Var(IdxVar::new("n"))), Arc::new(Idx::nat(1)))
         );
         assert_eq!(i.size(), 3);
     }
@@ -508,6 +512,26 @@ mod tests {
             }
             other => panic!("expected a sum, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn subst_of_an_absent_variable_shares_every_child() {
+        let term = Idx::min(Idx::var("n") + Idx::nat(1), Idx::log2(Idx::var("a")));
+        let absent = IdxVar::new("z");
+        let (Idx::Min(a, b), Idx::Min(sa, sb)) = (&term, &term.subst(&absent, &Idx::nat(3))) else {
+            panic!("subst changed the head");
+        };
+        assert!(Arc::ptr_eq(a, sa) && Arc::ptr_eq(b, sb));
+        let map = BTreeMap::from([(absent, Idx::nat(3))]);
+        let Idx::Min(ma, mb) = &term.subst_all(&map) else {
+            panic!("subst_all changed the head");
+        };
+        assert!(Arc::ptr_eq(a, ma) && Arc::ptr_eq(b, mb));
+        // Substituting under one child shares the other.
+        let Idx::Min(na, nb) = &term.subst(&IdxVar::new("n"), &Idx::nat(3)) else {
+            panic!("subst changed the head");
+        };
+        assert!(!Arc::ptr_eq(a, na) && Arc::ptr_eq(b, nb));
     }
 
     #[test]

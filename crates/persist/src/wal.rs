@@ -984,8 +984,8 @@ fn read_idx(r: &mut Reader<'_>, depth: u32) -> Result<Idx, DecodeError> {
     })
 }
 
-fn read_bidx(r: &mut Reader<'_>, depth: u32) -> Result<Box<Idx>, DecodeError> {
-    read_idx(r, depth).map(Box::new)
+fn read_bidx(r: &mut Reader<'_>, depth: u32) -> Result<Arc<Idx>, DecodeError> {
+    read_idx(r, depth).map(Arc::new)
 }
 
 fn write_constr(w: &mut Writer, c: &Constr) {
@@ -1045,15 +1045,15 @@ fn read_constr(r: &mut Reader<'_>, depth: u32) -> Result<Constr, DecodeError> {
         4 => Constr::Lt(read_idx(r, d)?, read_idx(r, d)?),
         5 => Constr::And(read_constr_vec(r, d)?),
         6 => Constr::Or(read_constr_vec(r, d)?),
-        7 => Constr::Not(Box::new(read_constr(r, d)?)),
-        8 => Constr::Implies(Box::new(read_constr(r, d)?), Box::new(read_constr(r, d)?)),
+        7 => Constr::Not(Arc::new(read_constr(r, d)?)),
+        8 => Constr::Implies(Arc::new(read_constr(r, d)?), Arc::new(read_constr(r, d)?)),
         9 => {
             let q = read_quantified(r)?;
-            Constr::Forall(q, Box::new(read_constr(r, d)?))
+            Constr::Forall(q, Arc::new(read_constr(r, d)?))
         }
         10 => {
             let q = read_quantified(r)?;
-            Constr::Exists(q, Box::new(read_constr(r, d)?))
+            Constr::Exists(q, Arc::new(read_constr(r, d)?))
         }
         b => return Err(DecodeError(format!("bad constraint tag {b}"))),
     })

@@ -5,6 +5,7 @@
 //! `wal_crashsafety.rs`, which walk the same frames.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -85,8 +86,8 @@ fn arb_constr() -> BoxedStrategy<Constr> {
         arb_atom(),
         (arb_atom(), arb_atom()).prop_map(|(a, b)| Constr::And(vec![a, b])),
         (arb_atom(), arb_atom()).prop_map(|(a, b)| Constr::Or(vec![a, b])),
-        arb_atom().prop_map(|a| Constr::Not(Box::new(a))),
-        (arb_atom(), arb_atom()).prop_map(|(a, b)| Constr::Implies(Box::new(a), Box::new(b))),
+        arb_atom().prop_map(|a| Constr::Not(Arc::new(a))),
+        (arb_atom(), arb_atom()).prop_map(|(a, b)| Constr::Implies(Arc::new(a), Arc::new(b))),
         (arb_var(), arb_sort(), arb_atom()).prop_map(|(v, s, c)| Constr::forall(v.name(), s, c)),
         (arb_var(), arb_sort(), arb_atom()).prop_map(|(v, s, c)| Constr::exists(v.name(), s, c)),
     ]

@@ -29,6 +29,8 @@
 //!             | binary/application/atom layers (see the module source)
 //! ```
 
+use std::sync::Arc;
+
 use rel_constraint::Constr;
 use rel_index::{Idx, IdxVar, Sort};
 
@@ -464,11 +466,11 @@ impl Parser {
             self.expect(&Token::RBrace)?;
             if self.eat(&Token::Amp) {
                 let body = self.unary_type()?;
-                return Ok(UnaryType::CAnd(c, Box::new(body)));
+                return Ok(UnaryType::CAnd(c, Arc::new(body)));
             }
             self.expect(&Token::FatArrow)?;
             let body = self.unary_type()?;
-            return Ok(UnaryType::CImpl(c, Box::new(body)));
+            return Ok(UnaryType::CImpl(c, Arc::new(body)));
         }
         self.unary_arrow()
     }
@@ -997,9 +999,9 @@ mod tests {
         let t = parse_rel_type("box (unitr -> forall n :: nat. forall a :: nat. list[n; a] (UU int) ->[n] UU (list[n] int))")
             .unwrap();
         match t {
-            RelType::Boxed(inner) => match *inner {
+            RelType::Boxed(inner) => match &*inner {
                 RelType::Arrow(_, _, rest) => {
-                    assert!(matches!(*rest, RelType::Forall(_, Sort::Nat, _)));
+                    assert!(matches!(**rest, RelType::Forall(_, Sort::Nat, _)));
                 }
                 other => panic!("unexpected {other:?}"),
             },

@@ -10,6 +10,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use rel_constraint::Constr;
 use rel_index::{Idx, IdxVar, Sort};
@@ -91,10 +92,20 @@ impl CostBounds {
 
     /// Substitutes an index term for an index variable in both bounds.
     pub fn subst(&self, var: &IdxVar, replacement: &Idx) -> CostBounds {
-        CostBounds {
-            lo: self.lo.subst(var, replacement),
-            hi: self.hi.subst(var, replacement),
-        }
+        self.subst_changed(var, replacement)
+            .unwrap_or_else(|| self.clone())
+    }
+
+    /// [`CostBounds::subst`], or `None` when neither bound mentions `var`.
+    fn subst_changed(&self, var: &IdxVar, replacement: &Idx) -> Option<CostBounds> {
+        let (lo, hi) = either(
+            (
+                self.lo.subst_changed(var, replacement),
+                self.hi.subst_changed(var, replacement),
+            ),
+            (&self.lo, &self.hi),
+        )?;
+        Some(CostBounds { lo, hi })
     }
 
     /// Free index variables of both bounds.
@@ -111,6 +122,26 @@ impl fmt::Display for CostBounds {
     }
 }
 
+// Types cross threads inside shared engines and definition indexes: a swap
+// to `Rc` must fail the build.
+const _: () = {
+    const fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<UnaryType>();
+    shared_across_threads::<RelType>();
+};
+
+/// Both parts of a node a rewrite touched, each either rewritten or taken
+/// from `old`; `None` when the rewrite changed neither.
+fn either<A: Clone, B: Clone>(new: (Option<A>, Option<B>), old: (&A, &B)) -> Option<(A, B)> {
+    match new {
+        (None, None) => None,
+        (a, b) => Some((
+            a.unwrap_or_else(|| old.0.clone()),
+            b.unwrap_or_else(|| old.1.clone()),
+        )),
+    }
+}
+
 /// A unary (single-execution) type `A`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum UnaryType {
@@ -124,86 +155,89 @@ pub enum UnaryType {
     /// as `map`'s; type variables are not quantified in the formal systems).
     TVar(String),
     /// `A₁ →^exec(k,t) A₂`.
-    Arrow(Box<UnaryType>, CostBounds, Box<UnaryType>),
+    Arrow(Arc<UnaryType>, CostBounds, Arc<UnaryType>),
     /// `list[n] A` — lists of length exactly `n`.
-    List(Idx, Box<UnaryType>),
+    List(Idx, Arc<UnaryType>),
     /// Products `A₁ × A₂`.
-    Prod(Box<UnaryType>, Box<UnaryType>),
+    Prod(Arc<UnaryType>, Arc<UnaryType>),
     /// `∀ i :: S. A`.
-    Forall(IdxVar, Sort, Box<UnaryType>),
+    Forall(IdxVar, Sort, Arc<UnaryType>),
     /// `∃ i :: S. A`.
-    Exists(IdxVar, Sort, Box<UnaryType>),
+    Exists(IdxVar, Sort, Arc<UnaryType>),
     /// `C & A` — the constraint holds and the value has type `A`.
-    CAnd(Constr, Box<UnaryType>),
+    CAnd(Constr, Arc<UnaryType>),
     /// `C ⊃ A` — if the constraint holds then the value has type `A`.
-    CImpl(Constr, Box<UnaryType>),
+    CImpl(Constr, Arc<UnaryType>),
 }
 
 impl UnaryType {
     /// `A₁ →^exec(k,t) A₂`.
     pub fn arrow(a: UnaryType, cost: CostBounds, b: UnaryType) -> UnaryType {
-        UnaryType::Arrow(Box::new(a), cost, Box::new(b))
+        UnaryType::Arrow(Arc::new(a), cost, Arc::new(b))
     }
 
     /// `list[n] A`.
     pub fn list(n: Idx, a: UnaryType) -> UnaryType {
-        UnaryType::List(n, Box::new(a))
+        UnaryType::List(n, Arc::new(a))
     }
 
     /// `A₁ × A₂`.
     pub fn prod(a: UnaryType, b: UnaryType) -> UnaryType {
-        UnaryType::Prod(Box::new(a), Box::new(b))
+        UnaryType::Prod(Arc::new(a), Arc::new(b))
     }
 
     /// `∀ i :: S. A`.
     pub fn forall(i: impl Into<IdxVar>, s: Sort, a: UnaryType) -> UnaryType {
-        UnaryType::Forall(i.into(), s, Box::new(a))
+        UnaryType::Forall(i.into(), s, Arc::new(a))
     }
 
     /// `∃ i :: S. A`.
     pub fn exists(i: impl Into<IdxVar>, s: Sort, a: UnaryType) -> UnaryType {
-        UnaryType::Exists(i.into(), s, Box::new(a))
+        UnaryType::Exists(i.into(), s, Arc::new(a))
     }
 
     /// Capture-avoiding substitution of an index term for an index variable.
+    /// Every part the substitution leaves unchanged is shared with `self`.
     pub fn subst_idx(&self, var: &IdxVar, replacement: &Idx) -> UnaryType {
+        self.subst_idx_changed(var, replacement)
+            .unwrap_or_else(|| self.clone())
+    }
+
+    /// [`UnaryType::subst_idx`], or `None` when it would return `self`.
+    fn subst_idx_changed(&self, var: &IdxVar, replacement: &Idx) -> Option<UnaryType> {
+        let ty = |a: &Arc<UnaryType>| a.subst_idx_changed(var, replacement).map(Arc::new);
         match self {
-            UnaryType::Unit | UnaryType::Bool | UnaryType::Int | UnaryType::TVar(_) => self.clone(),
-            UnaryType::Arrow(a, c, b) => UnaryType::Arrow(
-                Box::new(a.subst_idx(var, replacement)),
-                c.subst(var, replacement),
-                Box::new(b.subst_idx(var, replacement)),
-            ),
-            UnaryType::List(n, a) => UnaryType::List(
-                n.subst(var, replacement),
-                Box::new(a.subst_idx(var, replacement)),
-            ),
-            UnaryType::Prod(a, b) => UnaryType::Prod(
-                Box::new(a.subst_idx(var, replacement)),
-                Box::new(b.subst_idx(var, replacement)),
-            ),
-            UnaryType::Forall(i, s, a) => {
-                if i == var {
-                    self.clone()
-                } else {
-                    UnaryType::Forall(i.clone(), *s, Box::new(a.subst_idx(var, replacement)))
+            UnaryType::Unit | UnaryType::Bool | UnaryType::Int | UnaryType::TVar(_) => None,
+            UnaryType::Arrow(a, c, b) => {
+                let (na, nc, nb) = (ty(a), c.subst_changed(var, replacement), ty(b));
+                if na.is_none() && nc.is_none() && nb.is_none() {
+                    return None;
                 }
+                Some(UnaryType::Arrow(
+                    na.unwrap_or_else(|| Arc::clone(a)),
+                    nc.unwrap_or_else(|| c.clone()),
+                    nb.unwrap_or_else(|| Arc::clone(b)),
+                ))
             }
-            UnaryType::Exists(i, s, a) => {
-                if i == var {
-                    self.clone()
-                } else {
-                    UnaryType::Exists(i.clone(), *s, Box::new(a.subst_idx(var, replacement)))
-                }
+            UnaryType::List(n, a) => {
+                let (n, a) = either((n.subst_changed(var, replacement), ty(a)), (n, a))?;
+                Some(UnaryType::List(n, a))
             }
-            UnaryType::CAnd(c, a) => UnaryType::CAnd(
-                c.subst(var, replacement),
-                Box::new(a.subst_idx(var, replacement)),
-            ),
-            UnaryType::CImpl(c, a) => UnaryType::CImpl(
-                c.subst(var, replacement),
-                Box::new(a.subst_idx(var, replacement)),
-            ),
+            UnaryType::Prod(a, b) => {
+                let (a, b) = either((ty(a), ty(b)), (a, b))?;
+                Some(UnaryType::Prod(a, b))
+            }
+            UnaryType::Forall(i, _, _) | UnaryType::Exists(i, _, _) if i == var => None,
+            UnaryType::Forall(i, s, a) => Some(UnaryType::Forall(i.clone(), *s, ty(a)?)),
+            UnaryType::Exists(i, s, a) => Some(UnaryType::Exists(i.clone(), *s, ty(a)?)),
+            UnaryType::CAnd(c, a) => {
+                let (c, a) = either((c.subst_changed(var, replacement), ty(a)), (c, a))?;
+                Some(UnaryType::CAnd(c, a))
+            }
+            UnaryType::CImpl(c, a) => {
+                let (c, a) = either((c.subst_changed(var, replacement), ty(a)), (c, a))?;
+                Some(UnaryType::CImpl(c, a))
+            }
         }
     }
 
@@ -269,7 +303,7 @@ pub enum RelType {
     TVar(String),
     /// `τ₁ →^diff(t) τ₂`: related functions whose bodies' relative cost is at
     /// most `t`.
-    Arrow(Box<RelType>, Idx, Box<RelType>),
+    Arrow(Arc<RelType>, Idx, Arc<RelType>),
     /// `list[n]^α τ`: two lists of length `n` differing pointwise in at most
     /// `α` positions.
     List {
@@ -278,28 +312,28 @@ pub enum RelType {
         /// Maximum number of differing positions `α`.
         diff: Idx,
         /// Element relation.
-        elem: Box<RelType>,
+        elem: Arc<RelType>,
     },
     /// Products.
-    Prod(Box<RelType>, Box<RelType>),
+    Prod(Arc<RelType>, Arc<RelType>),
     /// `□ τ`: the two related values are equal (diagonal of `τ`).
-    Boxed(Box<RelType>),
+    Boxed(Arc<RelType>),
     /// `U (A₁, A₂)`: any two expressions whose unary types are `A₁` and `A₂`.
-    U(Box<UnaryType>, Box<UnaryType>),
+    U(Arc<UnaryType>, Arc<UnaryType>),
     /// `∀ i :: S. τ`.
-    Forall(IdxVar, Sort, Box<RelType>),
+    Forall(IdxVar, Sort, Arc<RelType>),
     /// `∃ i :: S. τ`.
-    Exists(IdxVar, Sort, Box<RelType>),
+    Exists(IdxVar, Sort, Arc<RelType>),
     /// `C & τ`.
-    CAnd(Constr, Box<RelType>),
+    CAnd(Constr, Arc<RelType>),
     /// `C ⊃ τ`.
-    CImpl(Constr, Box<RelType>),
+    CImpl(Constr, Arc<RelType>),
 }
 
 impl RelType {
     /// `τ₁ →^diff(t) τ₂`.
     pub fn arrow(a: RelType, diff_cost: Idx, b: RelType) -> RelType {
-        RelType::Arrow(Box::new(a), diff_cost, Box::new(b))
+        RelType::Arrow(Arc::new(a), diff_cost, Arc::new(b))
     }
 
     /// An arrow with zero relative cost (the only arrow available below
@@ -313,23 +347,23 @@ impl RelType {
         RelType::List {
             len,
             diff,
-            elem: Box::new(elem),
+            elem: Arc::new(elem),
         }
     }
 
     /// `□ τ`.
     pub fn boxed(t: RelType) -> RelType {
-        RelType::Boxed(Box::new(t))
+        RelType::Boxed(Arc::new(t))
     }
 
     /// `τ₁ × τ₂`.
     pub fn prod(a: RelType, b: RelType) -> RelType {
-        RelType::Prod(Box::new(a), Box::new(b))
+        RelType::Prod(Arc::new(a), Arc::new(b))
     }
 
     /// `U (A₁, A₂)`.
     pub fn u(a: UnaryType, b: UnaryType) -> RelType {
-        RelType::U(Box::new(a), Box::new(b))
+        RelType::U(Arc::new(a), Arc::new(b))
     }
 
     /// `U (A, A)` — the common case of relating two runs at the same unary type.
@@ -345,69 +379,80 @@ impl RelType {
 
     /// `∀ i :: S. τ`.
     pub fn forall(i: impl Into<IdxVar>, s: Sort, t: RelType) -> RelType {
-        RelType::Forall(i.into(), s, Box::new(t))
+        RelType::Forall(i.into(), s, Arc::new(t))
     }
 
     /// `∃ i :: S. τ`.
     pub fn exists(i: impl Into<IdxVar>, s: Sort, t: RelType) -> RelType {
-        RelType::Exists(i.into(), s, Box::new(t))
+        RelType::Exists(i.into(), s, Arc::new(t))
     }
 
     /// `C & τ`.
     pub fn cand(c: Constr, t: RelType) -> RelType {
-        RelType::CAnd(c, Box::new(t))
+        RelType::CAnd(c, Arc::new(t))
     }
 
     /// `C ⊃ τ`.
     pub fn cimpl(c: Constr, t: RelType) -> RelType {
-        RelType::CImpl(c, Box::new(t))
+        RelType::CImpl(c, Arc::new(t))
     }
 
     /// Capture-avoiding substitution of an index term for an index variable.
+    /// Every part the substitution leaves unchanged is shared with `self`.
     pub fn subst_idx(&self, var: &IdxVar, replacement: &Idx) -> RelType {
+        self.subst_idx_changed(var, replacement)
+            .unwrap_or_else(|| self.clone())
+    }
+
+    /// [`RelType::subst_idx`], or `None` when it would return `self`.
+    fn subst_idx_changed(&self, var: &IdxVar, replacement: &Idx) -> Option<RelType> {
+        let ty = |t: &Arc<RelType>| t.subst_idx_changed(var, replacement).map(Arc::new);
+        let unary = |a: &Arc<UnaryType>| a.subst_idx_changed(var, replacement).map(Arc::new);
+        let idx = |i: &Idx| i.subst_changed(var, replacement);
         match self {
-            RelType::UnitR | RelType::BoolR | RelType::IntR | RelType::TVar(_) => self.clone(),
-            RelType::Arrow(a, t, b) => RelType::Arrow(
-                Box::new(a.subst_idx(var, replacement)),
-                t.subst(var, replacement),
-                Box::new(b.subst_idx(var, replacement)),
-            ),
-            RelType::List { len, diff, elem } => RelType::List {
-                len: len.subst(var, replacement),
-                diff: diff.subst(var, replacement),
-                elem: Box::new(elem.subst_idx(var, replacement)),
-            },
-            RelType::Prod(a, b) => RelType::Prod(
-                Box::new(a.subst_idx(var, replacement)),
-                Box::new(b.subst_idx(var, replacement)),
-            ),
-            RelType::Boxed(t) => RelType::Boxed(Box::new(t.subst_idx(var, replacement))),
-            RelType::U(a, b) => RelType::U(
-                Box::new(a.subst_idx(var, replacement)),
-                Box::new(b.subst_idx(var, replacement)),
-            ),
-            RelType::Forall(i, s, t) => {
-                if i == var {
-                    self.clone()
-                } else {
-                    RelType::Forall(i.clone(), *s, Box::new(t.subst_idx(var, replacement)))
+            RelType::UnitR | RelType::BoolR | RelType::IntR | RelType::TVar(_) => None,
+            RelType::Arrow(a, t, b) => {
+                let (na, nt, nb) = (ty(a), idx(t), ty(b));
+                if na.is_none() && nt.is_none() && nb.is_none() {
+                    return None;
                 }
+                Some(RelType::Arrow(
+                    na.unwrap_or_else(|| Arc::clone(a)),
+                    nt.unwrap_or_else(|| t.clone()),
+                    nb.unwrap_or_else(|| Arc::clone(b)),
+                ))
             }
-            RelType::Exists(i, s, t) => {
-                if i == var {
-                    self.clone()
-                } else {
-                    RelType::Exists(i.clone(), *s, Box::new(t.subst_idx(var, replacement)))
+            RelType::List { len, diff, elem } => {
+                let (nl, nd, ne) = (idx(len), idx(diff), ty(elem));
+                if nl.is_none() && nd.is_none() && ne.is_none() {
+                    return None;
                 }
+                Some(RelType::List {
+                    len: nl.unwrap_or_else(|| len.clone()),
+                    diff: nd.unwrap_or_else(|| diff.clone()),
+                    elem: ne.unwrap_or_else(|| Arc::clone(elem)),
+                })
             }
-            RelType::CAnd(c, t) => RelType::CAnd(
-                c.subst(var, replacement),
-                Box::new(t.subst_idx(var, replacement)),
-            ),
-            RelType::CImpl(c, t) => RelType::CImpl(
-                c.subst(var, replacement),
-                Box::new(t.subst_idx(var, replacement)),
-            ),
+            RelType::Prod(a, b) => {
+                let (a, b) = either((ty(a), ty(b)), (a, b))?;
+                Some(RelType::Prod(a, b))
+            }
+            RelType::Boxed(t) => Some(RelType::Boxed(ty(t)?)),
+            RelType::U(a, b) => {
+                let (a, b) = either((unary(a), unary(b)), (a, b))?;
+                Some(RelType::U(a, b))
+            }
+            RelType::Forall(i, _, _) | RelType::Exists(i, _, _) if i == var => None,
+            RelType::Forall(i, s, t) => Some(RelType::Forall(i.clone(), *s, ty(t)?)),
+            RelType::Exists(i, s, t) => Some(RelType::Exists(i.clone(), *s, ty(t)?)),
+            RelType::CAnd(c, t) => {
+                let (c, t) = either((c.subst_changed(var, replacement), ty(t)), (c, t))?;
+                Some(RelType::CAnd(c, t))
+            }
+            RelType::CImpl(c, t) => {
+                let (c, t) = either((c.subst_changed(var, replacement), ty(t)), (c, t))?;
+                Some(RelType::CImpl(c, t))
+            }
         }
     }
 
@@ -481,15 +526,15 @@ impl RelType {
             RelType::IntR => UnaryType::Int,
             RelType::TVar(s) => UnaryType::TVar(s.clone()),
             RelType::Arrow(a, _, b) => UnaryType::Arrow(
-                Box::new(a.project(side)),
+                Arc::new(a.project(side)),
                 CostBounds::unbounded(),
-                Box::new(b.project(side)),
+                Arc::new(b.project(side)),
             ),
             RelType::List { len, elem, .. } => {
-                UnaryType::List(len.clone(), Box::new(elem.project(side)))
+                UnaryType::List(len.clone(), Arc::new(elem.project(side)))
             }
             RelType::Prod(a, b) => {
-                UnaryType::Prod(Box::new(a.project(side)), Box::new(b.project(side)))
+                UnaryType::Prod(Arc::new(a.project(side)), Arc::new(b.project(side)))
             }
             RelType::Boxed(t) => t.project(side),
             RelType::U(a, b) => {
@@ -499,10 +544,10 @@ impl RelType {
                     (**b).clone()
                 }
             }
-            RelType::Forall(i, s, t) => UnaryType::Forall(i.clone(), *s, Box::new(t.project(side))),
-            RelType::Exists(i, s, t) => UnaryType::Exists(i.clone(), *s, Box::new(t.project(side))),
-            RelType::CAnd(c, t) => UnaryType::CAnd(c.clone(), Box::new(t.project(side))),
-            RelType::CImpl(c, t) => UnaryType::CImpl(c.clone(), Box::new(t.project(side))),
+            RelType::Forall(i, s, t) => UnaryType::Forall(i.clone(), *s, Arc::new(t.project(side))),
+            RelType::Exists(i, s, t) => UnaryType::Exists(i.clone(), *s, Arc::new(t.project(side))),
+            RelType::CAnd(c, t) => UnaryType::CAnd(c.clone(), Arc::new(t.project(side))),
+            RelType::CImpl(c, t) => UnaryType::CImpl(c.clone(), Arc::new(t.project(side))),
         }
     }
 

@@ -9,6 +9,8 @@
 //! The mode of the effect mirrors the mode of the type (one of the summary
 //! observations of §5): checking checks both, inference infers both.
 
+use std::sync::Arc;
+
 use rel_constraint::{Constr, Quantified};
 use rel_index::{Idx, IdxVar, Sort};
 use rel_syntax::{Expr, UnaryType};
@@ -332,7 +334,7 @@ impl UnaryChecker {
             Expr::Int(_) => Ok(UnaryInference::value(UnaryType::Int)),
             Expr::Nil => Ok(UnaryInference::value(UnaryType::List(
                 Idx::zero(),
-                Box::new(UnaryType::Int),
+                Arc::new(UnaryType::Int),
             ))),
             Expr::Prim(op, args) => {
                 let mut constr = Constr::Top;
@@ -440,7 +442,11 @@ impl UnaryChecker {
                         ))
                     }
                 };
-                let ty = if matches!(e, Expr::Fst(_)) { *a } else { *b };
+                let ty = if matches!(e, Expr::Fst(_)) {
+                    Arc::unwrap_or_clone(a)
+                } else {
+                    Arc::unwrap_or_clone(b)
+                };
                 let step = self.cost_model.proj_idx();
                 Ok(UnaryInference {
                     ty,
@@ -454,7 +460,7 @@ impl UnaryChecker {
                 let ii = self.infer(fresh, ctx, inner)?;
                 match strip_quantifier_free(&ii.ty) {
                     UnaryType::CImpl(cond, body) => Ok(UnaryInference {
-                        ty: *body,
+                        ty: Arc::unwrap_or_clone(body),
                         lo: ii.lo,
                         hi: ii.hi,
                         constr: ii.constr.and(cond),

@@ -146,7 +146,7 @@ mod tests {
     fn constraint_types_produce_implications() {
         let guarded = UnaryType::CAnd(
             Constr::leq(Idx::var("b"), Idx::var("a")),
-            Box::new(UnaryType::Int),
+            std::sync::Arc::new(UnaryType::Int),
         );
         // Forgetting a `C &` wrapper is unconditionally allowed (the inner
         // subtyping is trivial, so the implication simplifies to `tt`).

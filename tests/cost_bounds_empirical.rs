@@ -322,3 +322,142 @@ fn bfold_relative_cost_is_within_its_recurrence() {
         }
     }
 }
+
+/// Runs `check` on a thread with a 64 MiB stack: the tree-walking evaluator
+/// recurses once per list element and per call, which exceeds a test
+/// thread's default stack on the longest inputs of an unoptimized build.
+fn on_large_stack(check: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(check)
+        .unwrap()
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+}
+
+/// Number of positions at which two lists of values differ (lengths must
+/// agree).
+fn differing_positions(left: &Value, right: &Value) -> usize {
+    match (left, right) {
+        (Value::List(l), Value::List(r)) => {
+            assert_eq!(l.len(), r.len(), "the two runs' outputs differ in length");
+            l.iter().zip(r).filter(|(x, y)| x != y).count()
+        }
+        other => panic!("expected two lists, got {other:?}"),
+    }
+}
+
+/// zip relates `list[n; a]` and `list[n; b]` inputs at relative cost 0 and
+/// produces `list[n; a + b]`: on value-only pairs (equal spines) the two
+/// runs cost the same and the zipped lists differ in at most `a + b`
+/// positions.
+#[test]
+fn zip_relative_cost_is_zero_and_output_differs_in_at_most_a_plus_b() {
+    on_large_stack(|| {
+        let program = parse_program(benchmark("zip").unwrap().source).unwrap();
+        let env = program_env(&program);
+        let body = program.def("zip").unwrap().left.clone();
+        let run = |l1: &[i64], l2: &[i64]| {
+            let call = apply_spine(body.clone(), 3, list_literal(l1)).app(list_literal(l2));
+            eval(&call, &env).unwrap()
+        };
+        for n in SIZES {
+            for (alpha, beta) in [(0, 0), (1, n / 2), (n / 2, n / 3), (n, n)] {
+                let firsts = Workload::generate(n, alpha, n as u64);
+                let seconds = Workload::generate(n, beta, n as u64 + 1);
+                let left = run(&firsts.left, &seconds.left);
+                let right = run(&firsts.right, &seconds.right);
+                assert_eq!(
+                    left.cost, right.cost,
+                    "n = {n}, α = {alpha}, β = {beta}: relative cost"
+                );
+                let bound = firsts.differing + seconds.differing;
+                let diff = differing_positions(&left.value, &right.value);
+                assert!(
+                    diff <= bound,
+                    "n = {n}: the pairs differ in {diff} > a + b = {bound} positions"
+                );
+            }
+        }
+    });
+}
+
+/// flatten relates `list[r; a] (list[c; c] _)` matrices at relative cost 0
+/// and produces `list[r·c; a·c]`: on value-only pairs whose rows differ in
+/// at most `a` rows (anywhere within a row) the two runs cost the same and
+/// the flattened lists differ in at most `a·c` positions.
+#[test]
+fn flatten_relative_cost_is_zero_and_output_differs_in_at_most_a_times_c() {
+    on_large_stack(|| {
+        let program = parse_program(benchmark("flatten").unwrap().source).unwrap();
+        let env = program_env(&program);
+        let body = program.def("flatten").unwrap().left.clone();
+        let matrix = |rows: &[Vec<i64>]| {
+            rows.iter()
+                .rev()
+                .fold(Expr::Nil, |acc, row| Expr::cons(list_literal(row), acc))
+        };
+        let run =
+            |rows: &[Vec<i64>]| eval(&apply_spine(body.clone(), 3, matrix(rows)), &env).unwrap();
+        for r in [0, 1, 2, 5, 8] {
+            for c in [0, 1, 3, 6] {
+                for a in [0, 1, r / 2, r] {
+                    // The first `a` rows of the right matrix may differ anywhere.
+                    let seed = (r * 64 + c * 8 + a) as u64;
+                    let (left, right): (Vec<_>, Vec<_>) = (0..r)
+                        .map(|i| {
+                            let row =
+                                Workload::generate(c, if i < a { c } else { 0 }, seed + i as u64);
+                            (row.left, row.right)
+                        })
+                        .unzip();
+                    let (out_l, out_r) = (run(&left), run(&right));
+                    assert_eq!(
+                        out_l.cost, out_r.cost,
+                        "r = {r}, c = {c}, a = {a}: relative cost"
+                    );
+                    assert_eq!(out_l.value.as_int_list().unwrap().len(), r * c);
+                    let diff = differing_positions(&out_l.value, &out_r.value);
+                    assert!(
+                        diff <= a * c,
+                        "r = {r}, c = {c}: {diff} > a·c = {} positions",
+                        a * c
+                    );
+                }
+            }
+        }
+    });
+}
+
+/// appSum states relative cost 0 for two appended lists of lengths `n` and
+/// `m`: on value-only pairs the two runs cost exactly the same.
+#[test]
+fn app_sum_relative_cost_is_zero() {
+    on_large_stack(|| {
+        let program = parse_program(benchmark("appSum").unwrap().source).unwrap();
+        let env = program_env(&program);
+        let body = program.def("appSum").unwrap().left.clone();
+        let run = |l1: &[i64], l2: &[i64]| {
+            let call = apply_spine(body.clone(), 2, list_literal(l1))
+                .iapp()
+                .iapp()
+                .app(list_literal(l2));
+            cost_in(&env, &call)
+        };
+        for n in SIZES {
+            for m in [0, 1, n / 2, n] {
+                for alpha in [0, n / 2, n] {
+                    let firsts = Workload::generate(n, alpha, n as u64);
+                    let seconds = Workload::generate(m, m.min(alpha), m as u64 + 7);
+                    let left = run(&firsts.left, &seconds.left);
+                    assert!(left > 0, "n = {n}, m = {m}: no cost");
+                    assert_eq!(
+                        left,
+                        run(&firsts.right, &seconds.right),
+                        "n = {n}, m = {m}, α = {alpha}: relative cost"
+                    );
+                }
+            }
+        }
+    });
+}
