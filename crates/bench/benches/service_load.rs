@@ -230,9 +230,6 @@ fn send_one(kind: CodecKind, addr: &str, request: &str) {
             let mut raw = Vec::new();
             stream.read_to_end(&mut raw).expect("response");
         }
-        // The replica plane speaks peer-to-peer WAL shipping, not client
-        // requests; the load harness never drives it.
-        CodecKind::Replica => unreachable!("service_load drives client planes only"),
     }
 }
 
@@ -290,9 +287,6 @@ fn run_phase(
                 match kind {
                     CodecKind::Ndjson => drive_ndjson(&addr, sources, &schedule),
                     CodecKind::Http => drive_http(&addr, sources, &schedule),
-                    CodecKind::Replica => {
-                        unreachable!("service_load drives client planes only")
-                    }
                 }
             }));
         }

@@ -17,7 +17,8 @@
 //! criterion-style report, the bench writes a machine-readable summary to
 //! `BENCH_numeric.json` at the workspace root so the perf trajectory can be
 //! tracked across PRs, and asserts the ≥5× acceptance bar for the compiled
-//! layer.
+//! layer on the median of per-pair ratios over interleaved tree/compiled
+//! passes.
 
 use std::time::Instant;
 
@@ -99,15 +100,50 @@ fn run_tree_workload(config: &SolveConfig) -> usize {
     with_tree_eval(|| run_workload(config))
 }
 
-/// Mean nanoseconds per pass of `workload` over `samples` runs.
-fn measure(workload: fn(&SolveConfig) -> usize, samples: u32) -> f64 {
+/// Tree-vs-compiled passes over the grid workload, measured as `pairs`
+/// interleaved pairs: each pair times one tree pass and one compiled pass
+/// back to back (alternating which goes first), so load that drifts during
+/// the run moves both sides of a pair alike.
+struct CompiledVsTree {
+    /// Median nanoseconds per tree pass.
+    tree_ns: f64,
+    /// Median nanoseconds per compiled pass.
+    compiled_ns: f64,
+    /// Quartiles of the per-pair ratios tree / compiled: `[q1, median, q3]`.
+    ratio: [f64; 3],
+}
+
+fn compiled_vs_tree(pairs: usize) -> CompiledVsTree {
     let config = grid_config();
-    workload(&config); // warm-up (and correctness assertion)
-    let start = Instant::now();
-    for _ in 0..samples {
+    // Warm-up (and correctness assertion) for both evaluators.
+    run_tree_workload(&config);
+    run_workload(&config);
+    let time = |workload: fn(&SolveConfig) -> usize| {
+        let start = Instant::now();
         workload(&config);
+        start.elapsed().as_nanos() as f64
+    };
+    let mut tree = Vec::with_capacity(pairs);
+    let mut compiled = Vec::with_capacity(pairs);
+    for i in 0..pairs {
+        let (t, c) = if i % 2 == 0 {
+            let t = time(run_tree_workload);
+            (t, time(run_workload))
+        } else {
+            let c = time(run_workload);
+            (time(run_tree_workload), c)
+        };
+        tree.push(t);
+        compiled.push(c);
     }
-    start.elapsed().as_nanos() as f64 / samples as f64
+    let mut ratios: Vec<f64> = tree.iter().zip(&compiled).map(|(t, c)| t / c).collect();
+    ratios.sort_by(f64::total_cmp);
+    let quartile = |q: usize| ratios[(ratios.len() - 1) * q / 4];
+    CompiledVsTree {
+        tree_ns: median(tree),
+        compiled_ns: median(compiled),
+        ratio: [quartile(1), quartile(2), quartile(3)],
+    }
 }
 
 fn solver_grid(c: &mut Criterion) {
@@ -211,13 +247,28 @@ fn solver_grid(c: &mut Criterion) {
     );
 
     // Machine-readable summary for the perf trajectory.
-    let tree_ns = measure(run_tree_workload, samples);
-    let compiled_ns = measure(run_workload, samples);
-    let speedup = tree_ns / compiled_ns;
+    // The compiled-vs-tree gate: the median of per-pair ratios over many
+    // interleaved pairs.  A ratio of two back-to-back means read 4.76x to
+    // 6.94x on one tree, because load that hit one mean and not the other
+    // moved the ratio by itself.
+    let pairs = 41;
+    let cvt = compiled_vs_tree(pairs);
+    let (tree_ns, compiled_ns) = (cvt.tree_ns, cvt.compiled_ns);
+    let [speedup_q1, speedup, speedup_q3] = cvt.ratio;
+    println!(
+        "compiled_vs_tree: median ratio {speedup:.2}x over {pairs} interleaved pairs \
+         (quartiles {speedup_q1:.2}x-{speedup_q3:.2}x); tree {:.2} ms, compiled {:.2} ms",
+        tree_ns / 1e6,
+        compiled_ns / 1e6
+    );
     let json = format!(
         "{{\n  \"bench\": \"solver_grid\",\n  \"points_per_pass\": {points},\n  \
-         \"samples\": {samples},\n  \"tree_ns_per_pass\": {tree_ns:.0},\n  \
+         \"samples\": {samples},\n  \"pairs\": {pairs},\n  \
+         \"speedup_statistic\": \"median of per-pair tree/compiled ratios over \
+         {pairs} interleaved pairs; *_ns_per_pass are per-side medians\",\n  \
+         \"tree_ns_per_pass\": {tree_ns:.0},\n  \
          \"compiled_ns_per_pass\": {compiled_ns:.0},\n  \"speedup\": {speedup:.2},\n  \
+         \"speedup_q1\": {speedup_q1:.2},\n  \"speedup_q3\": {speedup_q3:.2},\n  \
          \"fm_vs_grid\": {{\n    \"corpus\": \"proved suite\",\n    \
          \"series\": \"decision layer: fm_time (proving) vs numeric_time (sweeping)\",\n    \
          \"fm_points\": {fm_points},\n    \"grid_points\": {grid_points},\n    \

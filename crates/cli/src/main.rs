@@ -54,19 +54,8 @@
 //!   --request-timeout-ms N   wall-clock budget per request; a request over
 //!                        budget answers {"error": "deadline"} while its
 //!                        worker drains in the background
-//!   --idle-timeout-ms N  (needs --listen, --http or --replica) disconnect a
-//!                        client whose socket stays silent this long
-//!   --replica ADDR       serve the daemon-to-daemon replication plane on a
-//!                        TCP socket: peers ship WAL frames here and they
-//!                        are applied through the same validation path as
-//!                        crash recovery (checksum + engine fingerprint)
-//!   --peer ADDR          replicate every memoized verdict to the daemon
-//!                        whose --replica plane listens at ADDR (repeatable;
-//!                        each peer gets a supervised session with
-//!                        exponential backoff and anti-entropy catch-up)
-//!   --replica-queue N    per-peer replication queue bound; overflow
-//!                        degrades that peer to catch-up instead of
-//!                        delaying client requests (default 1024)
+//!   --idle-timeout-ms N  (needs --listen or --http) disconnect a client
+//!                        whose socket stays silent this long
 //! ```
 
 use std::env;
@@ -82,15 +71,14 @@ use birelcost::{Engine, PhaseTimings};
 use rel_constraint::SearchExhaustedReason;
 use rel_service::{
     serve, serve_reactor, BatchJob, BatchStats, CodecKind, CodecLimits, PeriodicSave,
-    ReactorOptions, ReactorSummary, RealNet, ReplicaOptions, Service, ServiceConfig,
+    ReactorOptions, ReactorSummary, Service, ServiceConfig,
 };
 use rel_suite::{all_benchmarks, VerificationStatus};
 use rel_syntax::parse_program;
 
 const USAGE: &str = "usage: birelcost <check [--jobs N] [--cache-file PATH] [--metrics-out PATH] \
      [--trace-out PATH] FILE...|serve [--jobs N] [--cache-file PATH] [--listen ADDR] \
-     [--http ADDR] [--replica ADDR] [--peer ADDR]... [--replica-queue N] [--max-queue N] \
-     [--request-timeout-ms N] [--idle-timeout-ms N]\
+     [--http ADDR] [--max-queue N] [--request-timeout-ms N] [--idle-timeout-ms N]\
      |explain NAME|validate-metrics FILE|table1|list>";
 
 /// How often the daemon flushes its warm state to the cache file.
@@ -149,14 +137,8 @@ struct Flags {
     max_queue: Option<usize>,
     /// Per-request wall-clock budget for `serve`.
     request_timeout_ms: Option<u64>,
-    /// Socket idle timeout for `serve --listen`/`--http`/`--replica`.
+    /// Socket idle timeout for `serve --listen`/`--http`.
     idle_timeout_ms: Option<u64>,
-    /// TCP address for the replication plane (`serve --replica`).
-    replica: Option<String>,
-    /// Replication peer addresses (`serve --peer`, repeatable).
-    peers: Vec<String>,
-    /// Per-peer replication queue bound (`serve --replica-queue`).
-    replica_queue: Option<usize>,
 }
 
 impl Flags {
@@ -208,18 +190,6 @@ impl Flags {
                     n.parse::<u64>()
                         .map_err(|_| format!("invalid timeout `{n}`"))?,
                 );
-            } else if let Some(addr) = flag_value("--replica", None)? {
-                flags.replica = Some(addr);
-            } else if let Some(addr) = flag_value("--peer", None)? {
-                flags.peers.push(addr);
-            } else if let Some(n) = flag_value("--replica-queue", None)? {
-                let cap = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("invalid queue bound `{n}`"))?;
-                if cap == 0 {
-                    return Err("--replica-queue must be positive".to_string());
-                }
-                flags.replica_queue = Some(cap);
             } else if let Some(n) = flag_value("--idle-timeout-ms", None)? {
                 let ms = n
                     .parse::<u64>()
@@ -241,7 +211,7 @@ impl Flags {
 
     /// Whether `serve` binds sockets rather than serving stdin/stdout.
     fn serves_sockets(&self) -> bool {
-        self.listen.is_some() || self.http.is_some() || self.replica.is_some()
+        self.listen.is_some() || self.http.is_some()
     }
 }
 
@@ -297,13 +267,9 @@ fn check_files(files: &[String], flags: &Flags) -> ExitCode {
         || flags.max_queue.is_some()
         || flags.request_timeout_ms.is_some()
         || flags.idle_timeout_ms.is_some()
-        || flags.replica.is_some()
-        || !flags.peers.is_empty()
-        || flags.replica_queue.is_some()
     {
         return usage_error(
-            "--listen/--http/--replica/--peer/--replica-queue/--max-queue/--request-timeout-ms\
-             /--idle-timeout-ms are serve flags",
+            "--listen/--http/--max-queue/--request-timeout-ms/--idle-timeout-ms are serve flags",
         );
     }
     if files.is_empty() {
@@ -468,7 +434,7 @@ fn serve_flag_error(flags: &Flags) -> Option<&'static str> {
     }
     if flags.idle_timeout_ms.is_some() && !flags.serves_sockets() {
         // It would reap the stdio session itself after a quiet spell.
-        return Some("--idle-timeout-ms needs --listen, --http or --replica");
+        return Some("--idle-timeout-ms needs --listen or --http");
     }
     None
 }
@@ -482,24 +448,6 @@ fn serve_command(flags: &Flags) -> ExitCode {
     // explicit flag.
     let workers = flags.jobs.unwrap_or_else(rel_service::available_workers);
     let service = service_with(workers, flags.cache_file.as_deref());
-
-    // Outbound replication: one supervised session per --peer, shipping
-    // every memoized verdict/def over TCP with backoff and anti-entropy.
-    if !flags.peers.is_empty() {
-        let options = ReplicaOptions {
-            peers: flags.peers.clone(),
-            queue: flags
-                .replica_queue
-                .unwrap_or_else(|| ReplicaOptions::default().queue),
-            ..ReplicaOptions::default()
-        };
-        eprintln!(
-            "birelcost serve: replicating to {} peer(s): {}",
-            options.peers.len(),
-            options.peers.join(", ")
-        );
-        service.enable_replication(Arc::new(RealNet::default()), options);
-    }
 
     // Periodic flusher: a long-running daemon should not lose its warm state
     // to a crash or kill.  The thread wakes every second to notice shutdown
@@ -555,8 +503,8 @@ fn serve_command(flags: &Flags) -> ExitCode {
         })
     });
 
-    // One reactor serves either plane: every listed address (NDJSON, HTTP,
-    // replication) or the stdin/stdout session shares one worker pool, one
+    // One reactor serves either plane: every listed address (NDJSON, HTTP)
+    // or the stdin/stdout session shares one worker pool, one
     // bounded queue and one set of caches.
     let options = ReactorOptions {
         workers,
@@ -574,10 +522,6 @@ fn serve_command(flags: &Flags) -> ExitCode {
     if let Some(handle) = flusher {
         let _ = handle.join();
     }
-    // Stop peer sessions before the final flush so no session is mid-ship
-    // while the process winds down (receivers heal any cut-off tail by
-    // anti-entropy on our next start).
-    service.shutdown_replication();
     // On-shutdown flush: runs after the reactor joined its workers (timed-out
     // ones included), so the final state includes everything they memoized.
     flush_cache(&service);
@@ -600,7 +544,6 @@ fn bind_listeners(flags: &Flags) -> io::Result<Vec<(TcpListener, CodecKind)>> {
     let planes = [
         (&flags.listen, CodecKind::Ndjson),
         (&flags.http, CodecKind::Http),
-        (&flags.replica, CodecKind::Replica),
     ];
     for (addr, kind) in planes {
         let Some(addr) = addr else { continue };
@@ -1019,7 +962,7 @@ mod tests {
     fn idle_timeout_is_a_socket_flag() {
         let stdio = serve_flags(&["--idle-timeout-ms", "500"]);
         assert!(serve_flag_error(&stdio).is_some_and(|e| e.contains("--idle-timeout-ms")));
-        for plane in ["--listen", "--http", "--replica"] {
+        for plane in ["--listen", "--http"] {
             let socket = serve_flags(&["--idle-timeout-ms", "500", plane, "127.0.0.1:0"]);
             assert_eq!(serve_flag_error(&socket), None, "{plane}");
         }

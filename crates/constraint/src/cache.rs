@@ -351,14 +351,6 @@ impl<K: PartialEq, V: Clone> ShardedMap<K, V> {
         found
     }
 
-    /// Whether `key` is stored, without touching the hit/miss counters.
-    pub(crate) fn contains(&self, hash: u64, key: &K) -> bool {
-        self.shard(hash)
-            .buckets
-            .get(&hash)
-            .is_some_and(|bucket| bucket.iter().any(|(k, _)| k == key))
-    }
-
     /// Stores `value` under `key` (whose hash is `hash`), overwriting an
     /// equal key's value; a full shard is cleared first.
     pub(crate) fn insert(&self, hash: u64, key: K, value: V) {
@@ -471,12 +463,12 @@ impl ShardedValidityCache {
         }
     }
 
-    /// Attaches (or with `None`, detaches) the store-notification hook.
+    /// Attaches the store-notification hook, replacing any earlier one.
     /// Callers restoring persisted state into the cache must attach the
     /// observer *after* the restore, or every replayed verdict re-enters
     /// the log it came from.
-    pub fn set_store_observer(&self, observer: Option<StoreObserver>) {
-        *self.observer.write().expect("cache observer poisoned") = observer;
+    pub fn set_store_observer(&self, observer: StoreObserver) {
+        *self.observer.write().expect("cache observer poisoned") = Some(observer);
     }
 
     /// Returns the memoized verdict for the query, if any, counting a hit
@@ -528,13 +520,6 @@ impl ShardedValidityCache {
     /// contents serialize identically.
     pub fn export_entries(&self) -> Vec<(QueryKey, Validity)> {
         self.map.export()
-    }
-
-    /// Whether a verdict is memoized under `key`, without touching the
-    /// hit/miss counters (replication dedup: an already-present key is a
-    /// duplicate to drop, not a cache miss to report).
-    pub fn contains_key(&self, key: &QueryKey) -> bool {
-        self.map.contains(key.stable_hash(), key)
     }
 }
 

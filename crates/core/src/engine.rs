@@ -214,11 +214,11 @@ impl DefIndex {
         }
     }
 
-    /// Attaches (or with `None`, detaches) the insert-notification hook.
+    /// Attaches the insert-notification hook, replacing any earlier one.
     /// Attach *after* restoring persisted entries, or every replayed entry
     /// re-enters the log it came from.
-    pub fn set_store_observer(&self, observer: Option<DefObserver>) {
-        *self.observer.write().expect("def observer poisoned") = observer;
+    pub fn set_store_observer(&self, observer: DefObserver) {
+        *self.observer.write().expect("def observer poisoned") = Some(observer);
     }
 
     /// Monotone mutation counter (bumped on every insert and clear); equal

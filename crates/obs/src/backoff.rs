@@ -1,10 +1,9 @@
 //! Capped exponential backoff with deterministic jitter — the retry policy
-//! shared by everything in the daemon that supervises a flaky dependency
-//! (replication peer sessions, the persist-save flusher).
+//! of the daemon's periodic persist save.
 //!
 //! The policy is the standard one: the n-th consecutive failure waits
-//! `base · 2ⁿ`, capped, with ±25 % jitter so a fleet of daemons that all
-//! lost the same peer at the same instant does not reconnect in lockstep.
+//! `base · 2ⁿ`, capped, with ±25 % jitter so retries against a shared
+//! failing dependency (a full disk) do not fall into lockstep.
 //! Jitter comes from a seeded xorshift instead of a clock or OS entropy:
 //! the workspace is offline (no `rand`), and a deterministic sequence makes
 //! the backoff schedule reproducible in tests.
@@ -44,7 +43,7 @@ impl Backoff {
         self.failures = self.failures.saturating_add(1);
         let exp = self.failures.saturating_sub(1).min(32);
         let raw = self.base_ms.saturating_mul(1u64 << exp).min(self.cap_ms);
-        // xorshift64*: cheap, seedable, good enough to de-synchronize peers.
+        // xorshift64*: cheap, seedable, good enough to de-synchronize retries.
         self.rng ^= self.rng << 13;
         self.rng ^= self.rng >> 7;
         self.rng ^= self.rng << 17;

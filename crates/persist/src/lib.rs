@@ -8,12 +8,11 @@
 //! store appends a checksummed, engine-fingerprinted frame the moment it is
 //! memoized, and a compaction rewrites the file atomically as a compacted
 //! image of the live state followed by a marker.  Recovery is one replay of
-//! that file with torn-tail truncation, and replication ships the same
-//! compacted image as its full-state transfer.  Frames use an in-tree
+//! that file with torn-tail truncation.  Frames use an in-tree
 //! binary codec ([`codec`]; the workspace is offline — no serde).  All disk
 //! traffic goes through the [`faultfs::FaultFs`] seam — `std::fs` in
 //! production, an in-memory fault-injecting implementation in the
-//! crash-safety tests.
+//! crash-safety tests (the dev-only `fault-injection` feature).
 //!
 //! Soundness is inherited from the caches being persisted: verdicts are pure
 //! functions of the query and the solver configuration (the fingerprint in
@@ -28,7 +27,9 @@ pub mod faultfs;
 pub mod wal;
 
 pub use codec::{DecodeError, Reader, Writer};
-pub use faultfs::{AppendFile, Fault, FaultFs, FaultScript, FaultyFs, RealFs, UnsyncedSurvival};
+pub use faultfs::{AppendFile, FaultFs, RealFs};
+#[cfg(feature = "fault-injection")]
+pub use faultfs::{Fault, FaultScript, FaultyFs, UnsyncedSurvival};
 pub use wal::{
     compacted_image, encode_frame, replay, sweep_stale_tmp, validate_frame, validate_header,
     FrameError, HeaderError, Recovery, ReplayStats, WalLimits, WalRecord, WalStats, WalStore,

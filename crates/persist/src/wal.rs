@@ -5,8 +5,8 @@
 //! it is memoized.  A compaction rewrites the whole file atomically (one
 //! temp+rename) as a header, one frame per live verdict and def, and a
 //! compaction marker; later appends land after the marker.  Recovery is
-//! one [`replay`] of one file, and the image a compaction writes is also
-//! what replication ships as its full-state transfer.
+//! one [`replay`] of one file.  A copy of a compacted file warms a new
+//! process exactly as the original does.
 //!
 //! ## File format
 //!
@@ -269,8 +269,7 @@ impl std::fmt::Display for FrameError {
 
 /// Validates the frame at the head of `bytes` against `fingerprint`,
 /// returning the decoded record and the bytes consumed.  This is the single
-/// validation path for recovery ([`replay`]) and for replication inbound,
-/// frames and full-state transfers alike: a frame is applied only if its
+/// validation path for recovery ([`replay`]): a frame is applied only if its
 /// length is sane, its checksum matches, its engine fingerprint is ours,
 /// and its payload decodes — otherwise it is rejected with a reason, never
 /// partially trusted.
@@ -396,8 +395,7 @@ pub fn validate_header(bytes: &[u8], fingerprint: u64) -> Result<usize, HeaderEr
 
 /// The compacted image of a warm state: header, one frame per verdict and
 /// def, then a [`WalRecord::Compaction`] marker counting those frames.  A
-/// compaction writes exactly these bytes; replication ships them as its
-/// full-state transfer.
+/// compaction writes exactly these bytes.
 pub fn compacted_image(
     fingerprint: u64,
     verdicts: &[(QueryKey, Validity)],

@@ -37,13 +37,6 @@ pub enum CodecKind {
     Ndjson,
     /// HTTP/1.1 with JSON bodies.
     Http,
-    /// The daemon-to-daemon replication plane: NDJSON framing, but strict
-    /// request/response alternation.  Replication applies must land in the
-    /// order the sending session shipped them *per connection* — letting the
-    /// worker pool interleave a connection's applies would turn every
-    /// in-order stream into a reorder storm — so this codec is the NDJSON
-    /// state machine with the HTTP plane's half-duplex discipline.
-    Replica,
 }
 
 impl CodecKind {
@@ -53,7 +46,6 @@ impl CodecKind {
         match self {
             CodecKind::Ndjson => "ndjson",
             CodecKind::Http => "http",
-            CodecKind::Replica => "replica",
         }
     }
 }
@@ -223,51 +215,6 @@ impl Codec for NdjsonCodec {
 
     fn half_duplex(&self) -> bool {
         false
-    }
-}
-
-/// The replication-plane framing: NDJSON lines with half-duplex discipline
-/// (see [`CodecKind::Replica`]).
-#[derive(Debug)]
-pub struct ReplicaCodec {
-    inner: NdjsonCodec,
-}
-
-impl ReplicaCodec {
-    pub fn new(limits: CodecLimits) -> ReplicaCodec {
-        ReplicaCodec {
-            inner: NdjsonCodec::new(limits),
-        }
-    }
-}
-
-impl Codec for ReplicaCodec {
-    fn kind(&self) -> CodecKind {
-        CodecKind::Replica
-    }
-
-    fn decode(&mut self, buf: &mut Vec<u8>) -> Decode {
-        self.inner.decode(buf)
-    }
-
-    fn encode_response(&mut self, payload: &Value, out: &mut Vec<u8>) {
-        self.inner.encode_response(payload, out);
-    }
-
-    fn encode_stream_begin(&mut self, out: &mut Vec<u8>) {
-        self.inner.encode_stream_begin(out);
-    }
-
-    fn encode_stream_item(&mut self, payload: &Value, out: &mut Vec<u8>) {
-        self.inner.encode_stream_item(payload, out);
-    }
-
-    fn encode_stream_end(&mut self, payload: &Value, out: &mut Vec<u8>) {
-        self.inner.encode_stream_end(payload, out);
-    }
-
-    fn half_duplex(&self) -> bool {
-        true
     }
 }
 
@@ -609,7 +556,6 @@ pub fn make_codec(kind: CodecKind, limits: CodecLimits) -> Box<dyn Codec> {
     match kind {
         CodecKind::Ndjson => Box::new(NdjsonCodec::new(limits)),
         CodecKind::Http => Box::new(HttpCodec::new(limits)),
-        CodecKind::Replica => Box::new(ReplicaCodec::new(limits)),
     }
 }
 

@@ -17,8 +17,6 @@
 //!                                  cache gauges (DESIGN.md §8.2 schema)
 //! {"health": true}                 ready/degraded probe (same payload the
 //!                                  HTTP plane serves on GET /healthz)
-//! {"replica": ...}                 the daemon-to-daemon replication plane:
-//!                                  hello/frame/snapshot/status (§11)
 //! {"shutdown": true}               answer {"bye": true}, drain, stop (parsed
 //!                                  by the reactor, not here)
 //! ```
@@ -119,12 +117,8 @@ fn dispatch(service: &Service, request: &Value) -> Result<Value, String> {
     if request.get("health").is_some() {
         return Ok(health_value(service));
     }
-    if let Some(command) = request.get("replica") {
-        return replica_command(service, command, request);
-    }
     Err(
-        "unknown request: expected `check`, `batch`, `stats`, `cache`, `metrics`, `health` \
-         or `replica`"
+        "unknown request: expected `check`, `batch`, `stats`, `cache`, `metrics` or `health`"
             .to_string(),
     )
 }
@@ -142,147 +136,6 @@ fn health_value(service: &Service) -> Value {
         (
             "reasons",
             Value::Arr(health.reasons.into_iter().map(Value::Str).collect()),
-        ),
-    ])
-}
-
-/// Handles the replication plane's wire objects (DESIGN.md §11):
-///
-/// ```text
-/// {"replica":"hello","v":1,"node":t,"fp":h}   → {"replica":"state","applied":N,"fp":h}
-/// {"replica":"frame","node":t,"seq":N,"data":h} → {"replica":"ack","applied":M}
-/// {"replica":"snapshot","node":t,"seq":N,"data":h} → {"replica":"ack","applied":N}
-/// {"replica":"status"}                        → counters for ops/tests
-/// ```
-///
-/// A fingerprint mismatch (hello or frame) answers the structured
-/// `{"error": "replica-fingerprint-mismatch"}` the sending session parks on.
-fn replica_command(service: &Service, command: &Value, request: &Value) -> Result<Value, String> {
-    let command = command.as_str().ok_or_else(|| {
-        "the `replica` field must be \"hello\", \"frame\", \"snapshot\" or \"status\"".to_string()
-    })?;
-    let node = || -> Result<&str, String> {
-        request
-            .get("node")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "replica requests need a `node` token".to_string())
-    };
-    let seq = || -> Result<u64, String> {
-        request
-            .get("seq")
-            .and_then(Value::as_int)
-            .filter(|s| *s >= 0)
-            .map(|s| s as u64)
-            .ok_or_else(|| "replica requests need a non-negative `seq`".to_string())
-    };
-    let data = || -> Result<&str, String> {
-        request
-            .get("data")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "replica requests need hex `data`".to_string())
-    };
-    let ack = |applied: u64| {
-        Value::obj([
-            ("replica", Value::Str("ack".to_string())),
-            ("applied", Value::Int(applied as i64)),
-        ])
-    };
-    match command {
-        "hello" => {
-            let v = request.get("v").and_then(Value::as_int).unwrap_or(0);
-            if v != crate::replica::REPLICA_PROTOCOL_VERSION {
-                return Err(format!("unsupported replica protocol version {v}"));
-            }
-            let fp = request
-                .get("fp")
-                .and_then(Value::as_str)
-                .ok_or_else(|| "replica hello needs an `fp` fingerprint".to_string())?;
-            let applied = service.replica_hello(node()?, fp)?;
-            Ok(Value::obj([
-                ("replica", Value::Str("state".to_string())),
-                ("applied", Value::Int(applied as i64)),
-                (
-                    "fp",
-                    Value::Str(format!("{:016x}", service.engine().fingerprint())),
-                ),
-            ]))
-        }
-        "frame" => Ok(ack(service.replica_apply_frame(
-            node()?,
-            seq()?,
-            data()?,
-        )?)),
-        "snapshot" => Ok(ack(service.replica_apply_snapshot(
-            node()?,
-            seq()?,
-            data()?,
-        )?)),
-        "status" => Ok(Value::obj([("replica", replica_status_value(service))])),
-        other => Err(format!(
-            "unknown replica command `{other}`: expected \"hello\", \"frame\", \"snapshot\" \
-             or \"status\""
-        )),
-    }
-}
-
-/// The `{"replica": "status"}` payload: outbound peer sessions plus inbound
-/// apply counters — what the chaos harness and a fleet operator both read.
-fn replica_status_value(service: &Service) -> Value {
-    let status = service.replica_status();
-    Value::obj([
-        ("node", Value::Str(status.node.clone())),
-        ("published", Value::Int(status.published as i64)),
-        (
-            "peers",
-            Value::Arr(
-                status
-                    .peers
-                    .iter()
-                    .map(|p| {
-                        Value::obj([
-                            ("addr", Value::Str(p.addr.clone())),
-                            ("state", Value::Str(p.state.to_string())),
-                            ("connected", Value::Bool(p.connected)),
-                            ("ever_connected", Value::Bool(p.ever_connected)),
-                            ("acked", Value::Int(p.acked as i64)),
-                            ("lag", Value::Int(p.lag as i64)),
-                            ("shipped", Value::Int(p.shipped as i64)),
-                            ("reconnects", Value::Int(p.reconnects as i64)),
-                            ("snapshots_sent", Value::Int(p.snapshots_sent as i64)),
-                            ("queue_dropped", Value::Int(p.queue_dropped as i64)),
-                            ("incompatible", Value::Int(p.incompatible as i64)),
-                            ("backoff_ms", Value::Int(p.backoff_ms as i64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "inbound",
-            Value::obj([
-                ("sources", Value::Int(status.inbound.sources as i64)),
-                ("hellos", Value::Int(status.inbound.hellos as i64)),
-                (
-                    "hellos_rejected",
-                    Value::Int(status.inbound.hellos_rejected as i64),
-                ),
-                (
-                    "frames_applied",
-                    Value::Int(status.inbound.frames_applied as i64),
-                ),
-                (
-                    "frames_duplicate",
-                    Value::Int(status.inbound.frames_duplicate as i64),
-                ),
-                (
-                    "frames_rejected",
-                    Value::Int(status.inbound.frames_rejected as i64),
-                ),
-                (
-                    "snapshots_applied",
-                    Value::Int(status.inbound.snapshots_applied as i64),
-                ),
-            ]),
         ),
     ])
 }

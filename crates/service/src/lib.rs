@@ -45,10 +45,8 @@
 pub mod batch;
 pub mod codec;
 pub mod daemon;
-pub mod faultnet;
 pub mod json;
 pub mod reactor;
-pub mod replica;
 pub mod schema;
 pub mod service;
 #[cfg(feature = "test-hooks")]
@@ -59,9 +57,7 @@ pub use batch::{
 };
 pub use codec::{content_line, make_codec, Codec, CodecKind, CodecLimits, Decode};
 pub use daemon::respond;
-pub use faultnet::{NetFault, NetScript, RealNet, SimConn, SimNet, Transport, Wire};
 pub use reactor::{serve, serve_reactor, ReactorOptions, ReactorSummary};
-pub use replica::{ReplicaOptions, ReplicaStatus};
 pub use schema::{validate_metrics, MetricsSummary};
 pub use service::{
     available_workers, Health, LoadOutcome, PeriodicSave, PersistStats, Service, ServiceConfig,

@@ -9,18 +9,10 @@ use std::time::Instant;
 use birelcost::{DefIndex, Engine, ProgramReport};
 use rel_constraint::{CacheStats, ProgramCacheStats, ShardedValidityCache, SharedProgramCache};
 use rel_obs::{Backoff, Registry, RegistrySnapshot};
-use rel_persist::{
-    compacted_image, encode_frame, validate_frame, validate_header, FaultFs, FrameError,
-    HeaderError, RealFs, WalLimits, WalRecord, WalStats, WalStore,
-};
+use rel_persist::{FaultFs, RealFs, WalLimits, WalRecord, WalStats, WalStore};
 use rel_syntax::parse_program;
 
 use crate::batch::{check_batch_with, check_job_with, BatchJob, BatchResult};
-use crate::faultnet::Transport;
-use crate::replica::{
-    from_hex, InboundStatus, ReplicaHub, ReplicaOptions, ReplicaSink, ReplicaStatus, SeqClass,
-    SnapshotSource, FINGERPRINT_MISMATCH,
-};
 
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone)]
@@ -133,11 +125,6 @@ pub struct Service {
     /// services — and parallel tests in one binary — never bleed into each
     /// other's histograms.
     metrics: Arc<Registry>,
-    /// Inbound replication positions and counters (always present — the
-    /// daemon accepts validated frames whether or not it ships any).
-    replica_sink: Arc<ReplicaSink>,
-    /// The outbound replication plane, once enabled.
-    replica_hub: Arc<Mutex<Option<Arc<ReplicaHub>>>>,
     /// Persist-save failure tracking for the periodic flusher: capped
     /// exponential backoff between retries, warn-once-per-state-change.
     save_health: Arc<Mutex<SaveHealth>>,
@@ -185,21 +172,13 @@ pub enum PeriodicSave {
     },
 }
 
-/// Failed connect attempts before a never-connected peer stops counting as
-/// booting and starts counting as down for [`Service::health`].  Under the
-/// default backoff schedule (100 ms base, doubling) six attempts tolerate
-/// roughly the first three seconds of connection refusals, which covers a
-/// staggered fleet boot without hiding a genuinely unreachable peer for
-/// long.
-pub const PEERS_DOWN_GRACE_ATTEMPTS: u64 = 6;
-
-/// Health of one daemon, for fleet orchestration probes.
+/// Health of one daemon, for orchestration probes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Health {
     /// `true` when no degradation reason applies.
     pub ready: bool,
     /// Machine-readable degradation reasons (`wal-poisoned`,
-    /// `save-backoff`, `peers-down`).
+    /// `save-backoff`).
     pub reasons: Vec<String>,
 }
 
@@ -232,8 +211,6 @@ impl Service {
             persist: Arc::new(Mutex::new(PersistState::default())),
             compaction_due: Arc::new(AtomicBool::new(false)),
             metrics: Arc::new(Registry::new()),
-            replica_sink: Arc::new(ReplicaSink::default()),
-            replica_hub: Arc::new(Mutex::new(None)),
             save_health: Arc::new(Mutex::new(SaveHealth::default())),
             workers: config.workers.max(1),
         }
@@ -360,57 +337,6 @@ impl Service {
             "persist.save_backoff_active",
             self.save_backoff_active() as i64,
         );
-        let replica = self.replica_status();
-        m.set_gauge("replica.published", replica.published as i64);
-        m.set_gauge("replica.peers", replica.peers.len() as i64);
-        m.set_gauge(
-            "replica.peers_connected",
-            replica.peers.iter().filter(|p| p.connected).count() as i64,
-        );
-        m.set_gauge(
-            "replica.backoff_active",
-            replica.peers.iter().filter(|p| p.backoff_ms > 0).count() as i64,
-        );
-        m.set_gauge(
-            "replica.lag",
-            replica.peers.iter().map(|p| p.lag).max().unwrap_or(0) as i64,
-        );
-        m.set_gauge(
-            "replica.frames_shipped",
-            replica.peers.iter().map(|p| p.shipped).sum::<u64>() as i64,
-        );
-        m.set_gauge(
-            "replica.snapshots_sent",
-            replica.peers.iter().map(|p| p.snapshots_sent).sum::<u64>() as i64,
-        );
-        m.set_gauge(
-            "replica.queue_dropped",
-            replica.peers.iter().map(|p| p.queue_dropped).sum::<u64>() as i64,
-        );
-        m.set_gauge(
-            "replica.reconnects",
-            replica.peers.iter().map(|p| p.reconnects).sum::<u64>() as i64,
-        );
-        m.set_gauge(
-            "replica.frames_applied",
-            replica.inbound.frames_applied as i64,
-        );
-        m.set_gauge(
-            "replica.frames_duplicate",
-            replica.inbound.frames_duplicate as i64,
-        );
-        m.set_gauge(
-            "replica.frames_rejected",
-            replica.inbound.frames_rejected as i64,
-        );
-        m.set_gauge(
-            "replica.hellos_rejected",
-            replica.inbound.hellos_rejected as i64,
-        );
-        m.set_gauge(
-            "replica.snapshots_applied",
-            replica.inbound.snapshots_applied as i64,
-        );
     }
 
     /// One merged metrics snapshot: the process-wide solver counters from
@@ -515,6 +441,7 @@ impl Service {
             }
         }
 
+        let wal = Arc::new(Mutex::new(store));
         {
             let mut p = self.persist.lock().expect("persist state poisoned");
             if recovery.stats.compaction_markers > 0 {
@@ -522,12 +449,12 @@ impl Service {
                 p.loaded_verdicts = outcome.verdicts;
                 p.loaded_defs = outcome.defs;
             }
-            p.wal = Some(Arc::new(Mutex::new(store)));
+            p.wal = Some(Arc::clone(&wal));
         }
 
         // Attach the store observers only now: every entry replayed above
         // must not re-enter the log it just came from.
-        self.install_store_observers();
+        self.install_store_observers(wal);
 
         // Fold a non-trivial recovery into a fresh image immediately: the
         // suffix stops growing the next replay, and a torn or corrupt tail
@@ -633,288 +560,30 @@ impl Service {
             .wrapping_add(self.defs.mutation_count())
     }
 
-    /// (Re)installs the cache/def-index store observers from the current
-    /// persistence and replication configuration.  One composed closure per
-    /// store: append to the WAL when one is attached, publish the encoded
-    /// frame to the replication hub when one is enabled.  Called after
-    /// restore/replay (so recovered entries never re-enter their own log)
-    /// and after [`Service::enable_replication`].
-    fn install_store_observers(&self) {
-        let wal = self
-            .persist
-            .lock()
-            .expect("persist state poisoned")
-            .wal
-            .clone();
-        let hub = self
-            .replica_hub
-            .lock()
-            .expect("replica hub poisoned")
-            .clone();
-        if wal.is_none() && hub.is_none() {
-            self.cache.set_store_observer(None);
-            self.defs.set_store_observer(None);
-            return;
-        }
-        let fp = self.engine.fingerprint();
+    /// Installs the cache/def-index store observers that append every
+    /// memoized verdict and definition to `wal`.
+    fn install_store_observers(&self, wal: Arc<Mutex<WalStore>>) {
+        let (w, due) = (wal.clone(), Arc::clone(&self.compaction_due));
+        self.cache.set_store_observer(Arc::new(move |key, verdict| {
+            let mut wal = w.lock().expect("wal store poisoned");
+            // An append failure leaves the verdict memory-only until the
+            // next compaction — degraded durability, never a wrong
+            // verdict.
+            let _ = wal.append_verdict(key, verdict);
+            if wal.needs_compaction() {
+                due.store(true, Ordering::Relaxed);
+            }
+        }));
 
-        let (w, h, due) = (wal.clone(), hub.clone(), Arc::clone(&self.compaction_due));
-        self.cache
-            .set_store_observer(Some(Arc::new(move |key, verdict| {
-                if let Some(w) = &w {
-                    let mut wal = w.lock().expect("wal store poisoned");
-                    // An append failure leaves the verdict memory-only until
-                    // the next compaction — degraded durability, never a
-                    // wrong verdict.
-                    let _ = wal.append_verdict(key, verdict);
-                    if wal.needs_compaction() {
-                        due.store(true, Ordering::Relaxed);
-                    }
-                }
-                if let Some(h) = &h {
-                    h.publish(encode_frame(
-                        fp,
-                        &WalRecord::Verdict(key.clone(), verdict.clone()),
-                    ));
-                }
-            })));
-
-        let (w, h, due) = (wal, hub, Arc::clone(&self.compaction_due));
+        let due = Arc::clone(&self.compaction_due);
         self.defs
-            .set_store_observer(Some(Arc::new(move |input_hash, verify_hash, def| {
-                if let Some(w) = &w {
-                    let mut wal = w.lock().expect("wal store poisoned");
-                    let _ = wal.append_def(input_hash, verify_hash, def);
-                    if wal.needs_compaction() {
-                        due.store(true, Ordering::Relaxed);
-                    }
+            .set_store_observer(Arc::new(move |input_hash, verify_hash, def| {
+                let mut wal = wal.lock().expect("wal store poisoned");
+                let _ = wal.append_def(input_hash, verify_hash, def);
+                if wal.needs_compaction() {
+                    due.store(true, Ordering::Relaxed);
                 }
-                if let Some(h) = &h {
-                    h.publish(encode_frame(
-                        fp,
-                        &WalRecord::Def {
-                            input_hash,
-                            verify_hash,
-                            def: def.clone(),
-                        },
-                    ));
-                }
-            })));
-    }
-
-    // -- replication -------------------------------------------------------
-
-    /// Enables the outbound replication plane: one supervised session per
-    /// peer in `options`, shipping every store-observer frame and healing
-    /// gaps by anti-entropy (ring suffix or snapshot transfer).  Inbound
-    /// application needs no enabling — a daemon always applies validated
-    /// frames handed to it.
-    pub fn enable_replication(&self, transport: Arc<dyn Transport>, options: ReplicaOptions) {
-        let fp = self.engine.fingerprint();
-        // Capture *weak* references to the two stores the capture reads,
-        // never the service or strong store Arcs: the hub lives in
-        // `self.replica_hub` and the store observers hold the hub, so a
-        // strong capture here closes an Arc cycle — a `Service` dropped
-        // without `shutdown_replication` would leak the engine, the
-        // persistence state and every cached verdict for the lifetime of
-        // the parked session threads.
-        let cache = Arc::downgrade(&self.cache);
-        let defs = Arc::downgrade(&self.defs);
-        let source: SnapshotSource = Arc::new(move || match (cache.upgrade(), defs.upgrade()) {
-            (Some(cache), Some(defs)) => {
-                compacted_image(fp, &cache.export_entries(), &defs.export())
-            }
-            // The owning service is gone (dropped without shutdown).  An
-            // empty image is sound — replication is set union — and
-            // nothing will ever publish to this hub again.
-            _ => compacted_image(fp, &[], &[]),
-        });
-        let hub = ReplicaHub::start(fp, transport, options, source);
-        *self.replica_hub.lock().expect("replica hub poisoned") = Some(hub);
-        self.install_store_observers();
-    }
-
-    /// Whether an outbound replication plane is active.
-    pub fn replication_enabled(&self) -> bool {
-        self.replica_hub
-            .lock()
-            .expect("replica hub poisoned")
-            .is_some()
-    }
-
-    /// Stops the outbound sessions and joins their threads.  Idempotent.
-    pub fn shutdown_replication(&self) {
-        let hub = self
-            .replica_hub
-            .lock()
-            .expect("replica hub poisoned")
-            .take();
-        if let Some(hub) = hub {
-            hub.shutdown();
-            self.install_store_observers();
-        }
-    }
-
-    /// A point-in-time view of the replication plane (peers + inbound
-    /// counters), surfaced by `{"replica":"status"}`.
-    pub fn replica_status(&self) -> ReplicaStatus {
-        let hub = self
-            .replica_hub
-            .lock()
-            .expect("replica hub poisoned")
-            .clone();
-        let sink = &self.replica_sink;
-        ReplicaStatus {
-            node: hub
-                .as_ref()
-                .map(|h| h.node().to_string())
-                .unwrap_or_default(),
-            published: hub.as_ref().map(|h| h.published()).unwrap_or(0),
-            peers: hub.as_ref().map(|h| h.peer_status()).unwrap_or_default(),
-            inbound: InboundStatus {
-                sources: sink.source_count(),
-                hellos: sink.hellos.load(Ordering::Relaxed),
-                hellos_rejected: sink.hellos_rejected.load(Ordering::Relaxed),
-                frames_applied: sink.frames_applied.load(Ordering::Relaxed),
-                frames_duplicate: sink.frames_duplicate.load(Ordering::Relaxed),
-                frames_rejected: sink.frames_rejected.load(Ordering::Relaxed),
-                snapshots_applied: sink.snapshots_applied.load(Ordering::Relaxed),
-            },
-        }
-    }
-
-    /// Handles a replication hello: fingerprint gate, then the applied
-    /// position for `node`.  `Err` is a fingerprint mismatch — the caller
-    /// answers the mismatch marker and the sender parks the session.
-    pub(crate) fn replica_hello(&self, node: &str, fp_hex: &str) -> Result<u64, String> {
-        let theirs = u64::from_str_radix(fp_hex, 16).unwrap_or(0);
-        if theirs != self.engine.fingerprint() {
-            // Not `frames_rejected`: a refused handshake is incompatibility
-            // (expected mid-upgrade), not frame corruption — conflating the
-            // two would trip every zero-rejected-frames assertion during a
-            // rolling engine upgrade.
-            self.replica_sink
-                .hellos_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(FINGERPRINT_MISMATCH.to_string());
-        }
-        Ok(self.replica_sink.hello(node))
-    }
-
-    /// Validates and applies one replicated frame through the recovery
-    /// validation path ([`validate_frame`]): checksum, engine fingerprint,
-    /// payload decode.  A frame that fails *any* check is counted and
-    /// dropped — never applied, so a foreign peer cannot fabricate a
-    /// verdict.  Fresh content re-enters the store (and therefore the local
-    /// WAL and outbound sessions); present content counts as a duplicate.
-    /// Returns the source's contiguous applied position.
-    pub(crate) fn replica_apply_frame(
-        &self,
-        node: &str,
-        seq: u64,
-        data_hex: &str,
-    ) -> Result<u64, String> {
-        let sink = &self.replica_sink;
-        let reject = |reason: String| -> Result<u64, String> {
-            sink.frames_rejected.fetch_add(1, Ordering::Relaxed);
-            Err(reason)
-        };
-        let Some(bytes) = from_hex(data_hex) else {
-            return reject("frame data is not hex".to_string());
-        };
-        let record = match validate_frame(&bytes, self.engine.fingerprint()) {
-            Ok((record, used)) if used == bytes.len() => record,
-            Ok(_) => return reject("trailing bytes after frame".to_string()),
-            Err(FrameError::Foreign { .. }) => return reject(FINGERPRINT_MISMATCH.to_string()),
-            Err(e) => return reject(e.to_string()),
-        };
-        let (class, applied) = sink.observe(node, seq);
-        if class == SeqClass::Duplicate {
-            sink.frames_duplicate.fetch_add(1, Ordering::Relaxed);
-            return Ok(applied);
-        }
-        if self.apply_union(record) {
-            sink.frames_applied.fetch_add(1, Ordering::Relaxed);
-        } else {
-            sink.frames_duplicate.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(applied)
-    }
-
-    /// Applies one validated record set-union style: fresh content
-    /// re-enters the store (and therefore the local log and outbound
-    /// sessions); present content is left alone.  Returns whether it was
-    /// fresh.  Compaction markers describe the sender's file, not state.
-    fn apply_union(&self, record: WalRecord) -> bool {
-        match record {
-            WalRecord::Verdict(key, verdict) => {
-                let fresh = !self.cache.contains_key(&key);
-                if fresh {
-                    self.cache.store_key(key, verdict);
-                }
-                fresh
-            }
-            WalRecord::Def {
-                input_hash,
-                verify_hash,
-                def,
-            } => {
-                let fresh = self.defs.lookup(input_hash, verify_hash).is_none();
-                if fresh {
-                    self.defs.insert(input_hash, verify_hash, def);
-                }
-                fresh
-            }
-            WalRecord::Compaction { .. } => false,
-        }
-    }
-
-    /// Validates and applies a full-state transfer: the sender's compacted
-    /// image.  Its header and every frame go through the recovery
-    /// validation path, and the image must end in its own compaction
-    /// marker.  Any failure rejects the *whole* transfer before anything
-    /// is applied — the source's position jumps to `seq` on success, so a
-    /// skipped or truncated-away frame would otherwise be lost silently.
-    pub(crate) fn replica_apply_snapshot(
-        &self,
-        node: &str,
-        seq: u64,
-        data_hex: &str,
-    ) -> Result<u64, String> {
-        let sink = &self.replica_sink;
-        let reject = |reason: String| -> Result<u64, String> {
-            sink.frames_rejected.fetch_add(1, Ordering::Relaxed);
-            Err(reason)
-        };
-        let Some(bytes) = from_hex(data_hex) else {
-            return reject("snapshot data is not hex".to_string());
-        };
-        let fp = self.engine.fingerprint();
-        let mut pos = match validate_header(&bytes, fp) {
-            Ok(first_frame) => first_frame,
-            Err(HeaderError::Foreign(_)) => return reject(FINGERPRINT_MISMATCH.to_string()),
-            Err(e) => return reject(format!("snapshot rejected: {e}")),
-        };
-        let mut records = Vec::new();
-        while pos < bytes.len() {
-            match validate_frame(&bytes[pos..], fp) {
-                Ok((record, used)) => {
-                    records.push(record);
-                    pos += used;
-                }
-                Err(FrameError::Foreign { .. }) => return reject(FINGERPRINT_MISMATCH.to_string()),
-                Err(e) => return reject(format!("snapshot rejected: {e}")),
-            }
-        }
-        match records.pop() {
-            Some(WalRecord::Compaction { folded }) if folded == records.len() as u64 => {}
-            _ => return reject("snapshot rejected: image is incomplete".to_string()),
-        }
-        for record in records {
-            self.apply_union(record);
-        }
-        sink.snapshots_applied.fetch_add(1, Ordering::Relaxed);
-        Ok(sink.jump_to(node, seq))
+            }));
     }
 
     // -- flusher degradation + health --------------------------------------
@@ -968,16 +637,8 @@ impl Service {
     }
 
     /// The daemon's health for orchestration probes: ready unless the WAL
-    /// tail is poisoned (appends refused until compaction), the persist
-    /// save is backing off, or every configured replication peer is down.
-    ///
-    /// A peer counts as *down* only once that is established — its session
-    /// completed a handshake at some point, or it has burned through
-    /// [`PEERS_DOWN_GRACE_ATTEMPTS`] failed connects.  A freshly started
-    /// daemon whose peers have not finished their first handshake is
-    /// booting, not degraded: without the grace, every daemon with
-    /// `--peer` configured would flap 503 at startup and orchestration
-    /// probes gating on `/healthz` would see spurious failures.
+    /// tail is poisoned (appends refused until compaction) or the persist
+    /// save is backing off.
     pub fn health(&self) -> Health {
         let mut reasons = Vec::new();
         if let Some(wal) = self.persist_stats().wal {
@@ -987,13 +648,6 @@ impl Service {
         }
         if self.save_backoff_active() {
             reasons.push("save-backoff".to_string());
-        }
-        let replica = self.replica_status();
-        let down = |p: &crate::replica::PeerStatus| {
-            !p.connected && (p.ever_connected || p.reconnects >= PEERS_DOWN_GRACE_ATTEMPTS)
-        };
-        if !replica.peers.is_empty() && replica.peers.iter().all(down) {
-            reasons.push("peers-down".to_string());
         }
         Health {
             ready: reasons.is_empty(),

@@ -389,15 +389,33 @@ fn backpressure_refusals_are_byte_identical_across_planes() {
 fn health_probe_is_byte_identical_and_degrades_to_503() {
     use std::sync::Arc;
 
-    use rel_service::{ReplicaOptions, SimNet};
+    use rel_persist::{Fault, FaultScript, FaultyFs, WalLimits};
+
+    const CACHE: &str = "/d/cache";
+    let limits = WalLimits {
+        max_bytes: u64::MAX,
+        max_records: u64::MAX,
+    };
+    let service = || {
+        Service::new(ServiceConfig {
+            workers: 2,
+            cache_shards: 16,
+        })
+    };
+    // Attaching an empty cache file costs a fixed number of file-system
+    // operations; the next append opens the file and then writes, so
+    // scripting the write after that open tears the first appended frame.
+    let probe = FaultyFs::new();
+    service().attach_cache_file_with(Arc::new(probe.clone()), CACHE, limits);
+    let first_write = probe.op_count() + 1;
+    let fs = FaultyFs::with_script(FaultScript::fault_at(first_write, Fault::ShortWrite(3)));
 
     // A bespoke reactor start: the probe must flip with the service's
-    // replication state, so the test owns the service instead of using
+    // persistence state, so the test owns the service instead of using
     // `Planes::start`.
-    let service = Service::new(ServiceConfig {
-        workers: 2,
-        cache_shards: 16,
-    });
+    let service = service();
+    let outcome = service.attach_cache_file_with(Arc::new(fs), CACHE, limits);
+    assert_eq!(outcome.warning, None);
     let nd_listener = TcpListener::bind("127.0.0.1:0").expect("bind ndjson");
     let http_listener = TcpListener::bind("127.0.0.1:0").expect("bind http");
     let ndjson = nd_listener.local_addr().unwrap();
@@ -428,32 +446,17 @@ fn health_probe_is_byte_identical_and_degrades_to_503() {
     assert_eq!(nd_line.as_bytes(), post.content.as_slice());
     assert_eq!(post.status, 200, "{}", post.head);
 
-    // Degrade: replication to a peer nobody listens on — all peers down.
-    // A never-connected peer is treated as booting until its connect
-    // attempts exhaust the health grace budget, so poll until the session
-    // has provably failed enough times (tens of milliseconds at this
-    // backoff schedule) rather than asserting the first probe.
-    let net = SimNet::new();
-    service.enable_replication(
-        Arc::new(net.endpoint("probe")),
-        ReplicaOptions {
-            peers: vec!["ghost".to_string()],
-            backoff_base_ms: 10,
-            backoff_cap_ms: 50,
-            ..ReplicaOptions::default()
-        },
-    );
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let nd_line = loop {
-        let line = ndjson_request(ndjson, "{\"health\": true}");
-        if line.contains("degraded") || std::time::Instant::now() >= deadline {
-            break line;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
+    // Degrade: the check's first append is a short write, which poisons the
+    // log's tail until the next compaction rewrites the file.
+    let check = wire(vec![("check", Value::Str(bench_source("map")))]);
+    let answer = ndjson_request(ndjson, &check);
+    assert!(answer.starts_with("{\"ok\":true,"), "{answer}");
+    let wal = service.persist_stats().wal.expect("wal attached");
+    assert_eq!(wal.poisoned, 1, "{wal:?}");
+    let nd_line = ndjson_request(ndjson, "{\"health\": true}");
     assert_eq!(
         nd_line,
-        "{\"health\":\"degraded\",\"reasons\":[\"peers-down\"]}\n"
+        "{\"health\":\"degraded\",\"reasons\":[\"wal-poisoned\"]}\n"
     );
     let get = http_request(http, "GET", "/healthz", None);
     assert_eq!(
@@ -463,9 +466,9 @@ fn health_probe_is_byte_identical_and_degrades_to_503() {
     );
     assert_eq!(get.status, 503, "{}", get.head);
 
-    // Recover: dropping the replication plane clears the reason and the
-    // HTTP status returns to 200.
-    service.shutdown_replication();
+    // Recover: a compaction rewrites the file whole, which clears the
+    // reason, and the HTTP status returns to 200.
+    service.save_cache().expect("compaction succeeds");
     let get = http_request(http, "GET", "/healthz", None);
     assert_eq!(get.status, 200, "{}", get.head);
     assert_eq!(

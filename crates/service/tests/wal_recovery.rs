@@ -1,14 +1,15 @@
 //! Service-level WAL recovery: verdicts survive a daemon that never flushed,
-//! compaction fires from the thresholds, the wire protocol exposes WAL
-//! counters, and request deadlines degrade to structured errors.
+//! compaction fires from the thresholds, a failing periodic save backs off
+//! and degrades health, the wire protocol exposes WAL counters, and request
+//! deadlines degrade to structured errors.
 
 use std::io::Cursor;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rel_persist::{FaultScript, FaultyFs, UnsyncedSurvival, WalLimits};
+use rel_persist::{Fault, FaultScript, FaultyFs, UnsyncedSurvival, WalLimits};
 use rel_service::json::{self, Value};
-use rel_service::{serve, ReactorOptions, Service, ServiceConfig};
+use rel_service::{serve, PeriodicSave, ReactorOptions, Service, ServiceConfig};
 
 const CACHE: &str = "/d/cache";
 
@@ -251,4 +252,45 @@ fn generous_deadlines_do_not_interfere_with_answers() {
     assert_eq!(summary.deadlines, 0);
     let response = json::parse(String::from_utf8(output).unwrap().lines().next().unwrap()).unwrap();
     assert_eq!(response.get("ok"), Some(&Value::Bool(true)));
+}
+
+#[test]
+fn a_failing_periodic_save_backs_off_and_degrades_health() {
+    // Attaching and checking on a fault-free disk costs a fixed number of
+    // operations; the compaction after them starts with its temp write.
+    let probe = FaultyFs::new();
+    let svc = service();
+    svc.attach_cache_file_with(Arc::new(probe.clone()), CACHE, wide_limits());
+    svc.check_source(&src()).expect("source checks");
+    let compaction_write = probe.op_count();
+
+    let fs = FaultyFs::with_script(FaultScript::fault_at(compaction_write, Fault::Enospc));
+    let svc = service();
+    svc.attach_cache_file_with(Arc::new(fs), CACHE, wide_limits());
+    assert!(svc.check_source(&src()).expect("source checks").all_ok());
+    assert!(svc.health().ready, "{:?}", svc.health());
+
+    let PeriodicSave::Failed {
+        error,
+        warn,
+        backoff_ms,
+    } = svc.periodic_save()
+    else {
+        panic!("the save must hit the injected ENOSPC");
+    };
+    assert!(error.contains("no space left"), "{error}");
+    assert!(warn, "entering the failing state warns once");
+    assert!(backoff_ms > 0);
+    assert_eq!(
+        svc.periodic_save(),
+        PeriodicSave::Deferred,
+        "inside the backoff window nothing is attempted"
+    );
+    let health = svc.health();
+    assert!(!health.ready);
+    assert_eq!(health.reasons, vec!["save-backoff".to_string()]);
+    assert_eq!(
+        svc.metrics_snapshot().counter("persist.save_failures"),
+        Some(1)
+    );
 }
