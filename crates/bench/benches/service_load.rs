@@ -1,34 +1,34 @@
 //! Open-loop load harness for the serving plane (DESIGN.md §10.4).
 //!
-//! Drives both codec planes — NDJSON and HTTP/1.1 — with a fixed-rate
-//! *open-loop* schedule: every request has an absolute scheduled send time
-//! and its latency is measured **from that scheduled time**, not from the
-//! moment the socket write happened.  A closed-loop client (send, wait,
+//! Drives the NDJSON plane with a fixed-rate *open-loop* schedule: every
+//! request has an absolute scheduled send time and its latency is measured
+//! **from that scheduled time**, not from the moment the socket write
+//! happened.  A closed-loop client (send, wait,
 //! send) hides server queueing by slowing itself down to match the server;
 //! an open-loop client keeps its promise and bills every queueing delay to
 //! the response, which is what a caller with its own deadline experiences.
 //!
-//! Two phases per plane:
+//! Two phases:
 //!
 //! * `cold` — after `{"cache": "clear"}`, so every check runs the full
 //!   pipeline (constraint generation, proving, sweeping);
 //! * `warm` — the serving steady state, where the validity cache answers
 //!   and a check is parse + hash + lookup.
 //!
-//! By default the harness boots an in-process reactor on two ephemeral
-//! listeners.  The CI `service-load-gate` job instead points it at a live
-//! `birelcost serve` daemon via `SERVICE_LOAD_NDJSON` / `SERVICE_LOAD_HTTP`
-//! (host:port), exercising the real binary over real sockets.  Either way
-//! the summary lands in `BENCH_service.json` at the workspace root:
-//! throughput, p50/p99 latency, deadline misses, backpressure refusals and
-//! client-observed connection errors, per plane and phase.
+//! By default the harness boots an in-process reactor on an ephemeral
+//! listener.  The CI `service-load-gate` job instead points it at a live
+//! `birelcost serve` daemon via `SERVICE_LOAD_NDJSON` (host:port),
+//! exercising the real binary over real sockets.  Either way the summary
+//! lands in `BENCH_service.json` at the workspace root: throughput, p50/p99
+//! latency, deadline misses, backpressure refusals and client-observed
+//! connection errors, per phase, under `planes.ndjson`.
 //!
-//! Knobs (all optional): `SERVICE_LOAD_REQUESTS` (warm requests per plane,
-//! default 400), `SERVICE_LOAD_RATE` (warm offered rps, default 200),
-//! `SERVICE_LOAD_CONNS` (connections per plane, default 4).
+//! Knobs (all optional): `SERVICE_LOAD_REQUESTS` (warm requests, default
+//! 400), `SERVICE_LOAD_RATE` (warm offered rps, default 200),
+//! `SERVICE_LOAD_CONNS` (connections, default 4).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -70,69 +70,45 @@ fn main() {
     };
 
     // External daemon (CI) or in-process reactor (local).
-    let external = (
-        std::env::var("SERVICE_LOAD_NDJSON").ok(),
-        std::env::var("SERVICE_LOAD_HTTP").ok(),
-    );
-    let (ndjson_addr, http_addr, server) = match external {
-        (Some(nd), Some(http)) => (nd, http, None),
-        (None, None) => {
-            let (nd, http, handle) = start_reactor();
-            (nd, http, Some(handle))
+    let (addr, server) = match std::env::var("SERVICE_LOAD_NDJSON") {
+        Ok(addr) => (addr, None),
+        Err(_) => {
+            let (addr, handle) = start_reactor();
+            (addr, Some(handle))
         }
-        _ => panic!("set both SERVICE_LOAD_NDJSON and SERVICE_LOAD_HTTP, or neither"),
     };
     let mode = if server.is_none() {
         "external"
     } else {
         "in-process"
     };
-    println!("service_load: {mode} daemon, ndjson={ndjson_addr} http={http_addr}");
+    println!("service_load: {mode} daemon, ndjson={addr}");
 
-    let planes = [
-        (CodecKind::Ndjson, ndjson_addr.clone()),
-        (CodecKind::Http, http_addr.clone()),
-    ];
-    let mut results: Vec<(CodecKind, PhaseResult, PhaseResult)> = Vec::new();
-    for (kind, addr) in &planes {
-        // Cold: full-pipeline checks at a fifth of the warm rate (each check
-        // costs real solver time, and the point is latency under load the
-        // checker can sustain, not a saturation test).
-        send_one(*kind, addr, "{\"cache\": \"clear\"}");
-        let cold = run_phase(
-            *kind,
-            addr,
-            &sources,
-            "cold",
-            sources.len() * 4,
-            (warm_rate / 5.0).max(10.0),
-            conns,
-        );
-        // Warm: prime every program once, then the steady state.
-        for source in &sources {
-            send_one(*kind, addr, &check_request(0, source));
-        }
-        let warm = run_phase(
-            *kind,
-            addr,
-            &sources,
-            "warm",
-            warm_requests,
-            warm_rate,
-            conns,
-        );
-        results.push((*kind, cold, warm));
+    // Cold: full-pipeline checks at a fifth of the warm rate (each check
+    // costs real solver time, and the point is latency under load the
+    // checker can sustain, not a saturation test).
+    send_one(&addr, "{\"cache\": \"clear\"}");
+    let cold = run_phase(
+        &addr,
+        &sources,
+        "cold",
+        sources.len() * 4,
+        (warm_rate / 5.0).max(10.0),
+        conns,
+    );
+    // Warm: prime every program once, then the steady state.
+    for source in &sources {
+        send_one(&addr, &check_request(0, source));
     }
+    let warm = run_phase(&addr, &sources, "warm", warm_requests, warm_rate, conns);
 
-    if server.is_some() {
-        send_one(CodecKind::Ndjson, &ndjson_addr, "{\"shutdown\": true}");
-    }
     if let Some(handle) = server {
+        send_one(&addr, "{\"shutdown\": true}");
         let summary = handle.join().expect("reactor thread").expect("reactor");
         println!("service_load: reactor summary {summary:?}");
     }
 
-    let json = render_json(mode, conns, &sources, &results);
+    let json = render_json(mode, conns, &sources, &cold, &warm);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}:\n{json}"),
@@ -142,60 +118,53 @@ fn main() {
     // Acceptance bars.  CI enforces the committed floors/ceilings in the
     // service-load-gate job; these in-bench asserts are the looser sanity
     // net that also protects local runs.
-    for (kind, cold, warm) in &results {
-        let plane = kind.label();
-        for phase in [cold, warm] {
-            assert_eq!(
-                phase.completed, phase.requests,
-                "{plane}/{}: {} of {} requests unanswered",
-                phase.name, phase.requests, phase.completed
-            );
-            assert_eq!(
-                phase.conn_errors, 0,
-                "{plane}/{}: client saw connection errors",
-                phase.name
-            );
-            assert_eq!(
-                phase.errors, 0,
-                "{plane}/{}: unexpected error responses",
-                phase.name
-            );
-        }
-        assert!(
-            warm.throughput_rps >= 25.0,
-            "{plane}/warm: throughput {:.1} rps below the 25 rps floor",
-            warm.throughput_rps
+    for phase in [&cold, &warm] {
+        assert_eq!(
+            phase.completed, phase.requests,
+            "{}: {} of {} requests unanswered",
+            phase.name, phase.requests, phase.completed
         );
-        assert!(
-            warm.p99_ms <= 2_000.0,
-            "{plane}/warm: p99 {:.1} ms above the 2000 ms ceiling",
-            warm.p99_ms
+        assert_eq!(
+            phase.conn_errors, 0,
+            "{}: client saw connection errors",
+            phase.name
+        );
+        assert_eq!(
+            phase.errors, 0,
+            "{}: unexpected error responses",
+            phase.name
         );
     }
+    assert!(
+        warm.throughput_rps >= 25.0,
+        "warm: throughput {:.1} rps below the 25 rps floor",
+        warm.throughput_rps
+    );
+    assert!(
+        warm.p99_ms <= 2_000.0,
+        "warm: p99 {:.1} ms above the 2000 ms ceiling",
+        warm.p99_ms
+    );
     println!("service_load: all gates passed");
 }
 
-/// Boots an in-process reactor over both planes; returns the two addresses
-/// and the join handle.
-#[allow(clippy::type_complexity)]
+/// Boots an in-process reactor on an ephemeral listener; returns its
+/// address and the join handle.
 fn start_reactor() -> (
-    String,
     String,
     std::thread::JoinHandle<std::io::Result<rel_service::ReactorSummary>>,
 ) {
     let service = Service::new(ServiceConfig::default());
-    let nd = TcpListener::bind("127.0.0.1:0").expect("bind ndjson");
-    let http = TcpListener::bind("127.0.0.1:0").expect("bind http");
-    let nd_addr = nd.local_addr().unwrap().to_string();
-    let http_addr = http.local_addr().unwrap().to_string();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ndjson");
+    let addr = listener.local_addr().unwrap().to_string();
     let handle = std::thread::spawn(move || {
         serve_reactor(
             &service,
-            vec![(nd, CodecKind::Ndjson), (http, CodecKind::Http)],
+            vec![(listener, CodecKind::Ndjson)],
             ReactorOptions::default(),
         )
     });
-    (nd_addr, http_addr, handle)
+    (addr, handle)
 }
 
 fn check_request(id: usize, source: &str) -> String {
@@ -207,33 +176,19 @@ fn check_request(id: usize, source: &str) -> String {
 }
 
 /// One request outside any measured window (cache control, priming,
-/// shutdown), on a throwaway connection of the given plane.
-fn send_one(kind: CodecKind, addr: &str, request: &str) {
+/// shutdown), on a throwaway connection.
+fn send_one(addr: &str, request: &str) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
-    match kind {
-        CodecKind::Ndjson => {
-            stream.write_all(request.as_bytes()).unwrap();
-            stream.write_all(b"\n").unwrap();
-            let mut line = String::new();
-            BufReader::new(stream)
-                .read_line(&mut line)
-                .expect("response");
-        }
-        CodecKind::Http => {
-            let head = format!(
-                "POST /check HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-                request.len()
-            );
-            stream.write_all(head.as_bytes()).unwrap();
-            stream.write_all(request.as_bytes()).unwrap();
-            let mut raw = Vec::new();
-            stream.read_to_end(&mut raw).expect("response");
-        }
-    }
+    stream.write_all(request.as_bytes()).unwrap();
+    stream.write_all(b"\n").unwrap();
+    let mut line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("response");
 }
 
-/// The measured outcome of one phase on one plane.
+/// The measured outcome of one phase.
 struct PhaseResult {
     name: &'static str,
     requests: usize,
@@ -265,7 +220,6 @@ struct ConnTally {
 /// or not earlier responses have arrived, and its latency runs from that
 /// scheduled instant.
 fn run_phase(
-    kind: CodecKind,
     addr: &str,
     sources: &[String],
     name: &'static str,
@@ -284,10 +238,7 @@ fn run_phase(
                     .filter(|i| i % conns == conn_index)
                     .map(|i| (i, start + Duration::from_secs_f64(i as f64 / rate)))
                     .collect();
-                match kind {
-                    CodecKind::Ndjson => drive_ndjson(&addr, sources, &schedule),
-                    CodecKind::Http => drive_http(&addr, sources, &schedule),
-                }
+                drive_ndjson(&addr, sources, &schedule)
             }));
         }
         handles
@@ -341,10 +292,9 @@ fn run_phase(
         0.0
     };
     println!(
-        "service_load: {}/{name}: {}/{} ok, offered {:.0} rps, completed {:.1} rps, \
+        "service_load: {name}: {}/{} ok, offered {:.0} rps, completed {:.1} rps, \
          p50 {:.1} ms, p99 {:.1} ms, max {:.1} ms, deadline {}, backpressure {}, \
          errors {}, conn_errors {}",
-        kind.label(),
         result.completed,
         result.requests,
         result.offered_rps,
@@ -434,83 +384,6 @@ fn drive_ndjson(addr: &str, sources: &[String], schedule: &[(usize, Instant)]) -
     tally
 }
 
-/// HTTP client: same open-loop writer; the plane is half-duplex with
-/// in-order responses, so the reader pairs the k-th response with the k-th
-/// scheduled send.
-fn drive_http(addr: &str, sources: &[String], schedule: &[(usize, Instant)]) -> ConnTally {
-    let Ok(stream) = TcpStream::connect(addr) else {
-        let mut tally = ConnTally::default();
-        tally.conn_errors += 1;
-        return tally;
-    };
-    stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
-    let _ = stream.set_nodelay(true);
-    let sent_order: Vec<Instant> = schedule.iter().map(|(_, at)| *at).collect();
-
-    let reader_stream = stream.try_clone().expect("clone stream");
-    let expected = schedule.len();
-    let reader = std::thread::spawn(move || {
-        let mut tally = ConnTally::default();
-        let mut reader = BufReader::new(reader_stream);
-        for sent_at in sent_order.into_iter().take(expected) {
-            let Some(content) = read_http_content(&mut reader) else {
-                tally.conn_errors += 1;
-                return tally;
-            };
-            let done = Instant::now();
-            tally
-                .latencies_ns
-                .push(done.saturating_duration_since(sent_at).as_nanos() as u64);
-            tally.last_done = Some(done);
-            match json::parse(String::from_utf8_lossy(&content).trim()) {
-                Ok(payload) => classify(&payload, &mut tally),
-                Err(_) => tally.errors += 1,
-            }
-        }
-        tally
-    });
-
-    let mut writer = stream;
-    let mut write_errors = 0;
-    for (index, sent_at) in schedule {
-        sleep_until(*sent_at);
-        let body = check_request(*index, &sources[index % sources.len()]);
-        let request = format!(
-            "POST /check HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        if writer.write_all(request.as_bytes()).is_err() {
-            write_errors += 1;
-            break;
-        }
-    }
-    let mut tally = reader.join().expect("reader thread");
-    tally.conn_errors += write_errors;
-    tally
-}
-
-/// Reads one `Content-Length`-framed HTTP response body off a keep-alive
-/// connection; `None` on a closed or unreadable stream.
-fn read_http_content(reader: &mut BufReader<TcpStream>) -> Option<Vec<u8>> {
-    let mut length: Option<usize> = None;
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return None,
-            Ok(_) => {}
-        }
-        if line == "\r\n" {
-            break;
-        }
-        if let Some(rest) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            length = rest.trim().parse().ok();
-        }
-    }
-    let mut content = vec![0u8; length?];
-    reader.read_exact(&mut content).ok()?;
-    Some(content)
-}
-
 /// Sleeps until an absolute instant (no-op if it has passed).
 fn sleep_until(at: Instant) {
     let now = Instant::now();
@@ -544,23 +417,15 @@ fn render_json(
     mode: &str,
     conns: usize,
     sources: &[String],
-    results: &[(CodecKind, PhaseResult, PhaseResult)],
+    cold: &PhaseResult,
+    warm: &PhaseResult,
 ) -> String {
-    let mut planes = String::new();
-    for (i, (kind, cold, warm)) in results.iter().enumerate() {
-        if i > 0 {
-            planes.push_str(",\n");
-        }
-        planes.push_str(&format!(
-            "    \"{}\": {{\n      \"cold\": {},\n      \"warm\": {}\n    }}",
-            kind.label(),
-            render_phase(cold),
-            render_phase(warm),
-        ));
-    }
     format!(
         "{{\n  \"bench\": \"service_load\",\n  \"mode\": \"{mode}\",\n  \
-         \"conns\": {conns},\n  \"programs\": {},\n  \"planes\": {{\n{planes}\n  }}\n}}\n",
+         \"conns\": {conns},\n  \"programs\": {},\n  \"planes\": {{\n    \
+         \"ndjson\": {{\n      \"cold\": {},\n      \"warm\": {}\n    }}\n  }}\n}}\n",
         sources.len(),
+        render_phase(cold),
+        render_phase(warm),
     )
 }

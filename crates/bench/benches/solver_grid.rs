@@ -203,14 +203,19 @@ fn solver_grid(c: &mut Criterion) {
     }
     let fm_speedup = grid.decision_ns / fm.decision_ns;
     let engine_speedup = grid.engine_ns / fm.engine_ns;
+    // `SuiteRun` sums over the samples; the report is per pass.
+    let fm_decision_ns = fm.decision_ns / samples as f64;
+    let grid_decision_ns = grid.decision_ns / samples as f64;
+    let engine_fm_ns = fm.engine_ns / samples as f64;
+    let engine_grid_ns = grid.engine_ns / samples as f64;
     println!(
         "fm_vs_grid: proving {:.2} ms / sweeping {:.2} ms per pass ({fm_speedup:.2}x); \
          engine {:.2} ms vs {:.2} ms ({engine_speedup:.2}x); \
          {} vs {} points",
-        fm.decision_ns / 1e6,
-        grid.decision_ns / 1e6,
-        fm.engine_ns / 1e6,
-        grid.engine_ns / 1e6,
+        fm_decision_ns / 1e6,
+        grid_decision_ns / 1e6,
+        engine_fm_ns / 1e6,
+        engine_grid_ns / 1e6,
         fm.points,
         grid.points,
     );
@@ -291,10 +296,6 @@ fn solver_grid(c: &mut Criterion) {
         numeric_ms = phases.numeric_ms,
         fm_points = fm.points,
         grid_points = grid.points,
-        fm_decision_ns = fm.decision_ns / samples as f64,
-        grid_decision_ns = grid.decision_ns / samples as f64,
-        engine_fm_ns = fm.engine_ns / samples as f64,
-        engine_grid_ns = grid.engine_ns / samples as f64,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_numeric.json");
     match std::fs::write(path, &json) {

@@ -43,18 +43,14 @@
 //!                        many connections over one worker pool, responses
 //!                        in finish order (tag requests with "id" and match
 //!                        on the echo), as on stdio
-//!   --http ADDR          serve the same content over HTTP/1.1 (POST /check,
-//!                        GET /metrics, GET /cache/stats, POST /shutdown);
-//!                        composable with --listen — both planes share the
-//!                        workers, the caches and the bounded queue
 //!   --max-queue N        bound on queued-but-unstarted requests across all
 //!                        connections; excess requests answer
-//!                        {"error": "backpressure"} (HTTP 503) immediately
-//!                        (stdio is paced instead: it stops reading)
+//!                        {"error": "backpressure"} immediately (stdio is
+//!                        paced instead: it stops reading)
 //!   --request-timeout-ms N   wall-clock budget per request; a request over
 //!                        budget answers {"error": "deadline"} while its
 //!                        worker drains in the background
-//!   --idle-timeout-ms N  (needs --listen or --http) disconnect a client
+//!   --idle-timeout-ms N  (needs --listen) disconnect a client
 //!                        whose socket stays silent this long
 //! ```
 
@@ -70,15 +66,15 @@ use std::time::Duration;
 use birelcost::{Engine, PhaseTimings};
 use rel_constraint::SearchExhaustedReason;
 use rel_service::{
-    serve, serve_reactor, BatchJob, BatchStats, CodecKind, CodecLimits, PeriodicSave,
-    ReactorOptions, ReactorSummary, Service, ServiceConfig,
+    serve, serve_reactor, BatchJob, BatchStats, CodecKind, PeriodicSave, ReactorOptions,
+    ReactorSummary, Service, ServiceConfig,
 };
 use rel_suite::{all_benchmarks, VerificationStatus};
 use rel_syntax::parse_program;
 
 const USAGE: &str = "usage: birelcost <check [--jobs N] [--cache-file PATH] [--metrics-out PATH] \
      [--trace-out PATH] FILE...|serve [--jobs N] [--cache-file PATH] [--listen ADDR] \
-     [--http ADDR] [--max-queue N] [--request-timeout-ms N] [--idle-timeout-ms N]\
+     [--max-queue N] [--request-timeout-ms N] [--idle-timeout-ms N]\
      |explain NAME|validate-metrics FILE|table1|list>";
 
 /// How often the daemon flushes its warm state to the cache file.
@@ -131,13 +127,11 @@ struct Flags {
     trace_out: Option<String>,
     /// TCP address for `serve --listen` (stdio when absent).
     listen: Option<String>,
-    /// TCP address for the HTTP/1.1 plane (`serve --http`).
-    http: Option<String>,
-    /// Bound on queued-but-unstarted requests for the reactor planes.
+    /// Bound on queued-but-unstarted requests for the reactor.
     max_queue: Option<usize>,
     /// Per-request wall-clock budget for `serve`.
     request_timeout_ms: Option<u64>,
-    /// Socket idle timeout for `serve --listen`/`--http`.
+    /// Socket idle timeout for `serve --listen`.
     idle_timeout_ms: Option<u64>,
 }
 
@@ -175,8 +169,6 @@ impl Flags {
                 flags.trace_out = Some(path);
             } else if let Some(addr) = flag_value("--listen", None)? {
                 flags.listen = Some(addr);
-            } else if let Some(addr) = flag_value("--http", None)? {
-                flags.http = Some(addr);
             } else if let Some(n) = flag_value("--max-queue", None)? {
                 let cap = n
                     .parse::<usize>()
@@ -207,11 +199,6 @@ impl Flags {
             }
         }
         Ok((flags, rest))
-    }
-
-    /// Whether `serve` binds sockets rather than serving stdin/stdout.
-    fn serves_sockets(&self) -> bool {
-        self.listen.is_some() || self.http.is_some()
     }
 }
 
@@ -263,13 +250,12 @@ fn flush_cache(service: &Service) {
 
 fn check_files(files: &[String], flags: &Flags) -> ExitCode {
     if flags.listen.is_some()
-        || flags.http.is_some()
         || flags.max_queue.is_some()
         || flags.request_timeout_ms.is_some()
         || flags.idle_timeout_ms.is_some()
     {
         return usage_error(
-            "--listen/--http/--max-queue/--request-timeout-ms/--idle-timeout-ms are serve flags",
+            "--listen/--max-queue/--request-timeout-ms/--idle-timeout-ms are serve flags",
         );
     }
     if files.is_empty() {
@@ -432,9 +418,9 @@ fn serve_flag_error(flags: &Flags) -> Option<&'static str> {
             "--metrics-out/--trace-out are check flags; ask a running daemon with {\"metrics\": \"dump\"}",
         );
     }
-    if flags.idle_timeout_ms.is_some() && !flags.serves_sockets() {
+    if flags.idle_timeout_ms.is_some() && flags.listen.is_none() {
         // It would reap the stdio session itself after a quiet spell.
-        return Some("--idle-timeout-ms needs --listen or --http");
+        return Some("--idle-timeout-ms needs --listen");
     }
     None
 }
@@ -503,18 +489,19 @@ fn serve_command(flags: &Flags) -> ExitCode {
         })
     });
 
-    // One reactor serves either plane: every listed address (NDJSON, HTTP)
-    // or the stdin/stdout session shares one worker pool, one
-    // bounded queue and one set of caches.
+    // One reactor serves the socket or the stdin/stdout session: one worker
+    // pool, one bounded queue and one set of caches.
     let options = ReactorOptions {
         workers,
         max_queue: flags.max_queue.unwrap_or((workers * 32).max(64)),
         request_timeout: flags.request_timeout_ms.map(Duration::from_millis),
         idle_timeout: flags.idle_timeout_ms.map(Duration::from_millis),
-        limits: CodecLimits::default(),
+        ..ReactorOptions::default()
     };
-    let outcome = if flags.serves_sockets() {
-        bind_listeners(flags).and_then(|listeners| serve_reactor(&service, listeners, options))
+    let outcome = if let Some(addr) = &flags.listen {
+        bind_listener(addr).and_then(|listener| {
+            serve_reactor(&service, vec![(listener, CodecKind::Ndjson)], options)
+        })
     } else {
         serve(&service, io::stdin(), io::stdout(), options)
     };
@@ -538,27 +525,17 @@ fn serve_command(flags: &Flags) -> ExitCode {
     }
 }
 
-/// Binds the requested socket planes, each paired with its codec.
-fn bind_listeners(flags: &Flags) -> io::Result<Vec<(TcpListener, CodecKind)>> {
-    let mut listeners = Vec::new();
-    let planes = [
-        (&flags.listen, CodecKind::Ndjson),
-        (&flags.http, CodecKind::Http),
-    ];
-    for (addr, kind) in planes {
-        let Some(addr) = addr else { continue };
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| io::Error::new(e.kind(), format!("cannot listen on {addr}: {e}")))?;
-        eprintln!(
-            "birelcost serve: {} plane listening on {}",
-            kind.label(),
-            listener
-                .local_addr()
-                .map_or(addr.clone(), |a| a.to_string())
-        );
-        listeners.push((listener, kind));
-    }
-    Ok(listeners)
+/// Binds the `--listen` socket.
+fn bind_listener(addr: &str) -> io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot listen on {addr}: {e}")))?;
+    eprintln!(
+        "birelcost serve: ndjson plane listening on {}",
+        listener
+            .local_addr()
+            .map_or(addr.to_string(), |a| a.to_string())
+    );
+    Ok(listener)
 }
 
 /// The shutdown report line.
@@ -961,11 +938,14 @@ mod tests {
     #[test]
     fn idle_timeout_is_a_socket_flag() {
         let stdio = serve_flags(&["--idle-timeout-ms", "500"]);
-        assert!(serve_flag_error(&stdio).is_some_and(|e| e.contains("--idle-timeout-ms")));
-        for plane in ["--listen", "--http"] {
-            let socket = serve_flags(&["--idle-timeout-ms", "500", plane, "127.0.0.1:0"]);
-            assert_eq!(serve_flag_error(&socket), None, "{plane}");
-        }
+        assert_eq!(
+            serve_flag_error(&stdio),
+            Some("--idle-timeout-ms needs --listen")
+        );
+        let socket = serve_flags(&["--idle-timeout-ms", "500", "--listen", "127.0.0.1:0"]);
+        assert_eq!(serve_flag_error(&socket), None);
+        let http: Vec<String> = ["--http", "127.0.0.1:0"].map(String::from).to_vec();
+        assert!(Flags::parse(&http).is_err_and(|e| e.contains("unknown flag")));
         // Stdio takes the other serve flags as before.
         let stdio = serve_flags(&[
             "--jobs",

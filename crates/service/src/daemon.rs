@@ -15,8 +15,7 @@
 //! {"metrics": "dump"}              versioned metrics snapshot: solver
 //!                                  counters, request latency histograms,
 //!                                  cache gauges (DESIGN.md §8.2 schema)
-//! {"health": true}                 ready/degraded probe (same payload the
-//!                                  HTTP plane serves on GET /healthz)
+//! {"health": true}                 ready/degraded probe with its reasons
 //! {"shutdown": true}               answer {"bye": true}, drain, stop (parsed
 //!                                  by the reactor, not here)
 //! ```
@@ -123,9 +122,8 @@ fn dispatch(service: &Service, request: &Value) -> Result<Value, String> {
     )
 }
 
-/// The `{"health": true}` (and HTTP `GET /healthz`) payload: byte-identical
-/// across planes; the HTTP codec additionally maps `"degraded"` to a 503
-/// status line.
+/// The `{"health": true}` payload: `"ready"`, or `"degraded"` with the
+/// reasons from [`Service::health`].
 fn health_value(service: &Service) -> Value {
     let health = service.health();
     Value::obj([

@@ -13,9 +13,8 @@
 //! * [`daemon`] — the request protocol behind `birelcost serve`:
 //!   `{"check": "<source>"}` → per-def verdicts, timings and cache
 //!   counters, so external harnesses can drive sustained traffic;
-//! * [`codec`] — the wire-format seam: NDJSON and hand-rolled HTTP/1.1
-//!   framings of the *same* JSON content, so both planes answer
-//!   byte-identical payloads (DESIGN.md §10);
+//! * [`codec`] — the wire framing: one JSON object per newline-terminated
+//!   line, request and response alike (DESIGN.md §10);
 //! * [`reactor`] — the one serving loop: a `poll(2)` readiness loop
 //!   driving many connections (stdio is one of them) over one bounded
 //!   worker queue, with per-request deadlines, explicit backpressure and
@@ -55,7 +54,7 @@ pub mod test_hooks;
 pub use batch::{
     check_batch, check_batch_with, check_job, check_job_with, BatchJob, BatchResult, BatchStats,
 };
-pub use codec::{content_line, make_codec, Codec, CodecKind, CodecLimits, Decode};
+pub use codec::CodecKind;
 pub use daemon::respond;
 pub use reactor::{serve, serve_reactor, ReactorOptions, ReactorSummary};
 pub use schema::{validate_metrics, MetricsSummary};

@@ -7,17 +7,17 @@
 //! queue drained by a fixed worker pool:
 //!
 //! ```text
-//!            ┌ listener (NDJSON) ┐             ┌ worker 0 ┐
-//!  clients ──┤                   ├─ reactor ───┤ worker 1 ├── Service
-//!            └ listener (HTTP)  ─┘   poll(2)   └ worker N ┘   (engine,
-//!                 nonblocking        1 thread     bounded      caches)
-//!                 sockets            owns conns   queue
+//!                                           ┌ worker 0 ┐
+//!  clients ── listener (NDJSON) ── reactor ─┤ worker 1 ├── Service
+//!             nonblocking          poll(2)  └ worker N ┘   (engine,
+//!             sockets              1 thread   bounded       caches)
+//!                                  owns conns queue
 //! ```
 //!
 //! * The **reactor thread** owns every connection: it accepts, reads bytes,
-//!   runs each connection's [`Codec`] state machine, enqueues decoded
-//!   requests, writes completed responses, and enforces per-request
-//!   deadlines and per-connection idle timeouts.
+//!   splits them into request lines (`codec::decode`), enqueues
+//!   decoded requests, writes completed responses, and enforces
+//!   per-request deadlines and per-connection idle timeouts.
 //! * **Workers** pull jobs off the bounded queue and answer them against the
 //!   shared [`Service`].  At dequeue time a job whose connection already
 //!   closed is dropped (counted under `serve.conn_errors` — the PR 7 design
@@ -25,30 +25,26 @@
 //!   response write failed), and a job already past its deadline is answered
 //!   with the structured deadline error without doing the work.
 //! * **Backpressure is explicit**: when the queue is full the reactor
-//!   immediately answers `{"error": "backpressure", ...}` (HTTP 503) instead
-//!   of buffering unboundedly — the client knows to back off, and the
-//!   daemon's memory stays bounded no matter the offered load.
+//!   immediately answers `{"error": "backpressure", ...}` instead of
+//!   buffering unboundedly — the client knows to back off, and the daemon's
+//!   memory stays bounded no matter the offered load.
 //! * **Cancellation**: a request that blows
 //!   [`ReactorOptions::request_timeout`] is answered with
 //!   `{"error": "deadline", "timeout_ms": N}`.  If a worker is already
 //!   running it, the work completes in the background (its cache stores
 //!   still land) and the late response is dropped; if it is still queued,
 //!   the dequeue check skips the work entirely.
-//! * **Streaming**: `{"batch": [...], "stream": true}` answers one frame per
-//!   job as it finishes (NDJSON lines on one plane, HTTP chunks on the
-//!   other) and a terminal `{"done": true, ...}` summary, so a client
-//!   replaying a large suite sees results as they land.
-//! * **Stdio** ([`serve`]) is one more NDJSON connection: two copy threads
-//!   bridge the reader and writer to a loopback socket pair, and a run with
-//!   no listeners ends when its last connection has closed.  End of input
-//!   is a half-close, so every request read before it is answered, and the
+//! * **Streaming**: `{"batch": [...], "stream": true}` answers one line per
+//!   job as it finishes and a terminal `{"done": true, ...}` summary, so a
+//!   client replaying a large suite sees results as they land.
+//! * **Stdio** ([`serve`]) is one more connection: two copy threads bridge
+//!   the reader and writer to a loopback socket pair, and a run with no
+//!   listeners ends when its last connection has closed.  End of input is a
+//!   half-close, so every request read before it is answered, and the
 //!   workers are joined before [`serve`] returns.
 //!
-//! Responses on the NDJSON plane — stdio included — complete in *finish*
-//! order, not submission order: pipelining clients tag requests with `"id"`
-//! and match on the echo.  The HTTP plane is half-duplex per connection
-//! (HTTP/1.1 responses must land in request order), so multiplexing there
-//! comes from many connections.
+//! Responses complete in *finish* order, not submission order: pipelining
+//! clients tag requests with `"id"` and match on the echo.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -58,7 +54,7 @@ use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::codec::{make_codec, Codec, CodecKind, CodecLimits, Decode};
+use crate::codec::{self, CodecKind, Decode};
 use crate::daemon::{self, echo_id};
 use crate::json::Value;
 use crate::service::Service;
@@ -79,8 +75,9 @@ pub struct ReactorOptions {
     /// Disconnect a connection with no traffic and no in-flight work for
     /// this long (also what reaps slow-loris half-requests).
     pub idle_timeout: Option<Duration>,
-    /// Codec size limits (request line / HTTP body / header caps).
-    pub limits: CodecLimits,
+    /// Longest accepted request line in bytes; a longer one is answered
+    /// with a final error and the connection closes.
+    pub max_request_bytes: usize,
 }
 
 impl Default for ReactorOptions {
@@ -91,7 +88,7 @@ impl Default for ReactorOptions {
             max_queue: (workers * 32).max(64),
             request_timeout: None,
             idle_timeout: None,
-            limits: CodecLimits::default(),
+            max_request_bytes: 4 << 20,
         }
     }
 }
@@ -248,11 +245,10 @@ fn wait_ready(
 /// Reactor-side identity of one request, shared with the worker that answers
 /// it.  The `answered` flag is the cancellation handshake: whichever side
 /// transitions it first (worker completing, or the reactor's deadline scan)
-/// owns the response; the loser drops its frames.
+/// owns the response; the loser drops its lines.
 #[derive(Debug)]
 struct RequestToken {
     conn_id: u64,
-    codec: CodecKind,
     /// Set by the reactor when the connection dies; checked by workers at
     /// dequeue so a dead client's queued work is skipped, not computed.
     conn_closed: Arc<AtomicBool>,
@@ -281,25 +277,17 @@ impl RequestToken {
 struct Job {
     token: Arc<RequestToken>,
     request: Value,
-    /// `{"batch": [...], "stream": true}` — answer frame-by-frame.
+    /// `{"batch": [...], "stream": true}` — answer line by line.
     streaming: bool,
 }
 
-/// A response frame traveling from a worker back to the reactor.
-enum Frame {
-    /// The single response of a non-streamed request.
-    Response(Value),
-    /// Opens a streamed response.
-    StreamBegin,
-    /// One streamed item.
-    StreamItem(Value),
-    /// The terminal summary of a streamed response.
-    StreamEnd(Value),
-}
-
+/// A response line traveling from a worker back to the reactor.
 struct Completion {
     token: Arc<RequestToken>,
-    frame: Frame,
+    payload: Value,
+    /// The request's final line: its single response, or the terminal
+    /// summary of a stream.
+    last: bool,
 }
 
 /// State shared between the reactor thread and the workers.
@@ -322,17 +310,22 @@ struct Shared {
 }
 
 impl Shared {
-    /// Queues a frame for the reactor and kicks its poll loop.  A request's
-    /// latency is observed here, when its final frame is produced, so a
-    /// later request on the same connection already sees it in the metrics.
-    fn complete(&self, token: Arc<RequestToken>, frame: Frame) {
-        if matches!(frame, Frame::Response(_) | Frame::StreamEnd(_)) {
+    /// Queues a response line for the reactor and kicks its poll loop.  A
+    /// request's latency is observed here, when its last line is produced,
+    /// so a later request on the same connection already sees it in the
+    /// metrics.
+    fn complete(&self, token: Arc<RequestToken>, payload: Value, last: bool) {
+        if last {
             observe_latency(&self.service, &token);
         }
         self.completions
             .lock()
             .expect("completions poisoned")
-            .push(Completion { token, frame });
+            .push(Completion {
+                token,
+                payload,
+                last,
+            });
         let mut waker = self.waker.lock().expect("waker poisoned");
         wake(&mut waker);
     }
@@ -359,7 +352,7 @@ fn wake(waker: &mut TcpStream) {
     }
 }
 
-/// A structured refusal, identical content on every codec:
+/// A structured refusal:
 /// `{"error": "deadline", "timeout_ms": N}` or
 /// `{"error": "backpressure", "max_queue": N}`, after the request's `id`.
 fn refusal(error: &str, (field, n): (&'static str, u64), id: Option<&Value>) -> Value {
@@ -396,7 +389,7 @@ fn worker_loop(shared: &Shared) {
             shared.expired_at_dequeue.fetch_add(1, Ordering::Relaxed);
             let timeout = ("timeout_ms", job.token.timeout_ms);
             let payload = refusal("deadline", timeout, job.token.id.as_ref());
-            shared.complete(job.token, Frame::Response(payload));
+            shared.complete(job.token, payload, true);
             continue;
         }
         #[cfg(feature = "test-hooks")]
@@ -409,21 +402,20 @@ fn worker_loop(shared: &Shared) {
         // The deadline scan may have answered while we were computing; the
         // work still warmed the caches, only the late response is dropped.
         if job.token.try_answer() {
-            shared.complete(job.token, Frame::Response(payload));
+            shared.complete(job.token, payload, true);
         }
     }
 }
 
-/// Answers `{"batch": [...], "stream": true}`: one frame per job in
+/// Answers `{"batch": [...], "stream": true}`: one line per job in
 /// submission order as each finishes, then a terminal summary.  Claims the
-/// answer up front — once frames are flowing, the deadline scan must not
+/// answer up front — once lines are flowing, the deadline scan must not
 /// interleave its own response into the stream.
 fn stream_batch(shared: &Shared, job: &Job) {
     if !job.token.try_answer() {
         return; // deadline fired while queued
     }
     let id = job.token.id.as_ref();
-    shared.complete(Arc::clone(&job.token), Frame::StreamBegin);
     let sources: Vec<String> = match job.request.get("batch") {
         Some(Value::Arr(items)) if items.iter().all(|v| v.as_str().is_some()) => items
             .iter()
@@ -436,7 +428,7 @@ fn stream_batch(shared: &Shared, job: &Job) {
                 Value::Str("the `batch` field must be an array of source strings".to_string()),
             )]);
             echo_id(&mut payload, id);
-            shared.complete(Arc::clone(&job.token), Frame::StreamEnd(payload));
+            shared.complete(Arc::clone(&job.token), payload, true);
             return;
         }
     };
@@ -445,7 +437,7 @@ fn stream_batch(shared: &Shared, job: &Job) {
     let mut aborted = false;
     for (seq, source) in sources.iter().enumerate() {
         if job.token.conn_closed.load(Ordering::Acquire) {
-            // The client is gone: stop checking the remainder (the frames
+            // The client is gone: stop checking the remainder (the lines
             // would be dropped anyway); this is the streaming face of the
             // dequeue-time disconnect gate.
             shared
@@ -465,7 +457,7 @@ fn stream_batch(shared: &Shared, job: &Job) {
             ("job", daemon::job_value(&result)),
         ]);
         echo_id(&mut item, id);
-        shared.complete(Arc::clone(&job.token), Frame::StreamItem(item));
+        shared.complete(Arc::clone(&job.token), item, false);
     }
     let mut end = Value::obj([
         ("done", Value::Bool(true)),
@@ -475,7 +467,7 @@ fn stream_batch(shared: &Shared, job: &Job) {
         ("cache", daemon::cache_value(&shared.service)),
     ]);
     echo_id(&mut end, id);
-    shared.complete(Arc::clone(&job.token), Frame::StreamEnd(end));
+    shared.complete(Arc::clone(&job.token), end, true);
 }
 
 // ---------------------------------------------------------------------------
@@ -484,7 +476,6 @@ fn stream_batch(shared: &Shared, job: &Job) {
 
 struct Conn {
     stream: TcpStream,
-    codec: Box<dyn Codec>,
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     /// Shared with every token minted for this connection.
@@ -492,11 +483,8 @@ struct Conn {
     last_activity: Instant,
     /// Requests decoded but not yet fully answered.
     inflight: usize,
-    /// HTTP half-duplex gate: stop decoding until the current request's
-    /// response has been queued.
-    awaiting_response: bool,
-    /// Close once the write buffer drains and nothing is in flight (fatal
-    /// framing error, HTTP `Connection: close`, shutdown's `{"bye": true}`).
+    /// Close once the write buffer drains and nothing is in flight (an
+    /// oversized line, shutdown's `{"bye": true}`).
     close_after_flush: bool,
     /// The peer shut down its write side (or the read failed): the socket is
     /// no longer polled for reading, and the connection closes once its
@@ -509,27 +497,24 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, kind: CodecKind, limits: CodecLimits) -> Conn {
+    fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            codec: make_codec(kind, limits),
             read_buf: Vec::new(),
             write_buf: Vec::new(),
             closed: Arc::new(AtomicBool::new(false)),
             last_activity: Instant::now(),
             inflight: 0,
-            awaiting_response: false,
             close_after_flush: false,
             read_closed: false,
             paced: false,
         }
     }
 
-    /// Whether decoding must wait for an answer first: the HTTP half-duplex
-    /// gate, or a paced connection at its in-flight bound.
+    /// Whether decoding must wait for an answer first: a paced connection
+    /// at its in-flight bound.
     fn decode_gated(&self, max_queue: usize) -> bool {
-        (self.codec.half_duplex() && self.awaiting_response)
-            || (self.paced && self.inflight >= max_queue)
+        self.paced && self.inflight >= max_queue
     }
 
     /// Every request it sent is answered and flushed.
@@ -571,14 +556,18 @@ impl Conn {
 const TICK: Duration = Duration::from_millis(20);
 
 /// Runs the multiplexed serving plane over `listeners` until a client sends
-/// `{"shutdown": true}` (or `POST /shutdown`), answering every request
-/// against `service`.  Each listener speaks the codec it is paired with;
-/// all of them multiplex over one worker pool and one bounded queue.
+/// `{"shutdown": true}`, answering every request against `service`.  Every
+/// listener speaks NDJSON, and all of them multiplex over one worker pool
+/// and one bounded queue.
 pub fn serve_reactor(
     service: &Service,
     listeners: Vec<(TcpListener, CodecKind)>,
     options: ReactorOptions,
 ) -> io::Result<ReactorSummary> {
+    let listeners = listeners
+        .into_iter()
+        .map(|(listener, _)| listener)
+        .collect();
     run(service, listeners, None, options)
 }
 
@@ -696,16 +685,16 @@ fn accept_from(listener: &TcpListener, peer: SocketAddr) -> io::Result<TcpStream
 }
 
 /// The reactor over `listeners` plus, when given, one already-connected
-/// NDJSON connection (the stdio bridge).  A run with no listeners ends when
+/// connection (the stdio bridge).  A run with no listeners ends when
 /// its last connection has closed; either way the workers are joined before
 /// this returns.
 fn run(
     service: &Service,
-    listeners: Vec<(TcpListener, CodecKind)>,
+    listeners: Vec<TcpListener>,
     adopted: Option<TcpStream>,
     options: ReactorOptions,
 ) -> io::Result<ReactorSummary> {
-    for (listener, _) in &listeners {
+    for listener in &listeners {
         listener.set_nonblocking(true)?;
     }
     // Workers write a byte to unblock the poll as soon as a completion is
@@ -749,7 +738,7 @@ fn run(
 fn reactor_loop(
     shared: &Shared,
     jobs: &SyncSender<Job>,
-    listeners: &[(TcpListener, CodecKind)],
+    listeners: &[TcpListener],
     adopted: Option<TcpStream>,
     wake_rx: &TcpStream,
     options: &ReactorOptions,
@@ -759,7 +748,7 @@ fn reactor_loop(
     let mut next_conn_id: u64 = 0;
     if let Some(stream) = adopted {
         stream.set_nonblocking(true)?;
-        let mut conn = Conn::new(stream, CodecKind::Ndjson, options.limits);
+        let mut conn = Conn::new(stream);
         conn.paced = true;
         summary.connections += 1;
         conns.insert(next_conn_id, conn);
@@ -786,7 +775,7 @@ fn reactor_loop(
         let listener_refs: Vec<&TcpListener> = if stopping {
             Vec::new()
         } else {
-            listeners.iter().map(|(l, _)| l).collect()
+            listeners.iter().collect()
         };
         let timeout = poll_timeout(&outstanding, &conns, options);
         let (ready, accept_ready) = wait_ready(&sources, &listener_refs, timeout)?;
@@ -813,38 +802,14 @@ fn reactor_loop(
         for completion in completions {
             let token = &completion.token;
             let Some(conn) = conns.get_mut(&token.conn_id) else {
-                continue; // connection died; drop the frame
+                continue; // connection died; drop the line
             };
-            let finished = match &completion.frame {
-                Frame::Response(payload) => {
-                    conn.codec.encode_response(payload, &mut conn.write_buf);
-                    if payload.get("error").is_some() {
-                        summary.errors += 1;
-                    }
-                    true
+            codec::encode(&completion.payload, &mut conn.write_buf);
+            if completion.last {
+                if completion.payload.get("error").is_some() {
+                    summary.errors += 1;
                 }
-                Frame::StreamBegin => {
-                    conn.codec.encode_stream_begin(&mut conn.write_buf);
-                    false
-                }
-                Frame::StreamItem(payload) => {
-                    conn.codec.encode_stream_item(payload, &mut conn.write_buf);
-                    false
-                }
-                Frame::StreamEnd(payload) => {
-                    conn.codec.encode_stream_end(payload, &mut conn.write_buf);
-                    if payload.get("error").is_some() {
-                        summary.errors += 1;
-                    }
-                    true
-                }
-            };
-            if finished {
                 conn.inflight = conn.inflight.saturating_sub(1);
-                conn.awaiting_response = false;
-                if conn.codec.close_after_response() {
-                    conn.close_after_flush = true;
-                }
             }
         }
         outstanding.retain(|t| !t.answered.load(Ordering::Acquire));
@@ -867,22 +832,21 @@ fn reactor_loop(
             if let Some(conn) = conns.get_mut(&token.conn_id) {
                 let timeout = ("timeout_ms", token.timeout_ms);
                 let payload = refusal("deadline", timeout, token.id.as_ref());
-                conn.codec.encode_response(&payload, &mut conn.write_buf);
+                codec::encode(&payload, &mut conn.write_buf);
                 summary.errors += 1;
                 conn.inflight = conn.inflight.saturating_sub(1);
-                conn.awaiting_response = false;
             }
         }
 
         // ---- resume gated pipelines ---------------------------------------
-        // A keep-alive client (or the paced stdio session) may have
-        // pipelined requests behind the ones just answered; those bytes are
-        // already in `read_buf` and no further readable event will announce
-        // them, so decode them now that the gate may have opened.
+        // The paced stdio session may have pipelined requests behind the
+        // ones just answered; those bytes are already in `read_buf` and no
+        // further readable event will announce them, so decode them now that
+        // the gate may have opened.
         if !stopping {
             let buffered: Vec<u64> = conns
                 .iter()
-                .filter(|(_, c)| !c.read_buf.is_empty())
+                .filter(|(_, c)| c.paced && !c.read_buf.is_empty())
                 .map(|(id, _)| *id)
                 .collect();
             for id in buffered {
@@ -905,7 +869,7 @@ fn reactor_loop(
             if !ready_flag {
                 continue;
             }
-            let (listener, kind) = &listeners[i];
+            let listener = &listeners[i];
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
@@ -917,7 +881,7 @@ fn reactor_loop(
                         summary.connections += 1;
                         let id = next_conn_id;
                         next_conn_id += 1;
-                        conns.insert(id, Conn::new(stream, *kind, options.limits));
+                        conns.insert(id, Conn::new(stream));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1051,16 +1015,13 @@ fn reactor_loop(
     }
 }
 
-/// Records one finished request on the service's latency histograms — the
-/// all-plane `serve.request_ns` plus the per-codec
-/// `serve.request_ns.{ndjson,http}` series the load harness reads back.
+/// Records one finished request on the service's `serve.request_ns`
+/// latency histogram.
 fn observe_latency(service: &Service, token: &RequestToken) {
-    let elapsed = token.enqueued.elapsed();
-    let metrics = service.metrics();
-    metrics.histogram("serve.request_ns").observe(elapsed);
-    metrics
-        .histogram(&format!("serve.request_ns.{}", token.codec.label()))
-        .observe(elapsed);
+    service
+        .metrics()
+        .histogram("serve.request_ns")
+        .observe(token.enqueued.elapsed());
 }
 
 /// Decodes every complete request currently buffered on `conn`.
@@ -1079,9 +1040,9 @@ fn decode_conn(
         if conn.decode_gated(options.max_queue) || conn.close_after_flush {
             return;
         }
-        match conn.codec.decode(&mut conn.read_buf) {
+        match codec::decode(&mut conn.read_buf, options.max_request_bytes) {
             Decode::Incomplete => return,
-            Decode::Fatal { response, .. } => {
+            Decode::Fatal(response) => {
                 summary.requests += 1;
                 summary.errors += 1;
                 shared.service.metrics().counter("serve.requests").incr();
@@ -1093,22 +1054,19 @@ fn decode_conn(
             Decode::Request(request) => {
                 summary.requests += 1;
                 shared.service.metrics().counter("serve.requests").incr();
-                let value = match request.payload {
+                let value = match request {
                     Err(message) => {
                         summary.errors += 1;
                         shared.service.metrics().counter("serve.errors").incr();
                         let payload = Value::obj([("error", Value::Str(message))]);
-                        conn.codec.encode_response(&payload, &mut conn.write_buf);
-                        if conn.codec.close_after_response() {
-                            conn.close_after_flush = true;
-                        }
+                        codec::encode(&payload, &mut conn.write_buf);
                         continue;
                     }
                     Ok(value) => value,
                 };
                 if matches!(value.get("shutdown"), Some(Value::Bool(true))) {
                     let payload = Value::obj([("bye", Value::Bool(true))]);
-                    conn.codec.encode_response(&payload, &mut conn.write_buf);
+                    codec::encode(&payload, &mut conn.write_buf);
                     conn.close_after_flush = true;
                     *stopping = true;
                     return;
@@ -1118,7 +1076,6 @@ fn decode_conn(
                     && matches!(value.get("stream"), Some(Value::Bool(true)));
                 let token = Arc::new(RequestToken {
                     conn_id,
-                    codec: conn.codec.kind(),
                     conn_closed: Arc::clone(&conn.closed),
                     answered: AtomicBool::new(false),
                     enqueued: Instant::now(),
@@ -1137,9 +1094,6 @@ fn decode_conn(
                     Ok(()) => {
                         conn.inflight += 1;
                         outstanding.push(token);
-                        if conn.codec.half_duplex() {
-                            conn.awaiting_response = true;
-                        }
                     }
                     Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
                         // Bounded queue refusal → explicit backpressure
@@ -1154,10 +1108,7 @@ fn decode_conn(
                         shared.service.metrics().counter("serve.errors").incr();
                         let bound = ("max_queue", options.max_queue as u64);
                         let payload = refusal("backpressure", bound, job.token.id.as_ref());
-                        conn.codec.encode_response(&payload, &mut conn.write_buf);
-                        if conn.codec.close_after_response() {
-                            conn.close_after_flush = true;
-                        }
+                        codec::encode(&payload, &mut conn.write_buf);
                     }
                 }
             }
