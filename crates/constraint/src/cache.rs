@@ -232,7 +232,7 @@ impl fmt::Debug for QueryKey {
 /// unspecified.  Shared by the cache, `SolveConfig::fingerprint`, the
 /// engine's per-definition input hashes and the frame checksum of
 /// `rel-persist` — every hash that must be reproducible across processes.
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Fnv1a {
     state: u64,
 }

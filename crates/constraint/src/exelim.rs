@@ -78,7 +78,7 @@ use std::sync::Arc;
 use rel_index::{Atom, Idx, IdxVar, LinExpr, Rational, Sort};
 
 use crate::constr::{Constr, Quantified};
-use crate::solver::{Provenance, SearchExhaustedReason, Solver, Validity};
+use crate::solver::{PreparedHyp, Provenance, SearchExhaustedReason, Solver, Validity};
 
 /// Statistics from one elimination run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -484,11 +484,14 @@ fn flatten_conjuncts(c: &Constr, out: &mut Vec<Constr>) {
 /// substitutions and asking `solver` to validate each resulting
 /// existential-free constraint.  The search runs per connected component of
 /// the matrix's conjunct/variable graph (see the module docs); the attempt
-/// budget (`max_exelim_attempts`) is shared across components.
+/// budget (`max_exelim_attempts`) is shared across components.  Every
+/// instance is decided under the one prepared hypothesis, so the
+/// hypothesis's facts and FM base system are built once for the whole
+/// search.
 pub fn eliminate_existentials(
     solver: &mut Solver,
     universals: &[(IdxVar, Sort)],
-    hyp: &Constr,
+    hyp: &PreparedHyp<'_>,
     goal: &Constr,
 ) -> ExElimOutcome {
     let (matrix, ex_vars) = strip_existentials(goal);
@@ -513,7 +516,7 @@ pub fn eliminate_existentials(
 
     let (index, (components, residual)) = {
         let _span = rel_obs::span("exelim.index");
-        let index = MatrixIndex::build(&matrix, hyp, universals, &ex_vars);
+        let index = MatrixIndex::build(&matrix, hyp.hyp(), universals, &ex_vars);
         let parts = index.components(ex_vars.len());
         (index, parts)
     };
@@ -578,7 +581,7 @@ pub fn eliminate_existentials(
 fn search_component(
     solver: &mut Solver,
     universals: &[(IdxVar, Sort)],
-    hyp: &Constr,
+    hyp: &PreparedHyp<'_>,
     index: &MatrixIndex,
     var_positions: &[usize],
     conjunct_indices: &[usize],
@@ -608,7 +611,13 @@ fn search_component(
     let screen = conjunct_indices
         .iter()
         .all(|&ci| index.conjuncts[ci].existential_vars().is_empty())
-        .then(|| Screen::new(universals, hyp, solver.config().inner_quantifier_bound));
+        .then(|| {
+            Screen::new(
+                universals,
+                hyp.hyp(),
+                solver.config().inner_quantifier_bound,
+            )
+        });
     loop {
         explored += 1;
         if stats.attempts >= max_attempts || explored > max_explored {
@@ -787,7 +796,7 @@ impl<'a> InstanceTable<'a> {
         &mut self,
         solver: &mut Solver,
         universals: &[(IdxVar, Sort)],
-        hyp: &Constr,
+        hyp: &PreparedHyp<'_>,
         screen: Option<&Screen>,
     ) -> Option<Provenance> {
         let (instances, current) = (&mut self.instances, &self.current);
@@ -1049,6 +1058,7 @@ mod tests {
             .existential_vars()
             .is_empty()
             .then(|| Screen::new(universals, hyp, solver.config().inner_quantifier_bound));
+        let prepared = PreparedHyp::new(hyp);
         loop {
             explored += 1;
             if stats.attempts >= max_attempts || explored > max_explored {
@@ -1080,7 +1090,7 @@ mod tests {
                         .is_some_and(|screen| screen.rejects(&instantiated));
                     if !screened_out {
                         if let Validity::Valid(p) =
-                            solver.entails_no_exists(universals, hyp, &instantiated)
+                            solver.entails_no_exists(universals, &prepared, &instantiated)
                         {
                             return Some((resolved, p));
                         }
@@ -1162,7 +1172,7 @@ mod tests {
         assert!(vars.is_empty());
         let mut s = Solver::new();
         let u = nat_universals(&["n"]);
-        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&Constr::Top), &goal);
         assert_eq!(
             out.found.as_ref().map(|(_, p)| *p),
             Some(Provenance::Proved)
@@ -1175,7 +1185,12 @@ mod tests {
         let Constr::Implies(hyp, inner) = body.as_ref() else {
             unreachable!()
         };
-        let out = eliminate_existentials(&mut s, &nat_universals(&["n", "c"]), hyp, inner);
+        let out = eliminate_existentials(
+            &mut s,
+            &nat_universals(&["n", "c"]),
+            &PreparedHyp::new(hyp),
+            inner,
+        );
         assert_eq!(
             out.found.as_ref().map(|(_, p)| *p),
             Some(Provenance::Proved)
@@ -1204,7 +1219,7 @@ mod tests {
             .all(|cand| cand.term != Idx::var("c")));
         assert_eq!(index.candidates[0].len(), 2);
         let mut s = Solver::new();
-        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&Constr::Top), &goal);
         assert!(out.found.is_none());
         assert_eq!(out.stats.attempts, 2);
     }
@@ -1228,7 +1243,7 @@ mod tests {
         );
         let hyp =
             Constr::leq(Idx::one(), Idx::var("n")).and(Constr::leq(Idx::one(), Idx::var("alpha")));
-        let out = eliminate_existentials(&mut s, &u, &hyp, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&hyp), &goal);
         let (w, _) = out.found.expect("a witness");
         assert_eq!(
             rel_index::LinExpr::of_idx(&w[&IdxVar::new("i")]),
@@ -1247,7 +1262,7 @@ mod tests {
             Constr::leq(Idx::var("t2"), Idx::var("t"))
                 .and(Constr::leq(Idx::zero(), Idx::var("t2"))),
         );
-        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&Constr::Top), &goal);
         assert!(out.found.is_some());
     }
 
@@ -1263,7 +1278,7 @@ mod tests {
             Constr::leq(Idx::var("c"), Idx::var("t2"))
                 .and(Constr::leq(Idx::var("t2") + Idx::one(), Idx::var("t"))),
         );
-        let out = eliminate_existentials(&mut s, &u, &hyp, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&hyp), &goal);
         assert_eq!(out.found.unwrap().0[&IdxVar::new("t2")], Idx::var("c"));
     }
 
@@ -1285,7 +1300,7 @@ mod tests {
                     .and(Constr::leq(Idx::var("a"), Idx::var("n") + Idx::one())),
             ),
         );
-        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&Constr::Top), &goal);
         assert_eq!(out.stats.defined, 0);
         let (w, _) = out.found.expect("a witness");
         assert_eq!(w[&IdxVar::new("b")], Idx::var("n"));
@@ -1311,7 +1326,7 @@ mod tests {
                     .and(Constr::leq(Idx::var("a"), Idx::var("n"))),
             ),
         );
-        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&Constr::Top), &goal);
         assert!(out.found.is_some());
         assert_eq!((out.stats.unresolved, out.stats.attempts), (1, 1));
         let (w, _) = out.found.unwrap();
@@ -1333,7 +1348,7 @@ mod tests {
             pinned(Idx::var("i"), Idx::var("n"))
                 .and(pinned(Idx::var("i"), Idx::var("n") + Idx::one())),
         );
-        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&Constr::Top), &goal);
         assert!(out.found.is_none());
         assert!(out.stats.attempts >= 2);
         // The pool ran dry without hitting a cap: no reason is reported.
@@ -1350,7 +1365,7 @@ mod tests {
         // Solvable (i := n), but the zero budget exhausts the component
         // search before the first candidate is tried.
         let goal = Constr::exists("i", Sort::Nat, pinned(Idx::var("i"), Idx::var("n")));
-        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&Constr::Top), &goal);
         assert!(out.found.is_none());
         assert_eq!(
             out.stats.exhausted,
@@ -1379,7 +1394,7 @@ mod tests {
                     .and(pinned(Idx::var("m"), Idx::var("b") + Idx::nat(2))),
             ),
         );
-        let out = eliminate_existentials(&mut s, &u, &hyp, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&hyp), &goal);
         assert_eq!(out.stats.defined, 0);
         let (w, _) = out.found.expect("a witness");
         assert_eq!(w.len(), 2);
@@ -1402,7 +1417,7 @@ mod tests {
             Constr::leq(Idx::var("n"), Idx::var("i"))
                 .and(Constr::leq(Idx::var("i") + Idx::one(), Idx::var("n"))),
         );
-        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&Constr::Top), &goal);
         assert!(out.found.is_none(), "no candidate can work");
         assert!(
             s.stats().exelim_candidates_pruned >= 1,
@@ -1688,7 +1703,7 @@ mod tests {
         let found = search_component(
             &mut Solver::new(),
             &universals,
-            &case.hyp,
+            &PreparedHyp::new(&case.hyp),
             &index,
             &c.component,
             &all,
@@ -1768,7 +1783,7 @@ mod tests {
                         } else if screen.rejects(&instance) {
                             screened += 1;
                         } else if !solver
-                            .entails_no_exists(&universals, &case.hyp, &instance)
+                            .entails_no_exists(&universals, &PreparedHyp::new(&case.hyp), &instance)
                             .is_valid()
                         {
                             refuted += 1;
@@ -1834,7 +1849,7 @@ mod tests {
         let found = search_component(
             &mut s,
             &u,
-            &Constr::Top,
+            &PreparedHyp::new(&Constr::Top),
             &index,
             &[0, 1],
             &[0, 1],
@@ -1887,7 +1902,7 @@ mod tests {
                 .and(Constr::leq(Idx::var("i"), Idx::var("n"))),
         );
         let hyp = Constr::leq(Idx::one(), Idx::var("n"));
-        let out = eliminate_existentials(&mut s, &u, &hyp, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&hyp), &goal);
         let (w, p) = out.found.expect("a witness");
         assert_eq!(p, Provenance::Proved);
         assert_eq!(
@@ -1915,7 +1930,7 @@ mod tests {
                     .and(Constr::leq(Idx::var("b"), Idx::var("n") + Idx::one())),
             ),
         );
-        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&Constr::Top), &goal);
         let (w, _) = out.found.expect("a witness");
         assert_eq!(w[&IdxVar::new("a")], Idx::var("n"));
         assert_eq!(
@@ -1939,7 +1954,7 @@ mod tests {
         let (matrix, vars) = strip_existentials(&goal);
         assert_eq!(vars.len(), 1);
         assert!(one_point(&matrix, &vars, &u).0.is_empty());
-        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&Constr::Top), &goal);
         assert!(out.found.is_some());
         assert_eq!(out.stats.defined, 0);
         assert!(out.stats.attempts >= 1);
@@ -1962,7 +1977,7 @@ mod tests {
                     .and(Constr::leq(Idx::var("y"), Idx::var("n"))),
             ),
         );
-        let out = eliminate_existentials(&mut s, &u, &Constr::Top, &goal);
+        let out = eliminate_existentials(&mut s, &u, &PreparedHyp::new(&Constr::Top), &goal);
         assert_eq!(out.stats.defined, 0);
         assert!(out.stats.attempts >= 1);
         let (w, _) = out.found.expect("a witness");
@@ -1997,7 +2012,7 @@ mod tests {
             .free_vars()
             .contains(&IdxVar::new("c")));
         let hyp = Constr::eq(Idx::var("c"), Idx::zero());
-        let out = eliminate_existentials(&mut Solver::new(), &u, &hyp, &goal);
+        let out = eliminate_existentials(&mut Solver::new(), &u, &PreparedHyp::new(&hyp), &goal);
         assert!(out.found.is_none());
         assert_eq!((out.stats.defined, out.stats.attempts), (1, 0));
     }

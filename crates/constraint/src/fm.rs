@@ -34,17 +34,26 @@
 //! satisfies, so refutations stay sound — and it is what lets FM decide
 //! `3 ≤ n ⟹ 1 < n`-style strict obligations without a grid.
 //!
+//! **The base system.**  Every goal decided under one hypothesis shares
+//! that hypothesis's facts, so they are hashed, converted to rows and
+//! normalized once, into an [`FmBase`] (with the non-negativity rows of
+//! their atoms); each [`prove`] call resumes from the base's hash streams
+//! and rows, normalizes only the goal's own facts on top and merges.  This
+//! is FM's version of an SMT solver's "push": the solver builds one base
+//! per prepared hypothesis (`solver::PreparedHyp`), and every candidate
+//! instance of the existential search is decided on it.
+//!
 //! **Interning and memoization.**  Rows are vectors of `(AtomId, Rational)`
 //! pairs over a per-solver atom table ([`FmMemo`]): structural atom
 //! equality, hashing, sorting and pivot bookkeeping are integer operations,
 //! and every per-atom property elimination consults (`∞`-freeness,
 //! integrality, product factors) is computed once at interning time.  Next
-//! to the table sit two memos, verified by the dual-hash scheme of the
-//! engine's `DefIndex`: per-fact row conversion, and whole-query outcomes —
-//! the memo the solver's `fm_memo_hits`/`fm_memo_misses` counters report,
-//! one lookup per [`prove`] call.  The sub-goals one definition decomposes
-//! into repeat heavily, so a repeated query is answered without conversion
-//! or elimination.
+//! to the table sits the whole-query memo, verified by the dual-hash scheme
+//! of the engine's `DefIndex` — the memo the solver's
+//! `fm_memo_hits`/`fm_memo_misses` counters report, one lookup per
+//! [`prove`] call.  The sub-goals one definition decomposes into repeat, so
+//! a repeated query is answered without elimination.  A fact's rows are
+//! converted once per base system, so they need no memo of their own.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
@@ -173,7 +182,7 @@ struct AtomInfo {
 // Memo
 // ---------------------------------------------------------------------------
 
-/// Entry cap of each memo map; a full map is wholesale-cleared (epoch
+/// Entry cap of the query memo; a full map is wholesale-cleared (epoch
 /// eviction, like every other memo of the solver).
 const FM_MEMO_MAX_ENTRIES: usize = 8_192;
 
@@ -183,8 +192,8 @@ const FM_MEMO_MAX_ENTRIES: usize = 8_192;
 const FM_VERIFY_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Per-solver Fourier–Motzkin working memory: the interned atom table plus
-/// two memos keyed by the dual-hash scheme of the engine's `DefIndex` — the
-/// primary hash of the inputs selects the bucket and an independently
+/// the query memo, keyed by the dual-hash scheme of the engine's `DefIndex`
+/// — the primary hash of the inputs selects the bucket and an independently
 /// seeded verify hash over the same stream is the key.  The full inputs
 /// are deliberately not stored, so an accidental primary-hash collision is
 /// a miss, never a wrong replay (~2⁻⁶⁴ at birthday scale for any feasible
@@ -196,10 +205,6 @@ pub struct FmMemo {
     atoms: Vec<AtomInfo>,
     /// Dedup index for interning.
     atom_ids: HashMap<Atom, AtomId>,
-    /// Per-fact row conversion: one hypothesis fact re-enters `prove` with
-    /// every sub-goal of its definition, and its `LinExpr` decomposition is
-    /// identical each time.
-    fact_rows: ShardedMap<u64, Vec<Row>>,
     /// Whole-query outcomes: `(facts, ℕ-sorted variables, goal) →
     /// FmOutcome`, stored with `memo_hits = 1` so a hit returns the entry
     /// as is.  The ℕ-sorted variables are part of the key because integer
@@ -212,7 +217,6 @@ impl Default for FmMemo {
         FmMemo {
             atoms: Vec::new(),
             atom_ids: HashMap::new(),
-            fact_rows: ShardedMap::new(1, FM_MEMO_MAX_ENTRIES),
             queries: ShardedMap::new(1, FM_MEMO_MAX_ENTRIES),
         }
     }
@@ -285,16 +289,12 @@ impl FmMemo {
         self.lin_row(&lp.sub(&ln), strict)
     }
 
-    /// Converts one hypothesis fact into its rows (memoized): `Eq`
-    /// contributes both directions, `Leq`/`Lt` one row each, `ff` the
-    /// infeasible row; anything else (including facts that mention `∞`
-    /// outside the ground shapes of [`FmMemo::row_of`]) contributes nothing
-    /// — proving from fewer hypotheses is always sound.
-    fn fact_rows_cached(&mut self, fact: &Constr, hash: u64, verify: u64) -> Vec<Row> {
-        if let Some(rows) = self.fact_rows.get(hash, |&v| v == verify) {
-            return rows;
-        }
-        let mut rows = Vec::new();
+    /// Appends one fact's rows to `rows`: `Eq` contributes both directions,
+    /// `Leq`/`Lt` one row each, `ff` the infeasible row; anything else
+    /// (including facts that mention `∞` outside the ground shapes of
+    /// [`FmMemo::row_of`]) contributes nothing — proving from fewer
+    /// hypotheses is always sound.
+    fn fact_rows(&mut self, fact: &Constr, rows: &mut Vec<Row>) {
         match fact {
             Constr::Leq(a, b) => {
                 if let Some(r) = self.row_of(b, a, false) {
@@ -315,8 +315,6 @@ impl FmMemo {
             Constr::Bot => rows.push(ground_row(true)),
             _ => {}
         }
-        self.fact_rows.insert(hash, verify, rows.clone());
-        rows
     }
 }
 
@@ -1132,7 +1130,9 @@ fn concretize(
     Some(vars.into_iter().collect())
 }
 
-fn nat_var_set(universals: &[(IdxVar, Sort)]) -> BTreeSet<IdxVar> {
+/// The ℕ-sorted variables of `universals`: the atoms integer tightening
+/// and the witness's sort check treat as integers.
+pub fn nat_var_set(universals: &[(IdxVar, Sort)]) -> BTreeSet<IdxVar> {
     universals
         .iter()
         .filter(|(_, s)| *s == Sort::Nat)
@@ -1140,43 +1140,86 @@ fn nat_var_set(universals: &[(IdxVar, Sort)]) -> BTreeSet<IdxVar> {
         .collect()
 }
 
-/// Decides `facts ⟹ goal` by refuting `facts ∧ ¬goal`, branch by branch.
+/// The atoms of a system's rows.
+fn row_atoms(rows: &[Row]) -> BTreeSet<AtomId> {
+    rows.iter()
+        .flat_map(|row| row.coeffs.iter().map(|(id, _)| *id))
+        .collect()
+}
+
+/// The hypothesis half of every query decided under one hypothesis — FM's
+/// "push": the facts are hashed, converted and normalized once, and each
+/// [`prove`] call resumes from here with only its goal's own rows.
+///
+/// Built against one [`FmMemo`] (its rows name that memo's atom ids) and one
+/// set of ℕ-sorted variables (integer tightening depends on it).
+#[derive(Debug)]
+pub struct FmBase {
+    /// The query-memo streams after the facts.
+    primary: Fnv1a,
+    verify: Fnv1a,
+    /// The atoms of the facts' rows; each has its non-negativity row below.
+    atoms: BTreeSet<AtomId>,
+    /// The normalized base system, kept whole: `Ok(None)` for contradictory
+    /// facts, `Err(())` for a magnitude blow-up.
+    rows: Result<Option<Vec<Row>>, ()>,
+}
+
+impl FmBase {
+    /// Hashes, converts and normalizes `facts`: their rows plus the
+    /// non-negativity rows of their atoms.
+    pub fn new<'a>(
+        facts: impl IntoIterator<Item = &'a Constr>,
+        nat_vars: &BTreeSet<IdxVar>,
+        memo: &mut FmMemo,
+    ) -> FmBase {
+        let mut primary = Fnv1a::default();
+        let mut verify = Fnv1a::default();
+        verify.write_u64(FM_VERIFY_SALT);
+        let mut rows = Vec::new();
+        for fact in facts {
+            fact.hash(&mut primary);
+            fact.hash(&mut verify);
+            memo.fact_rows(fact, &mut rows);
+        }
+        let atoms = row_atoms(&rows);
+        rows.extend(atoms.iter().map(|&id| nonneg_row(id)));
+        FmBase {
+            primary,
+            verify,
+            atoms,
+            rows: normalize_system(rows, &memo.atoms, nat_vars),
+        }
+    }
+}
+
+/// Decides `base ∧ extra ⟹ goal` by refuting `base ∧ extra ∧ ¬goal`, branch
+/// by branch.  `extra` holds the goal's own facts (lemma instances about
+/// atoms the base does not have); `nat_vars` must be the set `base` was
+/// built under, plus any ℕ-sorted variable the base's facts do not mention.
 ///
 /// `Proved` is sound unconditionally.  `CandidateRefuted` and `Abstained`
 /// are inconclusive: the caller falls through to the numeric layer.
 ///
-/// Each call is one lookup in the memo's whole-query map; a miss decides
-/// the query and stores its outcome.  The one outcome not stored is a goal
-/// whose negated DNF exceeds the branch cap, so its `fm.abstain.branch-cap`
-/// event fires on every call.
+/// Each call is one lookup in the memo's whole-query map, keyed on the
+/// facts (the base's, then `extra`), the ℕ-sorted variables and the goal; a
+/// miss decides the query and stores its outcome.  The one outcome not
+/// stored is a goal whose negated DNF exceeds the branch cap, so its
+/// `fm.abstain.branch-cap` event fires on every call.
 pub fn prove(
     universals: &[(IdxVar, Sort)],
-    facts: &[&Constr],
+    nat_vars: &BTreeSet<IdxVar>,
+    base: &FmBase,
+    extra: &[Constr],
     goal: &Constr,
     limits: &FmLimits,
     memo: &mut FmMemo,
 ) -> FmOutcome {
-    let nat_vars = nat_var_set(universals);
-    // Each fact is hashed once into two independently seeded streams; the
-    // per-fact pairs key the fact-row cache, and their combination with the
-    // sorts and the goal keys the query memo.
-    let mut primary = Fnv1a::default();
-    let mut verify = Fnv1a::default();
-    verify.write_u64(FM_VERIFY_SALT);
-    let hashed_facts: Vec<(&Constr, u64, u64)> = facts
-        .iter()
-        .map(|fact| {
-            let mut h1 = Fnv1a::default();
-            fact.hash(&mut h1);
-            let mut h2 = Fnv1a::default();
-            h2.write_u64(FM_VERIFY_SALT);
-            fact.hash(&mut h2);
-            let (fh, fv) = (h1.finish(), h2.finish());
-            primary.write_u64(fh);
-            verify.write_u64(fv);
-            (*fact, fh, fv)
-        })
-        .collect();
+    let (mut primary, mut verify) = (base.primary.clone(), base.verify.clone());
+    for fact in extra {
+        fact.hash(&mut primary);
+        fact.hash(&mut verify);
+    }
     nat_vars.hash(&mut primary);
     nat_vars.hash(&mut verify);
     goal.hash(&mut primary);
@@ -1192,7 +1235,49 @@ pub fn prove(
         );
         return FmOutcome::decided(FmVerdict::Abstained, Vec::new(), None);
     };
-    let out = decide(universals, &hashed_facts, branches, &nat_vars, limits, memo);
+    let out = match &base.rows {
+        // Contradictory hypotheses: every branch is infeasible outright.
+        Ok(None) => FmOutcome::decided(FmVerdict::Proved, Vec::new(), None),
+        Err(()) => FmOutcome::decided(FmVerdict::Abstained, Vec::new(), None),
+        Ok(Some(base_rows)) if extra.is_empty() => decide(
+            universals,
+            base_rows,
+            &|id| base.atoms.contains(&id),
+            branches,
+            nat_vars,
+            limits,
+            memo,
+        ),
+        Ok(Some(base_rows)) => {
+            // Normalize only the goal's facts and the non-negativity rows of
+            // their new atoms, then merge with the base: tightening is
+            // row-local, so this equals normalizing the whole system.
+            let mut rows = Vec::new();
+            for fact in extra {
+                memo.fact_rows(fact, &mut rows);
+            }
+            let mut fresh = row_atoms(&rows);
+            fresh.retain(|id| !base.atoms.contains(id));
+            rows.extend(fresh.iter().map(|&id| nonneg_row(id)));
+            match normalize_system(rows, &memo.atoms, nat_vars) {
+                Ok(None) => FmOutcome::decided(FmVerdict::Proved, Vec::new(), None),
+                Err(()) => FmOutcome::decided(FmVerdict::Abstained, Vec::new(), None),
+                Ok(Some(mut rows)) => {
+                    rows.extend(base_rows.iter().cloned());
+                    canonical_merge(&mut rows);
+                    decide(
+                        universals,
+                        &rows,
+                        &|id| base.atoms.contains(&id) || fresh.contains(&id),
+                        branches,
+                        nat_vars,
+                        limits,
+                        memo,
+                    )
+                }
+            }
+        }
+    };
     memo.queries.insert(
         query_hash,
         query_verify,
@@ -1205,44 +1290,41 @@ pub fn prove(
     out
 }
 
-/// Refutes `facts ∧ branch` for every branch of the negated goal.  The
-/// base system (the facts' rows and the
-/// non-negativity rows of their atoms) is branch-invariant, so it is
-/// normalized once, outside the branch loop; each branch normalizes only
-/// its own rows on top (tightening is row-local, so normalizing the parts
-/// equals normalizing the whole).
+/// [`prove`] as it ran before facts were prepared once per hypothesis: a
+/// fresh base over all of `facts` on every call, with nothing on top.  The
+/// differential oracle of the prepared path; test and bench builds only.
+#[cfg(any(test, feature = "reference-eval"))]
+pub fn prove_facts(
+    universals: &[(IdxVar, Sort)],
+    facts: &[&Constr],
+    goal: &Constr,
+    limits: &FmLimits,
+    memo: &mut FmMemo,
+) -> FmOutcome {
+    let nat_vars = nat_var_set(universals);
+    let base = FmBase::new(facts.iter().copied(), &nat_vars, memo);
+    prove(universals, &nat_vars, &base, &[], goal, limits, memo)
+}
+
+/// Refutes `base ∧ branch` for every branch of the negated goal.  The base
+/// system arrives normalized, and `in_base` tells which atoms already have
+/// their non-negativity row there; each branch normalizes only its own rows
+/// on top (tightening is row-local, so normalizing the parts equals
+/// normalizing the whole).
 fn decide(
     universals: &[(IdxVar, Sort)],
-    facts: &[(&Constr, u64, u64)],
+    base: &[Row],
+    in_base: &dyn Fn(AtomId) -> bool,
     branches: Branches,
     nat_vars: &BTreeSet<IdxVar>,
     limits: &FmLimits,
     memo: &mut FmMemo,
 ) -> FmOutcome {
-    let mut base: Vec<Row> = Vec::new();
-    for (fact, hash, verify) in facts {
-        base.extend(memo.fact_rows_cached(fact, *hash, *verify));
-    }
-    let mut base_atoms: BTreeSet<AtomId> = BTreeSet::new();
-    for row in &base {
-        base_atoms.extend(row.coeffs.iter().map(|(id, _)| *id));
-    }
-    base.extend(base_atoms.iter().map(|&id| nonneg_row(id)));
-    let base = match normalize_system(base, &memo.atoms, nat_vars) {
-        Ok(Some(rows)) => rows,
-        // Contradictory hypotheses: every branch is infeasible outright.
-        Ok(None) => return FmOutcome::decided(FmVerdict::Proved, Vec::new(), None),
-        Err(()) => return FmOutcome::decided(FmVerdict::Abstained, Vec::new(), None),
-    };
     let mut eliminated = Vec::new();
     for mut branch in branches {
         // Side rows for the branch's own atoms (those outside the base set).
-        let mut branch_atoms: BTreeSet<AtomId> = BTreeSet::new();
-        for row in &branch {
-            branch_atoms.extend(row.coeffs.iter().map(|(id, _)| *id));
-        }
-        for id in branch_atoms {
-            if !base_atoms.contains(&id) {
+        for id in row_atoms(&branch) {
+            if !in_base(id) {
                 branch.push(nonneg_row(id));
             }
         }
@@ -1297,15 +1379,17 @@ mod tests {
         names.iter().map(|n| (IdxVar::new(*n), Sort::Nat)).collect()
     }
 
+    fn prove_with(
+        universals: &[(IdxVar, Sort)],
+        facts: &[&Constr],
+        goal: &Constr,
+        memo: &mut FmMemo,
+    ) -> FmOutcome {
+        prove_facts(universals, facts, goal, &FmLimits::default(), memo)
+    }
+
     fn prove_default(universals: &[(IdxVar, Sort)], facts: &[&Constr], goal: &Constr) -> FmVerdict {
-        prove(
-            universals,
-            facts,
-            goal,
-            &FmLimits::default(),
-            &mut FmMemo::default(),
-        )
-        .verdict
+        prove_with(universals, facts, goal, &mut FmMemo::default()).verdict
     }
 
     #[test]
@@ -1443,13 +1527,7 @@ mod tests {
             c(big - 12, big - 14) * Idx::var("z"),
         );
         let goal = Constr::leq(c(big - 16, big - 18) * Idx::var("x"), Idx::var("z"));
-        let _ = prove(
-            &u,
-            &[&f1, &f2],
-            &goal,
-            &FmLimits::default(),
-            &mut FmMemo::default(),
-        );
+        let _ = prove_with(&u, &[&f1, &f2], &goal, &mut FmMemo::default());
     }
 
     #[test]
@@ -1457,13 +1535,7 @@ mod tests {
         let u = nats(&["a", "b"]);
         let f = Constr::leq(Idx::var("a"), Idx::var("b"));
         let goal = Constr::leq(Idx::var("a"), Idx::var("b") + Idx::one());
-        let out = prove(
-            &u,
-            &[&f],
-            &goal,
-            &FmLimits::default(),
-            &mut FmMemo::default(),
-        );
+        let out = prove_with(&u, &[&f], &goal, &mut FmMemo::default());
         assert_eq!(out.verdict, FmVerdict::Proved);
         assert!(!out.eliminated.is_empty());
     }
@@ -1478,11 +1550,11 @@ mod tests {
         let f2 = Constr::eq(Idx::var("b"), Idx::var("c"));
         let goal = Constr::eq(Idx::var("a"), Idx::var("c"));
         let mut memo = FmMemo::default();
-        let cold = prove(&u, &[&f1, &f2], &goal, &FmLimits::default(), &mut memo);
+        let cold = prove_with(&u, &[&f1, &f2], &goal, &mut memo);
         assert_eq!(cold.verdict, FmVerdict::Proved);
         assert_eq!(cold.memo_hits, 0);
         assert_eq!(cold.memo_misses, 1);
-        let warm = prove(&u, &[&f1, &f2], &goal, &FmLimits::default(), &mut memo);
+        let warm = prove_with(&u, &[&f1, &f2], &goal, &mut memo);
         assert_eq!(warm.verdict, FmVerdict::Proved);
         assert_eq!(warm.memo_misses, 0);
         assert_eq!(warm.memo_hits, 1, "whole-query memo answers the repeat");
@@ -1490,8 +1562,8 @@ mod tests {
         // either (witness included).
         let refutable = Constr::leq(Idx::var("a") + Idx::one(), Idx::var("c"));
         let mut memo = FmMemo::default();
-        let first = prove(&u, &[&f1, &f2], &refutable, &FmLimits::default(), &mut memo);
-        let second = prove(&u, &[&f1, &f2], &refutable, &FmLimits::default(), &mut memo);
+        let first = prove_with(&u, &[&f1, &f2], &refutable, &mut memo);
+        let second = prove_with(&u, &[&f1, &f2], &refutable, &mut memo);
         assert_eq!(first.verdict, FmVerdict::CandidateRefuted);
         assert_eq!(second.verdict, first.verdict);
         assert_eq!(second.witness, first.witness);
@@ -1513,7 +1585,7 @@ mod tests {
             (IdxVar::new("t"), Sort::Real),
             (IdxVar::new("a"), Sort::Nat),
         ];
-        let first = prove(&real, &[&hyp], &goal, &FmLimits::default(), &mut memo);
+        let first = prove_with(&real, &[&hyp], &goal, &mut memo);
         assert_eq!(first.verdict, FmVerdict::CandidateRefuted);
         let fractional = first.witness.as_ref().is_some_and(|w| {
             w.iter()
@@ -1521,7 +1593,7 @@ mod tests {
         });
         assert!(fractional, "the Real run should pick a fractional t");
         let nat = vec![(IdxVar::new("t"), Sort::Nat), (IdxVar::new("a"), Sort::Nat)];
-        let second = prove(&nat, &[&hyp], &goal, &FmLimits::default(), &mut memo);
+        let second = prove_with(&nat, &[&hyp], &goal, &mut memo);
         if let Some(w) = &second.witness {
             for (v, q) in w {
                 assert!(

@@ -6,14 +6,23 @@
 //! plays the same trick at a smaller scale: given the set of non-linear atoms
 //! occurring in a constraint, [`saturate`] produces arithmetic facts about
 //! those atoms (`⌈n/2⌉ + ⌊n/2⌋ = n`, `min(a,b) ≤ a`, …) which are added to the
-//! hypotheses before linear reasoning.  Whatever the lemma table cannot
-//! discharge falls through to the bounded-numeric layer (see
-//! [`crate::solver`]), which plays the role of the explicitly-added
-//! recurrence axiom of the paper.
+//! hypotheses before linear reasoning.  The hypothesis's atoms are saturated
+//! once per prepared hypothesis, and each goal saturates only the atoms the
+//! hypothesis lacks.
+//!
+//! Two rules keep the table small and sound.  A lemma that holds only for
+//! integer arguments (`⌈n/2⌉ ≤ n`, `⌈n/2⌉ + ⌊n/2⌋ = n`, `2^x ≥ x + 1`) is
+//! emitted only when its argument is [`integer_valued`] — over ℝ-sorted `t`
+//! each fails at `t = 1/2`.  And no lemma restates `0 ≤ atom`: the
+//! Fourier–Motzkin layer adds that row for every atom of its system.
+//!
+//! Whatever the lemma table cannot discharge falls through to the
+//! bounded-numeric layer (see [`crate::solver`]), which plays the role of
+//! the explicitly-added recurrence axiom of the paper.
 
 use std::collections::BTreeSet;
 
-use rel_index::{Atom, Idx, LinExpr};
+use rel_index::{Atom, Idx, IdxVar, LinExpr};
 
 use crate::constr::Constr;
 
@@ -66,81 +75,153 @@ fn collect_idx(i: &Idx, acc: &mut BTreeSet<Atom>) {
     }
 }
 
-/// Produces saturation facts about the given atoms.
+/// Whether an index term takes integer values at every point: ℕ-sorted
+/// variables, integer constants and `⌈·⌉`/`⌊·⌋`, closed under `+ − ·
+/// min max`.  The lemmas that hold only for integer arguments are gated on
+/// it.
+pub fn integer_valued(i: &Idx, nat_vars: &BTreeSet<IdxVar>) -> bool {
+    match i {
+        Idx::Var(v) => nat_vars.contains(v),
+        Idx::Const(q) => q.is_integer(),
+        Idx::Ceil(_) | Idx::Floor(_) => true,
+        Idx::Add(a, b) | Idx::Sub(a, b) | Idx::Mul(a, b) | Idx::Min(a, b) | Idx::Max(a, b) => {
+            integer_valued(a, nat_vars) && integer_valued(b, nat_vars)
+        }
+        Idx::Infty | Idx::Div(..) | Idx::Log2(_) | Idx::Pow2(_) | Idx::Sum { .. } => false,
+    }
+}
+
+/// Whether a constraint holds a node some lemma is about (`⌈·⌉`, `⌊·⌋`,
+/// `min`, `max`, `log₂`, `2^·`).  A constraint without one contributes no
+/// lemma instance, so the atom scan can be skipped; the walk allocates
+/// nothing.
+pub fn has_lemma_atoms(c: &Constr) -> bool {
+    fn idx(i: &Idx) -> bool {
+        match i {
+            Idx::Var(_) | Idx::Const(_) | Idx::Infty => false,
+            Idx::Ceil(_)
+            | Idx::Floor(_)
+            | Idx::Min(..)
+            | Idx::Max(..)
+            | Idx::Log2(_)
+            | Idx::Pow2(_) => true,
+            Idx::Add(a, b) | Idx::Sub(a, b) | Idx::Mul(a, b) | Idx::Div(a, b) => idx(a) || idx(b),
+            Idx::Sum { lo, hi, body, .. } => idx(lo) || idx(hi) || idx(body),
+        }
+    }
+    match c {
+        Constr::Top | Constr::Bot => false,
+        Constr::Eq(a, b) | Constr::Leq(a, b) | Constr::Lt(a, b) => idx(a) || idx(b),
+        Constr::And(cs) | Constr::Or(cs) => cs.iter().any(has_lemma_atoms),
+        Constr::Not(c) | Constr::Forall(_, c) | Constr::Exists(_, c) => has_lemma_atoms(c),
+        Constr::Implies(a, b) => has_lemma_atoms(a) || has_lemma_atoms(b),
+    }
+}
+
+/// Appends to `out` the saturation facts about those of `atoms` that are
+/// not in `known` (the atoms an earlier call already saturated: the
+/// hypothesis's, when `atoms` are a goal's).
 ///
-/// All facts hold for the non-negative interpretations of index terms used by
-/// RelCost (sizes and difference counts are naturals, costs are non-negative
-/// reals); they are consumed only by the best-effort symbolic layer.
-pub fn saturate(atoms: &BTreeSet<Atom>) -> Vec<Constr> {
-    let mut facts = Vec::new();
-    for atom in atoms {
+/// All facts hold for the non-negative interpretations of index terms used
+/// by RelCost (sizes and difference counts are naturals, costs are
+/// non-negative reals); they are consumed only by the best-effort symbolic
+/// layer.  Three hold only for integer arguments — `⌈n/2⌉ ≤ n`,
+/// `⌈n/2⌉ + ⌊n/2⌋ = n` and `2^x ≥ x + 1` — and are emitted only when the
+/// argument is [`integer_valued`] under `nat_vars`.  No fact restates an
+/// atom's non-negativity: Fourier–Motzkin adds `0 ≤ atom` for every atom of
+/// its system itself.
+///
+/// The `⌈n/2⌉`/`⌊n/2⌋` twin facts are emitted once, for whichever twin is
+/// saturated last: by `⌈n/2⌉` when `⌊n/2⌋` is in `known` or `atoms`, and by
+/// `⌊n/2⌋` when `⌈n/2⌉` is in `known`.
+pub fn saturate(
+    known: &BTreeSet<Atom>,
+    atoms: &BTreeSet<Atom>,
+    nat_vars: &BTreeSet<IdxVar>,
+    out: &mut Vec<Constr>,
+) {
+    let present = |i: &Idx| {
+        let atom = Atom(i.clone());
+        known.contains(&atom) || atoms.contains(&atom)
+    };
+    for atom in atoms.iter().filter(|a| !known.contains(a)) {
+        let c = &atom.0;
         match &atom.0 {
             Idx::Ceil(inner) => {
-                let c = atom.0.clone();
-                // ⌈x⌉ ≥ x  and  ⌈x⌉ ≤ x + 1 (x arises as a division of naturals).
-                facts.push(Constr::leq((**inner).clone(), c.clone()));
-                facts.push(Constr::leq(c.clone(), (**inner).clone() + Idx::one()));
-                // Pair ⌈x/2⌉ with ⌊x/2⌋ when the twin also occurs.
-                if let Idx::Div(num, den) = &**inner {
-                    if den.as_const() == Idx::nat(2).as_const() {
-                        let twin = Idx::floor((**inner).clone());
-                        if atoms.contains(&Atom(twin.clone())) {
-                            // ⌈n/2⌉ + ⌊n/2⌋ = n
-                            facts.push(Constr::eq(c.clone() + twin.clone(), (**num).clone()));
-                            facts.push(Constr::leq(twin, c.clone()));
-                        }
-                        // ⌈n/2⌉ ≤ n (for naturals n).
-                        facts.push(Constr::leq(c, (**num).clone()));
+                // ⌈x⌉ ≥ x  and  ⌈x⌉ ≤ x + 1.
+                out.push(Constr::leq((**inner).clone(), c.clone()));
+                out.push(Constr::leq(c.clone(), (**inner).clone() + Idx::one()));
+                if let Some(num) = halved(inner) {
+                    let twin = Idx::floor((**inner).clone());
+                    if present(&twin) {
+                        twin_facts(c, twin, num, nat_vars, out);
+                    }
+                    // ⌈n/2⌉ ≤ n (for integers n).
+                    if integer_valued(num, nat_vars) {
+                        out.push(Constr::leq(c.clone(), num.clone()));
                     }
                 }
             }
             Idx::Floor(inner) => {
-                let c = atom.0.clone();
                 // ⌊x⌋ ≤ x  and  x ≤ ⌊x⌋ + 1.
-                facts.push(Constr::leq(c.clone(), (**inner).clone()));
-                facts.push(Constr::leq((**inner).clone(), c + Idx::one()));
+                out.push(Constr::leq(c.clone(), (**inner).clone()));
+                out.push(Constr::leq((**inner).clone(), c.clone() + Idx::one()));
+                if let Some(num) = halved(inner) {
+                    let ceil = Idx::ceil((**inner).clone());
+                    if known.contains(&Atom(ceil.clone())) {
+                        twin_facts(&ceil, c.clone(), num, nat_vars, out);
+                    }
+                }
             }
             Idx::Min(a, b) => {
-                let c = atom.0.clone();
-                facts.push(Constr::leq(c.clone(), (**a).clone()));
-                facts.push(Constr::leq(c.clone(), (**b).clone()));
-                facts.push(Constr::leq(Idx::zero(), c));
+                out.push(Constr::leq(c.clone(), (**a).clone()));
+                out.push(Constr::leq(c.clone(), (**b).clone()));
             }
             Idx::Max(a, b) => {
-                let c = atom.0.clone();
-                facts.push(Constr::leq((**a).clone(), c.clone()));
-                facts.push(Constr::leq((**b).clone(), c.clone()));
+                out.push(Constr::leq((**a).clone(), c.clone()));
+                out.push(Constr::leq((**b).clone(), c.clone()));
                 // max(a,b) ≤ a + b for non-negative operands.
-                facts.push(Constr::leq(c, (**a).clone() + (**b).clone()));
+                out.push(Constr::leq(c.clone(), (**a).clone() + (**b).clone()));
             }
             Idx::Log2(inner) => {
-                let c = atom.0.clone();
-                // log2 is totalized at 1: log2(x) ≥ 0 and log2(x) ≤ x (for x ≥ 0).
-                facts.push(Constr::leq(Idx::zero(), c.clone()));
-                facts.push(Constr::leq(c, Idx::max((**inner).clone(), Idx::one())));
+                // log2 is totalized at 1: log2(x) ≤ x (for x ≥ 0).
+                out.push(Constr::leq(
+                    c.clone(),
+                    Idx::max((**inner).clone(), Idx::one()),
+                ));
             }
             Idx::Pow2(inner) => {
-                let c = atom.0.clone();
-                // 2^x ≥ 1 and 2^x ≥ x + 1 for natural x.
-                facts.push(Constr::leq(Idx::one(), c.clone()));
-                facts.push(Constr::leq((**inner).clone() + Idx::one(), c));
-            }
-            Idx::Sum { lo, hi, body, .. } => {
-                // Σ over an empty range is 0; a sum of non-negative summands is
-                // non-negative.  (Summands in cost recurrences are products of
-                // non-negative terms.)
-                let c = atom.0.clone();
-                facts.push(Constr::leq(Idx::zero(), c));
-                let _ = (lo, hi, body);
-            }
-            Idx::Var(_) => {
-                // Index variables of either sort are non-negative in RelCost.
-                facts.push(Constr::leq(Idx::zero(), atom.0.clone()));
+                // 2^x ≥ 1, and 2^x ≥ x + 1 for integers x.
+                out.push(Constr::leq(Idx::one(), c.clone()));
+                if integer_valued(inner, nat_vars) {
+                    out.push(Constr::leq((**inner).clone() + Idx::one(), c.clone()));
+                }
             }
             _ => {}
         }
     }
-    facts
+}
+
+/// The numerator `n` of a halving `n / 2`.
+fn halved(i: &Idx) -> Option<&Idx> {
+    match i {
+        Idx::Div(num, den) if den.as_const() == Idx::nat(2).as_const() => Some(num),
+        _ => None,
+    }
+}
+
+/// `⌈n/2⌉ + ⌊n/2⌋ = n` (for integers `n`) and `⌊n/2⌋ ≤ ⌈n/2⌉`.
+fn twin_facts(
+    ceil: &Idx,
+    floor: Idx,
+    num: &Idx,
+    nat_vars: &BTreeSet<IdxVar>,
+    out: &mut Vec<Constr>,
+) {
+    if integer_valued(num, nat_vars) {
+        out.push(Constr::eq(ceil.clone() + floor.clone(), num.clone()));
+    }
+    out.push(Constr::leq(floor, ceil.clone()));
 }
 
 /// The divide-and-conquer recurrence of the merge-sort example, provided as a
@@ -213,7 +294,9 @@ mod tests {
             Idx::var("n") + Idx::min(Idx::var("n"), Idx::var("a")),
         );
         let atoms = atoms_of_constr(&c);
-        let facts = saturate(&atoms);
+        let nat = BTreeSet::from([IdxVar::new("n"), IdxVar::new("a")]);
+        let mut facts = Vec::new();
+        saturate(&BTreeSet::new(), &atoms, &nat, &mut facts);
         assert!(!facts.is_empty());
         for n in 0..20i64 {
             for a in 0..10i64 {
@@ -226,6 +309,69 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn integer_only_lemmas_need_integer_arguments() {
+        // ⌈t/2⌉ ≤ t, ⌈t/2⌉ + ⌊t/2⌋ = t and t + 1 ≤ 2^t fail at t = 1/2: they
+        // are emitted for an ℕ-sorted argument only.
+        let t = Idx::var("t");
+        let c = Constr::leq(
+            Idx::half_ceil(t.clone()) + Idx::half_floor(t.clone()),
+            Idx::pow2(t.clone()),
+        );
+        let atoms = atoms_of_constr(&c);
+        let saturated = |nat: &BTreeSet<IdxVar>| {
+            let mut facts = Vec::new();
+            saturate(&BTreeSet::new(), &atoms, nat, &mut facts);
+            facts
+        };
+        let real = saturated(&BTreeSet::new());
+        let half = IdxEnv::from_pairs([("t", Extended::Finite(rel_index::Rational::new(1, 2)))]);
+        for fact in &real {
+            assert!(fact.eval_bounded(&half, 8), "{fact} fails at t = 1/2");
+        }
+        let nat = saturated(&BTreeSet::from([IdxVar::new("t")]));
+        assert_eq!(nat.len(), real.len() + 3, "{nat:?}");
+    }
+
+    #[test]
+    fn twin_facts_are_emitted_once_across_hypothesis_and_goal() {
+        // ⌈n/2⌉ in the hypothesis, ⌊n/2⌋ only in the goal: the goal's pass
+        // emits the twin facts, exactly as one pass over both would.
+        let n = Idx::var("n");
+        let nat = BTreeSet::from([IdxVar::new("n")]);
+        let hyp = atoms_of_constr(&Constr::leq(Idx::half_ceil(n.clone()), Idx::nat(3)));
+        let goal = atoms_of_constr(&Constr::leq(Idx::half_floor(n.clone()), Idx::nat(3)));
+        let mut split = Vec::new();
+        saturate(&BTreeSet::new(), &hyp, &nat, &mut split);
+        saturate(&hyp, &goal, &nat, &mut split);
+        let union: BTreeSet<Atom> = hyp.union(&goal).cloned().collect();
+        let mut whole = Vec::new();
+        saturate(&BTreeSet::new(), &union, &nat, &mut whole);
+        let twin = Constr::eq(
+            Idx::half_ceil(n.clone()) + Idx::half_floor(n.clone()),
+            n.clone(),
+        );
+        assert_eq!(split.iter().filter(|f| **f == twin).count(), 1);
+        let sorted = |mut v: Vec<Constr>| {
+            v.sort_by_key(|c| c.to_string());
+            v
+        };
+        assert_eq!(sorted(split), sorted(whole));
+    }
+
+    #[test]
+    fn linear_constraints_have_no_lemma_atoms() {
+        let n = Idx::var("n");
+        assert!(!has_lemma_atoms(&Constr::leq(
+            n.clone() * Idx::var("a") + Idx::sum("i", Idx::zero(), n.clone(), Idx::var("i")),
+            n.clone() - Idx::nat(2),
+        )));
+        assert!(has_lemma_atoms(&Constr::leq(
+            Idx::sum("i", Idx::zero(), n.clone(), Idx::pow2(Idx::var("i"))),
+            n,
+        )));
     }
 
     #[test]

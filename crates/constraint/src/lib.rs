@@ -33,10 +33,10 @@ pub use cache::{CacheStats, Fnv1a, QueryKey, QueryRef, ShardedValidityCache};
 pub use compile::{compile_query, CompiledQuery, EvalFrame, Val};
 pub use constr::{Constr, Quantified};
 pub use exelim::{eliminate_existentials, ExElimOutcome, ExElimStats};
-pub use fm::{FmLimits, FmMemo, FmOutcome, FmVerdict};
+pub use fm::{FmBase, FmLimits, FmMemo, FmOutcome, FmVerdict};
 #[cfg(feature = "reference-eval")]
-pub use solver::with_tree_eval;
+pub use solver::{with_fm_oracle, with_tree_eval};
 pub use solver::{
-    CexSource, ProgramCacheStats, Provenance, RefutationInfo, SearchExhaustedReason,
+    CexSource, PreparedHyp, ProgramCacheStats, Provenance, RefutationInfo, SearchExhaustedReason,
     SharedProgramCache, SolveConfig, SolveStats, Solver, Validity,
 };

@@ -9,7 +9,9 @@
 //!    [`crate::lemmas`] saturates facts about non-linear atoms, and a
 //!    complete decision procedure for linear arithmetic over atoms either
 //!    proves the goal, refutes it with a witness (re-verified by direct
-//!    evaluation), or abstains.
+//!    evaluation), or abstains.  The hypothesis's half of that work is done
+//!    once per hypothesis ([`PreparedHyp`]) and shared by every goal
+//!    decided under it.
 //! 2. **Numeric layer** — a bounded-exhaustive + randomized evaluation of the
 //!    implication over a grid of values of the universally quantified index
 //!    variables, on the calling thread.  It *refutes* invalid constraints
@@ -38,8 +40,10 @@
 //! breakdown reported by the engine.
 
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,15 +55,15 @@ use rel_index::{Atom, Extended, Idx, IdxEnv, IdxVar, Rational, Sort};
 
 use crate::cache::{CacheStats, Fnv1a, QueryRef, ShardedMap, ShardedValidityCache};
 use crate::compile::{compile_query, CompiledQuery, Val};
-use crate::constr::{map_vec, Constr};
+use crate::constr::{map_vec, Constr, Quantified};
 use crate::exelim;
-use crate::fm::{self, FmLimits, FmMemo, FmOutcome, FmVerdict};
+use crate::fm::{self, FmBase, FmLimits, FmMemo, FmOutcome, FmVerdict};
 use crate::lemmas;
 
 #[cfg(feature = "reference-eval")]
 mod reference;
 #[cfg(feature = "reference-eval")]
-pub use reference::with_tree_eval;
+pub use reference::{with_fm_oracle, with_tree_eval};
 
 /// Configuration of the solver.
 #[derive(Debug, Clone)]
@@ -554,15 +558,17 @@ pub struct Solver {
     /// which memoizes no verdicts.  The `entails_no_exists` gateway of
     /// `exelim`'s candidate attempts deliberately does *not* consult it —
     /// hashing a large hypothesis per attempt costs more than the cheap
-    /// sweeps it would save; repeated *decide-layer* work on that path is
-    /// deduplicated by the FM layer's own query and fact-row memos instead.
+    /// sweeps it would save.  Work on that path is shared instead: every
+    /// attempt is decided under one [`PreparedHyp`], whose facts and FM
+    /// base system are built once, and a repeated FM query is answered by
+    /// the FM layer's own query memo.
     cache: Option<Arc<ShardedValidityCache>>,
     /// Compiled-program memo: private to this solver unless
     /// [`Solver::with_program_cache`] attached a shared one.
     programs: Arc<SharedProgramCache>,
     /// Limits of the Fourier–Motzkin layer.
     fm_limits: FmLimits,
-    /// FM atom table, per-fact rows and whole-query outcomes.
+    /// FM atom table and whole-query outcomes.
     fm_memo: FmMemo,
     /// Diagnostics of the last refutation (reset per top-level `entails`).
     last_refutation: RefutationInfo,
@@ -670,7 +676,7 @@ impl Solver {
         self.last_refutation = RefutationInfo::default();
         self.pending_fm_order.clear();
         let goal = simplify(goal);
-        self.entails_canonical(universals, hyp, &goal)
+        self.entails_canonical(universals, &PreparedHyp::new(hyp), &goal)
     }
 
     /// [`Solver::entails`] on a goal that is already in simplified form.
@@ -683,7 +689,7 @@ impl Solver {
     fn entails_canonical(
         &mut self,
         universals: &[(IdxVar, Sort)],
-        hyp: &Constr,
+        hyp: &PreparedHyp<'_>,
         goal: &Constr,
     ) -> Validity {
         self.stats.queries += 1;
@@ -701,7 +707,7 @@ impl Solver {
         let Some(cache) = self.cache.clone() else {
             return self.entails_simplified(universals, hyp, goal);
         };
-        let query = QueryRef::new(self.config_fingerprint, universals, hyp, goal);
+        let query = QueryRef::new(self.config_fingerprint, universals, hyp.hyp, goal);
         if let Some(verdict) = cache.lookup(&query) {
             self.stats.cache_hits += 1;
             return verdict;
@@ -716,7 +722,7 @@ impl Solver {
     fn entails_simplified(
         &mut self,
         universals: &[(IdxVar, Sort)],
-        hyp: &Constr,
+        hyp: &PreparedHyp<'_>,
         goal: &Constr,
     ) -> Validity {
         // Decompose the goal structurally first so existential elimination is
@@ -735,13 +741,14 @@ impl Solver {
                 return Validity::Valid(prov);
             }
             Constr::Implies(a, b) => {
-                let hyp = hyp.clone().and((**a).clone());
-                return self.entails_canonical(universals, &hyp, b);
+                let hyp = hyp.hyp.clone().and((**a).clone());
+                return self.entails_canonical(universals, &PreparedHyp::new(&hyp), b);
             }
             Constr::Forall(q, c) => {
+                let hyp = hyp.under_binder(universals, q);
                 let mut universals = universals.to_vec();
                 universals.push((q.var.clone(), q.sort));
-                return self.entails_canonical(&universals, hyp, c);
+                return self.entails_canonical(&universals, &hyp, c);
             }
             _ => {}
         }
@@ -763,7 +770,7 @@ impl Solver {
     fn eliminate(
         &mut self,
         universals: &[(IdxVar, Sort)],
-        hyp: &Constr,
+        hyp: &PreparedHyp<'_>,
         goal: &Constr,
     ) -> Validity {
         let outcome = exelim::eliminate_existentials(self, universals, hyp, goal);
@@ -780,7 +787,7 @@ impl Solver {
     pub(crate) fn entails_no_exists(
         &mut self,
         universals: &[(IdxVar, Sort)],
-        hyp: &Constr,
+        hyp: &PreparedHyp<'_>,
         goal: &Constr,
     ) -> Validity {
         let goal = simplify(goal);
@@ -794,7 +801,7 @@ impl Solver {
     fn no_exists_canonical(
         &mut self,
         universals: &[(IdxVar, Sort)],
-        hyp: &Constr,
+        hyp: &PreparedHyp<'_>,
         goal: &Constr,
     ) -> Validity {
         match goal {
@@ -810,13 +817,14 @@ impl Solver {
                 Validity::Valid(prov)
             }
             Constr::Implies(a, b) => {
-                let hyp = hyp.clone().and((**a).clone());
-                self.no_exists_canonical(universals, &hyp, b)
+                let hyp = hyp.hyp.clone().and((**a).clone());
+                self.no_exists_canonical(universals, &PreparedHyp::new(&hyp), b)
             }
             Constr::Forall(q, c) => {
+                let hyp = hyp.under_binder(universals, q);
                 let mut universals = universals.to_vec();
                 universals.push((q.var.clone(), q.sort));
-                self.no_exists_canonical(&universals, hyp, c)
+                self.no_exists_canonical(&universals, &hyp, c)
             }
             Constr::Or(cs) => {
                 // Sufficient condition: one disjunct is entailed on its own.
@@ -841,7 +849,7 @@ impl Solver {
                     if let Some(v) = self.symbolic_decide(universals, hyp, goal) {
                         return v;
                     }
-                    self.numeric_check(universals, hyp, goal)
+                    self.numeric_check(universals, hyp.hyp, goal)
                 } else {
                     self.note_search_exhausted(None);
                     Validity::Invalid(None)
@@ -855,7 +863,7 @@ impl Solver {
                 if let Some(v) = self.symbolic_decide(universals, hyp, goal) {
                     return v;
                 }
-                self.numeric_check(universals, hyp, goal)
+                self.numeric_check(universals, hyp.hyp, goal)
             }
             // An `∃` under a binder the decomposition above has now opened:
             // its witness may name that binder, so it is eliminated here, in
@@ -870,28 +878,37 @@ impl Solver {
     // Fourier–Motzkin layer
     // ----------------------------------------------------------------------
 
-    /// Runs Fourier–Motzkin on already-prepared (rewritten, saturated) facts
-    /// and records its cost and memo counters.  Counts a proof, but records
-    /// no refutation: what a feasible branch means is up to the caller.
+    /// Runs Fourier–Motzkin on `hyp ⟹ goal`: the prepared hypothesis's base
+    /// system (built on the first run under it) plus the goal's own lemma
+    /// facts, against the rewritten goal.  Records its cost and memo
+    /// counters and counts a proof, but records no refutation: what a
+    /// feasible branch means is up to the caller.
     fn run_fm(
         &mut self,
         universals: &[(IdxVar, Sort)],
-        facts: &[Cow<'_, Constr>],
+        hyp: &PreparedHyp<'_>,
         goal: &Constr,
     ) -> FmOutcome {
-        let fact_refs: Vec<&Constr> = facts.iter().map(|c| c.as_ref()).collect();
+        let facts = hyp.facts(universals);
+        let nat_vars = hyp.nat_vars(universals);
+        let (rewritten_goal, extra) = facts.goal_side(goal, nat_vars);
         let tf = Instant::now();
+        let base = hyp.fm_base(universals, &mut self.fm_memo);
         let outcome = {
-            let _fm_span = rel_obs::span_with("fm.prove", fact_refs.len() as u64);
+            let _fm_span = rel_obs::span_with("fm.prove", (facts.facts.len() + extra.len()) as u64);
             fm::prove(
                 universals,
-                &fact_refs,
-                goal,
+                nat_vars,
+                base,
+                &extra,
+                &rewritten_goal,
                 &self.fm_limits,
                 &mut self.fm_memo,
             )
         };
         self.stats.fm_time += tf.elapsed();
+        #[cfg(feature = "reference-eval")]
+        reference::check_fm_oracle(universals, hyp.hyp, goal, &self.fm_limits, &outcome);
         self.stats.fm_memo_hits += outcome.memo_hits;
         self.stats.fm_memo_misses += outcome.memo_misses;
         if outcome.memo_hits > 0 {
@@ -906,23 +923,24 @@ impl Solver {
     /// Whether Fourier–Motzkin proves `hyp ⟹ goal` — the test applied to
     /// each existential-free disjunct of an `Or` goal.  Only a proof counts:
     /// refuting one disjunct does not refute the disjunction.
-    fn fm_proves(&mut self, universals: &[(IdxVar, Sort)], hyp: &Constr, goal: &Constr) -> bool {
-        self.config.use_fm
-            && with_prepared_facts(hyp, goal, |_, rewritten_goal, facts| {
-                self.run_fm(universals, facts, rewritten_goal).verdict == FmVerdict::Proved
-            })
+    fn fm_proves(
+        &mut self,
+        universals: &[(IdxVar, Sort)],
+        hyp: &PreparedHyp<'_>,
+        goal: &Constr,
+    ) -> bool {
+        self.config.use_fm && self.run_fm(universals, hyp, goal).verdict == FmVerdict::Proved
     }
 
-    /// The symbolic layer on an existential-free goal: prepares the facts
-    /// (hypothesis conjuncts, lemma saturation, hypothesis-equality
-    /// rewrites) and runs Fourier–Motzkin over them.  Returns
+    /// The symbolic layer on an existential-free goal: Fourier–Motzkin over
+    /// the prepared hypothesis and the goal's own facts.  Returns
     /// `Some(Valid(Proved))` on a proof, `Some(Invalid)` on a verified FM
     /// witness, and `None` when the query must fall through to the numeric
     /// layer.
     fn symbolic_decide(
         &mut self,
         universals: &[(IdxVar, Sort)],
-        hyp: &Constr,
+        hyp: &PreparedHyp<'_>,
         goal: &Constr,
     ) -> Option<Validity> {
         let _span = rel_obs::span("solver.symbolic");
@@ -933,58 +951,60 @@ impl Solver {
         if !self.config.use_fm {
             return None;
         }
-        with_prepared_facts(hyp, goal, |rewrites, rewritten_goal, facts| {
-            let outcome = self.run_fm(universals, facts, rewritten_goal);
-            match outcome.verdict {
-                FmVerdict::Proved => Some(Validity::proved()),
-                FmVerdict::CandidateRefuted | FmVerdict::Abstained => {
-                    // Remember the elimination order: if *this* goal goes on
-                    // to be refuted, the diagnostic can say which atoms FM
-                    // projected before handing over.
-                    self.pending_fm_order = outcome.eliminated;
-                    // A witness exists only when every atom was a plain
-                    // variable (no abstraction gap).  Even then it is trusted
-                    // only after re-evaluating the original implication at the
-                    // point — that single evaluation is what makes the verdict
-                    // exactly as sound as a grid counterexample, at none of the
-                    // sweep's cost.
-                    if let Some(witness) = outcome.witness {
-                        let mut env = IdxEnv::new();
-                        for (v, _) in universals {
-                            env.bind(v.clone(), Extended::ZERO);
-                        }
-                        for (v, q) in witness {
-                            env.bind(v, Extended::Finite(q));
-                        }
-                        // Variables consumed as hypothesis-equality rewrites
-                        // were substituted out of the FM system; reconstruct
-                        // their values from the rewrite right-hand sides so
-                        // the full (unrewritten) hypothesis evaluates
-                        // correctly.  Iterated to a fixed point:
-                        // `split_rewrites` closes chains where it can, but a
-                        // rewrite whose right-hand side still mentions
-                        // another rewritten variable (cycle guard, bounded
-                        // closure) would otherwise evaluate against that
-                        // variable's stale zero default and discard a
-                        // genuine counterexample.
-                        for _ in 0..rewrites.len().max(1) {
-                            for (v, idx) in rewrites {
-                                if let Ok(value) = idx.eval(&env) {
-                                    env.bind(v.clone(), value);
-                                }
-                            }
-                        }
-                        let formula = hyp.clone().implies(goal.clone());
-                        if !formula.eval_bounded(&env, self.config.inner_quantifier_bound) {
-                            self.stats.fm_refuted += 1;
-                            self.note_counterexample(CexSource::FmWitness, &env);
-                            return Some(Validity::Invalid(Some(env)));
+        let outcome = self.run_fm(universals, hyp, goal);
+        match outcome.verdict {
+            FmVerdict::Proved => Some(Validity::proved()),
+            FmVerdict::CandidateRefuted | FmVerdict::Abstained => {
+                // Remember the elimination order: if *this* goal goes on to
+                // be refuted, the diagnostic can say which atoms FM
+                // projected before handing over.
+                self.pending_fm_order = outcome.eliminated;
+                // A witness exists only when every atom was a plain variable
+                // (no abstraction gap).  Even then it is trusted only after
+                // re-evaluating the original implication at the point — that
+                // single evaluation is what makes the verdict exactly as
+                // sound as a grid counterexample, at none of the sweep's
+                // cost.
+                let witness = outcome.witness?;
+                let mut env = IdxEnv::new();
+                for (v, _) in universals {
+                    env.bind(v.clone(), Extended::ZERO);
+                }
+                for (v, q) in witness {
+                    env.bind(v, Extended::Finite(q));
+                }
+                // Variables consumed as hypothesis-equality rewrites were
+                // substituted out of the FM system; reconstruct their values
+                // from the rewrite right-hand sides so the full (unrewritten)
+                // hypothesis evaluates correctly.  Iterated to a fixed point:
+                // `split_rewrites` closes chains where it can, but a rewrite
+                // whose right-hand side still mentions another rewritten
+                // variable (cycle guard, bounded closure) would otherwise
+                // evaluate against that variable's stale zero default and
+                // discard a genuine counterexample.
+                let rewrites = &hyp.facts(universals).rewrites;
+                for _ in 0..rewrites.len().max(1) {
+                    for (v, idx) in rewrites {
+                        if let Ok(value) = idx.eval(&env) {
+                            env.bind(v.clone(), value);
                         }
                     }
-                    None
                 }
+                // A rebuilt value may leave its sort (`m = a/2` gives m = 1/2
+                // at a = 1): such a point is no counterexample over ℕ.
+                let in_domain = universals.iter().all(|(v, sort)| {
+                    *sort != Sort::Nat
+                        || matches!(env.lookup(v), Some(Extended::Finite(q)) if q.is_integer() && !q.is_negative())
+                });
+                let formula = hyp.hyp.clone().implies(goal.clone());
+                if in_domain && !formula.eval_bounded(&env, self.config.inner_quantifier_bound) {
+                    self.stats.fm_refuted += 1;
+                    self.note_counterexample(CexSource::FmWitness, &env);
+                    return Some(Validity::Invalid(Some(env)));
+                }
+                None
             }
-        })
+        }
     }
 
     // ----------------------------------------------------------------------
@@ -1249,29 +1269,160 @@ fn draw_random_point(
     on_grid
 }
 
-/// Prepares the symbolic fact pipeline and hands the borrowed results to
-/// `f`: hypothesis conjuncts (borrowed — cloning here was one of the seed's
-/// hottest allocation sites), lemma saturation over the non-linear atoms in
-/// sight, and hypothesis equalities applied as variable rewrites (the
-/// closure receives them to reconstruct rewritten variables in FM
-/// witnesses).  Shared by both Fourier–Motzkin entry points
-/// (`symbolic_decide` and the disjunct test `fm_proves`), so they can never
-/// diverge on which facts they see.
-fn with_prepared_facts<R>(
-    hyp: &Constr,
-    goal: &Constr,
-    f: impl FnOnce(&[(IdxVar, Idx)], &Constr, &[Cow<'_, Constr>]) -> R,
-) -> R {
-    let mut facts: Vec<&Constr> = conjuncts(hyp);
-    let mut atoms: BTreeSet<Atom> = lemmas::atoms_of_constr(hyp);
-    atoms.extend(lemmas::atoms_of_constr(goal));
-    let lemma_facts = lemmas::saturate(&atoms);
-    facts.extend(lemma_facts.iter());
-    let (rewrites, rest) = split_rewrites(&facts);
-    let rewritten_goal = apply_rewrites(goal, &rewrites);
-    let ineq_facts: Vec<Cow<'_, Constr>> =
-        rest.iter().map(|c| apply_rewrites(c, &rewrites)).collect();
-    f(&rewrites, rewritten_goal.as_ref(), &ineq_facts)
+/// A hypothesis prepared once for every goal decided under it: the
+/// symbolic layer's "push".
+///
+/// Everything the symbolic layer derives from the hypothesis alone — its
+/// flattened conjuncts, its atoms and their lemma instances, the equality
+/// rewrites and the rewritten facts, and the normalized Fourier–Motzkin
+/// base system over them ([`FmBase`]) — is built on first use and shared by
+/// every goal decided under the hypothesis: the conjuncts, implication
+/// bodies and ∀-bodies a goal decomposes into, and each candidate instance
+/// of [`crate::exelim`].  A goal adds only its own work: lemma instances
+/// for atoms the hypothesis lacks, its rewrite and its negated DNF.  The
+/// value is passed down the recursion; it has no key and is never looked
+/// up, and a goal answered before the symbolic layer (by the validity
+/// cache, or structurally) prepares nothing.
+///
+/// What is built depends on which universals are ℕ-sorted (integer-only
+/// lemmas, integer tightening), so every query decided under one value
+/// must pass universals with the same ℕ-sorted set (the solver re-prepares
+/// under a `∀` that adds an ℕ-sorted variable).
+pub struct PreparedHyp<'h> {
+    hyp: &'h Constr,
+    lazy: Rc<Prepared<'h>>,
+}
+
+/// The parts of a [`PreparedHyp`], each built on first use.
+#[derive(Default)]
+struct Prepared<'h> {
+    nat_vars: OnceCell<BTreeSet<IdxVar>>,
+    facts: OnceCell<HypFacts<'h>>,
+    base: OnceCell<FmBase>,
+}
+
+/// The facts the symbolic layer derives from a hypothesis.
+struct HypFacts<'h> {
+    /// The hypothesis's atoms (their lemma instances are in `facts`).
+    atoms: BTreeSet<Atom>,
+    /// Hypothesis equalities used as variable rewrites (FM witnesses
+    /// rebuild the rewritten variables from them).
+    rewrites: Vec<(IdxVar, Idx)>,
+    /// The rewritten facts: the conjuncts that are not rewrites, the
+    /// atoms' lemma instances, and `0 ≤ rhs` for each rewrite `x := rhs` —
+    /// FM's own non-negativity row for `x` is lost with `x`, and `rhs` can
+    /// be negative where `x` cannot (`m = a − b` gives `b ≤ a`).
+    facts: Vec<Cow<'h, Constr>>,
+}
+
+impl<'h> PreparedHyp<'h> {
+    /// Prepares `hyp`; nothing is built until a goal under it reaches the
+    /// symbolic layer.
+    pub fn new(hyp: &'h Constr) -> PreparedHyp<'h> {
+        PreparedHyp {
+            hyp,
+            lazy: Rc::default(),
+        }
+    }
+
+    /// The hypothesis itself.
+    pub fn hyp(&self) -> &'h Constr {
+        self.hyp
+    }
+
+    /// The same hypothesis for the queries under `∀q`, whose universals are
+    /// `universals` plus `q`: everything built so far is shared unless `q`
+    /// adds an ℕ-sorted variable, in which case it is rebuilt on first use.
+    pub(crate) fn under_binder(
+        &self,
+        universals: &[(IdxVar, Sort)],
+        q: &Quantified,
+    ) -> PreparedHyp<'h> {
+        let adds_nat = q.sort == Sort::Nat
+            && !universals
+                .iter()
+                .any(|(v, sort)| *v == q.var && *sort == Sort::Nat);
+        PreparedHyp {
+            hyp: self.hyp,
+            lazy: if adds_nat {
+                Rc::default()
+            } else {
+                Rc::clone(&self.lazy)
+            },
+        }
+    }
+
+    fn nat_vars(&self, universals: &[(IdxVar, Sort)]) -> &BTreeSet<IdxVar> {
+        self.lazy
+            .nat_vars
+            .get_or_init(|| fm::nat_var_set(universals))
+    }
+
+    fn facts(&self, universals: &[(IdxVar, Sort)]) -> &HypFacts<'h> {
+        self.lazy.facts.get_or_init(|| {
+            let _span = rel_obs::span("solver.prepare");
+            HypFacts::new(self.hyp, self.nat_vars(universals))
+        })
+    }
+
+    fn fm_base(&self, universals: &[(IdxVar, Sort)], memo: &mut FmMemo) -> &FmBase {
+        self.lazy.base.get_or_init(|| {
+            let _span = rel_obs::span("solver.prepare");
+            let facts = self.facts(universals);
+            FmBase::new(
+                facts.facts.iter().map(|c| c.as_ref()),
+                self.nat_vars(universals),
+                memo,
+            )
+        })
+    }
+}
+
+impl<'h> HypFacts<'h> {
+    fn new(hyp: &'h Constr, nat_vars: &BTreeSet<IdxVar>) -> HypFacts<'h> {
+        let atoms = lemmas::atoms_of_constr(hyp);
+        let mut lemma_facts = Vec::new();
+        lemmas::saturate(&BTreeSet::new(), &atoms, nat_vars, &mut lemma_facts);
+        // Lemma facts never become rewrites (the one lemma equality,
+        // `⌈n/2⌉ + ⌊n/2⌋ = n`, mentions `n` on both sides), so the rewrites
+        // come from the hypothesis alone.
+        let (rewrites, rest) = split_rewrites(&conjuncts(hyp));
+        let rewritten = |c: Constr| Cow::Owned(apply_rewrites(&c, &rewrites).into_owned());
+        let mut facts: Vec<Cow<'h, Constr>> =
+            rest.iter().map(|c| apply_rewrites(c, &rewrites)).collect();
+        facts.extend(lemma_facts.into_iter().map(rewritten));
+        facts.extend(
+            rewrites
+                .iter()
+                .map(|(x, _)| rewritten(Constr::leq(Idx::zero(), Idx::Var(x.clone())))),
+        );
+        HypFacts {
+            atoms,
+            rewrites,
+            facts,
+        }
+    }
+
+    /// A goal's own part of a query: the goal rewritten, and the rewritten
+    /// lemma instances of its atoms the hypothesis lacks.  A goal without a
+    /// node any lemma is about skips the atom scan.
+    fn goal_side<'g>(
+        &self,
+        goal: &'g Constr,
+        nat_vars: &BTreeSet<IdxVar>,
+    ) -> (Cow<'g, Constr>, Vec<Constr>) {
+        let mut extra = Vec::new();
+        if lemmas::has_lemma_atoms(goal) {
+            let atoms = lemmas::atoms_of_constr(goal);
+            lemmas::saturate(&self.atoms, &atoms, nat_vars, &mut extra);
+            for fact in &mut extra {
+                if let Cow::Owned(rewritten) = apply_rewrites(fact, &self.rewrites) {
+                    *fact = rewritten;
+                }
+            }
+        }
+        (apply_rewrites(goal, &self.rewrites), extra)
+    }
 }
 
 /// Flattens the top-level conjunctive structure of a hypothesis into atoms,
@@ -1852,7 +2003,9 @@ mod tests {
         let u = nat_vars(&["n"]);
         let goal = pointwise_goal();
         for _ in 0..2 {
-            assert!(s.entails_no_exists(&u, &Constr::Top, &goal).is_valid());
+            assert!(s
+                .entails_no_exists(&u, &PreparedHyp::new(&Constr::Top), &goal)
+                .is_valid());
         }
         assert_eq!(s.stats().numeric_checks, 2);
         assert_eq!(s.stats().programs_compiled, 1);
@@ -1968,6 +2121,126 @@ mod tests {
             other => panic!("expected a witnessed refutation, got {other:?}"),
         }
         assert_eq!(s.stats().points_evaluated, 0);
+    }
+
+    #[test]
+    fn integer_only_lemmas_never_prove_real_goals() {
+        // Each goal is false at t = 1/2; the lemmas `⌈n/2⌉ ≤ n`,
+        // `⌈n/2⌉ + ⌊n/2⌋ = n` and `2^x ≥ x + 1` would prove them, but hold
+        // for integer arguments only.
+        let t = Idx::var("t");
+        let u = vec![(IdxVar::new("t"), Sort::Real)];
+        let half = IdxEnv::from_pairs([("t", Extended::Finite(Rational::new(1, 2)))]);
+        let cases = [
+            (
+                Constr::leq(t.clone(), Idx::one()),
+                Constr::leq(Idx::half_ceil(t.clone()), t.clone()),
+            ),
+            (
+                Constr::Top,
+                Constr::eq(
+                    Idx::half_ceil(t.clone()) + Idx::half_floor(t.clone()),
+                    t.clone(),
+                ),
+            ),
+            (
+                Constr::Top,
+                Constr::leq(t.clone() + Idx::one(), Idx::pow2(t.clone())),
+            ),
+        ];
+        for (hyp, goal) in &cases {
+            assert!(!hyp.clone().implies(goal.clone()).eval_bounded(&half, 8));
+            let verdict = Solver::new().entails(&u, hyp, goal);
+            assert_ne!(verdict, Validity::proved(), "{hyp} ⟹ {goal}");
+        }
+        // Over ℕ the same lemmas still prove the first two.
+        let u = nat_vars(&["t"]);
+        for (hyp, goal) in &cases[..2] {
+            assert_eq!(Solver::new().entails(&u, hyp, goal), Validity::proved());
+        }
+    }
+
+    #[test]
+    fn fm_witnesses_outside_the_naturals_are_not_counterexamples() {
+        // m = a/2 ⟹ (a ≤ 0 ∨ 2 ≤ a) holds over ℕ.  FM's witness a = 1
+        // rebuilds m = 1/2, which is no point of the domain: the query
+        // falls through to the grid instead of being refuted there.
+        let mut s = Solver::new();
+        let u = nat_vars(&["m", "a"]);
+        let hyp = Constr::eq(Idx::var("m"), Idx::var("a") / Idx::nat(2));
+        let goal =
+            Constr::leq(Idx::var("a"), Idx::zero()).or(Constr::leq(Idx::nat(2), Idx::var("a")));
+        assert_eq!(s.entails(&u, &hyp, &goal), Validity::grid_checked());
+        assert_eq!(s.stats().fm_refuted, 0);
+    }
+
+    #[test]
+    fn rewrite_right_hand_sides_stay_non_negative() {
+        // m = a − b ⟹ b ≤ a: the rewrite m := a − b removes m, and with it
+        // FM's own row 0 ≤ m; the fact 0 ≤ a − b keeps what it said.
+        let mut s = Solver::new();
+        let u = nat_vars(&["m", "a", "b"]);
+        let hyp = Constr::eq(Idx::var("m"), Idx::var("a") - Idx::var("b"));
+        let goal = Constr::leq(Idx::var("b"), Idx::var("a"));
+        assert_eq!(s.entails(&u, &hyp, &goal), Validity::proved());
+        assert_eq!(s.stats().points_evaluated, 0);
+    }
+
+    #[test]
+    fn twin_lemma_splits_across_hypothesis_and_goal() {
+        // ⌈n/2⌉ only in the hypothesis, ⌊n/2⌋ only in the goal: the goal's
+        // own facts supply ⌈n/2⌉ + ⌊n/2⌋ = n.
+        let mut s = Solver::new();
+        let u = nat_vars(&["n"]);
+        let n = Idx::var("n");
+        let hyp = Constr::leq(Idx::half_ceil(n.clone()), Idx::nat(3));
+        let goal = Constr::leq(n.clone(), Idx::half_floor(n) + Idx::nat(3));
+        assert_eq!(s.entails(&u, &hyp, &goal), Validity::proved());
+        assert_eq!(s.stats().points_evaluated, 0);
+    }
+
+    #[test]
+    fn a_binder_that_adds_a_natural_reprepares_the_hypothesis() {
+        // The first conjunct builds the prepared hypothesis under {m}; the
+        // ∀n:ℕ body needs n tightened as an integer (it fails at n = 1/2),
+        // so the base built without n must not be reused.
+        let mut s = Solver::new();
+        let n = Idx::var("n");
+        let goal = Constr::leq(Idx::var("m"), Idx::var("m") + Idx::one()).and(Constr::forall(
+            "n",
+            Sort::Nat,
+            Constr::leq(n.clone(), Idx::zero()).or(Constr::leq(Idx::one(), n)),
+        ));
+        assert_eq!(
+            s.entails(&nat_vars(&["m"]), &Constr::Top, &goal),
+            Validity::proved()
+        );
+        assert_eq!(s.stats().points_evaluated, 0);
+    }
+
+    #[test]
+    fn goals_add_only_the_lemmas_the_hypothesis_lacks() {
+        let n = Idx::var("n");
+        let nat = fm::nat_var_set(&nat_vars(&["n"]));
+        let hyp = Constr::leq(Idx::half_ceil(n.clone()), Idx::nat(3));
+        let facts = HypFacts::new(&hyp, &nat);
+        // A linear goal skips the atom scan; a goal whose lemma atoms the
+        // hypothesis already has adds nothing either.
+        for goal in [
+            Constr::leq(n.clone(), Idx::nat(7)),
+            Constr::leq(Idx::half_ceil(n.clone()), n.clone()),
+        ] {
+            let (rewritten, extra) = facts.goal_side(&goal, &nat);
+            assert!(extra.is_empty(), "{goal}: {extra:?}");
+            assert!(matches!(rewritten, Cow::Borrowed(_)));
+        }
+        // ⌊n/2⌋ brings its own facts and, with ⌈n/2⌉ in the hypothesis,
+        // the twin facts.
+        let goal = Constr::leq(Idx::half_floor(n.clone()), Idx::nat(3));
+        let (_, extra) = facts.goal_side(&goal, &nat);
+        let twin = Constr::eq(Idx::half_ceil(n.clone()) + Idx::half_floor(n.clone()), n);
+        assert_eq!(extra.len(), 4, "{extra:?}");
+        assert!(extra.contains(&twin));
     }
 
     #[test]

@@ -1,24 +1,111 @@
-//! The tree-walking numeric sweep, kept as a differential oracle for the
-//! compiled one.
+//! Differential oracles of the solver's fast paths:
+//!
+//! * the tree-walking numeric sweep, kept as the oracle of the compiled
+//!   one;
+//! * the per-goal fact preparation, kept as the oracle of the prepared
+//!   hypothesis ([`super::PreparedHyp`]): every goal re-derives the
+//!   hypothesis's facts and runs [`fm::prove_facts`] over the whole fact
+//!   system.
 //!
 //! Compiled in only by the `reference-eval` feature, which only
-//! dev-dependencies enable: release builds carry the compiled sweep alone.
-//! The oracle is selected per thread with [`with_tree_eval`], so
-//! whole-engine comparisons (an engine checks a program on the calling
-//! thread) need no configuration field and share fingerprints with the
-//! compiled path.
+//! dev-dependencies enable: release builds carry the fast paths alone.
+//! Each oracle is selected per thread ([`with_tree_eval`],
+//! [`with_fm_oracle`]), so whole-engine comparisons (an engine checks a
+//! program on the calling thread) need no configuration field and share
+//! fingerprints with the production path.
 
+use std::borrow::Cow;
 use std::cell::Cell;
+use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rel_index::{Extended, IdxEnv, IdxVar, Sort};
+use rel_index::{Extended, Idx, IdxEnv, IdxVar, Sort};
 
-use super::{draw_random_point, CexSource, Constr, Solver, Validity};
+use super::{
+    apply_rewrites, conjuncts, draw_random_point, split_rewrites, CexSource, Constr, Solver,
+    Validity,
+};
+use crate::fm::{self, FmLimits, FmMemo, FmOutcome};
+use crate::lemmas;
 
 thread_local! {
     static TREE_EVAL: Cell<bool> = const { Cell::new(false) };
+    /// `Some(n)` inside [`with_fm_oracle`]: the FM runs compared so far.
+    static FM_ORACLE: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with every Fourier–Motzkin run on this thread re-decided by the
+/// per-goal oracle on a fresh memo; panics on the first run whose verdict,
+/// witness or elimination order differs.  Returns `f`'s result and the
+/// number of runs compared.
+pub fn with_fm_oracle<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FM_ORACLE.with(|cell| cell.set(self.0));
+        }
+    }
+    let _restore = Restore(FM_ORACLE.with(|cell| cell.replace(Some(0))));
+    let out = f();
+    (out, FM_ORACLE.with(Cell::get).unwrap_or(0))
+}
+
+/// The FM outcome of `hyp ⟹ goal` with the facts prepared for this goal
+/// alone: conjuncts, lemma instances over the atoms of hypothesis and goal
+/// together, rewrites, and one [`fm::prove_facts`] over all of it.
+pub(super) fn per_goal_fm(
+    universals: &[(IdxVar, Sort)],
+    hyp: &Constr,
+    goal: &Constr,
+    limits: &FmLimits,
+    memo: &mut FmMemo,
+) -> FmOutcome {
+    let mut atoms = lemmas::atoms_of_constr(hyp);
+    atoms.extend(lemmas::atoms_of_constr(goal));
+    let mut lemma_facts = Vec::new();
+    let nat_vars = fm::nat_var_set(universals);
+    lemmas::saturate(&BTreeSet::new(), &atoms, &nat_vars, &mut lemma_facts);
+    let mut facts = conjuncts(hyp);
+    facts.extend(lemma_facts.iter());
+    let (rewrites, rest) = split_rewrites(&facts);
+    let nonneg: Vec<Constr> = rewrites
+        .iter()
+        .map(|(x, _)| Constr::leq(Idx::zero(), Idx::Var(x.clone())))
+        .collect();
+    let rewritten: Vec<Cow<'_, Constr>> = rest
+        .iter()
+        .copied()
+        .chain(&nonneg)
+        .map(|c| apply_rewrites(c, &rewrites))
+        .collect();
+    let refs: Vec<&Constr> = rewritten.iter().map(|c| c.as_ref()).collect();
+    let goal = apply_rewrites(goal, &rewrites);
+    fm::prove_facts(universals, &refs, &goal, limits, memo)
+}
+
+/// Inside [`with_fm_oracle`], re-decides one FM run with [`per_goal_fm`]
+/// and panics when it disagrees with `outcome`.
+pub(super) fn check_fm_oracle(
+    universals: &[(IdxVar, Sort)],
+    hyp: &Constr,
+    goal: &Constr,
+    limits: &FmLimits,
+    outcome: &FmOutcome,
+) {
+    let Some(compared) = FM_ORACLE.with(Cell::get) else {
+        return;
+    };
+    let oracle = per_goal_fm(universals, hyp, goal, limits, &mut FmMemo::default());
+    assert!(
+        oracle.verdict == outcome.verdict
+            && oracle.witness == outcome.witness
+            && oracle.eliminated == outcome.eliminated,
+        "prepared FM run disagrees with the per-goal oracle on {hyp} ⟹ {goal}: \
+         {outcome:?} against {oracle:?}"
+    );
+    FM_ORACLE.with(|cell| cell.set(Some(compared + 1)));
 }
 
 /// Runs `f` with every numeric check on this thread swept by the

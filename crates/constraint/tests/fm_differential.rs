@@ -12,14 +12,17 @@
 //!   the FM layer on and off — FM changes *provenance* and cost, never the
 //!   boolean outcome the type checker sees;
 //! * a query replayed from the whole-query memo is the cold outcome,
-//!   verdict, elimination order and witness alike.
+//!   verdict, elimination order and witness alike;
+//! * FM on a prepared hypothesis (facts and base system built once, each
+//!   goal decided on top) reaches the verdict, witness and elimination
+//!   order of the per-goal oracle, for hypotheses shared by several goals.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use rel_constraint::fm::{self, FmLimits, FmVerdict};
-use rel_constraint::{Constr, SolveConfig, Solver, Validity};
+use rel_constraint::fm::{self, FmLimits, FmMemo, FmOutcome, FmVerdict};
+use rel_constraint::{with_fm_oracle, Constr, SolveConfig, Solver, Validity};
 use rel_index::{Extended, Idx, IdxEnv, IdxVar, Sort};
 
 fn universals() -> Vec<(IdxVar, Sort)> {
@@ -71,6 +74,12 @@ fn arb_linear_constr() -> BoxedStrategy<Constr> {
     .boxed()
 }
 
+/// `hyp ⟹ goal` through FM alone: a base system over `hyp`, then the goal on
+/// top.
+fn fm_prove(hyp: &Constr, goal: &Constr, memo: &mut FmMemo) -> FmOutcome {
+    fm::prove_facts(&universals(), &[hyp], goal, &FmLimits::default(), memo)
+}
+
 /// Exhaustive check of `hyp ⟹ goal` over the small grid `0..=max` per
 /// variable, with the tree evaluator — the ground truth FM must agree with.
 fn grid_counterexample(hyp: &Constr, goal: &Constr, max: u64) -> Option<IdxEnv> {
@@ -108,14 +117,7 @@ proptest! {
         hyp in arb_linear_constr(),
         goal in arb_linear_constr(),
     ) {
-        let facts: Vec<&Constr> = vec![&hyp];
-        let out = fm::prove(
-            &universals(),
-            &facts,
-            &goal,
-            &FmLimits::default(),
-            &mut fm::FmMemo::default(),
-        );
+        let out = fm_prove(&hyp, &goal, &mut FmMemo::default());
         if out.verdict == FmVerdict::Proved {
             if let Some(env) = grid_counterexample(&hyp, &goal, 6) {
                 prop_assert!(
@@ -133,14 +135,7 @@ proptest! {
         hyp in arb_linear_constr(),
         goal in arb_linear_constr(),
     ) {
-        let facts: Vec<&Constr> = vec![&hyp];
-        let out = fm::prove(
-            &universals(),
-            &facts,
-            &goal,
-            &FmLimits::default(),
-            &mut fm::FmMemo::default(),
-        );
+        let out = fm_prove(&hyp, &goal, &mut FmMemo::default());
         if out.verdict == FmVerdict::CandidateRefuted {
             if let Some(witness) = out.witness {
                 let mut env = IdxEnv::new();
@@ -179,13 +174,10 @@ proptest! {
         hyp in arb_linear_constr(),
         goal in arb_linear_constr(),
     ) {
-        let u = universals();
-        let facts: Vec<&Constr> = vec![&hyp];
-        let limits = FmLimits::default();
-        let cold = fm::prove(&u, &facts, &goal, &limits, &mut fm::FmMemo::default());
-        let mut memo = fm::FmMemo::default();
-        let first = fm::prove(&u, &facts, &goal, &limits, &mut memo);
-        let replay = fm::prove(&u, &facts, &goal, &limits, &mut memo);
+        let cold = fm_prove(&hyp, &goal, &mut FmMemo::default());
+        let mut memo = FmMemo::default();
+        let first = fm_prove(&hyp, &goal, &mut memo);
+        let replay = fm_prove(&hyp, &goal, &mut memo);
         prop_assert_eq!(first.memo_hits, 0);
         prop_assert_eq!(replay.memo_hits, 1, "hyp = {}, goal = {}", hyp, goal);
         prop_assert_eq!(replay.memo_misses, 0);
@@ -194,6 +186,31 @@ proptest! {
             prop_assert_eq!(&out.eliminated, &cold.eliminated);
             prop_assert_eq!(&out.witness, &cold.witness);
         }
+    }
+
+    // Prepared hypothesis against the per-goal oracle: the disjunction
+    // tries every disjunct and then the whole under one prepared
+    // hypothesis, and the conjunction decides its conjuncts under it in
+    // turn; `with_fm_oracle` re-decides every FM run from scratch and
+    // panics on any difference in verdict, witness or elimination order.
+    #[test]
+    fn prepared_hypotheses_agree_with_the_per_goal_oracle(
+        hyp in arb_linear_constr(),
+        g1 in arb_linear_constr(),
+        g2 in arb_linear_constr(),
+        g3 in arb_linear_constr(),
+    ) {
+        let goals = vec![g1, g2, g3];
+        let u = universals();
+        let mut solver = Solver::new();
+        let (_, compared) = with_fm_oracle(|| {
+            solver.entails(&u, &hyp, &Constr::Or(goals.clone()));
+            solver.entails(&u, &hyp, &Constr::And(goals.clone()));
+        });
+        prop_assert_eq!(
+            compared,
+            solver.stats().fm_memo_hits + solver.stats().fm_memo_misses
+        );
     }
 
     // Pipeline equivalence: the FM layer changes provenance, never the

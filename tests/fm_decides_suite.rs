@@ -7,8 +7,11 @@
 //! 2. Every benchmark's provenance may only improve on its table row
 //!    (`Fail` < `Grid` < `Proved`), within the row's ceilings on the work it
 //!    does, and a failing benchmark explains why.
+//! 3. Every FM run of a Table-1 pass on a prepared hypothesis agrees with
+//!    the per-goal oracle.
 
 use birelcost::{Engine, ProgramReport};
+use rel_constraint::with_fm_oracle;
 use rel_suite::{all_benchmarks, benchmark, VerificationStatus};
 use rel_syntax::parse_program;
 
@@ -186,4 +189,25 @@ fn phase_timings_stay_within_the_wall_clock() {
             report.total_time()
         );
     }
+}
+
+/// Every Fourier–Motzkin run of one cold Table-1 pass decides on a
+/// hypothesis prepared once for all the goals under it; the per-goal oracle
+/// (`with_fm_oracle`, from `rel-constraint`'s `reference-eval` feature)
+/// re-derives each run's facts from scratch and must reach the same
+/// verdict, witness and elimination order.  Each run is also one FM memo
+/// lookup, so the two counts must agree.
+#[test]
+fn prepared_hypotheses_agree_with_the_per_goal_oracle_across_table1() {
+    let mut compared = 0;
+    let mut lookups = 0;
+    for b in all_benchmarks() {
+        let program = parse_program(b.source).unwrap();
+        let (report, runs) = with_fm_oracle(|| Engine::new().check_program(&program));
+        let stats = report.solve_stats();
+        compared += runs;
+        lookups += stats.fm_memo_hits + stats.fm_memo_misses;
+    }
+    assert_eq!(compared, lookups);
+    assert!(compared > 500, "only {compared} FM runs compared");
 }
